@@ -39,7 +39,8 @@ import numpy as np
 from . import exprs, surface as surface_mod
 from .bie import BoundaryProblem
 from .errors import ConfigError, LayerScatError
-from .green import MediumPair, green, grad_green_x, reference_field_plane
+from .green import (MediumPair, _reference_field, green, green_surface_batch,
+                    reference_field_plane)
 from .nystrom import Grid, solve
 from .potentials import (_eval_scattered, four_wave_exact,
                          point_source_exact)
@@ -190,69 +191,62 @@ def _build_beta(spec):
     return lambda s: np.full_like(np.asarray(s, dtype=float), c, dtype=complex)
 
 
+def _incident_field(medium: MediumPair, incident: dict):
+    """The field u_b that the scattered field cancels on the surface, as
+    fn(x1, x2, grad) -> (u_b, (du_b/dx1, du_b/dx2) or None) on coordinate
+    arrays.
+
+    Plane wave: u_b = u0, the reference field.  Point source: u_b = -G(., y0),
+    from one batched, two-pass-checked call with y0 as the field point
+    (G(x, y0) = G(y0, x), and nabla_x G(x, y0) is nabla_y G(y0, y) at y = x).
+    """
+    if incident["type"] == "plane":
+        theta = incident["theta_d"]
+
+        def plane_wave(x1, x2, grad):
+            u, g1, g2 = _reference_field(medium, theta, (x1, x2))
+            return u, ((g1, g2) if grad else None)
+
+        return plane_wave
+    y0 = tuple(incident["y0"])
+
+    def point_source(x1, x2, grad):
+        g = green_surface_batch(medium, y0, x1, x2, grad_y=grad, check=True)
+        return -g["val"], ((-g["dy1"], -g["dy2"]) if grad else None)
+
+    return point_source
+
+
 def build_problem(config: RunConfig) -> BoundaryProblem:
-    """BoundaryProblem (with boundary data from the incident spec) for a config."""
+    """BoundaryProblem (with boundary data from the incident spec) for a config.
+
+    The boundary data is g = -u_b (Dirichlet) or
+    g = -(d u_b/d nu - i k- beta u_b) (impedance), evaluated lazily on the
+    points data_g is called with.
+    """
     med = MediumPair(config.k_plus, config.k_minus)
     surf = _build_surface(config.surface_spec)
     inc = config.incident
-    if inc["type"] == "plane":
-        theta = inc["theta_d"]
-        if config.problem == "dirichlet":
-            def data_g(s):
-                s = np.atleast_1d(np.asarray(s, dtype=float))
-                vals = np.array([-reference_field_plane(med, theta, (si, fi))
-                                 for si, fi in zip(s, surf.f(s))])
-                return vals if vals.size > 1 else complex(vals[0])
-        else:
-            beta = _build_beta(config.beta_spec)
-
-            def data_g(s):
-                s = np.atleast_1d(np.asarray(s, dtype=float))
-                f = np.asarray(surf.f(s), dtype=float)
-                df = np.asarray(surf.df(s), dtype=float)
-                sp = np.sqrt(1 + df * df)
-                bet = np.asarray(beta(s), dtype=complex)
-                vals = np.empty(s.shape, dtype=complex)
-                from .green import reference_field_plane_grad
-                for i, (si, fi) in enumerate(zip(s, f)):
-                    u0 = reference_field_plane(med, theta, (si, fi))
-                    g1, g2 = reference_field_plane_grad(med, theta, (si, fi))
-                    dnu = (df[i] * g1 - g2) / sp[i]
-                    vals[i] = -dnu + 1j * med.k_minus * bet[i] * u0
-                return vals if vals.size > 1 else complex(vals[0])
-    else:
+    if inc["type"] == "point":
         y0 = tuple(inc["y0"])
         if not float(y0[1]) < float(surf.f(y0[0])):
             raise ConfigError(f"incident.y0: {y0} must lie strictly below the surface")
-        if config.problem == "dirichlet":
-            def data_g(s):
-                s = np.atleast_1d(np.asarray(s, dtype=float))
-                f = np.asarray(surf.f(s), dtype=float)
-                vals = np.array([green(med, (si, fi), y0)
-                                 for si, fi in zip(s, f)])
-                return vals if vals.size > 1 else complex(vals[0])
-        else:
-            beta = _build_beta(config.beta_spec)
+    field_b = _incident_field(med, inc)
+    impedance = config.problem == "impedance"
+    beta = _build_beta(config.beta_spec) if impedance else None
 
-            def data_g(s):
-                s = np.atleast_1d(np.asarray(s, dtype=float))
-                f = np.asarray(surf.f(s), dtype=float)
-                df = np.asarray(surf.df(s), dtype=float)
-                sp = np.sqrt(1 + df * df)
-                bet = np.asarray(beta(s), dtype=complex)
-                vals = np.empty(s.shape, dtype=complex)
-                for i, (si, fi) in enumerate(zip(s, f)):
-                    x_pt = (si, fi)
-                    g1, g2 = grad_green_x(med, x_pt, y0)
-                    gval = green(med, x_pt, y0)
-                    dnu = (df[i] * g1 - g2) / sp[i]
-                    vals[i] = dnu - 1j * med.k_minus * bet[i] * gval
-                return vals if vals.size > 1 else complex(vals[0])
-    kwargs = {}
-    if config.problem == "dirichlet":
-        kwargs["eta"] = config.eta
-    else:
-        kwargs["beta"] = _build_beta(config.beta_spec)
+    def data_g(s):
+        s = np.asarray(s, dtype=float)
+        t = np.atleast_1d(s)
+        u, grad = field_b(t, np.asarray(surf.f(t), dtype=float), impedance)
+        if impedance:
+            g1, g2 = grad
+            df = np.asarray(surf.df(t), dtype=float)
+            dnu = (df * g1 - g2) / np.sqrt(1 + df * df)
+            u = dnu - 1j * med.k_minus * np.asarray(beta(t), dtype=complex) * u
+        return complex(-u[0]) if s.ndim == 0 else -u
+
+    kwargs = {"beta": beta} if impedance else {"eta": config.eta}
     return BoundaryProblem(kind=config.problem, medium=med, surface=surf,
                            data_g=data_g, incident=dict(inc), **kwargs)
 

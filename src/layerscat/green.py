@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sommerfeld
-from .errors import DomainError, SingularityError
+from .errors import AccuracyError, DomainError, SingularityError
 from .specfun import critical_angle, hankel1, vertical_wavenumber
 
 _SING_DIST = 1e-12
@@ -173,11 +173,20 @@ def green_remainder_modes(medium: MediumPair, x, y, modes=("val",),
 
 
 def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
-                        grad_y: bool = False, refine: int = 1):
+                        grad_y: bool = False, check: bool = False):
     """G(x, y_j) (and optionally nabla_y G) for all surface nodes y_j = (t_j, f_j).
 
     Shares one spectral rule across the batch.  Returns dict with "val" and,
     when grad_y is set, "dy1"/"dy2", each a complex (M,) array.
+
+    With check set, the values come from the doubled rule (refine=2), and
+    AccuracyError is raised when they differ from the single rule by more
+    than 1e-10, the two-pass test of the scalar green().  check governs the
+    shared rule only: when the surface hugs the interface too closely for
+    it, every node goes through the pointwise fallback, which is always
+    checked, as green() is.  Since G is symmetric, G(y_j, x) and
+    nabla_x G(y, x) at y = y_j are the same arrays: this is how boundary
+    data of a point source at x is batched.
     """
     x1, x2 = _pt(x)
     t = np.asarray(t_nodes, dtype=float)
@@ -185,16 +194,25 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
     modes = ("val", "dy1", "dy2") if grad_y else ("val",)
     try:
         out = sommerfeld.field_batch(medium.k_plus, medium.k_minus, (x1, x2),
-                                     t, f, modes=modes, refine=refine)
+                                     t, f, modes=modes, refine=2 if check else 1)
+        if check:
+            coarse = sommerfeld.field_batch(medium.k_plus, medium.k_minus,
+                                            (x1, x2), t, f, modes=modes)
+            est = max(float(np.abs(out[m] - coarse[m]).max(initial=0.0))
+                      for m in modes)
+            if not est <= 1e-10:
+                raise AccuracyError("shared spectral rule did not reach tolerance",
+                                    estimate=est)
     except DomainError:
         # shared real-axis rule needs vertical decay (surface hugging the
-        # interface); fall back to pointwise contour evaluation
+        # interface); fall back to pointwise contour evaluation, with the
+        # two-pass check that green() makes
         case = 2 if x2 >= 0 else 4
         out = {m: np.empty(t.size, dtype=complex) for m in modes}
         for j, (tj, fj) in enumerate(zip(t, f)):
             vals, _ = sommerfeld.spectral_point(medium.k_plus, medium.k_minus,
                                                 case, x2, fj, x1 - tj,
-                                                modes=modes, check=False)
+                                                modes=modes, check=True)
             for m in modes:
                 out[m][j] = vals[m]
     if x2 < 0:
@@ -246,34 +264,43 @@ def _check_downward(theta_d):
         raise DomainError("reference field requires downward incidence (sin theta_d <= 0)")
 
 
-def reference_field_plane(medium: MediumPair, theta_d: float, x) -> complex:
-    """Reference field u0 of plane-wave incidence on the flat interface:
-    incident + reflected above x2 = 0, transmitted below."""
+def _reference_field(medium: MediumPair, theta_d: float, x):
+    """u0 and its gradient on a point or point set x = (x1, x2), as arrays
+    of the points' shape: incident + reflected above x2 = 0, transmitted
+    below."""
     _check_downward(theta_d)
-    x1, x2 = _pt(x)
+    x1, x2 = np.broadcast_arrays(np.asarray(x[0], dtype=float),
+                                 np.asarray(x[1], dtype=float))
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise DomainError(f"point has non-finite components: {x!r}")
     kp, km = medium.k_plus, medium.k_minus
-    if x2 >= 0:
-        d1, d2 = math.cos(theta_d), math.sin(theta_d)
-        r = fresnel_R(medium, math.pi + theta_d)
-        return (np.exp(1j * kp * (x1 * d1 + x2 * d2))
-                + r * np.exp(1j * kp * (x1 * d1 - x2 * d2)))
-    t = fresnel_T(medium, math.pi + theta_d)
+    r = fresnel_R(medium, math.pi + theta_d)
+    d1, d2 = math.cos(theta_d), math.sin(theta_d)
     dt = transmitted_direction(medium, theta_d)
-    return t * np.exp(1j * km * (x1 * dt[0] + x2 * dt[1]))
+    u, g1, g2 = (np.empty(x1.shape, dtype=complex) for _ in range(3))
+    up = x2 >= 0
+    a1, a2 = x1[up], x2[up]
+    ui = np.exp(1j * kp * (a1 * d1 + a2 * d2))
+    ur = r * np.exp(1j * kp * (a1 * d1 - a2 * d2))
+    u[up] = ui + ur
+    g1[up] = 1j * kp * d1 * (ui + ur)
+    g2[up] = 1j * kp * (d2 * ui - d2 * ur)
+    down = ~up
+    ut = (r + 1.0) * np.exp(1j * km * (x1[down] * dt[0] + x2[down] * dt[1]))
+    u[down] = ut
+    g1[down] = 1j * km * dt[0] * ut
+    g2[down] = 1j * km * dt[1] * ut
+    return u[()], g1[()], g2[()]
+
+
+def reference_field_plane(medium: MediumPair, theta_d: float, x):
+    """Reference field u0 of plane-wave incidence on the flat interface:
+    incident + reflected above x2 = 0, transmitted below.  x is one point
+    (complex result) or a pair of coordinate arrays (array result)."""
+    return _reference_field(medium, theta_d, x)[0]
 
 
 def reference_field_plane_grad(medium: MediumPair, theta_d: float, x):
-    """Gradient of the reference field (du0/dx1, du0/dx2)."""
-    _check_downward(theta_d)
-    x1, x2 = _pt(x)
-    kp, km = medium.k_plus, medium.k_minus
-    if x2 >= 0:
-        d1, d2 = math.cos(theta_d), math.sin(theta_d)
-        r = fresnel_R(medium, math.pi + theta_d)
-        ui = np.exp(1j * kp * (x1 * d1 + x2 * d2))
-        ur = r * np.exp(1j * kp * (x1 * d1 - x2 * d2))
-        return (1j * kp * d1 * (ui + ur), 1j * kp * (d2 * ui - d2 * ur))
-    t = fresnel_T(medium, math.pi + theta_d)
-    dt = transmitted_direction(medium, theta_d)
-    ut = t * np.exp(1j * km * (x1 * dt[0] + x2 * dt[1]))
-    return (1j * km * dt[0] * ut, 1j * km * dt[1] * ut)
+    """Gradient of the reference field (du0/dx1, du0/dx2), on points as in
+    reference_field_plane."""
+    return _reference_field(medium, theta_d, x)[1:]

@@ -45,6 +45,9 @@ _CASES = {
     4: (False, +1.0, False, +1.0),  # x2<=0, y2<=0: exp(S- (x2+y2))
 }
 
+#: elements per block of the (node, rule point) temporaries in field_batch
+_FIELD_BLOCK = 500_000
+
 #: derivative factors; sigma = +1 keeps the even fold 2cos, -1 the odd 2i sin
 _MODE_SIGMA = {"val": 1.0, "dx1": -1.0, "dy1": -1.0, "dx2": 1.0, "dy2": 1.0}
 
@@ -286,7 +289,9 @@ def field_batch(k_plus, k_minus, x, t_nodes, f_vals, modes=("val",), refine=1):
     xfac = np.exp(-sp * x2) if case == 2 else np.exp(sm * x2)
     base = w * xfac / (sp + sm) / (2 * np.pi)
     out = {m: np.zeros(t.size, dtype=complex) for m in modes}
-    blk = max(1, int(4e6 // max(t.size, 1)))
+    # blocks of at most _FIELD_BLOCK (node, rule point) pairs: each complex
+    # temporary below then stays under 8 MB
+    blk = max(1, _FIELD_BLOCK // max(t.size, 1))
     for lo in range(0, xi.size, blk):
         sl = slice(lo, lo + blk)
         col = np.exp(sm[sl] * f[:, None])                  # (m, q)

@@ -8,13 +8,18 @@ from scipy.integrate import quad
 
 from oracle import green_oracle
 
+from layerscat import sommerfeld
 from layerscat.bie import (BoundaryProblem, _ab_matrices, cutoff_chi,
                            kernel_dbvp_raw, kernel_ibvp_raw, rhs_dbvp,
                            rhs_ibvp, split_dbvp, split_ibvp)
-from layerscat.cli import build_problem, preset_config
-from layerscat.errors import DomainError, SingularityError
-from layerscat.green import (MediumPair, green, green_remainder_modes,
-                             reference_field_plane, reference_field_plane_grad)
+from layerscat.cli import (_PRESETS, build_problem, config_from_dict,
+                           preset_config)
+from layerscat.errors import AccuracyError, DomainError, SingularityError
+from layerscat.green import (MediumPair, fresnel_T, grad_green_x, green,
+                             green_remainder_modes, green_surface_batch,
+                             reference_field_plane, reference_field_plane_grad,
+                             transmitted_direction)
+from layerscat.nystrom import Grid
 from layerscat.specfun import EULER_GAMMA, hankel1
 from layerscat.surface import builtin
 
@@ -236,6 +241,99 @@ def test_rhs_impedance_plane_fd(flat_ibvp):
     assert rhs_ibvp(flat_ibvp, s) == pytest.approx(2.0 * g_ref, abs=1e-6)
     g1, g2 = reference_field_plane_grad(MED, theta, (s, -1.0))
     assert dn == pytest.approx(-g2, abs=1e-6)
+
+
+def _plane_u0(med, theta_d, x):
+    """u0 = T e^{ik- d_t.x} and its gradient at one point below the
+    interface, where every surface node lies."""
+    x1, x2 = x
+    assert x2 < 0
+    dt = transmitted_direction(med, theta_d)
+    ut = (fresnel_T(med, math.pi + theta_d)
+          * np.exp(1j * med.k_minus * (x1 * dt[0] + x2 * dt[1])))
+    return ut, 1j * med.k_minus * dt[0] * ut, 1j * med.k_minus * dt[1] * ut
+
+
+def _scalar_data(problem, s):
+    """Boundary data node by node from scalar formulas, one per incident
+    type and boundary kind: the oracle of the batched data_g."""
+    med, surf, inc = problem.medium, problem.surface, problem.incident
+    impedance = problem.kind == "impedance"
+    out = []
+    for si in np.atleast_1d(s):
+        si = float(si)
+        x = (si, float(surf.f(si)))
+        df = float(surf.df(si))
+        sp = math.sqrt(1 + df * df)
+        ikb = 1j * med.k_minus * complex(problem.beta(si)) if impedance else 0.0
+        if inc["type"] == "plane":
+            u0, g1, g2 = _plane_u0(med, inc["theta_d"], x)
+            out.append(-(df * g1 - g2) / sp + ikb * u0 if impedance else -u0)
+        else:
+            y0 = tuple(inc["y0"])
+            gval = green(med, x, y0)
+            if not impedance:
+                out.append(gval)
+                continue
+            g1, g2 = grad_green_x(med, x, y0)
+            out.append((df * g1 - g2) / sp - ikb * gval)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESETS))
+def test_batched_data_matches_scalar_oracle(preset):
+    # the batched boundary data (reciprocity for point sources, vectorised
+    # reference field for plane waves) against per-node scalar evaluation
+    cfg = config_from_dict(dict(_PRESETS[preset], N=8))
+    problem = build_problem(cfg)
+    nodes = Grid(half_width_A=cfg.A, N=cfg.N).nodes
+    for s in (nodes, np.array([-7.3, -0.41, 0.123, 2.9, 11.05])):
+        got = problem.data_g(s)
+        ref = _scalar_data(problem, s)
+        assert got.shape == s.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    one = problem.data_g(0.77)
+    assert isinstance(one, complex)
+    ref = _scalar_data(problem, 0.77)[0]
+    assert abs(one - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "impedance"])
+def test_batched_point_data_fallback_near_interface(kind):
+    # v_min = 0.014 defeats the shared rule: the data comes from the checked
+    # pointwise fallback and must still match scalar green()
+    cfg = config_from_dict({"problem": kind, "k_plus": 2.7, "k_minus": 3.5,
+                            "surface": {"expr": "-0.004"},
+                            "incident": {"type": "point", "y0": [1.0, -0.01]},
+                            "N": 8})
+    problem = build_problem(cfg)
+    s = np.array([-2.0, 0.3, 1.0, 4.5])
+    assert np.abs(problem.data_g(s) - _scalar_data(problem, s)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("gap, raises", [(1e-8, True), (1e-12, False)])
+def test_batched_data_accuracy_check(monkeypatch, gap, raises):
+    # the checked batch compares the doubled rule with the single rule, as
+    # green() does; a single-rule pass shifted by gap must trip the 1e-10 test
+    # exactly when gap exceeds it, and the doubled-rule values are returned
+    field_batch = sommerfeld.field_batch
+
+    def shifted(*args, refine=1, **kwargs):
+        out = field_batch(*args, refine=refine, **kwargs)
+        return out if refine == 2 else {m: v + gap for m, v in out.items()}
+
+    monkeypatch.setattr(sommerfeld, "field_batch", shifted)
+    t = np.linspace(-4, 4, 9)
+    f = -1 + 0.3 * np.sin(0.7 * np.pi * t)
+    y0 = (1.0, -1.3)
+    if raises:
+        with pytest.raises(AccuracyError) as exc:
+            green_surface_batch(MED, y0, t, f, grad_y=True, check=True)
+        assert exc.value.estimate == pytest.approx(gap, rel=1e-3)
+        return
+    out = green_surface_batch(MED, y0, t, f, grad_y=True, check=True)
+    ref = [green(MED, (tj, fj), y0) for tj, fj in zip(t, f)]
+    assert np.abs(out["val"] - ref).max() <= 1e-12
 
 
 def test_problem_validation():
