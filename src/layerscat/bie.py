@@ -42,7 +42,7 @@ from . import green as green_mod
 from . import sommerfeld
 from .errors import DomainError, SingularityError
 from .green import MediumPair
-from .specfun import EULER_GAMMA, bessel_j, hankel1
+from .specfun import EULER_GAMMA, hankel1
 from .surface import SurfaceProfile
 
 SUPPORT_RADIUS = math.pi
@@ -146,11 +146,10 @@ def _pairwise_geometry(surface, s, t):
 def _bessel_pack(km, rho, diag_mask):
     z = km * rho
     z_safe = np.where(diag_mask, 1.0, z)
-    j0 = bessel_j(0, z_safe)
-    j1 = bessel_j(1, z_safe)
+    # J_n is exactly Re H_n: one order-n pass gives both
     h0 = hankel1(0, z_safe)
     h1 = hankel1(1, z_safe)
-    return j0, j1, h0, h1
+    return h0.real, h1.real, h0, h1
 
 
 def _ab_matrices(problem: BoundaryProblem, s, t, remainder):
@@ -222,7 +221,6 @@ def _ab_to_AB(a, b, tau):
     chi = cutoff_chi(tau)
     diag = np.isclose(tau, 0.0, atol=1e-14)
     inner = (np.abs(tau) < math.pi) & ~diag
-    corr = np.zeros_like(np.asarray(tau, dtype=float))
     half = 0.5 * np.where(inner, tau, 1.0)
     corr = np.where(inner, np.log(np.abs(np.sin(half) / half)), 0.0)
     ln_tau = np.log(np.where(diag, 1.0, np.abs(tau)))

@@ -30,6 +30,7 @@ density provides the error estimate.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 
 from .errors import AccuracyError, DomainError
 from .specfun import vertical_wavenumber
@@ -45,8 +46,9 @@ _CASES = {
     4: (False, +1.0, False, +1.0),  # x2<=0, y2<=0: exp(S- (x2+y2))
 }
 
-#: elements per block of the (node, rule point) temporaries in field_batch
-_FIELD_BLOCK = 500_000
+#: elements per (node, rule point) temporary in field_batch and
+#: remainder_matrices; a complex block then stays under 8 MB
+_BLOCK = 500_000
 
 #: derivative factors; sigma = +1 keeps the even fold 2cos, -1 the odd 2i sin
 _MODE_SIGMA = {"val": 1.0, "dx1": -1.0, "dy1": -1.0, "dx2": 1.0, "dy2": 1.0}
@@ -215,6 +217,60 @@ def real_axis_rule(k_plus, k_minus, u_max, v_min, refine=1):
     return xi, w
 
 
+def _fold_factors(xi, sm, pos, height, scale):
+    """[C | S] per node and rule point: C = scale e^{S- height} cos(xi pos),
+    S = scale e^{S- height} sin(xi pos), shape (nodes, 2 * rule points)."""
+    nq = xi.size
+    ph = np.multiply.outer(pos, xi)
+    amp = np.exp(np.multiply.outer(height, sm)) * scale
+    out = np.empty((pos.size, 2 * nq), dtype=amp.dtype)
+    np.cos(ph, out=out[:, :nq])
+    np.sin(ph, out=out[:, nq:])
+    out[:, :nq] *= amp
+    out[:, nq:] *= amp
+    return out
+
+
+def _gemm(c, a, b, alpha=1.0):
+    """c += alpha a b^T in place; a (n1, k), b (n2, k) C-ordered, c Fortran-ordered."""
+    gemm, = get_blas_funcs(("gemm",), (a, b, c))
+    gemm(alpha, a.T, b.T, beta=1.0, c=c, trans_a=1, overwrite_c=1)
+
+
+def _syrk(c, a):
+    """Upper triangle of c += a a^T in place; a (n, k) C-ordered, c Fortran-ordered."""
+    syrk, = get_blas_funcs(("syrk",), (a, c))
+    syrk(1.0, a.T, beta=1.0, c=c, trans=1, overwrite_c=1)
+
+
+def _fold_sums(sums, xi, sm, base, s, fs, t, f, symmetric):
+    """Add one part of the folded rule to sums = (I4, dI4/dy1, dI4/dy2).
+
+    The dtype of the rule (real beyond both branch points, complex below)
+    picks real or complex BLAS.  In the symmetric case sums hold the upper
+    triangles of I4 and dI4/dy2 and, for dI4/dy1, M with dI4/dy1 = M^T - M.
+    """
+    i4, g1, g2 = sums
+    blk = max(1, _BLOCK // (2 * max(s.size, t.size, 1)))
+    for lo in range(0, xi.size, blk):
+        sl = slice(lo, lo + blk)
+        nq = xi[sl].size
+        if symmetric:
+            # with sqrt(base) in both factors, I4 = X X^T; likewise sqrt(S-)
+            x = _fold_factors(xi[sl], sm[sl], t, f, np.sqrt(base[sl]))
+            _syrk(i4, x)
+            _syrk(g2, x * np.tile(np.sqrt(sm[sl]), 2))
+            _gemm(g1, x[:, :nq] * xi[sl], x[:, nq:])
+            continue
+        xs = _fold_factors(xi[sl], sm[sl], s, fs, base[sl])
+        xt = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
+        _gemm(i4, xs, xt)
+        _gemm(g2, xs * np.tile(sm[sl], 2), xt)
+        # sin(xi (s - t)) = S_s C_t - C_s S_t
+        _gemm(g1, xs[:, nq:] * xi[sl], xt[:, :nq])
+        _gemm(g1, xs[:, :nq] * xi[sl], xt[:, nq:], alpha=-1.0)
+
+
 def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
                        fs_vals=None, refine=1):
     """Pairwise layer-response integrals between surface point sets.
@@ -225,10 +281,16 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
                    e^{i xi (s_i - t_j)} d xi,
 
     i.e. the smooth layer part of G between target points x_i = (s_i, fs_i)
-    and source points y_j = (t_j, f_j), evaluated through one shared rule and
-    rank-factorized exponentials (the integrand separates as products of
-    per-node factors).  When s_nodes is omitted the target set equals the
-    source set and the symmetric fast path is used.
+    and source points y_j = (t_j, f_j), evaluated through one shared rule on
+    xi > 0.  The fold e^{i xi u} + e^{-i xi u} = 2 [cos xi s cos xi t +
+    sin xi s sin xi t] (and 2 sin(xi u) for the odd dI4/dy1) writes every sum
+    as products of the per-node factors e^{S- f} cos(xi t), e^{S- f} sin(xi t).
+    Beyond both branch points (xi > max(k+, k-)) every factor and weight is
+    real, so that part of the rule runs in real arithmetic; the rest in
+    complex.  When s_nodes is omitted the target set equals the source set:
+    I4 and dI4/dy2 are then symmetric rank-2q updates (syrk) and dI4/dy1 is
+    M^T - M for one product M.  Blocks of the rule keep each (node, rule
+    point) temporary under _BLOCK elements.
     """
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -243,28 +305,23 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     xi, w = real_axis_rule(k_plus, k_minus, max(u_max, 0.1), v_min, refine=refine)
     sp = vertical_wavenumber(xi, k_plus)
     sm = vertical_wavenumber(xi, k_minus)
-    base = w / (sp + sm) / (2 * np.pi)
-    i4 = np.zeros((s.size, t.size), dtype=complex)
-    g1 = np.zeros_like(i4)
-    g2 = np.zeros_like(i4)
-    blk = max(1, int(4e6 // max(s.size + t.size, 1)))
-    for lo in range(0, xi.size, blk):
-        sl = slice(lo, lo + blk)
-        rowp = np.exp(sm[sl] * fs[:, None] + 1j * xi[sl] * s[:, None])  # (ns, q)
-        colp = np.exp(sm[sl] * f[:, None] - 1j * xi[sl] * t[:, None])   # (nt, q)
-        i4 += (rowp * base[sl]) @ colp.T
-        g1 += (rowp * (base[sl] * (-1j) * xi[sl])) @ colp.T
-        g2 += (rowp * (base[sl] * sm[sl])) @ colp.T
-        if not symmetric:
-            rowm = np.exp(sm[sl] * fs[:, None] - 1j * xi[sl] * s[:, None])
-            colm = np.exp(sm[sl] * f[:, None] + 1j * xi[sl] * t[:, None])
-            i4 += (rowm * base[sl]) @ colm.T
-            g1 += (rowm * (base[sl] * 1j * xi[sl])) @ colm.T
-            g2 += (rowm * (base[sl] * sm[sl])) @ colm.T
+    base = w / (sp + sm) / np.pi        # 2 / (2 pi): the fold's factor 2
+    real = (sp.imag == 0) & (sm.imag == 0)
+    shape = (s.size, t.size)
+    sums = [np.zeros(shape, dtype=complex, order="F") for _ in range(3)]
+    _fold_sums(sums, xi[~real], sm[~real], base[~real], s, fs, t, f, symmetric)
+    if real.any():
+        part = [np.zeros(shape, order="F") for _ in range(3)]
+        _fold_sums(part, xi[real], sm[real].real, base[real].real,
+                   s, fs, t, f, symmetric)
+        for acc, p in zip(sums, part):
+            acc += p
+        del part        # freed before the symmetrizing temporaries below
+    i4, g1, g2 = sums
     if symmetric:
-        i4 = i4 + i4.T
-        g1 = g1 - g1.T
-        g2 = g2 + g2.T
+        i4 += np.triu(i4, 1).T
+        g2 += np.triu(g2, 1).T
+        g1 = g1.T - g1
     return i4, g1, g2
 
 
@@ -289,9 +346,7 @@ def field_batch(k_plus, k_minus, x, t_nodes, f_vals, modes=("val",), refine=1):
     xfac = np.exp(-sp * x2) if case == 2 else np.exp(sm * x2)
     base = w * xfac / (sp + sm) / (2 * np.pi)
     out = {m: np.zeros(t.size, dtype=complex) for m in modes}
-    # blocks of at most _FIELD_BLOCK (node, rule point) pairs: each complex
-    # temporary below then stays under 8 MB
-    blk = max(1, _FIELD_BLOCK // max(t.size, 1))
+    blk = max(1, _BLOCK // max(t.size, 1))
     for lo in range(0, xi.size, blk):
         sl = slice(lo, lo + blk)
         col = np.exp(sm[sl] * f[:, None])                  # (m, q)

@@ -15,6 +15,12 @@ Bessel functions J0, J1, Y0, Y1 are self-contained:
   with P, Q evaluated from rational fits in 25/z^2 (Cephes tables; absolute
   error a few 1e-16 on [5, inf)).
 
+Each public function computes the one order it returns, J and Y of that order
+in one pass over z; hankel1 packs them, so its real and imaginary parts are
+bit-for-bit bessel_j and bessel_y.  Every function rejects negative, NaN or
+infinite z (and z = 0 where Y is needed) with DomainError, for scalars and
+arrays alike.
+
 The branch square roots follow the two cut conventions used by the layered
 Green function: S1 cuts the plane along the positive imaginary axis
 (argument range (-3pi/2, pi/2)), S2 along the negative imaginary axis
@@ -90,28 +96,32 @@ def _p1evl(x, coef):
     return ans
 
 
-def _series_block(z):
-    """J0, J1, Y0, Y1 by ascending series on 0 <= z <= 5 (Y at z=0 -> -inf)."""
+def _series_block(z, order):
+    """J_order, Y_order by ascending series on 0 <= z <= 5 (Y at z=0 -> -inf)."""
     q = 0.25 * z * z
-    j0 = np.ones_like(z)
-    y0s = np.zeros_like(z)
-    j1s = np.ones_like(z)
-    y1s = np.full_like(z, _HARMONIC[1])
-    t0 = np.ones_like(z)
-    t1 = np.ones_like(z)
+    term = np.ones_like(z)
+    if order == 0:
+        j = np.ones_like(z)
+        ys = np.zeros_like(z)
+        for m in range(1, _SERIES_TERMS + 1):
+            term = term * (-q) / (m * m)
+            j = j + term
+            ys = ys - term * _HARMONIC[m]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lg = np.log(0.5 * z) + EULER_GAMMA
+            y = (2.0 / np.pi) * (lg * j + ys)
+        return j, y
+    js = np.ones_like(z)
+    ys = np.full_like(z, _HARMONIC[1])
     for m in range(1, _SERIES_TERMS + 1):
-        t0 = t0 * (-q) / (m * m)
-        j0 = j0 + t0
-        y0s = y0s - t0 * _HARMONIC[m]
-        t1 = t1 * (-q) / (m * (m + 1))
-        j1s = j1s + t1
-        y1s = y1s + t1 * (_HARMONIC[m] + _HARMONIC[m + 1])
-    j1 = 0.5 * z * j1s
+        term = term * (-q) / (m * (m + 1))
+        js = js + term
+        ys = ys + term * (_HARMONIC[m] + _HARMONIC[m + 1])
+    j = 0.5 * z * js
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = np.log(0.5 * z) + EULER_GAMMA
-        y0 = (2.0 / np.pi) * (lg * j0 + y0s)
-        y1 = (2.0 / np.pi) * lg * j1 - (2.0 / np.pi) / z - (z / (2.0 * np.pi)) * y1s
-    return j0, j1, y0, y1
+        y = (2.0 / np.pi) * lg * j - (2.0 / np.pi) / z - (z / (2.0 * np.pi)) * ys
+    return j, y
 
 
 def _asymptotic_block(z, order):
@@ -133,60 +143,53 @@ def _asymptotic_block(z, order):
     return jn, yn
 
 
-def _bessel_jy(z):
-    """(J0, J1, Y0, Y1) for nonnegative real z (array)."""
-    z = np.asarray(z, dtype=float)
-    out = [np.empty_like(z) for _ in range(4)]
-    small = z <= _SERIES_CUT
+def _bessel_jy(name, order, z, positive):
+    """(J_order, Y_order) at z, both of z's shape, after the checks every
+    public function shares: order 0 or 1, z finite and z >= 0 (z > 0 when
+    positive, for callers that need Y with its log singularity at 0)."""
+    if order not in (0, 1):
+        raise DomainError(f"{name} supports orders 0 and 1, got {order}")
+    arr = np.asarray(z, dtype=float)
+    bad = (arr <= 0) if positive else (arr < 0)
+    if np.any(bad) or not np.all(np.isfinite(arr)):
+        bound = "z > 0" if positive else "z >= 0"
+        raise DomainError(f"{name} requires finite {bound} at every point")
+    flat = np.atleast_1d(arr)
+    j = np.empty_like(flat)
+    y = np.empty_like(flat)
+    small = flat <= _SERIES_CUT
     if small.any():
-        j0, j1, y0, y1 = _series_block(z[small])
-        for dst, src in zip(out, (j0, j1, y0, y1)):
-            dst[small] = src
+        j[small], y[small] = _series_block(flat[small], order)
     big = ~small
     if big.any():
-        zb = z[big]
-        j0, y0 = _asymptotic_block(zb, 0)
-        j1, y1 = _asymptotic_block(zb, 1)
-        for dst, src in zip(out, (j0, j1, y0, y1)):
-            dst[big] = src
-    return out
+        j[big], y[big] = _asymptotic_block(flat[big], order)
+    return j.reshape(arr.shape), y.reshape(arr.shape)
 
 
 def bessel_j(order: int, z):
     """Bessel function J_order (order 0 or 1) for real z >= 0."""
-    if order not in (0, 1):
-        raise DomainError(f"bessel_j supports orders 0 and 1, got {order}")
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim == 0:
-        if not np.isfinite(arr) or arr < 0:
-            raise DomainError(f"bessel_j requires finite z >= 0, got {z}")
-    j0, j1, _, _ = _bessel_jy(np.atleast_1d(arr))
-    res = j0 if order == 0 else j1
-    return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
+    j, _ = _bessel_jy("bessel_j", order, z, positive=False)
+    return float(j) if j.ndim == 0 else j
 
 
 def bessel_y(order: int, z):
     """Bessel function Y_order (order 0 or 1) for real z > 0."""
-    if order not in (0, 1):
-        raise DomainError(f"bessel_y supports orders 0 and 1, got {order}")
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim == 0 and (not np.isfinite(arr) or arr <= 0):
-        raise DomainError(f"bessel_y requires finite z > 0, got {z}")
-    _, _, y0, y1 = _bessel_jy(np.atleast_1d(arr))
-    res = y0 if order == 0 else y1
-    return float(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
+    _, y = _bessel_jy("bessel_y", order, z, positive=True)
+    return float(y) if y.ndim == 0 else y
 
 
 def hankel1(order: int, z):
-    """Hankel function of the first kind, H^1_order = J_order + i Y_order, z > 0."""
-    if order not in (0, 1):
-        raise DomainError(f"hankel1 supports orders 0 and 1, got {order}")
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("hankel1 requires finite z > 0 (log singularity at 0)")
-    j0, j1, y0, y1 = _bessel_jy(np.atleast_1d(arr))
-    res = (j0 + 1j * y0) if order == 0 else (j1 + 1j * y1)
-    return complex(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
+    """Hankel function of the first kind, H^1_order = J_order + i Y_order, z > 0.
+
+    The real and imaginary parts are exactly bessel_j(order, z) and
+    bessel_y(order, z): one pass gives both, so callers that need J and H
+    take J as the real part.
+    """
+    j, y = _bessel_jy("hankel1", order, z, positive=True)
+    res = np.empty(j.shape, dtype=complex)
+    res.real = j
+    res.imag = y
+    return complex(res) if res.ndim == 0 else res
 
 
 _RAY_TOL = 1e-14

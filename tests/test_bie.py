@@ -466,3 +466,71 @@ def test_surface_remainder_at_assembly_scale():
         assert abs(R[i, j] - m["val"]) <= 1e-11
         assert abs(R1[i, j] - m["dy1"]) <= 1e-11
         assert abs(R2[i, j] - m["dy2"]) <= 1e-11
+
+
+@pytest.mark.parametrize("kp,km", [(3.0, 4.0), (3.5, 2.7)])
+@pytest.mark.parametrize("refine", [1, 2])
+def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
+    # the symmetric fast path (syrk, M^T - M) and the rectangular path with
+    # targets = sources evaluate the same folded sums
+    surf = builtin("gamma3")
+    t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
+    f = np.asarray(surf.f(t), float)
+    sym = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine)
+    rect = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=t, fs_vals=f,
+                                         refine=refine)
+    for a, b in zip(sym, rect):
+        assert a.shape == (t.size, t.size)
+        assert np.abs(a - b).max() <= 1e-13
+    assert np.array_equal(sym[0], sym[0].T)
+    assert np.array_equal(sym[1], -sym[1].T)
+    assert np.array_equal(sym[2], sym[2].T)
+
+
+def test_surface_remainder_against_pointwise_k_plus_above():
+    # k+ > k-: the part of the rule below both branch points covers [0, k+]
+    from layerscat.bie import surface_remainder
+    med = MediumPair(3.5, 2.7)
+    surf = builtin("gamma3")
+    t = np.linspace(-10 * math.pi, 10 * math.pi, 161)
+    f = np.asarray(surf.f(t), float)
+    s = t[::9] + 0.05
+    fs = np.asarray(surf.f(s), float)
+    sym = surface_remainder(med, t, f)
+    rect = surface_remainder(med, t, f, s_nodes=s, fs_vals=fs)
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        i, j = rng.integers(0, s.size), rng.integers(0, t.size)
+        for x, (R, R1, R2) in (((s[i], fs[i]), [m[i] for m in rect]),
+                               ((t[9 * i], f[9 * i]), [m[9 * i] for m in sym])):
+            m = green_remainder_modes(med, x, (t[j], f[j]),
+                                      modes=("val", "dy1", "dy2"))
+            assert abs(R[j] - m["val"]) <= 1e-11
+            assert abs(R1[j] - m["dy1"]) <= 1e-11
+            assert abs(R2[j] - m["dy2"]) <= 1e-11
+
+
+def test_remainder_fold_against_extended_precision_sum():
+    # the real/complex BLAS fold reproduces the rule's sum of
+    # base e^{S-(f_i+f_j)} 2cos(xi (t_i - t_j)) (and its derivative factors)
+    # summed entry by entry in long double
+    kp, km = 3.0, 4.0
+    t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
+    f = np.asarray(builtin("gamma3").f(t), float)
+    i4, g1, g2 = sommerfeld.remainder_matrices(kp, km, t, f)
+    xi, w = sommerfeld.real_axis_rule(kp, km, t[-1] - t[0], -2 * f.max())
+    x = xi.astype(np.longdouble)
+
+    def vertical(a):
+        d = x * x - np.longdouble(a) ** 2
+        return np.where(d > 0, np.sqrt(np.abs(d)), -1j * np.sqrt(np.abs(d)))
+
+    sm = vertical(km)
+    base = w.astype(np.longdouble) / (vertical(kp) + sm) / np.pi
+    for i, j in [(0, 96), (10, 11), (48, 48), (70, 5), (33, 90)]:
+        e = base * np.exp(sm * (np.longdouble(f[i]) + np.longdouble(f[j])))
+        ph = x * (np.longdouble(t[i]) - np.longdouble(t[j]))
+        ref = (np.sum(e * np.cos(ph)), np.sum(e * x * np.sin(ph)),
+               np.sum(e * sm * np.cos(ph)))
+        for mat, r in zip((i4, g1, g2), ref):
+            assert abs(mat[i, j] - complex(r)) <= 2e-15

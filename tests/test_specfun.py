@@ -91,6 +91,43 @@ def test_hankel_domain_error():
         hankel1(1, -2.0)
 
 
+@pytest.mark.parametrize("fn", [bessel_j, bessel_y, hankel1])
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_bessel_arrays_validated_like_scalars(fn, order, bad):
+    # one bad entry among good ones fails the whole array, as a scalar does
+    with pytest.raises(DomainError):
+        fn(order, bad)
+    with pytest.raises(DomainError):
+        fn(order, np.array([0.5, bad, 7.0]))
+    with pytest.raises(DomainError):
+        fn(order, np.full((2, 2), bad))
+    with pytest.raises(DomainError):
+        fn(2, np.array([1.0]))
+
+
+def test_bessel_zero_only_where_y_is_finite():
+    assert np.array_equal(bessel_j(0, np.array([0.0, 1.0]))[:1], [1.0])
+    for fn in (bessel_y, hankel1):
+        with pytest.raises(DomainError):
+            fn(0, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_hankel_parts_are_bessel_bit_for_bit(order):
+    # assembly takes J_n as Re H_n, so the identity must hold exactly, on
+    # both sides of the series/asymptotic cut at z = 5 and out to z = 450
+    z = np.concatenate([np.geomspace(1e-6, 4.9, 299),
+                        np.nextafter(5.0, [0.0, np.inf]), [5.0],
+                        np.linspace(5.01, 450.0, 2000)]).reshape(2, -1)
+    h = hankel1(order, z)
+    assert h.shape == z.shape
+    assert np.array_equal(h.real, bessel_j(order, z))
+    assert np.array_equal(h.imag, bessel_y(order, z))
+    for zi in (0.7, 5.0, 5.0000001, 449.0):
+        assert hankel1(order, zi) == complex(bessel_j(order, zi), bessel_y(order, zi))
+
+
 def test_sqrt_branches_fixed_points():
     assert sqrt_branch1(0) == 0
     assert sqrt_branch2(0) == 0
