@@ -131,15 +131,14 @@ def _pairwise_geometry(surface, s, t):
     """Geometry factors between rows x = (s_i, f(s_i)) and cols y = (t_j, f(t_j))."""
     s, fs, dfs, d2fs, Js = _surface_arrays(surface, s)
     t, ft, dft, d2ft, Jt = _surface_arrays(surface, t)
-    tau = s[:, None] - t[None, :]
-    dx1 = s[:, None] - t[None, :]
+    tau = s[:, None] - t[None, :]       # = x1 - y1
     dx2 = fs[:, None] - ft[None, :]
-    rho = np.hypot(dx1, dx2)
+    rho = np.hypot(tau, dx2)
     # (y - x) . nu(y) with nu = (f', -1)/J
-    dot_y = (-dx1 * dft[None, :] + dx2) / Jt[None, :]
+    dot_y = (-tau * dft[None, :] + dx2) / Jt[None, :]
     # (x - y) . nu(x)
-    dot_x = (dx1 * dfs[:, None] - dx2) / Js[:, None]
-    return dict(tau=tau, rho=rho, dot_y=dot_y, dot_x=dot_x,
+    dot_x = (tau * dfs[:, None] - dx2) / Js[:, None]
+    return dict(s=s, tau=tau, rho=rho, dot_y=dot_y, dot_x=dot_x,
                 fs=fs, ft=ft, dfs=dfs, dft=dft, d2fs=d2fs, Js=Js, Jt=Jt)
 
 
@@ -160,9 +159,13 @@ def _ab_matrices(problem: BoundaryProblem, s, t, remainder):
     limits.  Returns (a, b) with kappa = a ln|s-t| + b off the diagonal;
     for the impedance problem the convention is K = M + L (see module doc).
     """
-    med = problem.medium
-    km = med.k_minus
-    g = _pairwise_geometry(problem.surface, s, t)
+    return _ab_from_geometry(problem, _pairwise_geometry(problem.surface, s, t),
+                             remainder)
+
+
+def _ab_from_geometry(problem, g, remainder):
+    """_ab_matrices on the pairwise geometry g of _pairwise_geometry."""
+    km = problem.medium.k_minus
     rho, tau = g["rho"], g["tau"]
     diag = np.isclose(tau, 0.0, atol=1e-14) & np.isclose(rho, 0.0, atol=1e-14)
     if np.any(np.isclose(rho, 0.0, atol=1e-14) & ~diag):
@@ -194,7 +197,7 @@ def _ab_matrices(problem: BoundaryProblem, s, t, remainder):
         b = (l2 + l3) + 1j * eta * (m2 + m3)
         return a, b
 
-    beta_s = np.asarray(problem.beta(np.asarray(s, dtype=float)), dtype=complex)[:, None]
+    beta_s = np.asarray(problem.beta(g["s"]), dtype=complex)[:, None]
     m1 = -(1j * km / math.pi) * beta_s * j0 * Jt
     l1 = -(km / math.pi) * j1 * g["dot_x"] / rho_safe * Jt
     m2 = 2j * km * beta_s * 0.25j * h0 * Jt - m1 * ln_tau
@@ -230,46 +233,45 @@ def _ab_to_AB(a, b, tau):
     return A, B
 
 
-def kernel_matrices(problem: BoundaryProblem, nodes, remainder=None):
-    """Dense (A, B) matrices of the split kernel at collocation nodes.
-
-    remainder defaults to the shared-rule layer integrals over the node set.
-    """
-    t = np.asarray(nodes, dtype=float)
-    if remainder is None:
-        f = np.asarray(problem.surface.f(t), dtype=float)
-        remainder = surface_remainder(problem.medium, t, f)
-    a, b = _ab_matrices(problem, t, t, remainder)
-    tau = t[:, None] - t[None, :]
+def _split_matrices(problem, s, t, remainder):
+    """(A, B) of the periodic-log split between rows s and columns t, from
+    one pairwise geometry (tau = s - t included)."""
+    g = _pairwise_geometry(problem.surface, s, t)
+    tau = g["tau"]
+    a, b = _ab_from_geometry(problem, g, remainder)
+    del g       # the other n^2 geometry arrays are freed before the regrouping
     return _ab_to_AB(a, b, tau)
+
+
+def kernel_matrices(problem: BoundaryProblem, nodes):
+    """Dense (A, B) matrices of the split kernel at collocation nodes, with
+    the shared-rule layer integrals over the node set."""
+    t = np.asarray(nodes, dtype=float)
+    f = np.asarray(problem.surface.f(t), dtype=float)
+    return _split_matrices(problem, t, t, surface_remainder(problem.medium, t, f))
 
 
 def surface_remainder(medium: MediumPair, t_nodes, f_vals, s_nodes=None,
                       fs_vals=None):
     """Pairwise (R, dR/dy1, dR/dy2) between surface point sets.
 
-    R(x, y) = -Phi_{k-}(x, y') + I4(x, y); the spectral part comes from one
-    shared rank-factorized rule, the mirror term is closed form.  Targets
-    x_i = (s_i, fs_i) default to the source set y_j = (t_j, f_j).
+    R(x, y) = -Phi_{k-}(x, y') + I4(x, y); the spectral part comes from the
+    shared rule of sommerfeld.remainder_matrices, the mirror term from
+    green._free_terms.  Targets x_i = (s_i, fs_i) default to the source set
+    y_j = (t_j, f_j).
     """
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
     s = t if s_nodes is None else np.asarray(s_nodes, dtype=float)
     fs = f if s_nodes is None else np.asarray(fs_vals, dtype=float)
-    i4, dy1, dy2 = sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus,
-                                                 t, f, s_nodes=s_nodes,
-                                                 fs_vals=fs_vals)
-    km = medium.k_minus
-    d1 = s[:, None] - t[None, :]
-    w = fs[:, None] + f[None, :]
-    rp = np.hypot(d1, w)
-    h0 = hankel1(0, km * rp)
-    h1 = hankel1(1, km * rp)
-    fac = 0.25j * km * h1 / rp
-    R = i4 - 0.25j * h0
-    Ry1 = dy1 + fac * (-d1)
-    Ry2 = dy2 + fac * w
-    return R, Ry1, Ry2
+    i4 = sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus, t, f,
+                                       s_nodes=s_nodes, fs_vals=fs_vals)
+    mirror = green_mod._free_terms(medium.k_minus, s[:, None] - t[None, :],
+                                   fs[:, None], f[None, :])
+    # summed into the C-ordered mirror arrays, the layout the kernels expect
+    for acc, part in zip(mirror, i4):
+        acc += part
+    return mirror[:3]
 
 
 def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):
@@ -280,26 +282,7 @@ def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):
     f_t = np.asarray(problem.surface.f(t), dtype=float)
     f_s = np.asarray(problem.surface.f(s), dtype=float)
     rem = surface_remainder(problem.medium, t, f_t, s_nodes=s, fs_vals=f_s)
-    a, b = _ab_matrices(problem, s, t, rem)
-    tau = s[:, None] - t[None, :]
-    return _ab_to_AB(a, b, tau)
-
-
-def _remainder_point(medium, x_pt, y_pt):
-    modes = green_mod.green_remainder_modes(medium, x_pt, y_pt,
-                                            modes=("val", "dy1", "dy2"))
-    return modes["val"], modes["dy1"], modes["dy2"]
-
-
-def _scalar_ab(problem, s, t):
-    """(a, b) at one parameter pair via the general evaluators (slow path)."""
-    surf = problem.surface
-    x_pt = (s, float(surf.f(s)))
-    y_pt = (t, float(surf.f(t)))
-    v, d1, d2 = _remainder_point(problem.medium, x_pt, y_pt)
-    rem = (np.array([[v]]), np.array([[d1]]), np.array([[d2]]))
-    a, b = _ab_matrices(problem, np.array([s], float), np.array([t], float), rem)
-    return complex(a[0, 0]), complex(b[0, 0])
+    return _split_matrices(problem, s, t, rem)
 
 
 def split_dbvp(problem: BoundaryProblem) -> KernelSplit:
@@ -318,19 +301,20 @@ def split_ibvp(problem: BoundaryProblem) -> KernelSplit:
 
 
 def _split(problem, sign):
-    def A(s, t):
-        a, _ = _scalar_ab(problem, float(s), float(t))
-        return sign * math.pi * a * cutoff_chi(s - t)
+    """Scalar closures A(s, t), B(s, t) through the general evaluators (slow
+    path): pointwise R, then the same regrouping as the matrices."""
+    surf = problem.surface
+    modes = ("val", "dy1", "dy2")
 
-    def B(s, t):
+    def AB(s, t):
         s, t = float(s), float(t)
-        a, b = _scalar_ab(problem, s, t)
-        tau = s - t
-        Amat, Bmat = _ab_to_AB(np.array([[a]]), np.array([[b]]),
-                               np.array([[tau]]))
-        return sign * complex(Bmat[0, 0])
+        r = green_mod.green_remainder_modes(problem.medium, (s, float(surf.f(s))),
+                                            (t, float(surf.f(t))), modes=modes)
+        rem = tuple(np.array([[r[m]]]) for m in modes)
+        A, B = _split_matrices(problem, np.array([s]), np.array([t]), rem)
+        return sign * complex(A[0, 0]), sign * complex(B[0, 0])
 
-    return KernelSplit(A=A, B=B)
+    return KernelSplit(A=lambda s, t: AB(s, t)[0], B=lambda s, t: AB(s, t)[1])
 
 
 def kernel_dbvp_raw(problem: BoundaryProblem, s: float, t: float) -> complex:

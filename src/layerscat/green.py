@@ -14,6 +14,10 @@ where y' = (y1, -y2) is the mirror point, Phi_k(x,y) = (i/4) H1_0(k|x-y|),
 and I_case = (1/2pi) int E_case(xi)/(S+ + S-) e^{i xi (x1-y1)} d xi with the
 exponents of sommerfeld._CASES.  The smooth remainder R = G - Phi_{k-} below
 the interface is then  -Phi_{k-}(x, y') + I4.
+
+The closed-form Hankel terms come from one array function, _free_terms, and
+the spectral part on point sets from sommerfeld.remainder_matrices: the two
+serve assembly, point-source boundary data and field evaluation alike.
 """
 
 from __future__ import annotations
@@ -72,31 +76,39 @@ def phi_free(k: float, x, y) -> complex:
     return 0.25j * hankel1(0, k * r)
 
 
-def _phi_grad_y(k, x, y):
-    """(d/dy1, d/dy2) of Phi_k(x, y)."""
-    x1, x2 = x
-    y1, y2 = y
-    r = math.hypot(x1 - y1, x2 - y2)
-    if r < _SING_DIST:
-        raise SingularityError("gradient of phi_free at coincident points")
-    fac = -0.25j * k * hankel1(1, k * r) / r
-    return fac * (y1 - x1), fac * (y2 - x2)
+def _free_terms(k, d1, x2, y2, direct=False):
+    """Closed-form Hankel terms of G within one layer of wavenumber k.
 
-
-def _image_terms(k, x1, x2, y1, y2):
-    """Value and derivatives of the mirror term -Phi_k(x, y'), y' = (y1, -y2).
-
-    Returns dict with val, dx1, dx2, dy1, dy2 (the term depends on x1 - y1
-    and x2 + y2 only).
+    Returns (val, dy1, dy2, dx2) of the mirror term -Phi_k(x, y'),
+    y' = (y1, -y2), plus, with direct set, the direct term Phi_k(x, y).
+    d1 = x1 - y1, x2 and y2 are scalars or arrays that broadcast together.
+    Both terms depend on x1 - y1 only, so d/dx1 = -d/dy1.
     """
-    rp = math.hypot(x1 - y1, x2 + y2)
-    if rp < _SING_DIST:
+    w = x2 + y2
+    rp = np.hypot(d1, w)
+    if np.min(rp) < _SING_DIST:
         raise SingularityError("mirror point coincides with target")
-    val = -0.25j * hankel1(0, k * rp)
-    fac = 0.25j * k * hankel1(1, k * rp) / rp
-    return {"val": val,
-            "dx1": fac * (x1 - y1), "dx2": fac * (x2 + y2),
-            "dy1": fac * (y1 - x1), "dy2": fac * (x2 + y2)}
+    z = k * rp
+    val = hankel1(0, z)
+    val *= -0.25j
+    fac = hankel1(1, z)
+    fac *= 0.25j * k
+    fac /= rp
+    dy1 = fac * d1
+    dy1 *= -1.0
+    dy2 = fac * w
+    dx2 = dy2
+    if direct:
+        dz = x2 - y2
+        r = np.hypot(d1, dz)
+        if np.min(r) < _SING_DIST:
+            raise SingularityError("Green function evaluated at coincident points")
+        val = val + 0.25j * hankel1(0, k * r)
+        fac = 0.25j * k * hankel1(1, k * r) / r
+        dy1 = dy1 + fac * d1
+        dx2 = dy2 - fac * dz
+        dy2 = dy2 + fac * dz
+    return val, dy1, dy2, dx2
 
 
 def _case_of(x2, y2):
@@ -109,10 +121,11 @@ def _case_of(x2, y2):
     return 4
 
 
-def _green_modes(medium, x, y, modes, tol, check):
+def _green_modes(medium, x, y, modes, tol, check, direct=True):
+    """G (direct set) or R = G - Phi(x, y) at one pair, per mode."""
     x1, x2 = _pt(x)
     y1, y2 = _pt(y)
-    if math.hypot(x1 - y1, x2 - y2) < _SING_DIST:
+    if direct and math.hypot(x1 - y1, x2 - y2) < _SING_DIST:
         raise SingularityError("two-layered Green function at coincident points")
     case = _case_of(x2, y2)
     vals, _ = sommerfeld.spectral_point(medium.k_plus, medium.k_minus, case,
@@ -120,14 +133,9 @@ def _green_modes(medium, x, y, modes, tol, check):
                                         tol=tol, check=check)
     if case in (1, 4):
         k = medium.k_plus if case == 1 else medium.k_minus
-        img = _image_terms(k, x1, x2, y1, y2)
-        phi_val = phi_free(k, (x1, x2), (y1, y2))
-        dphi_y = _phi_grad_y(k, (x1, x2), (y1, y2))
-        direct = {"val": phi_val,
-                  "dy1": dphi_y[0], "dy2": dphi_y[1],
-                  "dx1": -dphi_y[0], "dx2": -dphi_y[1]}
-        for m in modes:
-            vals[m] = vals[m] + img[m] + direct[m]
+        val, dy1, dy2, dx2 = _free_terms(k, x1 - y1, x2, y2, direct)
+        free = {"val": val, "dy1": dy1, "dy2": dy2, "dx1": -dy1, "dx2": dx2}
+        vals = {m: vals[m] + free[m] for m in modes}
     return vals
 
 
@@ -161,23 +169,19 @@ def green_remainder(medium: MediumPair, x, y, tol: float = 1e-10,
 def green_remainder_modes(medium: MediumPair, x, y, modes=("val",),
                           tol: float = 1e-10, check: bool = True):
     """R(x, y) and/or its derivatives (modes as in the spectral kernel)."""
-    x1, x2 = _pt(x)
-    y1, y2 = _pt(y)
-    if x2 >= 0 or y2 >= 0:
+    if _pt(x)[1] >= 0 or _pt(y)[1] >= 0:
         raise DomainError("green_remainder requires both points below the interface")
-    vals, _ = sommerfeld.spectral_point(medium.k_plus, medium.k_minus, 4,
-                                        x2, y2, x1 - y1, modes=modes,
-                                        tol=tol, check=check)
-    img = _image_terms(medium.k_minus, x1, x2, y1, y2)
-    return {m: vals[m] + img[m] for m in modes}
+    return _green_modes(medium, x, y, modes, tol, check, direct=False)
 
 
 def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
                         grad_y: bool = False, check: bool = False):
     """G(x, y_j) (and optionally nabla_y G) for all surface nodes y_j = (t_j, f_j).
 
-    Shares one spectral rule across the batch.  Returns dict with "val" and,
-    when grad_y is set, "dy1"/"dy2", each a complex (M,) array.
+    The spectral part comes from sommerfeld.remainder_matrices, the shared
+    rule of assembly, with x as its one target; below the interface the
+    closed-form Hankel terms of _free_terms are added.  Returns dict with
+    "val" and, when grad_y is set, "dy1"/"dy2", each a complex (M,) array.
 
     With check set, the values come from the doubled rule (refine=2), and
     AccuracyError is raised when they differ from the single rule by more
@@ -192,12 +196,17 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
     modes = ("val", "dy1", "dy2") if grad_y else ("val",)
+
+    def shared(refine):
+        rows = sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus, t, f,
+                                             s_nodes=[x1], fs_vals=[x2],
+                                             refine=refine)
+        return {m: r[0] for m, r in zip(modes, rows)}
+
     try:
-        out = sommerfeld.field_batch(medium.k_plus, medium.k_minus, (x1, x2),
-                                     t, f, modes=modes, refine=2 if check else 1)
+        out = shared(2 if check else 1)
         if check:
-            coarse = sommerfeld.field_batch(medium.k_plus, medium.k_minus,
-                                            (x1, x2), t, f, modes=modes)
+            coarse = shared(1)
             est = max(float(np.abs(out[m] - coarse[m]).max(initial=0.0))
                       for m in modes)
             if not est <= 1e-10:
@@ -216,20 +225,9 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
             for m in modes:
                 out[m][j] = vals[m]
     if x2 < 0:
-        k = medium.k_minus
-        d1 = x1 - t
-        d2 = x2 - f
-        r = np.hypot(d1, d2)
-        if r.min() < _SING_DIST:
-            raise SingularityError("field point coincides with a surface node")
-        rp = np.hypot(d1, x2 + f)
-        h0 = hankel1(0, k * r)
-        out["val"] = out["val"] + 0.25j * h0 - 0.25j * hankel1(0, k * rp)
-        if grad_y:
-            fac = -0.25j * k * hankel1(1, k * r) / r
-            facp = 0.25j * k * hankel1(1, k * rp) / rp
-            out["dy1"] = out["dy1"] + fac * (-d1) + facp * (-d1)
-            out["dy2"] = out["dy2"] + fac * (-d2) + facp * (x2 + f)
+        free = _free_terms(medium.k_minus, x1 - t, x2, f, direct=True)
+        for m, term in zip(modes, free):
+            out[m] += term
     return out
 
 

@@ -25,6 +25,10 @@ hang upward from +k1, +k2, so both rotated quadrants are cut-free).
 Panel counts follow the accumulated phase xi*u and decay xi*v so that each
 16-point panel sees about one oscillation.  A second pass with doubled panel
 density provides the error estimate.
+
+spectral_point evaluates one pair this way.  On point sets one evaluator,
+remainder_matrices, serves assembly, boundary data and field evaluation: a
+real-axis rule (no ray tails, so it needs v_min > 0.02) shared by all pairs.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ _CASES = {
     4: (False, +1.0, False, +1.0),  # x2<=0, y2<=0: exp(S- (x2+y2))
 }
 
-#: elements per (node, rule point) temporary in field_batch and
-#: remainder_matrices; a complex block then stays under 8 MB
+#: elements per (node, rule point) temporary in remainder_matrices; a
+#: complex block then stays under 8 MB
 _BLOCK = 500_000
 
 #: derivative factors; sigma = +1 keeps the even fold 2cos, -1 the odd 2i sin
@@ -217,12 +221,12 @@ def real_axis_rule(k_plus, k_minus, u_max, v_min, refine=1):
     return xi, w
 
 
-def _fold_factors(xi, sm, pos, height, scale):
-    """[C | S] per node and rule point: C = scale e^{S- height} cos(xi pos),
-    S = scale e^{S- height} sin(xi pos), shape (nodes, 2 * rule points)."""
+def _fold_factors(xi, expo, pos, height, scale):
+    """[C | S] per node and rule point: C = scale e^{expo height} cos(xi pos),
+    S = scale e^{expo height} sin(xi pos), shape (nodes, 2 * rule points)."""
     nq = xi.size
     ph = np.multiply.outer(pos, xi)
-    amp = np.exp(np.multiply.outer(height, sm)) * scale
+    amp = np.exp(np.multiply.outer(height, expo)) * scale
     out = np.empty((pos.size, 2 * nq), dtype=amp.dtype)
     np.cos(ph, out=out[:, :nq])
     np.sin(ph, out=out[:, nq:])
@@ -243,12 +247,13 @@ def _syrk(c, a):
     syrk(1.0, a.T, beta=1.0, c=c, trans=1, overwrite_c=1)
 
 
-def _fold_sums(sums, xi, sm, base, s, fs, t, f, symmetric):
-    """Add one part of the folded rule to sums = (I4, dI4/dy1, dI4/dy2).
+def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric):
+    """Add one part of the folded rule to sums = (I, dI/dy1, dI/dy2); st is
+    the targets' exponent, S- below the interface and -S+ above it.
 
     The dtype of the rule (real beyond both branch points, complex below)
     picks real or complex BLAS.  In the symmetric case sums hold the upper
-    triangles of I4 and dI4/dy2 and, for dI4/dy1, M with dI4/dy1 = M^T - M.
+    triangles of I and dI/dy2 and, for dI/dy1, M with dI/dy1 = M^T - M.
     """
     i4, g1, g2 = sums
     blk = max(1, _BLOCK // (2 * max(s.size, t.size, 1)))
@@ -262,7 +267,7 @@ def _fold_sums(sums, xi, sm, base, s, fs, t, f, symmetric):
             _syrk(g2, x * np.tile(np.sqrt(sm[sl]), 2))
             _gemm(g1, x[:, :nq] * xi[sl], x[:, nq:])
             continue
-        xs = _fold_factors(xi[sl], sm[sl], s, fs, base[sl])
+        xs = _fold_factors(xi[sl], st[sl], s, fs, base[sl])
         xt = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
         _gemm(i4, xs, xt)
         _gemm(g2, xs * np.tile(sm[sl], 2), xt)
@@ -273,47 +278,55 @@ def _fold_sums(sums, xi, sm, base, s, fs, t, f, symmetric):
 
 def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
                        fs_vals=None, refine=1):
-    """Pairwise layer-response integrals between surface point sets.
+    """Spectral part of G between point sets, through one shared rule.
 
-    Returns (I4, dI4_dy1, dI4_dy2), dense complex arrays with
+    The one shared-rule evaluator of assembly, boundary data and field
+    evaluation.  Sources y_j = (t_j, f_j) lie strictly below the interface,
+    targets x_i = (s_i, fs_i) all on one side of it (DomainError otherwise).
+    Returns (I, dI/dy1, dI/dy2), dense complex arrays with
 
-        I4[i, j] = (1/2pi) int_R  e^{S-(xi)(fs_i + f_j)} / (S+ + S-)
-                   e^{i xi (s_i - t_j)} d xi,
+        I[i, j] = (1/2pi) int_R  E_i e^{S-(xi) f_j} / (S+ + S-)
+                  e^{i xi (s_i - t_j)} d xi,
 
-    i.e. the smooth layer part of G between target points x_i = (s_i, fs_i)
-    and source points y_j = (t_j, f_j), evaluated through one shared rule on
-    xi > 0.  The fold e^{i xi u} + e^{-i xi u} = 2 [cos xi s cos xi t +
-    sin xi s sin xi t] (and 2 sin(xi u) for the odd dI4/dy1) writes every sum
-    as products of the per-node factors e^{S- f} cos(xi t), e^{S- f} sin(xi t).
-    Beyond both branch points (xi > max(k+, k-)) every factor and weight is
-    real, so that part of the rule runs in real arithmetic; the rest in
-    complex.  When s_nodes is omitted the target set equals the source set:
-    I4 and dI4/dy2 are then symmetric rank-2q updates (syrk) and dI4/dy1 is
-    M^T - M for one product M.  Blocks of the rule keep each (node, rule
-    point) temporary under _BLOCK elements.
+    E_i = e^{S- fs_i} below the interface (case 4: the layer part I4, to
+    which the closed-form Hankel terms add) and e^{-S+ fs_i} at or above it
+    (case 2: all of G).  The rule on xi > 0 spans u_max = max|s_i - t_j| and
+    decays at least as e^{-xi v_min}, v_min = min|fs| + min|f|.  The fold
+    e^{i xi u} + e^{-i xi u} = 2 [cos xi s cos xi t + sin xi s sin xi t]
+    (2 sin(xi u) for the odd dI/dy1) writes every sum as products of the
+    per-node factors E cos(xi t), E sin(xi t).  Beyond both branch points
+    (xi > max(k+, k-)) every factor and weight is real, so that part of the
+    rule runs in real arithmetic; the rest in complex.  When s_nodes is
+    omitted the targets are the sources: I and dI/dy2 are then symmetric
+    rank-2q updates (syrk) and dI/dy1 is M^T - M for one product M.  Blocks
+    of the rule keep each (node, rule point) temporary under _BLOCK elements.
     """
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
     symmetric = s_nodes is None
     s = t if symmetric else np.asarray(s_nodes, dtype=float)
     fs = f if symmetric else np.asarray(fs_vals, dtype=float)
-    if np.any(f >= 0) or np.any(fs >= 0):
+    if np.any(f >= 0):
         raise DomainError("surface nodes must lie strictly below the interface")
-    allt = np.concatenate([s, t])
-    u_max = float(allt.max() - allt.min()) if allt.size > 1 else 1.0
-    v_min = float(-fs.max() - f.max())
-    xi, w = real_axis_rule(k_plus, k_minus, max(u_max, 0.1), v_min, refine=refine)
+    above = fs >= 0
+    if above.any() and not above.all():
+        raise DomainError("targets must lie on one side of the interface")
+    u_max = float(max(s.max() - t.min(), t.max() - s.min()))
+    v_min = float(np.abs(fs).min() + np.abs(f).min())
+    xi, w = real_axis_rule(k_plus, k_minus, u_max, v_min, refine=refine)
     sp = vertical_wavenumber(xi, k_plus)
     sm = vertical_wavenumber(xi, k_minus)
+    st = -sp if above.any() else sm
     base = w / (sp + sm) / np.pi        # 2 / (2 pi): the fold's factor 2
     real = (sp.imag == 0) & (sm.imag == 0)
     shape = (s.size, t.size)
     sums = [np.zeros(shape, dtype=complex, order="F") for _ in range(3)]
-    _fold_sums(sums, xi[~real], sm[~real], base[~real], s, fs, t, f, symmetric)
+    _fold_sums(sums, xi[~real], sm[~real], st[~real], base[~real],
+               s, fs, t, f, symmetric)
     if real.any():
         part = [np.zeros(shape, order="F") for _ in range(3)]
-        _fold_sums(part, xi[real], sm[real].real, base[real].real,
-                   s, fs, t, f, symmetric)
+        _fold_sums(part, xi[real], sm[real].real, st[real].real,
+                   base[real].real, s, fs, t, f, symmetric)
         for acc, p in zip(sums, part):
             acc += p
         del part        # freed before the symmetrizing temporaries below
@@ -323,38 +336,3 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
         g2 += np.triu(g2, 1).T
         g1 = g1.T - g1
     return i4, g1, g2
-
-
-def field_batch(k_plus, k_minus, x, t_nodes, f_vals, modes=("val",), refine=1):
-    """G-kernel spectral parts between one point x and all surface nodes.
-
-    For x2 >= 0 this is the whole transmitted-kernel integral (case 2); for
-    x2 < 0 it is the layer-response part I4 (case 4) to which the caller adds
-    the closed-form image terms.  Returns dict mode -> (M,) complex.
-    """
-    x1, x2 = float(x[0]), float(x[1])
-    t = np.asarray(t_nodes, dtype=float)
-    f = np.asarray(f_vals, dtype=float)
-    if np.any(f >= 0):
-        raise DomainError("surface nodes must lie strictly below the interface")
-    case = 2 if x2 >= 0 else 4
-    v_min = (x2 - f.max()) if case == 2 else -(x2 + f.max())
-    u_max = float(np.abs(x1 - t).max()) if t.size else 1.0
-    xi, w = real_axis_rule(k_plus, k_minus, u_max, v_min, refine=refine)
-    sp = vertical_wavenumber(xi, k_plus)
-    sm = vertical_wavenumber(xi, k_minus)
-    xfac = np.exp(-sp * x2) if case == 2 else np.exp(sm * x2)
-    base = w * xfac / (sp + sm) / (2 * np.pi)
-    out = {m: np.zeros(t.size, dtype=complex) for m in modes}
-    blk = max(1, _BLOCK // max(t.size, 1))
-    for lo in range(0, xi.size, blk):
-        sl = slice(lo, lo + blk)
-        col = np.exp(sm[sl] * f[:, None])                  # (m, q)
-        ph = xi[sl] * (x1 - t[:, None])                    # (m, q)
-        ecos = 2.0 * np.cos(ph)
-        esin = 2j * np.sin(ph)
-        for mo in modes:
-            fm = _mode_factor(mo, xi[sl], sp[sl], sm[sl], case)
-            fold = ecos if _MODE_SIGMA[mo] > 0 else esin
-            out[mo] += np.sum(col * (base[sl] * fm) * fold, axis=1)
-    return out

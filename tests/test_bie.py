@@ -15,10 +15,10 @@ from layerscat.bie import (BoundaryProblem, _ab_matrices, cutoff_chi,
 from layerscat.cli import (_PRESETS, build_problem, config_from_dict,
                            preset_config)
 from layerscat.errors import AccuracyError, DomainError, SingularityError
-from layerscat.green import (MediumPair, fresnel_T, grad_green_x, green,
-                             green_remainder_modes, green_surface_batch,
-                             reference_field_plane, reference_field_plane_grad,
-                             transmitted_direction)
+from layerscat.green import (MediumPair, fresnel_T, grad_green_x,
+                             grad_green_y, green, green_remainder_modes,
+                             green_surface_batch, reference_field_plane,
+                             reference_field_plane_grad, transmitted_direction)
 from layerscat.nystrom import Grid
 from layerscat.specfun import EULER_GAMMA, hankel1
 from layerscat.surface import builtin
@@ -316,13 +316,13 @@ def test_batched_data_accuracy_check(monkeypatch, gap, raises):
     # the checked batch compares the doubled rule with the single rule, as
     # green() does; a single-rule pass shifted by gap must trip the 1e-10 test
     # exactly when gap exceeds it, and the doubled-rule values are returned
-    field_batch = sommerfeld.field_batch
+    remainder_matrices = sommerfeld.remainder_matrices
 
     def shifted(*args, refine=1, **kwargs):
-        out = field_batch(*args, refine=refine, **kwargs)
-        return out if refine == 2 else {m: v + gap for m, v in out.items()}
+        out = remainder_matrices(*args, refine=refine, **kwargs)
+        return out if refine == 2 else tuple(v + gap for v in out)
 
-    monkeypatch.setattr(sommerfeld, "field_batch", shifted)
+    monkeypatch.setattr(sommerfeld, "remainder_matrices", shifted)
     t = np.linspace(-4, 4, 9)
     f = -1 + 0.3 * np.sin(0.7 * np.pi * t)
     y0 = (1.0, -1.3)
@@ -508,6 +508,29 @@ def test_surface_remainder_against_pointwise_k_plus_above():
             assert abs(R[j] - m["val"]) <= 1e-11
             assert abs(R1[j] - m["dy1"]) <= 1e-11
             assert abs(R2[j] - m["dy2"]) <= 1e-11
+
+
+@pytest.mark.parametrize("kp,km", [(2.7, 3.5), (3.5, 2.7)])
+def test_remainder_targets_above_interface(kp, km):
+    # targets at or above the interface take the factor e^{-S+ x2}: the
+    # shared rule then gives all of G (case 2) and its source gradient
+    med = MediumPair(kp, km)
+    t = np.linspace(-3, 3, 13)
+    f = -0.8 + 0.3 * np.sin(0.9 * t)
+    s = np.array([-2.5, 0.0, 0.7, 3.2])
+    fs = np.array([0.0, 0.4, 1.3, 0.05])
+    val, dy1, dy2 = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=s,
+                                                  fs_vals=fs)
+    for i in range(s.size):
+        for j in range(t.size):
+            x, y = (s[i], fs[i]), (t[j], f[j])
+            assert abs(val[i, j] - green(med, x, y)) <= 1e-10
+            g1, g2 = grad_green_y(med, x, y)
+            assert abs(dy1[i, j] - g1) <= 1e-10
+            assert abs(dy2[i, j] - g2) <= 1e-10
+    with pytest.raises(DomainError):
+        sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=[0.0, 1.0],
+                                      fs_vals=[0.5, -0.5])
 
 
 def test_remainder_fold_against_extended_precision_sum():

@@ -261,16 +261,37 @@ def test_helmholtz_residual():
         assert abs(lap + k * k * g0) <= 1e-3 * abs(g0)
 
 
-def test_surface_batch_matches_pointwise():
+@pytest.mark.parametrize("med", [MED, MediumPair(3.5, 2.7)],
+                         ids=lambda m: f"{m.k_plus}-{m.k_minus}")
+def test_surface_batch_matches_pointwise(med):
     t = np.linspace(-4, 4, 9)
     f = -1 + 0.3 * np.sin(0.7 * np.pi * t) * np.exp(-0.4 * t * t)
     for x in ((0.6, 0.56), (1.0, -0.2)):
-        out = green_surface_batch(MED, x, t, f, grad_y=True)
+        out = green_surface_batch(med, x, t, f, grad_y=True)
         for j, (tj, fj) in enumerate(zip(t, f)):
-            assert abs(out["val"][j] - green(MED, x, (tj, fj))) <= 1e-10
-            gy = grad_green_y(MED, x, (tj, fj))
+            assert abs(out["val"][j] - green(med, x, (tj, fj))) <= 1e-10
+            gy = grad_green_y(med, x, (tj, fj))
             assert abs(out["dy1"][j] - gy[0]) <= 1e-9
             assert abs(out["dy2"][j] - gy[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("x", [(0.6, 0.56), (-5.3, -0.2), (9.0, 1.5)])
+def test_surface_batch_rule_spans_one_target(monkeypatch, x):
+    # a one-target call sizes the shared rule by max|x1 - t_j|, not by the
+    # span of the target and source abscissae together
+    from layerscat import sommerfeld
+    seen = []
+    rule = sommerfeld.real_axis_rule
+
+    def spy(k_plus, k_minus, u_max, v_min, refine=1):
+        seen.append((u_max, v_min))
+        return rule(k_plus, k_minus, u_max, v_min, refine=refine)
+
+    monkeypatch.setattr(sommerfeld, "real_axis_rule", spy)
+    t = np.linspace(-4, 4, 9)
+    f = -1 + 0.3 * np.sin(0.7 * np.pi * t)
+    green_surface_batch(MED, x, t, f)
+    assert seen == [(np.abs(x[0] - t).max(), abs(x[1]) + np.abs(f).min())]
 
 
 def test_outputs_finite():
