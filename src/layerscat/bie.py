@@ -7,27 +7,30 @@ J_t = sqrt(1 + f'(t)^2), the two collocation systems are
     impedance:  (I + K_bar) psi = 2 g,  kappa_bar(s,t) = 2 [dG/dnu(x) - i k- beta(s) G] J_t,
 
 the first from the combined double/single-layer ansatz, the second from the
-single-layer ansatz and the interior limit of its normal derivative.
+single-layer ansatz and the interior limit of its normal derivative.  With
+G = (i/4) H0(k- rho) + R, rho = |x - y| and R = G - Phi_{k-}, both kernels
+(the impedance one as K = M + L = -kappa_bar) and their ln|s-t| coefficients
+a take one form,
+
+    kappa = sigma (-i k-/2) q H1 + c (i/2 H0 + 2R) J_t + layer normal term,
+    a = sigma (k-/pi) q J1 - (c/pi) J0 J_t,   q = dot J_t / rho,
+
+with four inputs chosen by the kind:
+
+               sigma  dot           c             layer normal term
+    Dirichlet  +1     (y-x).nu(y)   i eta         2 (f'(t) R_y1 - R_y2)
+    impedance  -1     (x-y).nu(x)   i k- beta(s)  2 J_t (f'(s) R_y1 + R_y2) / J_s
 
 Each kernel splits into a periodic-log part and a smooth remainder,
 
     kappa(s,t) = (1/2pi) A(s,t) ln(4 sin^2((s-t)/2)) + B(s,t),
-    A(s,t) = pi a(s,t) chi(s-t),
-    B(s,t) = a(s,t) [ln|s-t| (1 - chi) - chi ln(sin((s-t)/2)/((s-t)/2))] + b(s,t),
+    A = pi a chi(s-t),   B = kappa - a chi ln|2 sin((s-t)/2)|   (s != t),
 
-where kappa = a ln|s-t| + b, a collects the J0/J1 Bessel coefficients of the
-free-space logarithm and b the smooth Hankel remainders plus the layer terms
-built on R = G - Phi_{k-}.  chi is a C-infinity cutoff, 1 on [-1,1] and 0
-outside (-pi, pi).  Diagonal limits of the smooth parts:
+where chi is a C-infinity cutoff, 1 on [-1,1] and 0 outside (-pi, pi).  On
+the diagonal a = -c J_s/pi and, with C the Euler constant,
 
-    Dirichlet:  L2(s,s) = -f''/(2 pi (1+f'^2)),
-                M2(s,s) = [i/2 - C/pi - ln((k-/2) J_s)/pi] J_s,
-    impedance:  L2(s,s) = +f''/(2 pi (1+f'^2)),
-                M2(s,s) = 2 i k- beta [i/4 - ln(k-/2)/(2pi) - C/(2pi) - ln(J_s)/(2pi)] J_s,
-
-with C the Euler constant (the impedance values are stated for the kernel
-K = M + L of the rearranged equation psi - K psi = 2 g; the assembled system
-uses them with that sign convention).
+    B(s,s) = -sigma f''/(2 pi J_s^2) + c (i/2 - C/pi - ln(k- J_s/2)/pi) J_s
+             + 2 c R J_s + layer normal term.
 """
 
 from __future__ import annotations
@@ -127,120 +130,73 @@ def _surface_arrays(surface, s):
     return s, f, df, d2f, speed
 
 
-def _pairwise_geometry(surface, s, t):
-    """Geometry factors between rows x = (s_i, f(s_i)) and cols y = (t_j, f(t_j))."""
-    s, fs, dfs, d2fs, Js = _surface_arrays(surface, s)
-    t, ft, dft, d2ft, Jt = _surface_arrays(surface, t)
+def _split_matrices(problem: BoundaryProblem, s, t, remainder):
+    """(A, B) of the periodic-log split between rows x_i = (s_i, f(s_i)) and
+    columns y_j = (t_j, f(t_j)).
+
+    remainder: (R, dR/dy1, dR/dy2) pairwise arrays.  kappa and its log
+    coefficient a come from the one formula of the module doc; entries with
+    s_i == t_j get the analytic diagonal limits.  For the impedance problem
+    the matrices are those of K = M + L (see module doc).
+    """
+    km = problem.medium.k_minus
+    s, fs, dfs, d2fs, Js = _surface_arrays(problem.surface, s)
+    t, ft, dft, _, Jt = _surface_arrays(problem.surface, t)
+    if problem.kind == "dirichlet":     # normal at y, coupling i eta
+        sigma, c = 1.0, np.full((s.size, 1), 1j * problem.eta)
+        slope, jn = dft[None, :], Jt[None, :]
+    else:                               # normal at x, coupling i k- beta(s)
+        beta = np.asarray(problem.beta(s), dtype=complex)
+        sigma, c = -1.0, 1j * km * beta[:, None]
+        slope, jn = dfs[:, None], Js[:, None]
     tau = s[:, None] - t[None, :]       # = x1 - y1
     dx2 = fs[:, None] - ft[None, :]
     rho = np.hypot(tau, dx2)
-    # (y - x) . nu(y) with nu = (f', -1)/J
-    dot_y = (-tau * dft[None, :] + dx2) / Jt[None, :]
-    # (x - y) . nu(x)
-    dot_x = (tau * dfs[:, None] - dx2) / Js[:, None]
-    return dict(s=s, tau=tau, rho=rho, dot_y=dot_y, dot_x=dot_x,
-                fs=fs, ft=ft, dfs=dfs, dft=dft, d2fs=d2fs, Js=Js, Jt=Jt)
-
-
-def _bessel_pack(km, rho, diag_mask):
-    z = km * rho
-    z_safe = np.where(diag_mask, 1.0, z)
-    # J_n is exactly Re H_n: one order-n pass gives both
-    h0 = hankel1(0, z_safe)
-    h1 = hankel1(1, z_safe)
-    return h0.real, h1.real, h0, h1
-
-
-def _ab_matrices(problem: BoundaryProblem, s, t, remainder):
-    """Smooth-split coefficient matrices (a, b) of the collocation kernel.
-
-    remainder: (R, dR/dy1, dR/dy2) pairwise arrays for x_i = (s_i, f(s_i)),
-    y_j = (t_j, f(t_j)).  Diagonal entries (s_i == t_i) get the analytic
-    limits.  Returns (a, b) with kappa = a ln|s-t| + b off the diagonal;
-    for the impedance problem the convention is K = M + L (see module doc).
-    """
-    return _ab_from_geometry(problem, _pairwise_geometry(problem.surface, s, t),
-                             remainder)
-
-
-def _ab_from_geometry(problem, g, remainder):
-    """_ab_matrices on the pairwise geometry g of _pairwise_geometry."""
-    km = problem.medium.k_minus
-    rho, tau = g["rho"], g["tau"]
-    diag = np.isclose(tau, 0.0, atol=1e-14) & np.isclose(rho, 0.0, atol=1e-14)
-    if np.any(np.isclose(rho, 0.0, atol=1e-14) & ~diag):
+    diag = (np.abs(tau) <= 1e-14) & (rho <= 1e-14)
+    if np.any((rho <= 1e-14) & ~diag):
         raise SingularityError("distinct parameters mapped to coincident points")
-    j0, j1, h0, h1 = _bessel_pack(km, rho, diag)
-    rho_safe = np.where(diag, 1.0, rho)
-    ln_tau = np.log(np.where(diag, 1.0, np.abs(tau)))
-    Jt = g["Jt"][None, :]
-    Js_d = g["Js"]
+    rho[diag] = 1.0                    # diagonal entries are set below
+    # q = dot J_t / rho, dot = -sigma (tau f' - dx2) / J at the normal's end
+    q = tau * slope
+    q -= dx2
+    del dx2
+    q *= -sigma * Jt
+    q /= jn * rho
+    q[diag] = 0.0
+    rho *= km
+    h0, h1 = hankel1(0, rho), hankel1(1, rho)
+    dd = np.nonzero(diag)
+    i = dd[0]
+    # a = sigma (k-/pi) q J1 - (c/pi) J0 J_t, with J_n = Re H_n; on the
+    # diagonal (here and in kappa) the limits of the module doc
+    a = (h0.real * Jt) * (-c / math.pi)
+    a += (sigma * km / math.pi) * q * h1.real
+    a[dd] = -c[i, 0] * Js[i] / math.pi
+    # kappa = sigma (-i k-/2) q H1 + c (i/2 H0 + 2R) J_t + layer normal term
     R, Ry1, Ry2 = remainder
-
-    if problem.kind == "dirichlet":
-        eta = problem.eta
-        l1 = (km / math.pi) * g["dot_y"] * j1 / rho_safe * Jt
-        m1 = -(1.0 / math.pi) * j0 * Jt
-        l2 = -0.5j * km * h1 * g["dot_y"] / rho_safe * Jt - l1 * ln_tau
-        m2 = 0.5j * h0 * Jt - m1 * ln_tau
-        # layer parts: 2 (nu(y) . grad_y R) J_t = 2 (f'(t) Ry1 - Ry2), 2 R J_t
-        l3 = 2.0 * (g["dft"][None, :] * Ry1 - Ry2)
-        m3 = 2.0 * R * Jt
-        if np.any(diag):
-            dd = np.where(diag)
-            l1[dd] = 0.0
-            m1[dd] = -Js_d[dd[0]] / math.pi
-            l2[dd] = -g["d2fs"][dd[0]] / (2 * math.pi * Js_d[dd[0]] ** 2)
-            m2[dd] = (0.5j - EULER_GAMMA / math.pi
-                      - np.log(0.5 * km * Js_d[dd[0]]) / math.pi) * Js_d[dd[0]]
-        a = l1 + 1j * eta * m1
-        b = (l2 + l3) + 1j * eta * (m2 + m3)
-        return a, b
-
-    beta_s = np.asarray(problem.beta(g["s"]), dtype=complex)[:, None]
-    m1 = -(1j * km / math.pi) * beta_s * j0 * Jt
-    l1 = -(km / math.pi) * j1 * g["dot_x"] / rho_safe * Jt
-    m2 = 2j * km * beta_s * 0.25j * h0 * Jt - m1 * ln_tau
-    l2 = 0.5j * km * h1 * g["dot_x"] / rho_safe * Jt - l1 * ln_tau
-    m3 = 2j * km * beta_s * R * Jt
-    # -2 (nu(x) . grad_x R) J_t with grad_x R = (-Ry1, +Ry2)
-    l3 = 2.0 * ((g["dfs"] / g["Js"])[:, None] * Ry1
-                + (1.0 / g["Js"])[:, None] * Ry2) * Jt
-    if np.any(diag):
-        dd = np.where(diag)
-        l1[dd] = 0.0
-        m1[dd] = -(1j * km / math.pi) * beta_s[dd[0], 0] * Js_d[dd[0]]
-        l2[dd] = g["d2fs"][dd[0]] / (2 * math.pi * Js_d[dd[0]] ** 2)
-        m2[dd] = 2j * km * beta_s[dd[0], 0] * (
-            0.25j - np.log(0.5 * km) / (2 * math.pi) - EULER_GAMMA / (2 * math.pi)
-            - np.log(Js_d[dd[0]]) / (2 * math.pi)) * Js_d[dd[0]]
-    a = m1 + l1
-    b = m2 + l2 + m3 + l3
-    return a, b
-
-
-def _ab_to_AB(a, b, tau):
-    """Periodic-log regrouping of kappa = a ln|tau| + b."""
+    kappa = h0
+    kappa *= 0.25j
+    kappa[dd] = 0.25j - (EULER_GAMMA + np.log(0.5 * km * Js[i])) / (2 * math.pi)
+    kappa += R
+    kappa *= Jt
+    kappa *= 2.0 * c
+    h1 *= q
+    h1 *= -0.5j * sigma * km
+    h1[dd] = -sigma * d2fs[i] / (2 * math.pi * Js[i] ** 2)
+    kappa += h1
+    # layer normal term 2 (f' Ry1 - sigma Ry2) J_t / J at the normal's end
+    layer = Ry1 * slope
+    layer -= sigma * Ry2
+    layer *= 2.0 * Jt
+    layer /= jn
+    kappa += layer
+    # B = kappa - a chi ln|2 sin(tau/2)|, A = pi a chi
     chi = cutoff_chi(tau)
-    diag = np.isclose(tau, 0.0, atol=1e-14)
-    inner = (np.abs(tau) < math.pi) & ~diag
-    half = 0.5 * np.where(inner, tau, 1.0)
-    corr = np.where(inner, np.log(np.abs(np.sin(half) / half)), 0.0)
-    ln_tau = np.log(np.where(diag, 1.0, np.abs(tau)))
-    A = math.pi * a * chi
-    B = a * (ln_tau * (1.0 - chi) - chi * corr) + b
-    B = np.where(diag, b, B)
-    return A, B
-
-
-def _split_matrices(problem, s, t, remainder):
-    """(A, B) of the periodic-log split between rows s and columns t, from
-    one pairwise geometry (tau = s - t included)."""
-    g = _pairwise_geometry(problem.surface, s, t)
-    tau = g["tau"]
-    a, b = _ab_from_geometry(problem, g, remainder)
-    del g       # the other n^2 geometry arrays are freed before the regrouping
-    return _ab_to_AB(a, b, tau)
+    band = (chi > 0) & ~diag
+    a *= chi
+    kappa[band] -= a[band] * np.log(np.abs(2.0 * np.sin(0.5 * tau[band])))
+    a *= math.pi
+    return a, kappa
 
 
 def kernel_matrices(problem: BoundaryProblem, nodes):

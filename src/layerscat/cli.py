@@ -87,6 +87,23 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _number(value, name) -> float:
+    """value as a finite float, or ConfigError naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: number required, got {value!r}") from None
+    _require(math.isfinite(x), f"{name}: must be finite, got {value!r}")
+    return x
+
+
+def _integer(value, name) -> int:
+    """value as an int (integral numbers only), or ConfigError."""
+    x = _number(value, name)
+    _require(x == int(x), f"{name}: integer required, got {value!r}")
+    return int(x)
+
+
 def config_from_dict(raw: dict, **overrides) -> RunConfig:
     """Validate a raw config mapping (file contents) into a RunConfig."""
     data = dict(raw)
@@ -94,13 +111,9 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     problem = data.get("problem")
     _require(problem in ("dirichlet", "impedance"),
              f"problem: expected 'dirichlet' or 'impedance', got {problem!r}")
-    try:
-        kp = float(data["k_plus"])
-        km = float(data["k_minus"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("k_plus/k_minus: positive numbers required")
-    _require(kp > 0 and km > 0 and math.isfinite(kp) and math.isfinite(km),
-             "k_plus/k_minus: must be positive and finite")
+    kp = _number(data.get("k_plus"), "k_plus")
+    km = _number(data.get("k_minus"), "k_minus")
+    _require(kp > 0 and km > 0, "k_plus/k_minus: must be positive")
     _require(kp != km, "k_plus/k_minus: two-layered medium requires k_plus != k_minus")
     surf = data.get("surface")
     _require(isinstance(surf, str) or (isinstance(surf, dict) and "expr" in surf),
@@ -109,10 +122,7 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     _require(isinstance(inc, dict) and inc.get("type") in ("plane", "point"),
              "incident: {'type': 'plane'|'point', ...} required")
     if inc["type"] == "plane":
-        try:
-            theta = float(inc["theta_d"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError("incident.theta_d: number required")
+        theta = _number(inc.get("theta_d"), "incident.theta_d")
         _require(math.pi - 1e-12 <= theta <= 2 * math.pi + 1e-12,
                  f"incident.theta_d: must lie in [pi, 2 pi], got {theta}")
         inc = {"type": "plane", "theta_d": theta}
@@ -120,24 +130,18 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
         y0 = inc.get("y0")
         _require(isinstance(y0, (list, tuple)) and len(y0) == 2,
                  "incident.y0: [x1, x2] required")
-        inc = {"type": "point", "y0": [float(y0[0]), float(y0[1])]}
-        _require(all(map(math.isfinite, inc["y0"])), "incident.y0: must be finite")
+        inc = {"type": "point", "y0": [_number(v, "incident.y0") for v in y0]}
     eta = data.get("eta")
     if eta is not None:
-        eta = float(eta)
+        eta = _number(eta, "eta")
         _require(eta > 0, f"eta: must be positive, got {eta}")
-    try:
-        n = int(data.get("N", 16))
-    except (TypeError, ValueError):
-        raise ConfigError("N: positive integer required")
+    n = _integer(data.get("N", 16), "N")
     _require(n >= 1, f"N: must be >= 1, got {n}")
     if "A_over_pi" in data:
-        a_pi = data["A_over_pi"]
-        _require(float(a_pi) == int(a_pi) and int(a_pi) >= 1,
-                 f"A_over_pi: positive integer required, got {a_pi}")
-        a_pi = int(a_pi)
+        a_pi = _integer(data["A_over_pi"], "A_over_pi")
+        _require(a_pi >= 1, f"A_over_pi: positive integer required, got {a_pi}")
     elif "A" in data:
-        a_val = float(data["A"])
+        a_val = _number(data["A"], "A")
         a_pi = round(a_val / math.pi)
         _require(a_pi >= 1 and abs(a_val - a_pi * math.pi) < 1e-9,
                  f"A: must be a positive multiple of pi, got {a_val}")
@@ -149,9 +153,7 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     for p in pts:
         _require(isinstance(p, (list, tuple)) and len(p) == 2,
                  f"eval_points: bad entry {p!r}")
-        q = (float(p[0]), float(p[1]))
-        _require(all(map(math.isfinite, q)), f"eval_points: non-finite entry {p!r}")
-        points.append(q)
+        points.append(tuple(_number(v, "eval_points") for v in p))
     return RunConfig(problem=problem, k_plus=kp, k_minus=km, surface_spec=surf,
                      incident=inc, beta_spec=data.get("beta", 1.0), eta=eta,
                      N=n, A_over_pi=a_pi, eval_points=tuple(points),

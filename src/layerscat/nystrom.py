@@ -72,13 +72,6 @@ class DensitySolution:
     residual_norm: float
     condition_estimate: float
 
-    def dump_csv(self, path):
-        t = self.grid.nodes
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("j,t_j,re_psi,im_psi\n")
-            for j, (tj, v) in enumerate(zip(t, self.values)):
-                fh.write(f"{j},{tj:.15g},{v.real:.15g},{v.imag:.15g}\n")
-
 
 def log_weight(N: int, s, t_j):
     """Quadrature weight R_j^N(s) of the periodic-log rule."""

@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from oracle import green_oracle
 
 from layerscat import sommerfeld
-from layerscat.bie import (BoundaryProblem, _ab_matrices, cutoff_chi,
-                           kernel_dbvp_raw, kernel_ibvp_raw, rhs_dbvp,
-                           rhs_ibvp, split_dbvp, split_ibvp)
+from layerscat.bie import (BoundaryProblem, _split_matrices, cutoff_chi,
+                           kernel_dbvp_raw, kernel_ibvp_raw, kernel_matrices,
+                           rhs_dbvp, rhs_ibvp, split_dbvp, split_ibvp)
 from layerscat.cli import (_PRESETS, build_problem, config_from_dict,
                            preset_config)
 from layerscat.errors import AccuracyError, DomainError, SingularityError
@@ -69,10 +69,17 @@ def _zero_remainder(n, m):
     return z, z.copy(), z.copy()
 
 
+def _diagonal_ab(problem, s):
+    """(a, b) of kappa = a ln|s-t| + b at the diagonal entry (s, s): there
+    chi = 1 and the log correction vanishes, so a = A/pi and b = B."""
+    A, B = _split_matrices(problem, s, s, _zero_remainder(1, 1))
+    return A / math.pi, B
+
+
 def test_flat_diagonals_dbvp(flat_dbvp):
     # remainder-free smooth parts on the diagonal of the flat-surface kernel
     s = np.array([0.3])
-    a, b = _ab_matrices(flat_dbvp, s, s, _zero_remainder(1, 1))
+    a, b = _diagonal_ab(flat_dbvp, s)
     km, eta = 3.5, flat_dbvp.eta
     # L2(s,s) = 0 for a flat surface, so b = i eta M2(s,s)
     m2 = (0.5j - EULER_GAMMA / math.pi - math.log(0.5 * km) / math.pi)
@@ -84,7 +91,7 @@ def test_flat_diagonals_dbvp(flat_dbvp):
 
 def test_flat_diagonals_ibvp(flat_ibvp):
     s = np.array([-0.8])
-    a, b = _ab_matrices(flat_ibvp, s, s, _zero_remainder(1, 1))
+    a, b = _diagonal_ab(flat_ibvp, s)
     km = 3.5
     # L2(s,s) = 0 (flat), so b = M2(s,s) with beta = 1
     m2 = 2j * km * (0.25j - math.log(0.5 * km) / (2 * math.pi)
@@ -100,8 +107,8 @@ def test_curved_diagonal_formulas(dbvp_problem, ibvp_problem):
     d2f = float(surf.d2f(0.4))
     df = float(surf.df(0.4))
     sp2 = 1.0 + df * df
-    aD, bD = _ab_matrices(dbvp_problem, s, s, _zero_remainder(1, 1))
-    aI, bI = _ab_matrices(ibvp_problem, s, s, _zero_remainder(1, 1))
+    aD, bD = _diagonal_ab(dbvp_problem, s)
+    aI, bI = _diagonal_ab(ibvp_problem, s)
     km, eta = 3.5, dbvp_problem.eta
     l2_d = -d2f / (2 * math.pi * sp2)
     m2_d = (0.5j - EULER_GAMMA / math.pi
@@ -126,7 +133,8 @@ def test_split_reconstruction_dbvp(dbvp_problem, pair):
     assert split.support_radius == math.pi
 
 
-@pytest.mark.parametrize("pair", [(0.0, 0.01), (0.3, -0.7), (2.0, -3.0)])
+@pytest.mark.parametrize("pair", [(0.0, 0.01), (0.3, -0.7), (2.0, -3.0),
+                                  (1.0, 2.5), (0.0, 3.5)])
 def test_split_reconstruction_ibvp(ibvp_problem, pair):
     s, t = pair
     split = split_ibvp(ibvp_problem)
@@ -134,6 +142,27 @@ def test_split_reconstruction_ibvp(ibvp_problem, pair):
     log_term = math.log(4 * math.sin((s - t) / 2) ** 2)
     rec = split.A(s, t) * log_term / (2 * math.pi) + split.B(s, t)
     assert abs(rec - raw) <= 1e-10 * max(1.0, abs(raw))
+
+
+@pytest.mark.parametrize("preset,raw_kernel,sign", [
+    ("example1-dbvp", kernel_dbvp_raw, 1.0),
+    ("example1-ibvp", kernel_ibvp_raw, -1.0),
+])
+def test_split_matrices_reconstruct_raw_kernel(preset, raw_kernel, sign):
+    # every off-diagonal pair of the assembled (A, B), across the band
+    # |s-t| < 1, the cutoff transition 1 < |s-t| < pi and beyond pi,
+    # reproduces the independent scalar kernel (impedance: kappa_bar = -K)
+    problem = build_problem(preset_config(preset))
+    nodes = np.linspace(-2.5, 2.5, 7)
+    A, B = kernel_matrices(problem, nodes)
+    for i, s in enumerate(nodes):
+        for j, t in enumerate(nodes):
+            if i == j:
+                continue
+            log_term = math.log(4 * math.sin((s - t) / 2) ** 2)
+            rec = sign * (A[i, j] * log_term / (2 * math.pi) + B[i, j])
+            raw = raw_kernel(problem, s, t)
+            assert abs(rec - raw) <= 1e-10 * max(1.0, abs(raw))
 
 
 def test_split_support(dbvp_problem):

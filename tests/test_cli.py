@@ -44,6 +44,15 @@ def test_config_roundtrip():
     ({"A_over_pi": 0}, "A_over_pi"),
     ({"eval_points": [[1.0]]}, "eval_points"),
     ({"eta": -2.0}, "eta"),
+    ({"A_over_pi": "x"}, "A_over_pi"),
+    ({"A_over_pi": float("inf")}, "A_over_pi"),
+    ({"A": "x"}, "A"),
+    ({"eta": "x"}, "eta"),
+    ({"eta": float("inf")}, "eta"),
+    ({"eval_points": [["a", 1]]}, "eval_points"),
+    ({"N": 2.5}, "N"),
+    ({"A": float("inf")}, "A"),
+    ({"incident": {"type": "point", "y0": ["a", -3.0]}}, "y0"),
 ])
 def test_config_validation_errors(patch, field):
     raw = dict(BASE)

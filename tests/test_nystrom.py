@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from layerscat.bie import kernel_matrices
-from layerscat.cli import build_problem, preset_config
+from layerscat.cli import build_problem, preset_config, run
 from layerscat.errors import DomainError, SolverError
 from layerscat.nystrom import (Grid, assemble, log_weight, solve, solve_system,
                                _weight_matrix)
@@ -152,13 +152,14 @@ def test_solution_metadata(solved):
     assert 1.0 <= sol.condition_estimate <= 1e12
 
 
-def test_density_dump(tmp_path, solved):
-    _, _, sol = solved("example1-dbvp", 8)
-    path = tmp_path / "density.csv"
-    sol.dump_csv(path)
+def test_density_dump(tmp_path):
+    cfg = preset_config("example1-dbvp", N=8, out_dir=str(tmp_path))
+    report = run(cfg)
+    (path,) = tmp_path.glob("density_*.csv")
     lines = path.read_text().splitlines()
-    assert lines[0] == "j,t_j,re_psi,im_psi"
-    assert len(lines) == sol.grid.node_count + 1
+    assert lines[0] == f"# config_sha256={report.config_hash}"
+    assert lines[1] == "j,t_j,re_psi,im_psi"
+    assert len(lines) == report.node_count + 2
 
 
 def test_operator_consistency(solved):
