@@ -10,9 +10,8 @@ from .green import (MediumPair, fresnel_R, fresnel_T, grad_green_x,
                     reference_field_plane, reference_field_plane_grad,
                     transmitted_direction)
 from .nystrom import DensitySolution, Grid, assemble, log_weight, solve
-from .potentials import (FieldSample, FourWaveSolution, eval_scattered,
-                         eval_scattered_dbvp, eval_scattered_ibvp,
-                         four_wave_exact, point_source_exact, total_field)
+from .potentials import (FourWaveSolution, eval_scattered, four_wave_exact,
+                         point_source_exact)
 from .specfun import (bessel_j, bessel_y, critical_angle, hankel1,
                       sqrt_branch1, sqrt_branch2, vertical_wavenumber)
 from .surface import SurfaceProfile, builtin, from_callables
@@ -21,15 +20,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "BoundaryProblem", "ConfigError", "DensitySolution",
-    "DomainError", "FieldSample", "FourWaveSolution", "Grid", "KernelSplit",
+    "DomainError", "FourWaveSolution", "Grid", "KernelSplit",
     "LayerScatError", "MediumPair", "SingularityError", "SolverError",
     "SurfaceProfile", "assemble", "bessel_j", "bessel_y", "builtin",
-    "critical_angle", "cutoff_chi", "eval_scattered", "eval_scattered_dbvp",
-    "eval_scattered_ibvp", "four_wave_exact", "fresnel_R", "fresnel_T",
-    "from_callables", "grad_green_x", "grad_green_y", "green",
-    "green_remainder", "hankel1", "kernel_dbvp_raw", "kernel_ibvp_raw",
-    "log_weight", "phi_free", "point_source_exact", "reference_field_plane",
+    "critical_angle", "cutoff_chi", "eval_scattered", "four_wave_exact",
+    "fresnel_R", "fresnel_T", "from_callables", "grad_green_x",
+    "grad_green_y", "green", "green_remainder", "hankel1",
+    "kernel_dbvp_raw", "kernel_ibvp_raw", "log_weight", "phi_free",
+    "point_source_exact", "reference_field_plane",
     "reference_field_plane_grad", "rhs_dbvp", "rhs_ibvp", "solve",
     "split_dbvp", "split_ibvp", "sqrt_branch1", "sqrt_branch2",
-    "total_field", "transmitted_direction", "vertical_wavenumber",
+    "transmitted_direction", "vertical_wavenumber",
 ]

@@ -39,7 +39,7 @@ import numpy as np
 from . import exprs, surface as surface_mod
 from .bie import BoundaryProblem
 from .errors import ConfigError, LayerScatError
-from .green import (MediumPair, _reference_field, green, green_surface_batch,
+from .green import (MediumPair, _reference_field, green_surface_batch,
                     reference_field_plane)
 from .nystrom import Grid, solve
 from .potentials import (_eval_scattered, four_wave_exact,
@@ -116,8 +116,9 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     _require(kp > 0 and km > 0, "k_plus/k_minus: must be positive")
     _require(kp != km, "k_plus/k_minus: two-layered medium requires k_plus != k_minus")
     surf = data.get("surface")
-    _require(isinstance(surf, str) or (isinstance(surf, dict) and "expr" in surf),
-             "surface: builtin name or {'expr': ...} required")
+    _require(isinstance(surf, str) or (isinstance(surf, dict)
+                                       and isinstance(surf.get("expr"), str)),
+             "surface: builtin name or {'expr': '...'} required")
     inc = data.get("incident")
     _require(isinstance(inc, dict) and inc.get("type") in ("plane", "point"),
              "incident: {'type': 'plane'|'point', ...} required")
@@ -131,6 +132,15 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
         _require(isinstance(y0, (list, tuple)) and len(y0) == 2,
                  "incident.y0: [x1, x2] required")
         inc = {"type": "point", "y0": [_number(v, "incident.y0") for v in y0]}
+    beta = data.get("beta", 1.0)
+    pair = isinstance(beta, (list, tuple))
+    if isinstance(beta, dict):
+        _require(isinstance(beta.get("expr"), str),
+                 f"beta: {{'expr': '...'}} needs a string, got {beta!r}")
+    else:
+        _require(not pair or len(beta) == 2, f"beta: [re, im] required, got {beta!r}")
+        for v in beta if pair else [beta]:
+            _number(v, "beta")
     eta = data.get("eta")
     if eta is not None:
         eta = _number(eta, "eta")
@@ -155,7 +165,7 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
                  f"eval_points: bad entry {p!r}")
         points.append(tuple(_number(v, "eval_points") for v in p))
     return RunConfig(problem=problem, k_plus=kp, k_minus=km, surface_spec=surf,
-                     incident=inc, beta_spec=data.get("beta", 1.0), eta=eta,
+                     incident=inc, beta_spec=beta, eta=eta,
                      N=n, A_over_pi=a_pi, eval_points=tuple(points),
                      out_dir=data.get("out_dir"))
 
@@ -180,16 +190,12 @@ def _build_surface(spec) -> surface_mod.SurfaceProfile:
 
 
 def _build_beta(spec):
-    if isinstance(spec, dict) and "expr" in spec:
+    """beta(s) from a spec that config_from_dict validated."""
+    if isinstance(spec, dict):
         node = exprs.parse_expression(spec["expr"])
         return lambda s: np.asarray(node(s), dtype=complex)
-    if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        c = complex(float(spec[0]), float(spec[1]))
-    else:
-        try:
-            c = complex(float(spec))
-        except (TypeError, ValueError):
-            raise ConfigError(f"beta: number, [re, im], or {{'expr': ...}} required, got {spec!r}")
+    c = complex(*map(float, spec)) if isinstance(spec, (list, tuple)) \
+        else complex(float(spec))
     return lambda s: np.full_like(np.asarray(s, dtype=float), c, dtype=complex)
 
 
@@ -315,14 +321,17 @@ def run(config: RunConfig) -> RunReport:
     label, exact_fn = _exact_reference(config, problem)
     rows = []
     t0 = time.perf_counter()
-    for x in config.eval_points:
-        us, near = _eval_scattered(sol, problem, x)
-        row = {"x1": x[0], "x2": x[1], "scattered": us, "near_surface": near}
-        if config.incident["type"] == "plane":
-            u0 = complex(reference_field_plane(problem.medium,
-                                               config.incident["theta_d"], x))
-            row["reference"] = u0
-            row["total"] = us + u0
+    pts = np.array(config.eval_points, dtype=float).reshape(-1, 2).T
+    scattered, near = _eval_scattered(sol, problem, pts)
+    plane = config.incident["type"] == "plane"
+    if plane:
+        u0 = reference_field_plane(problem.medium, config.incident["theta_d"], pts)
+    for i, x in enumerate(config.eval_points):
+        us = complex(scattered[i])
+        row = {"x1": x[0], "x2": x[1], "scattered": us, "near_surface": bool(near[i])}
+        if plane:
+            row["reference"] = complex(u0[i])
+            row["total"] = us + row["reference"]
         if exact_fn is not None:
             ex = complex(exact_fn(x))
             approx = row["total"] if label == "total" else us
@@ -403,7 +412,8 @@ def convergence_sweep(config: RunConfig, n_list) -> list:
 def greens_table(config: RunConfig, grid_spec: str):
     """Tabulate G(x, y_ref) on an 'x1min:x1max:n1,x2min:x2max:n2' grid.
 
-    y_ref is the configured point source (or (0, -1.3) for plane runs)."""
+    y_ref, the configured point source (or (0, -1.3) for plane runs), is the
+    one source of a checked green_surface_batch call on the grid."""
     med = MediumPair(config.k_plus, config.k_minus)
     y0 = tuple(config.incident["y0"]) if config.incident["type"] == "point" \
         else (0.0, -1.3)
@@ -416,11 +426,11 @@ def greens_table(config: RunConfig, grid_spec: str):
     except ValueError:
         raise ConfigError(f"bad --grid spec {grid_spec!r}; "
                           "expected 'x1min:x1max:n1,x2min:x2max:n2'")
-    rows = []
-    for x2 in ys:
-        for x1 in xs:
-            g = green(med, (x1, x2), y0)
-            rows.append((float(x1), float(x2), g))
+    _require(y0[1] < 0, f"greens: y_ref {y0} must lie below the interface")
+    x1, x2 = np.meshgrid(xs, ys)
+    g = green_surface_batch(med, (x1, x2), [y0[0]], [y0[1]], check=True)["val"]
+    rows = [(float(a), float(b), complex(v))
+            for a, b, v in zip(x1.ravel(), x2.ravel(), g.ravel())]
     return y0, rows
 
 

@@ -17,7 +17,7 @@ the interface is then  -Phi_{k-}(x, y') + I4.
 
 The closed-form Hankel terms come from one array function, _free_terms, and
 the spectral part on point sets from sommerfeld.remainder_matrices: the two
-serve assembly, point-source boundary data and field evaluation alike.
+serve assembly, point-source data, field evaluation and Green tables alike.
 """
 
 from __future__ import annotations
@@ -57,11 +57,18 @@ class MediumPair:
         return critical_angle(self.k_plus, self.k_minus)
 
 
-def _pt(x):
-    x1, x2 = float(x[0]), float(x[1])
-    if not (math.isfinite(x1) and math.isfinite(x2)):
+def _points(x):
+    """Coordinate arrays (x1, x2) of one point or a pair of coordinate arrays."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x[0], dtype=float),
+                                 np.asarray(x[1], dtype=float))
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise DomainError(f"point has non-finite components: {x!r}")
     return x1, x2
+
+
+def _pt(x):
+    x1, x2 = _points(x)
+    return float(x1), float(x2)
 
 
 def phi_free(k: float, x, y) -> complex:
@@ -176,59 +183,70 @@ def green_remainder_modes(medium: MediumPair, x, y, modes=("val",),
 
 def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
                         grad_y: bool = False, check: bool = False):
-    """G(x, y_j) (and optionally nabla_y G) for all surface nodes y_j = (t_j, f_j).
+    """G(x, y_j) (and optionally nabla_y G) for sources y_j = (t_j, f_j)
+    below the interface, at a target x = (x1, x2), one point or coordinate
+    arrays.  Returns dict with "val" and, with grad_y, "dy1"/"dy2": complex
+    arrays of shape x1.shape + (n,).
 
-    The spectral part comes from sommerfeld.remainder_matrices, the shared
-    rule of assembly, with x as its one target; below the interface the
-    closed-form Hankel terms of _free_terms are added.  Returns dict with
-    "val" and, when grad_y is set, "dy1"/"dy2", each a complex (M,) array.
-
-    With check set, the values come from the doubled rule (refine=2), and
-    AccuracyError is raised when they differ from the single rule by more
-    than 1e-10, the two-pass test of the scalar green().  check governs the
-    shared rule only: when the surface hugs the interface too closely for
-    it, every node goes through the pointwise fallback, which is always
-    checked, as green() is.  Since G is symmetric, G(y_j, x) and
-    nabla_x G(y, x) at y = y_j are the same arrays: this is how boundary
-    data of a point source at x is batched.
+    Each side of the interface (x2 >= 0, x2 < 0) takes one call of
+    sommerfeld.remainder_matrices, the shared rule of assembly; below it
+    _free_terms adds the closed-form Hankel terms.  With check set, values
+    come from the doubled rule (refine=2), and AccuracyError is raised when
+    one differs from the single rule by more than 1e-10, the two-pass test
+    of green().  When a side hugs the interface too closely for the shared
+    rule, its (target, source) pairs take the pointwise fallback, always
+    checked as green() is.  As G is symmetric, G(y_j, x) and nabla_x G(y, x)
+    at y = y_j are the same arrays: boundary data of a point source at x.
     """
-    x1, x2 = _pt(x)
+    x1, x2 = _points(x)
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
+    if np.any(f >= 0):
+        raise DomainError("sources must lie strictly below the interface")
     modes = ("val", "dy1", "dy2") if grad_y else ("val",)
+    kp, km = medium.k_plus, medium.k_minus
+    s, fs = x1.ravel(), x2.ravel()
+    below = fs < 0
+    out = {m: np.empty((s.size, t.size), dtype=complex) for m in modes}
 
-    def shared(refine):
-        rows = sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus, t, f,
-                                             s_nodes=[x1], fs_vals=[x2],
-                                             refine=refine)
-        return {m: r[0] for m, r in zip(modes, rows)}
+    def shared(idx, refine):
+        rows = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=s[idx],
+                                             fs_vals=fs[idx], refine=refine)
+        return dict(zip(modes, rows))
 
-    try:
-        out = shared(2 if check else 1)
-        if check:
-            coarse = shared(1)
-            est = max(float(np.abs(out[m] - coarse[m]).max(initial=0.0))
-                      for m in modes)
-            if not est <= 1e-10:
-                raise AccuracyError("shared spectral rule did not reach tolerance",
-                                    estimate=est)
-    except DomainError:
-        # shared real-axis rule needs vertical decay (surface hugging the
-        # interface); fall back to pointwise contour evaluation, with the
-        # two-pass check that green() makes
-        case = 2 if x2 >= 0 else 4
-        out = {m: np.empty(t.size, dtype=complex) for m in modes}
-        for j, (tj, fj) in enumerate(zip(t, f)):
-            vals, _ = sommerfeld.spectral_point(medium.k_plus, medium.k_minus,
-                                                case, x2, fj, x1 - tj,
-                                                modes=modes, check=True)
-            for m in modes:
-                out[m][j] = vals[m]
-    if x2 < 0:
-        free = _free_terms(medium.k_minus, x1 - t, x2, f, direct=True)
+    for idx in (np.flatnonzero(~below), np.flatnonzero(below)):
+        if idx.size == 0:
+            continue
+        try:
+            part = shared(idx, 2 if check else 1)
+            if check:
+                coarse = shared(idx, 1)
+                est = max(float(np.abs(part[m] - coarse[m]).max(initial=0.0))
+                          for m in modes)
+                if not est <= 1e-10:
+                    raise AccuracyError("shared spectral rule did not reach "
+                                        "tolerance", estimate=est)
+        except DomainError:
+            # shared real-axis rule needs vertical decay (surface hugging the
+            # interface); fall back to pointwise contour evaluation, with the
+            # two-pass check that green() makes
+            case = 4 if below[idx[0]] else 2
+            for i in idx:
+                for j in range(t.size):
+                    vals, _ = sommerfeld.spectral_point(
+                        kp, km, case, fs[i], f[j], s[i] - t[j], modes=modes,
+                        check=True)
+                    for m in modes:
+                        out[m][i, j] = vals[m]
+            continue
+        for m in modes:
+            out[m][idx] = part[m]
+    if below.any():
+        free = _free_terms(km, s[below, None] - t, fs[below, None], f,
+                           direct=True)
         for m, term in zip(modes, free):
-            out[m] += term
-    return out
+            out[m][below] += term
+    return {m: v.reshape(x1.shape + t.shape) for m, v in out.items()}
 
 
 def fresnel_R(medium: MediumPair, theta: float) -> complex:
@@ -267,10 +285,7 @@ def _reference_field(medium: MediumPair, theta_d: float, x):
     of the points' shape: incident + reflected above x2 = 0, transmitted
     below."""
     _check_downward(theta_d)
-    x1, x2 = np.broadcast_arrays(np.asarray(x[0], dtype=float),
-                                 np.asarray(x[1], dtype=float))
-    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        raise DomainError(f"point has non-finite components: {x!r}")
+    x1, x2 = _points(x)
     kp, km = medium.k_plus, medium.k_minus
     r = fresnel_R(medium, math.pi + theta_d)
     d1, d2 = math.cos(theta_d), math.sin(theta_d)

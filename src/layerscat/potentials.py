@@ -22,8 +22,8 @@ import numpy as np
 
 from .bie import BoundaryProblem
 from .errors import DomainError, SingularityError, SolverError
-from .green import (MediumPair, green, green_surface_batch,
-                    reference_field_plane, transmitted_direction)
+from .green import (MediumPair, _points, green, green_surface_batch,
+                    transmitted_direction)
 from .nystrom import DensitySolution
 from .surface import SurfaceProfile
 
@@ -31,82 +31,54 @@ _MIN_DIST = 1e-6
 _WARN_DIST = 1e-2
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """One complex field value at a point, tagged with its type and region."""
-
-    value: complex
-    x: tuple
-    field: str                # scattered | reference | total
-    region: str               # above | below (relative to the interface)
-    near_surface: bool = False
-
-
-def _surface_distance(surface: SurfaceProfile, x, t_nodes):
+def _surface_distance(surface: SurfaceProfile, x1, x2, t_nodes):
+    """Distance from each point (x1_i, x2_i) of 1-D arrays to the surface: the
+    nearest node, then five rounds of 41-point refinement around it."""
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(surface.f(t), dtype=float)
-    d = np.hypot(x[0] - t, x[1] - f)
-    j = int(d.argmin())
-    lo, hi = t[max(j - 1, 0)], t[min(j + 1, t.size - 1)]
+    x1, x2 = x1[:, None], x2[:, None]
+    rows = np.arange(x1.shape[0])
+    j = np.hypot(x1 - t, x2 - f).argmin(axis=1)
+    lo, hi = t[np.maximum(j - 1, 0)], t[np.minimum(j + 1, t.size - 1)]
     for _ in range(5):
-        tt = np.linspace(lo, hi, 41)
-        ff = np.asarray(surface.f(tt), dtype=float)
-        dd = np.hypot(x[0] - tt, x[1] - ff)
-        j = int(dd.argmin())
-        lo, hi = tt[max(j - 1, 0)], tt[min(j + 1, tt.size - 1)]
-    return float(dd.min())
+        tt = np.linspace(lo, hi, 41, axis=1)
+        dd = np.hypot(x1 - tt, x2 - np.asarray(surface.f(tt), dtype=float))
+        j = dd.argmin(axis=1)
+        lo, hi = tt[rows, np.maximum(j - 1, 0)], tt[rows, np.minimum(j + 1, 40)]
+    return dd.min(axis=1)
 
 
 def _eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
+    """Scattered field and near-surface flags (distance < _WARN_DIST) at one
+    point or a point set x = (x1, x2) of coordinate arrays, each shaped like
+    the points: one green_surface_batch call, one product with h J_j psi_j."""
+    x1, x2 = _points(x)
     t = sol.grid.nodes
     surf = problem.surface
-    dist = _surface_distance(surf, x, t)
-    if dist < _MIN_DIST:
+    dist = _surface_distance(surf, x1.ravel(), x2.ravel(), t)
+    if np.any(dist < _MIN_DIST):
+        i = int(dist.argmin())
         raise SingularityError(
-            f"evaluation point {x} within {dist:.2e} of the surface; "
-            "the plain quadrature rule is invalid there")
+            f"evaluation point {(float(x1.flat[i]), float(x2.flat[i]))} within "
+            f"{dist[i]:.2e} of the surface; the plain quadrature rule is "
+            "invalid there")
     f = np.asarray(surf.f(t), dtype=float)
     df = np.asarray(surf.df(t), dtype=float)
     speed = np.sqrt(1.0 + df * df)
-    h = sol.grid.h
-    if problem.kind == "dirichlet":
-        batch = green_surface_batch(problem.medium, x, t, f, grad_y=True)
+    dirichlet = problem.kind == "dirichlet"
+    batch = green_surface_batch(problem.medium, (x1, x2), t, f, grad_y=dirichlet)
+    kern = batch["val"]
+    if dirichlet:
         kern = ((df * batch["dy1"] - batch["dy2"]) / speed
-                + 1j * problem.eta * batch["val"])
-    else:
-        batch = green_surface_batch(problem.medium, x, t, f, grad_y=False)
-        kern = batch["val"]
-    value = complex(h * np.sum(kern * speed * sol.values))
-    return value, dist < _WARN_DIST
+                + 1j * problem.eta * kern)
+    values = kern @ (sol.grid.h * speed * sol.values)
+    return values[()], (dist < _WARN_DIST).reshape(x1.shape)[()]
 
 
-def eval_scattered_dbvp(sol: DensitySolution, problem: BoundaryProblem, x) -> complex:
-    """Combined double/single-layer potential of a Dirichlet density at x."""
-    if problem.kind != "dirichlet":
-        raise DomainError("eval_scattered_dbvp requires a Dirichlet problem")
+def eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
+    """Scattered field at one point (complex) or at a point set x = (x1, x2)
+    of coordinate arrays (array of the points' shape)."""
     return _eval_scattered(sol, problem, x)[0]
-
-
-def eval_scattered_ibvp(sol: DensitySolution, problem: BoundaryProblem, x) -> complex:
-    """Single-layer potential of an impedance density at x."""
-    if problem.kind != "impedance":
-        raise DomainError("eval_scattered_ibvp requires an impedance problem")
-    return _eval_scattered(sol, problem, x)[0]
-
-
-def eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x) -> complex:
-    return _eval_scattered(sol, problem, x)[0]
-
-
-def total_field(problem: BoundaryProblem, sol: DensitySolution, x) -> FieldSample:
-    """u = u0 + u_s for plane-wave runs, tagged with the evaluation region."""
-    if not problem.incident or problem.incident.get("type") != "plane":
-        raise DomainError("total_field requires a plane-wave incident configuration")
-    us, near = _eval_scattered(sol, problem, x)
-    u0 = reference_field_plane(problem.medium, problem.incident["theta_d"], x)
-    region = "above" if x[1] >= 0 else "below"
-    return FieldSample(value=complex(u0 + us), x=(float(x[0]), float(x[1])),
-                       field="total", region=region, near_surface=near)
 
 
 @dataclass(frozen=True)

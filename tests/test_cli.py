@@ -15,6 +15,7 @@ from layerscat.cli import (config_from_dict, convergence_sweep, main,
                            preset_config, run)
 from layerscat.errors import ConfigError
 from layerscat.exprs import parse_expression, surface_from_expression
+from layerscat.green import MediumPair, green
 from layerscat.surface import builtin
 
 BASE = {
@@ -53,6 +54,11 @@ def test_config_roundtrip():
     ({"N": 2.5}, "N"),
     ({"A": float("inf")}, "A"),
     ({"incident": {"type": "point", "y0": ["a", -3.0]}}, "y0"),
+    ({"beta": [1, "x"]}, "beta"),
+    ({"beta": {"expr": 5}}, "beta"),
+    ({"surface": {"expr": 5}}, "surface"),
+    ({"beta": 1e400}, "beta"),
+    ({"beta": [1e400, 0]}, "beta"),
 ])
 def test_config_validation_errors(patch, field):
     raw = dict(BASE)
@@ -150,10 +156,39 @@ def test_cli_greens(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
     assert main(["greens", "--config", str(cfg_path),
-                 "--grid", "0:1:2,-0.5:0.5:2"]) == 0
+                 "--grid", "0:1:2,-0.5:0.5:3"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "x1,x2,re,im"
-    assert len(out) == 2 + 4
+    assert len(out) == 2 + 6
+    med = MediumPair(BASE["k_plus"], BASE["k_minus"])
+    rows = [[float(v) for v in line.split(",")] for line in out[2:]]
+    assert sorted({x2 for _, x2, _, _ in rows}) == [-0.5, 0.0, 0.5]
+    for x1, x2, re, im in rows:
+        assert abs(complex(re, im) - green(med, (x1, x2), (0.0, -1.3))) <= 1e-10
+    above = dict(BASE, incident={"type": "point", "y0": [0.0, 0.5]})
+    cfg_path.write_text(json.dumps(above), encoding="utf-8")
+    assert main(["greens", "--config", str(cfg_path),
+                 "--grid", "0:1:2,-0.5:0.5:3"]) == 2
+    capsys.readouterr()
+
+
+def test_run_evaluates_points_in_one_call(monkeypatch):
+    # perfbench traces field evaluation as the span potentials._eval_scattered:
+    # cli.run must reach it under that name, once for all its points
+    from layerscat import cli as cli_mod, potentials
+    assert cli_mod._eval_scattered is potentials._eval_scattered
+    calls = []
+
+    def spy(sol, problem, x):
+        calls.append(x)
+        return potentials._eval_scattered(sol, problem, x)
+
+    monkeypatch.setattr(cli_mod, "_eval_scattered", spy)
+    raw = dict(BASE, N=4, eval_points=[[1.0, -0.2], [0.5, 0.4], [-1.0, 0.0]])
+    rep = run(config_from_dict(raw))
+    assert len(calls) == 1
+    assert [(r["x1"], r["x2"]) for r in rep.rows] == [(1.0, -0.2), (0.5, 0.4),
+                                                      (-1.0, 0.0)]
 
 
 def test_cli_sweep(tmp_path, capsys):

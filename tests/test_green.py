@@ -275,6 +275,36 @@ def test_surface_batch_matches_pointwise(med):
             assert abs(out["dy2"][j] - gy[1]) <= 1e-9
 
 
+def test_surface_batch_target_set_both_sides(monkeypatch):
+    # one checked call on targets above, on and below the interface: one
+    # shared rule per side, no pointwise fallback, the scalar values
+    from layerscat import sommerfeld
+    calls = []
+    spectral_point = sommerfeld.spectral_point
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return spectral_point(*args, **kwargs)
+
+    monkeypatch.setattr(sommerfeld, "spectral_point", spy)
+    t = np.linspace(-4, 4, 9)
+    f = -1 + 0.3 * np.sin(0.7 * np.pi * t) * np.exp(-0.4 * t * t)
+    x1 = np.array([[0.6, -1.2], [1.0, 2.5]])
+    x2 = np.array([[0.56, 0.0], [-0.2, -0.4]])
+    out = green_surface_batch(MED, (x1, x2), t, f, grad_y=True, check=True)
+    assert calls == []
+    assert out["val"].shape == x1.shape + t.shape
+    for i in np.ndindex(x1.shape):
+        x = (x1[i], x2[i])
+        for j, (tj, fj) in enumerate(zip(t, f)):
+            assert abs(out["val"][i][j] - green(MED, x, (tj, fj))) <= 1e-10
+            gy = grad_green_y(MED, x, (tj, fj))
+            assert abs(out["dy1"][i][j] - gy[0]) <= 1e-10
+            assert abs(out["dy2"][i][j] - gy[1]) <= 1e-10
+    with pytest.raises(DomainError):        # sources above the interface
+        green_surface_batch(MED, (x1, x2), t, -f)
+
+
 @pytest.mark.parametrize("x", [(0.6, 0.56), (-5.3, -0.2), (9.0, 1.5)])
 def test_surface_batch_rule_spans_one_target(monkeypatch, x):
     # a one-target call sizes the shared rule by max|x1 - t_j|, not by the

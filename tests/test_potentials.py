@@ -10,11 +10,11 @@ from conftest import nystrom_interpolate
 
 from layerscat.bie import kernel_rows
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import MediumPair, green, reference_field_plane
+from layerscat.green import (MediumPair, grad_green_y, green,
+                             reference_field_plane)
 from layerscat.nystrom import Grid, log_weight
-from layerscat.potentials import (eval_scattered, eval_scattered_dbvp,
-                                  eval_scattered_ibvp, four_wave_exact,
-                                  point_source_exact, total_field)
+from layerscat.potentials import (_eval_scattered, eval_scattered,
+                                  four_wave_exact, point_source_exact)
 from layerscat.surface import builtin
 
 MED = MediumPair(2.7, 3.5)
@@ -30,13 +30,13 @@ def test_zero_density_gives_zero_field(solved):
 def test_linearity_in_density(solved):
     cfg, problem, sol = solved("example1-ibvp", 8)
     x = (0.6, 0.56)
-    v1 = eval_scattered_ibvp(sol, problem, x)
-    v2 = eval_scattered_ibvp(replace(sol, values=2.0 * sol.values), problem, x)
+    v1 = eval_scattered(sol, problem, x)
+    v2 = eval_scattered(replace(sol, values=2.0 * sol.values), problem, x)
     assert v2 == pytest.approx(2.0 * v1, rel=1e-13)
     rng = np.random.default_rng(4)
     w = rng.normal(size=sol.values.shape) + 1j * rng.normal(size=sol.values.shape)
-    va = eval_scattered_ibvp(replace(sol, values=w), problem, x)
-    vb = eval_scattered_ibvp(replace(sol, values=sol.values + w), problem, x)
+    va = eval_scattered(replace(sol, values=w), problem, x)
+    vb = eval_scattered(replace(sol, values=sol.values + w), problem, x)
     assert vb == pytest.approx(v1 + va, rel=1e-12)
 
 
@@ -45,17 +45,38 @@ def test_example1_field_errors(solved):
     y0 = (1.0, -1.3)
     exact = green(MED, x, y0)
     _, pd, sd = solved("example1-dbvp", 16)
-    err_d = abs(eval_scattered_dbvp(sd, pd, x) - exact) / abs(exact)
+    err_d = abs(eval_scattered(sd, pd, x) - exact) / abs(exact)
     assert err_d <= 1e-3
     _, pi_, si = solved("example1-ibvp", 16)
-    err_i = abs(eval_scattered_ibvp(si, pi_, x) - exact) / abs(exact)
+    err_i = abs(eval_scattered(si, pi_, x) - exact) / abs(exact)
     assert err_i <= 5e-2
 
 
-def test_kind_dispatch_guard(solved):
-    _, pd, sd = solved("example1-dbvp", 8)
-    with pytest.raises(DomainError):
-        eval_scattered_ibvp(sd, pd, (0.6, 0.56))
+@pytest.mark.parametrize("preset", ["example1-dbvp", "example1-ibvp",
+                                    "example2-dbvp"])
+def test_point_set_matches_scalar_oracle(solved, preset):
+    # the array evaluator on a point set above, on and below the interface,
+    # against h sum_j kernel_j J_j psi_j with the kernel from scalar green()
+    # and grad_green_y()
+    _, problem, sol = solved(preset, 4, A_over_pi=2)
+    x1 = np.array([0.6, -0.4, 0.3])
+    x2 = np.array([0.56, 0.0, -0.4])
+    t = sol.grid.nodes
+    surf = problem.surface
+    ref = np.zeros(x1.size, dtype=complex)
+    for i, x in enumerate(zip(x1, x2)):
+        for tj, psi in zip(t, sol.values):
+            y = (tj, float(surf.f(tj)))
+            df = float(surf.df(tj))
+            speed = math.hypot(1.0, df)
+            kern = green(problem.medium, x, y)
+            if problem.kind == "dirichlet":
+                gy1, gy2 = grad_green_y(problem.medium, x, y)
+                kern = (df * gy1 - gy2) / speed + 1j * problem.eta * kern
+            ref[i] += sol.grid.h * kern * speed * psi
+    vals = eval_scattered(sol, problem, (x1, x2))
+    assert vals.shape == x1.shape
+    assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_near_surface_guards(solved):
@@ -75,22 +96,14 @@ def test_uprc_decay_slope(solved):
     assert slope < -1.0
 
 
-def test_total_field_requires_plane(solved):
-    cfg, problem, sol = solved("example1-dbvp", 8)
-    with pytest.raises(DomainError):
-        total_field(problem, sol, (0.6, 0.56))
-
-
-def test_total_field_tags(solved):
+def test_near_surface_flags(solved):
     cfg, problem, sol = solved("example2-dbvp", 8)
-    up = total_field(problem, sol, (1.0, 0.4))
-    dn = total_field(problem, sol, (1.0, -0.2))
-    assert up.region == "above" and dn.region == "below"
-    assert up.field == "total"
-    assert up.x == (1.0, 0.4)
-    assert not up.near_surface
-    near = total_field(problem, sol, (1.0, -0.995))
-    assert near.near_surface
+    vals, near = _eval_scattered(sol, problem, ([1.0, 1.0, 1.0],
+                                                [0.4, -0.2, -0.995]))
+    assert near.tolist() == [False, False, True]
+    assert not _eval_scattered(sol, problem, (1.0, 0.4))[1]
+    assert vals[2] == pytest.approx(eval_scattered(sol, problem, (1.0, -0.995)),
+                                    rel=1e-12)
 
 
 def test_flat_dirichlet_total_vanishes_on_boundary(solved):
@@ -229,6 +242,6 @@ def test_example1_field_errors_n64(solved):
     x = (0.6, 0.56)
     exact = green(MED, x, (1.0, -1.3))
     _, pd, sd = solved("example1-dbvp", 64)
-    assert abs(eval_scattered_dbvp(sd, pd, x) - exact) / abs(exact) <= 1e-3
+    assert abs(eval_scattered(sd, pd, x) - exact) / abs(exact) <= 1e-3
     _, pi_, si = solved("example1-ibvp", 64)
-    assert abs(eval_scattered_ibvp(si, pi_, x) - exact) / abs(exact) <= 5e-2
+    assert abs(eval_scattered(si, pi_, x) - exact) / abs(exact) <= 5e-2
