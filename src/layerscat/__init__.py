@@ -1,8 +1,7 @@
 """Boundary-integral solver for 2D acoustic scattering by a rough surface
 below a two-layered medium interface."""
 
-from .bie import (BoundaryProblem, KernelSplit, cutoff_chi, kernel_dbvp_raw,
-                  kernel_ibvp_raw, rhs_dbvp, rhs_ibvp, split_dbvp, split_ibvp)
+from .bie import BoundaryProblem, cutoff_chi
 from .errors import (AccuracyError, ConfigError, DomainError, LayerScatError,
                      SingularityError, SolverError)
 from .green import (MediumPair, fresnel_R, fresnel_T, grad_green_x,
@@ -20,15 +19,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "BoundaryProblem", "ConfigError", "DensitySolution",
-    "DomainError", "FourWaveSolution", "Grid", "KernelSplit",
-    "LayerScatError", "MediumPair", "SingularityError", "SolverError",
-    "SurfaceProfile", "assemble", "bessel_j", "bessel_y", "builtin",
-    "critical_angle", "cutoff_chi", "eval_scattered", "four_wave_exact",
-    "fresnel_R", "fresnel_T", "from_callables", "grad_green_x",
-    "grad_green_y", "green", "green_remainder", "hankel1",
-    "kernel_dbvp_raw", "kernel_ibvp_raw", "log_weight", "phi_free",
+    "DomainError", "FourWaveSolution", "Grid", "LayerScatError", "MediumPair",
+    "SingularityError", "SolverError", "SurfaceProfile", "assemble",
+    "bessel_j", "bessel_y", "builtin", "critical_angle", "cutoff_chi",
+    "eval_scattered", "four_wave_exact", "fresnel_R", "fresnel_T",
+    "from_callables", "grad_green_x", "grad_green_y", "green",
+    "green_remainder", "hankel1", "log_weight", "phi_free",
     "point_source_exact", "reference_field_plane",
-    "reference_field_plane_grad", "rhs_dbvp", "rhs_ibvp", "solve",
-    "split_dbvp", "split_ibvp", "sqrt_branch1", "sqrt_branch2",
+    "reference_field_plane_grad", "solve", "sqrt_branch1", "sqrt_branch2",
     "transmitted_direction", "vertical_wavenumber",
 ]

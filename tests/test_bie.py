@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracle import green_oracle
+from oracle import (green_oracle, kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
+                    split_ibvp)
 
 from layerscat import sommerfeld
 from layerscat.bie import (BoundaryProblem, _split_matrices, cutoff_chi,
-                           kernel_dbvp_raw, kernel_ibvp_raw, kernel_matrices,
-                           rhs_dbvp, rhs_ibvp, split_dbvp, split_ibvp)
+                           kernel_matrices, rhs_vector)
 from layerscat.cli import (_PRESETS, build_problem, config_from_dict,
                            preset_config)
 from layerscat.errors import AccuracyError, DomainError, SingularityError
@@ -244,10 +244,10 @@ def test_rhs_point_source(dbvp_problem, ibvp_problem):
     for s in (0.0, 1.2):
         x = (s, float(surf.f(s)))
         ref = green(MED, x, y0)
-        assert rhs_dbvp(dbvp_problem, s) == pytest.approx(-2.0 * ref, abs=1e-9)
-        assert abs(rhs_dbvp(dbvp_problem, s)) == pytest.approx(2 * abs(ref), abs=1e-9)
+        assert rhs_vector(dbvp_problem, s) == pytest.approx(-2.0 * ref, abs=1e-9)
+        assert abs(rhs_vector(dbvp_problem, s)) == pytest.approx(2 * abs(ref), abs=1e-9)
     # impedance rhs = +2 g with g = (d/dnu - i k- beta) G(., y0)
-    val = rhs_ibvp(ibvp_problem, 0.7)
+    val = rhs_vector(ibvp_problem, 0.7)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
@@ -255,7 +255,7 @@ def test_rhs_plane_wave_flat(flat_dbvp):
     theta = 4 * math.pi / 3
     for s in (-0.5, 1.0):
         ut = reference_field_plane(MED, theta, (s, -1.0))
-        assert rhs_dbvp(flat_dbvp, s) == pytest.approx(2.0 * ut, abs=1e-13)
+        assert rhs_vector(flat_dbvp, s) == pytest.approx(2.0 * ut, abs=1e-13)
 
 
 def test_rhs_impedance_plane_fd(flat_ibvp):
@@ -267,7 +267,7 @@ def test_rhs_impedance_plane_fd(flat_ibvp):
     dn = -(reference_field_plane(MED, theta, (s, -1.0 + h))
            - reference_field_plane(MED, theta, (s, -1.0 - h))) / (2 * h)
     g_ref = -dn + 1j * 3.5 * u0
-    assert rhs_ibvp(flat_ibvp, s) == pytest.approx(2.0 * g_ref, abs=1e-6)
+    assert rhs_vector(flat_ibvp, s) == pytest.approx(2.0 * g_ref, abs=1e-6)
     g1, g2 = reference_field_plane_grad(MED, theta, (s, -1.0))
     assert dn == pytest.approx(-g2, abs=1e-6)
 

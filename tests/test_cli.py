@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import layerscat
-from layerscat.cli import (config_from_dict, convergence_sweep, main,
-                           preset_config, run)
+from layerscat.cli import (_PRESETS, config_from_dict, convergence_sweep,
+                           main, preset_config, run)
 from layerscat.errors import ConfigError
 from layerscat.exprs import parse_expression, surface_from_expression
 from layerscat.green import MediumPair, green
@@ -140,6 +140,17 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
     assert main(["solve", "--config", str(cfg_path)]) == 3
     capsys.readouterr()
+
+
+def test_cli_impedance_beta_checked_on_every_node(tmp_path, capsys):
+    # Re beta = 2 - 0.04 t is positive on the construction-time sample
+    # [-40, 40] but not on the nodes of the window [-20 pi, 20 pi]
+    raw = dict(_PRESETS["example2-ibvp"], beta={"expr": "2-0.04*t"},
+               A_over_pi=20, N=4)
+    cfg_path = tmp_path / "beta.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 3
+    assert "Re beta > 0" in capsys.readouterr().err
 
 
 def test_cli_presets(capsys):

@@ -1,6 +1,7 @@
 """Field evaluation, exact references, and boundary-condition residuals."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 
 from conftest import nystrom_interpolate
 
+from layerscat import sommerfeld
 from layerscat.bie import kernel_rows
+from layerscat.cli import build_problem, preset_config
 from layerscat.errors import DomainError, SingularityError
 from layerscat.green import (MediumPair, grad_green_y, green,
                              reference_field_plane)
-from layerscat.nystrom import Grid, log_weight
+from layerscat.nystrom import DensitySolution, Grid, log_weight
 from layerscat.potentials import (_eval_scattered, eval_scattered,
                                   four_wave_exact, point_source_exact)
 from layerscat.surface import builtin
@@ -104,6 +107,43 @@ def test_near_surface_flags(solved):
     assert not _eval_scattered(sol, problem, (1.0, 0.4))[1]
     assert vals[2] == pytest.approx(eval_scattered(sol, problem, (1.0, -0.995)),
                                     rel=1e-12)
+
+
+def test_point_set_blocks_match_halves(solved, monkeypatch):
+    # values do not depend on how the points are grouped: the whole set, its
+    # two halves, and the whole set in blocks of 7 rows agree
+    _, problem, sol = solved("example1-dbvp", 16)
+    x1 = np.linspace(-3.0, 3.0, 40)
+    x2 = np.tile([0.7, 0.05, -0.3, -0.5], 10)
+    whole = eval_scattered(sol, problem, (x1, x2))
+    halves = np.concatenate([eval_scattered(sol, problem, (x1[:20], x2[:20])),
+                             eval_scattered(sol, problem, (x1[20:], x2[20:]))])
+    monkeypatch.setattr(sommerfeld, "_BLOCK", 7 * sol.grid.node_count)
+    blocked = eval_scattered(sol, problem, (x1, x2))
+    for other in (halves, blocked):
+        assert np.all(np.abs(other - whole) <= 1e-12 * np.abs(whole))
+
+
+def test_field_evaluation_memory_is_bounded():
+    # 4,000 points at 641 nodes go through in blocks of rows; holding the
+    # whole set at once peaked at 459 MB under tracemalloc
+    cfg = preset_config("example3-dbvp", N=32)
+    problem = build_problem(cfg)
+    grid = Grid(half_width_A=cfg.A, N=cfg.N)
+    assert grid.node_count == 641
+    sol = DensitySolution(grid=grid, values=np.ones(grid.node_count, complex),
+                          problem_kind=problem.kind, residual_norm=0.0,
+                          condition_estimate=1.0)
+    x1 = np.tile(np.linspace(-8.0, 8.0, 1000), 4)
+    x2 = np.repeat([0.5, 0.1, -0.4, -0.6], 1000)
+    tracemalloc.start()
+    try:
+        vals = eval_scattered(sol, problem, (x1, x2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == x1.shape and np.all(np.isfinite(vals))
+    assert peak < 150e6
 
 
 def test_flat_dirichlet_total_vanishes_on_boundary(solved):

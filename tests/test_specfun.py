@@ -57,6 +57,20 @@ def test_bessel_against_scipy(order):
     assert np.all(np.abs(bessel_y(order, z) - ref_y) <= 1e-13 * scale_y)
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_bessel_against_mpmath(order):
+    # arbitrary-precision reference, independent of the Cephes code in scipy
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate([np.geomspace(1e-6, 5.0, 60),
+                        np.linspace(5.0, 450.0, 141)[1:]])
+    with mpmath.workdps(30):
+        ref_j = np.array([float(mpmath.besselj(order, mpmath.mpf(v))) for v in z])
+        ref_y = np.array([float(mpmath.bessely(order, mpmath.mpf(v))) for v in z])
+    env = np.minimum(np.sqrt(2 / (np.pi * z)), 1.0)
+    for mine, ref in ((bessel_j(order, z), ref_j), (bessel_y(order, z), ref_y)):
+        assert np.all(np.abs(mine - ref) <= 1e-13 * np.maximum(np.abs(ref), env))
+
+
 def test_hankel_values():
     h0 = hankel1(0, 1.0)
     assert h0.real == pytest.approx(0.7651976865579666, abs=1e-14)
