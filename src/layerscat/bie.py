@@ -76,7 +76,8 @@ class BoundaryProblem:
     """One scattering problem: boundary kind, media, surface, data.
 
     data_g is the parameterized boundary data g~(s); beta the impedance
-    function beta~(s) (impedance only, Re beta >= d > 0); eta the coupling
+    function beta~(s) or a constant (impedance only, Re beta >= d > 0,
+    default 1); eta the coupling
     constant of the combined Dirichlet ansatz (default sqrt(k+ k-)).
     incident optionally records the incident-wave configuration so field
     routines can form reference/total fields.
@@ -87,7 +88,7 @@ class BoundaryProblem:
     surface: SurfaceProfile
     data_g: Callable
     eta: Optional[float] = None
-    beta: Optional[Callable] = None
+    beta: Optional[Callable | complex] = None
     incident: Optional[dict] = field(default=None)
 
     def __post_init__(self):
@@ -100,7 +101,8 @@ class BoundaryProblem:
                 raise DomainError("Dirichlet coupling eta must be positive")
             object.__setattr__(self, "eta", float(eta))
         else:
-            beta = self.beta if self.beta is not None else _const_callable(1.0)
+            beta = self.beta if callable(self.beta) else _const_callable(
+                1.0 if self.beta is None else self.beta)
             sample = np.asarray(beta(np.linspace(-40, 40, 257)), dtype=complex)
             if not np.all(sample.real > 0):
                 raise DomainError("impedance requires Re beta > 0 on the surface")
@@ -114,6 +116,18 @@ def _surface_arrays(surface, s):
     d2f = np.asarray(surface.d2f(s), dtype=float)
     speed = np.sqrt(1.0 + df * df)
     return s, f, df, d2f, speed
+
+
+def _checked_beta(problem: BoundaryProblem, s):
+    """beta at the rows s of an impedance problem, or DomainError naming the
+    first row where Re beta > 0 fails."""
+    beta = np.asarray(problem.beta(s), dtype=complex)
+    bad = np.flatnonzero(~(beta.real > 0))
+    if bad.size:
+        raise DomainError(
+            "impedance requires Re beta > 0 on the surface; beta = "
+            f"{complex(beta[bad[0]]):.3g} at node s = {s[bad[0]]:.6g}")
+    return beta
 
 
 def _split_matrices(problem: BoundaryProblem, s, t, remainder):
@@ -132,13 +146,7 @@ def _split_matrices(problem: BoundaryProblem, s, t, remainder):
         sigma, c = 1.0, np.full((s.size, 1), 1j * problem.eta)
         slope, jn = dft[None, :], Jt[None, :]
     else:                               # normal at x, coupling i k- beta(s)
-        beta = np.asarray(problem.beta(s), dtype=complex)
-        bad = np.flatnonzero(~(beta.real > 0))
-        if bad.size:
-            raise DomainError(
-                "impedance requires Re beta > 0 on the surface; beta = "
-                f"{complex(beta[bad[0]]):.3g} at node s = {s[bad[0]]:.6g}")
-        sigma, c = -1.0, 1j * km * beta[:, None]
+        sigma, c = -1.0, 1j * km * _checked_beta(problem, s)[:, None]
         slope, jn = dfs[:, None], Js[:, None]
     tau = s[:, None] - t[None, :]       # = x1 - y1
     dx2 = fs[:, None] - ft[None, :]
@@ -194,6 +202,8 @@ def kernel_matrices(problem: BoundaryProblem, nodes):
     """Dense (A, B) matrices of the split kernel at collocation nodes, with
     the shared-rule layer integrals over the node set."""
     t = np.asarray(nodes, dtype=float)
+    if problem.kind == "impedance":     # fail before the layer integrals
+        _checked_beta(problem, t)
     f = np.asarray(problem.surface.f(t), dtype=float)
     return _split_matrices(problem, t, t, surface_remainder(problem.medium, t, f))
 
@@ -226,6 +236,8 @@ def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):
     s_points and the quadrature grid t_nodes (Nystrom natural interpolation)."""
     s = np.asarray(s_points, dtype=float)
     t = np.asarray(t_nodes, dtype=float)
+    if problem.kind == "impedance":
+        _checked_beta(problem, s)
     f_t = np.asarray(problem.surface.f(t), dtype=float)
     f_s = np.asarray(problem.surface.f(s), dtype=float)
     rem = surface_remainder(problem.medium, t, f_t, s_nodes=s, fs_vals=f_s)

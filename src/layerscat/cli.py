@@ -30,7 +30,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -39,7 +39,7 @@ import numpy as np
 from . import exprs, surface as surface_mod
 from .bie import BoundaryProblem
 from .errors import ConfigError, LayerScatError
-from .green import (MediumPair, _reference_field, green_surface_batch,
+from .green import (MediumPair, _incident_field, green_surface_batch,
                     reference_field_plane)
 from .nystrom import Grid, solve
 from .potentials import (_eval_scattered, four_wave_exact,
@@ -55,9 +55,9 @@ class RunConfig:
     problem: str
     k_plus: float
     k_minus: float
-    surface_spec: object
+    surface: object
     incident: dict
-    beta_spec: object = 1.0
+    beta: object = 1.0
     eta: Optional[float] = None
     N: int = 16
     A_over_pi: int = _DEF_A_OVER_PI
@@ -68,17 +68,11 @@ class RunConfig:
     def A(self) -> float:
         return self.A_over_pi * math.pi
 
-    def canonical(self) -> dict:
-        return {
-            "problem": self.problem, "k_plus": self.k_plus, "k_minus": self.k_minus,
-            "surface": self.surface_spec, "incident": self.incident,
-            "beta": self.beta_spec, "eta": self.eta, "N": self.N,
-            "A_over_pi": self.A_over_pi,
-            "eval_points": [list(p) for p in self.eval_points],
-        }
-
     def digest(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode()
+        """Hash of every field but out_dir, as JSON with sorted keys."""
+        fields = asdict(self)
+        del fields["out_dir"]
+        blob = json.dumps(fields, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -164,8 +158,8 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
         _require(isinstance(p, (list, tuple)) and len(p) == 2,
                  f"eval_points: bad entry {p!r}")
         points.append(tuple(_number(v, "eval_points") for v in p))
-    return RunConfig(problem=problem, k_plus=kp, k_minus=km, surface_spec=surf,
-                     incident=inc, beta_spec=beta, eta=eta,
+    return RunConfig(problem=problem, k_plus=kp, k_minus=km, surface=surf,
+                     incident=inc, beta=beta, eta=eta,
                      N=n, A_over_pi=a_pi, eval_points=tuple(points),
                      out_dir=data.get("out_dir"))
 
@@ -190,39 +184,12 @@ def _build_surface(spec) -> surface_mod.SurfaceProfile:
 
 
 def _build_beta(spec):
-    """beta(s) from a spec that config_from_dict validated."""
+    """beta, a parsed expression or a complex constant, from a spec that
+    config_from_dict validated."""
     if isinstance(spec, dict):
-        node = exprs.parse_expression(spec["expr"])
-        return lambda s: np.asarray(node(s), dtype=complex)
-    c = complex(*map(float, spec)) if isinstance(spec, (list, tuple)) \
+        return exprs.parse_expression(spec["expr"])
+    return complex(*map(float, spec)) if isinstance(spec, (list, tuple)) \
         else complex(float(spec))
-    return lambda s: np.full_like(np.asarray(s, dtype=float), c, dtype=complex)
-
-
-def _incident_field(medium: MediumPair, incident: dict):
-    """The field u_b that the scattered field cancels on the surface, as
-    fn(x1, x2, grad) -> (u_b, (du_b/dx1, du_b/dx2) or None) on coordinate
-    arrays.
-
-    Plane wave: u_b = u0, the reference field.  Point source: u_b = -G(., y0),
-    from one batched, two-pass-checked call with y0 as the field point
-    (G(x, y0) = G(y0, x), and nabla_x G(x, y0) is nabla_y G(y0, y) at y = x).
-    """
-    if incident["type"] == "plane":
-        theta = incident["theta_d"]
-
-        def plane_wave(x1, x2, grad):
-            u, g1, g2 = _reference_field(medium, theta, (x1, x2))
-            return u, ((g1, g2) if grad else None)
-
-        return plane_wave
-    y0 = tuple(incident["y0"])
-
-    def point_source(x1, x2, grad):
-        g = green_surface_batch(medium, y0, x1, x2, grad_y=grad, check=True)
-        return -g["val"], ((-g["dy1"], -g["dy2"]) if grad else None)
-
-    return point_source
 
 
 def build_problem(config: RunConfig) -> BoundaryProblem:
@@ -233,7 +200,7 @@ def build_problem(config: RunConfig) -> BoundaryProblem:
     points data_g is called with.
     """
     med = MediumPair(config.k_plus, config.k_minus)
-    surf = _build_surface(config.surface_spec)
+    surf = _build_surface(config.surface)
     inc = config.incident
     if inc["type"] == "point":
         y0 = tuple(inc["y0"])
@@ -241,7 +208,6 @@ def build_problem(config: RunConfig) -> BoundaryProblem:
             raise ConfigError(f"incident.y0: {y0} must lie strictly below the surface")
     field_b = _incident_field(med, inc)
     impedance = config.problem == "impedance"
-    beta = _build_beta(config.beta_spec) if impedance else None
 
     def data_g(s):
         s = np.asarray(s, dtype=float)
@@ -251,12 +217,14 @@ def build_problem(config: RunConfig) -> BoundaryProblem:
             g1, g2 = grad
             df = np.asarray(surf.df(t), dtype=float)
             dnu = (df * g1 - g2) / np.sqrt(1 + df * df)
-            u = dnu - 1j * med.k_minus * np.asarray(beta(t), dtype=complex) * u
+            # problem.beta: the callable BoundaryProblem makes of a constant
+            u = dnu - 1j * med.k_minus * np.asarray(problem.beta(t), dtype=complex) * u
         return complex(-u[0]) if s.ndim == 0 else -u
 
-    kwargs = {"beta": beta} if impedance else {"eta": config.eta}
-    return BoundaryProblem(kind=config.problem, medium=med, surface=surf,
-                           data_g=data_g, incident=dict(inc), **kwargs)
+    kwargs = {"beta": _build_beta(config.beta)} if impedance else {"eta": config.eta}
+    problem = BoundaryProblem(kind=config.problem, medium=med, surface=surf,
+                              data_g=data_g, incident=dict(inc), **kwargs)
+    return problem
 
 
 def _exact_reference(config: RunConfig, problem: BoundaryProblem):
@@ -296,19 +264,16 @@ class RunReport:
     timings: dict
     rows: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "config_hash": self.config_hash, "problem": self.problem,
-            "N": self.N, "A_over_pi": self.A_over_pi,
-            "node_count": self.node_count,
-            "condition_estimate": self.condition_estimate,
-            "residual_norm": self.residual_norm,
-            "timings": self.timings, "rows": self.rows,
-        }
-
 
 def _fmt(z: complex) -> str:
     return f"{z.real:.15g},{z.imag:.15g}"
+
+
+def _write_csv(path: Path, digest: str, header: str, lines):
+    """A CSV file: the config hash line, the column header, then lines."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join([f"# config_sha256={digest}", header, *lines]) + "\n",
+                    encoding="utf-8")
 
 
 def run(config: RunConfig) -> RunReport:
@@ -349,23 +314,15 @@ def run(config: RunConfig) -> RunReport:
                                 "eval_s": round(t_eval, 3)},
                        rows=rows)
     if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = f"{config.problem}_N{config.N}_{report.config_hash}"
-        dens_path = out / f"density_{stem}.csv"
-        with open(dens_path, "w", encoding="utf-8") as fh:
-            fh.write(f"# config_sha256={report.config_hash}\n")
-            fh.write("j,t_j,re_psi,im_psi\n")
-            for j, (tj, v) in enumerate(zip(grid.nodes, sol.values)):
-                fh.write(f"{j},{tj:.15g},{_fmt(v)}\n")
-        field_path = out / f"field_{stem}.csv"
-        with open(field_path, "w", encoding="utf-8") as fh:
-            fh.write(f"# config_sha256={report.config_hash}\n")
-            fh.write("x1,x2,re,im,tag\n")
-            for row in rows:
-                tag = "total" if "total" in row else "scattered"
-                val = row.get("total", row["scattered"])
-                fh.write(f"{row['x1']:.15g},{row['x2']:.15g},{_fmt(val)},{tag}\n")
+        out, digest = Path(config.out_dir), report.config_hash
+        stem = f"{config.problem}_N{config.N}_{digest}"
+        _write_csv(out / f"density_{stem}.csv", digest, "j,t_j,re_psi,im_psi",
+                   (f"{j},{tj:.15g},{_fmt(v)}"
+                    for j, (tj, v) in enumerate(zip(grid.nodes, sol.values))))
+        tags = ["total" if "total" in row else "scattered" for row in rows]
+        _write_csv(out / f"field_{stem}.csv", digest, "x1,x2,re,im,tag",
+                   (f"{row['x1']:.15g},{row['x2']:.15g},{_fmt(row[tag])},{tag}"
+                    for row, tag in zip(rows, tags)))
     return report
 
 
@@ -378,9 +335,8 @@ def convergence_sweep(config: RunConfig, n_list) -> list:
     rows = []
     prev = None
     for n in n_list:
-        cfg = config_from_dict(config.canonical(), N=n,
-                               out_dir=None)
-        rep = run(cfg)
+        _require(n >= 1, f"N: must be >= 1, got {n}")
+        rep = run(replace(config, N=n, out_dir=None))
         row = {"N": n, "node_count": rep.node_count,
                "condition_estimate": rep.condition_estimate}
         if rep.rows:
@@ -394,18 +350,14 @@ def convergence_sweep(config: RunConfig, n_list) -> list:
             prev = val
         rows.append(row)
     if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"sweep_{config.problem}_{config.digest()}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# config_sha256={config.digest()}\n")
-            fh.write("N,node_count,re_value,im_value,abs_error,rel_error,diff_prev\n")
-            for row in rows:
-                v = row.get("value", complex("nan"))
-                fh.write(f"{row['N']},{row['node_count']},{_fmt(v)},"
-                         f"{row.get('abs_error', math.nan):.15g},"
-                         f"{row.get('rel_error', math.nan):.15g},"
-                         f"{row.get('diff_prev', math.nan):.15g}\n")
+        digest = config.digest()
+        _write_csv(Path(config.out_dir) / f"sweep_{config.problem}_{digest}.csv", digest,
+                   "N,node_count,re_value,im_value,abs_error,rel_error,diff_prev",
+                   (f"{row['N']},{row['node_count']},"
+                    f"{_fmt(row.get('value', complex('nan')))},"
+                    f"{row.get('abs_error', math.nan):.15g},"
+                    f"{row.get('rel_error', math.nan):.15g},"
+                    f"{row.get('diff_prev', math.nan):.15g}" for row in rows))
     return rows
 
 
@@ -469,7 +421,7 @@ def preset_config(name: str, **overrides) -> RunConfig:
 
 
 def _print_report(report: RunReport):
-    print(json.dumps(_jsonable(report.to_dict()), indent=2))
+    print(json.dumps(_jsonable(asdict(report)), indent=2))
 
 
 def _jsonable(obj):

@@ -1,4 +1,4 @@
-"""Tiny symbolic expression language for user-supplied surface profiles.
+"""Tiny expression language for user-supplied surface profiles.
 
 Grammar (whitespace-insensitive):
 
@@ -10,8 +10,9 @@ Grammar (whitespace-insensitive):
     fn     := 'sin' | 'cos' | 'exp'
 
 Sums and products of polynomials and sin/cos/exp terms cover all built-in
-surfaces; derivatives are formed symbolically so second derivatives of the
-profile are exact.
+surfaces.  An expression is evaluated as a second-order jet (f, f', f''),
+carried through each operation by the sum, product, power and chain rules,
+so second derivatives of the profile are exact.
 """
 
 from __future__ import annotations
@@ -25,111 +26,55 @@ from .errors import ConfigError
 from .surface import SurfaceProfile, from_callables
 
 
-class _Node:
-    def __call__(self, t):
-        raise NotImplementedError
-
-    def diff(self):
-        raise NotImplementedError
-
-
-class _Const(_Node):
-    def __init__(self, v):
-        self.v = float(v)
-
-    def __call__(self, t):
-        return self.v * np.ones_like(np.asarray(t, dtype=float))
-
-    def diff(self):
-        return _Const(0.0)
-
-    def __repr__(self):
-        return f"{self.v:g}"
-
-
-class _Var(_Node):
-    def __call__(self, t):
-        return np.asarray(t, dtype=float)
-
-    def diff(self):
-        return _Const(1.0)
-
-    def __repr__(self):
-        return "t"
-
-
-class _Add(_Node):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def __call__(self, t):
-        return self.a(t) + self.b(t)
-
-    def diff(self):
-        return _Add(self.a.diff(), self.b.diff())
-
-    def __repr__(self):
-        return f"({self.a}+{self.b})"
-
-
-class _Mul(_Node):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def __call__(self, t):
-        return self.a(t) * self.b(t)
-
-    def diff(self):
-        return _Add(_Mul(self.a.diff(), self.b), _Mul(self.a, self.b.diff()))
-
-    def __repr__(self):
-        return f"({self.a}*{self.b})"
-
-
-class _Pow(_Node):
-    def __init__(self, base, n):
-        self.base, self.n = base, int(n)
-
-    def __call__(self, t):
-        return self.base(t) ** self.n
-
-    def diff(self):
-        if self.n == 0:
-            return _Const(0.0)
-        return _Mul(_Mul(_Const(self.n), _Pow(self.base, self.n - 1)),
-                    self.base.diff())
-
-    def __repr__(self):
-        return f"({self.base}^{self.n})"
-
-
-class _Fn(_Node):
-    _eval = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-
-    def __init__(self, name, arg):
-        self.name, self.arg = name, arg
-
-    def __call__(self, t):
-        return self._eval[self.name](self.arg(t))
-
-    def diff(self):
-        d = self.arg.diff()
-        if self.name == "sin":
-            outer = _Fn("cos", self.arg)
-        elif self.name == "cos":
-            outer = _Mul(_Const(-1.0), _Fn("sin", self.arg))
+def _jet(node, t):
+    """(f, f', f'') of a parsed node at t (a float array)."""
+    op = node[0]
+    zero = np.zeros_like(t)
+    if op == "const":
+        return node[1] * np.ones_like(t), zero, zero
+    if op == "var":
+        return t, np.ones_like(t), zero
+    if op == "fn":
+        a0, a1, a2 = _jet(node[2], t)
+        if node[1] == "exp":        # (g, g', g'') of the outer function
+            g0 = g1 = g2 = np.exp(a0)
         else:
-            outer = self
-        return _Mul(outer, d)
+            s, c = np.sin(a0), np.cos(a0)
+            g0, g1, g2 = (s, c, -s) if node[1] == "sin" else (c, -s, -c)
+        return g0, g1 * a1, g2 * a1 * a1 + g1 * a2
+    if op == "pow":
+        (b0, b1, b2), n = _jet(node[1], t), node[2]
+        if n == 0:
+            return b0 ** 0, zero, zero
+        p = n * b0 ** (n - 1)
+        return b0 ** n, p * b1, n * (n - 1) * b0 ** max(n - 2, 0) * b1 * b1 + p * b2
+    (a0, a1, a2), (b0, b1, b2) = _jet(node[1], t), _jet(node[2], t)
+    if op == "add":
+        return a0 + b0, a1 + b1, a2 + b2
+    return a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2.0 * a1 * b1 + a0 * b2
 
-    def __repr__(self):
-        return f"{self.name}({self.arg})"
+
+class Expression:
+    """A parsed expression in t; calling it gives the derivative of order
+    `order` (0, 1 or 2) of its value."""
+
+    def __init__(self, node, order=0):
+        self.node, self.order = node, order
+
+    def __call__(self, t):
+        return _jet(self.node, np.asarray(t, dtype=float))[self.order]
+
+    def diff(self) -> "Expression":
+        if self.order == 2:
+            raise ConfigError("surface expression: no derivative above the second")
+        return Expression(self.node, self.order + 1)
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_]+)|(\*\*|[-+*^()]))")
 
 
 def _tokenize(text):
+    text = text.rstrip()
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -167,20 +112,20 @@ class _Parser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             op = self.take("op")
             rhs = self.term()
-            node = _Add(node, rhs if op == "+" else _Mul(_Const(-1.0), rhs))
+            node = ("add", node, rhs if op == "+" else ("mul", ("const", -1.0), rhs))
         return node
 
     def term(self):
         node = self.unary()
         while self.peek() == ("op", "*"):
             self.take("op", "*")
-            node = _Mul(node, self.unary())
+            node = ("mul", node, self.unary())
         return node
 
     def unary(self):
         if self.peek() == ("op", "-"):
             self.take("op", "-")
-            return _Mul(_Const(-1.0), self.unary())
+            return ("mul", ("const", -1.0), self.unary())
         return self.power()
 
     def power(self):
@@ -191,25 +136,25 @@ class _Parser:
             if k != "num" or v != int(v) or v < 0:
                 raise ConfigError("surface expression: exponent must be a nonnegative integer")
             self.take("num")
-            node = _Pow(node, int(v))
+            node = ("pow", node, int(v))
         return node
 
     def atom(self):
         k, v = self.peek()
         if k == "num":
             self.take("num")
-            return _Const(v)
+            return ("const", v)
         if k == "ident":
             self.take("ident")
             if v == "pi":
-                return _Const(math.pi)
+                return ("const", math.pi)
             if v in ("t", "s", "x"):
-                return _Var()
+                return ("var",)
             if v in ("sin", "cos", "exp"):
                 self.take("op", "(")
                 arg = self.expr()
                 self.take("op", ")")
-                return _Fn(v, arg)
+                return ("fn", v, arg)
             raise ConfigError(f"surface expression: unknown identifier {v!r}")
         if (k, v) == ("op", "("):
             self.take("op", "(")
@@ -219,19 +164,19 @@ class _Parser:
         raise ConfigError(f"surface expression: unexpected {v!r}")
 
 
-def parse_expression(text: str) -> _Node:
+def parse_expression(text: str) -> Expression:
     p = _Parser(_tokenize(text))
     node = p.expr()
     p.take("end")
-    return node
+    return Expression(node)
 
 
-def surface_from_expression(text: str, name: str = "inline") -> SurfaceProfile:
-    """Surface profile from an expression in t, with symbolic derivatives."""
+def surface_from_expression(text: str) -> SurfaceProfile:
+    """Surface profile from an expression in t, with exact derivatives."""
     f = parse_expression(text)
     df = f.diff()
     d2f = df.diff()
     try:
-        return from_callables(f, df, d2f, name=name)
+        return from_callables(f, df, d2f, name="inline")
     except Exception as exc:
         raise ConfigError(f"surface expression {text!r} invalid: {exc}") from exc

@@ -306,6 +306,32 @@ def _reference_field(medium: MediumPair, theta_d: float, x):
     return u[()], g1[()], g2[()]
 
 
+def _incident_field(medium: MediumPair, incident: dict):
+    """The field u_b that the scattered field cancels on the surface, as
+    fn(x1, x2, grad) -> (u_b, (du_b/dx1, du_b/dx2) or None) on coordinate
+    arrays.
+
+    Plane wave: u_b = u0, the reference field.  Point source: u_b = -G(., y0),
+    from one batched, two-pass-checked call with y0 as the field point
+    (G(x, y0) = G(y0, x), and nabla_x G(x, y0) is nabla_y G(y0, y) at y = x).
+    """
+    if incident["type"] == "plane":
+        theta = incident["theta_d"]
+
+        def plane_wave(x1, x2, grad):
+            u, g1, g2 = _reference_field(medium, theta, (x1, x2))
+            return u, ((g1, g2) if grad else None)
+
+        return plane_wave
+    y0 = tuple(incident["y0"])
+
+    def point_source(x1, x2, grad):
+        g = green_surface_batch(medium, y0, x1, x2, grad_y=grad, check=True)
+        return -g["val"], ((-g["dy1"], -g["dy2"]) if grad else None)
+
+    return point_source
+
+
 def reference_field_plane(medium: MediumPair, theta_d: float, x):
     """Reference field u0 of plane-wave incidence on the flat interface:
     incident + reflected above x2 = 0, transmitted below.  x is one point

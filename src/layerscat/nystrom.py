@@ -88,11 +88,8 @@ def log_weight(N: int, s, t_j):
 
 def _weight_matrix(grid: Grid) -> np.ndarray:
     """R_{i-j} = R_j^N(t_i); Toeplitz in i - j and even in the offset."""
-    m = grid.node_count
-    offsets = np.arange(m) * grid.h
-    row = log_weight(grid.N, offsets, 0.0)
-    idx = np.absolute(np.arange(m)[:, None] - np.arange(m)[None, :])
-    return row[idx]
+    offsets = np.arange(grid.node_count) * grid.h
+    return sla.toeplitz(log_weight(grid.N, offsets, 0.0))
 
 
 def assemble(problem: BoundaryProblem, grid: Grid):

@@ -12,7 +12,7 @@ Built-in profiles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,16 +38,14 @@ class SurfaceProfile:
     f_minus: float
     lipschitz_L: float
     name: str = "custom"
-    check_grid: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.f_plus < 0:
             raise DomainError(f"surface must satisfy sup f < 0, got f_plus={self.f_plus}")
         if self.f_minus > self.f_plus:
             raise DomainError("f_minus must not exceed f_plus")
-        grid = self.check_grid if self.check_grid is not None else _CHECK_GRID
-        vals = np.asarray(self.f(grid), dtype=float)
-        slopes = np.asarray(self.df(grid), dtype=float)
+        vals = np.asarray(self.f(_CHECK_GRID), dtype=float)
+        slopes = np.asarray(self.df(_CHECK_GRID), dtype=float)
         if not np.all(np.isfinite(vals)) or not np.all(np.isfinite(slopes)):
             raise DomainError("surface profile produced non-finite values")
         tol = 1e-9 * (1.0 + abs(self.f_plus))
@@ -90,11 +88,10 @@ def _refined_extremum(fn, grid, vals, want_max):
     return float(best)
 
 
-def from_callables(f, df, d2f, name="custom", sample_halfwidth=40.0,
-                   sample_count=4001) -> SurfaceProfile:
+def from_callables(f, df, d2f, name="custom") -> SurfaceProfile:
     """Build a profile from a (f, f', f'') triple; bounds measured numerically
     (grid scan with local refinement, plus a small safety margin)."""
-    grid = np.linspace(-sample_halfwidth, sample_halfwidth, sample_count)
+    grid = _CHECK_GRID
     vals = np.asarray(f(grid), dtype=float)
     slopes = np.abs(np.asarray(df(grid), dtype=float))
     pad = 1e-7 * (1.0 + np.abs(vals).max())
@@ -104,7 +101,7 @@ def from_callables(f, df, d2f, name="custom", sample_halfwidth=40.0,
                                 grid, slopes, want_max=True)) + pad
     return SurfaceProfile(f=f, df=df, d2f=d2f, f_plus=float(f_plus),
                           f_minus=float(f_minus), lipschitz_L=float(lip),
-                          name=name, check_grid=grid)
+                          name=name)
 
 
 def _gamma1() -> SurfaceProfile:

@@ -379,6 +379,28 @@ def test_problem_validation():
                         data_g=lambda s: 0.0)
 
 
+def test_impedance_beta_checked_before_layer_integrals(monkeypatch):
+    # Re beta = 2 - 0.04 t fails beyond t = 50: kernel_matrices and
+    # kernel_rows must say so before the shared-rule layer integrals run
+    from layerscat.bie import kernel_rows
+    calls = []
+    real = sommerfeld.remainder_matrices
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sommerfeld, "remainder_matrices", spy)
+    problem = build_problem(config_from_dict(
+        dict(_PRESETS["example2-ibvp"], beta={"expr": "2-0.04*t"})))
+    t = Grid(half_width_A=20 * math.pi, N=4).nodes
+    with pytest.raises(DomainError, match="Re beta > 0"):
+        kernel_matrices(problem, t)
+    with pytest.raises(DomainError, match="Re beta > 0"):
+        kernel_rows(problem, [0.0, 60.0], t[:5])
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Jump relations of the layer potentials (smooth compactly supported density)
 # ---------------------------------------------------------------------------

@@ -240,6 +240,49 @@ def test_expression_symbolic_derivatives():
     assert np.abs(d(s) - fd).max() < 1e-8
 
 
+@pytest.mark.parametrize("text", [
+    "t^3 - 2*t^2 + 3*t^1 - 4*t^0",
+    "-sin(cos(0.5*t))*exp(-t^2)",
+    "cos(t)^3*exp(sin(2*t)) - -t",
+    "exp(-(t-0.3)^2)*sin(3*t^2)+cos(exp(0.2*t))",
+])
+def test_expression_jet_matches_finite_differences(text):
+    # 4th-order central differences: f' from f, f'' from the jet's f'
+    f = parse_expression(text)
+    df, d2f = f.diff(), f.diff().diff()
+    s = np.linspace(-2, 2, 81)
+    h = 1e-3
+
+    def central(g):
+        return (g(s - 2 * h) - 8 * g(s - h) + 8 * g(s + h) - g(s + 2 * h)) / (12 * h)
+
+    for exact, fd in ((df(s), central(f)), (d2f(s), central(df))):
+        assert np.abs(exact - fd).max() <= 1e-9 * (1 + np.abs(exact).max())
+    with pytest.raises(ConfigError):
+        d2f.diff()
+
+
+@pytest.mark.parametrize("tail", [" ", "\t", "\n"])
+def test_expression_trailing_whitespace(tail):
+    s = np.linspace(-3, 3, 61)
+    surface_text = "-1+0.1*cos(0.5*t)"
+    padded = surface_from_expression(surface_text + tail)
+    plain = surface_from_expression(surface_text)
+    for name in ("f", "df", "d2f"):
+        assert np.array_equal(getattr(padded, name)(s), getattr(plain, name)(s))
+    beta_text = "1+0.2*cos(0.3*t)"
+    assert np.array_equal(parse_expression(beta_text + tail)(s),
+                          parse_expression(beta_text)(s))
+
+
+def test_cli_expression_with_trailing_space(tmp_path, capsys):
+    raw = dict(_PRESETS["example2-dbvp"], surface={"expr": "-1+0.1*cos(0.5*t) "})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path), "--N", "4"]) == 0
+    capsys.readouterr()
+
+
 def test_expression_errors():
     with pytest.raises(ConfigError):
         parse_expression("sin(")
