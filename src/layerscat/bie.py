@@ -41,7 +41,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import green as green_mod
 from . import sommerfeld
 from .errors import DomainError, SingularityError
 from .green import MediumPair
@@ -212,23 +211,14 @@ def surface_remainder(medium: MediumPair, t_nodes, f_vals, s_nodes=None,
                       fs_vals=None):
     """Pairwise (R, dR/dy1, dR/dy2) between surface point sets.
 
-    R(x, y) = -Phi_{k-}(x, y') + I4(x, y); the spectral part comes from the
-    shared rule of sommerfeld.remainder_matrices, the mirror term from
-    green._free_terms.  Targets x_i = (s_i, fs_i) default to the source set
-    y_j = (t_j, f_j).
+    R(x, y) = G(x, y) - Phi_{k-}(x, y) = -Phi_{k-}(x, y') + I4(x, y) comes
+    whole from the shared rule of sommerfeld.remainder_matrices, which
+    integrates I4 with the mirror term subtracted inside the integral.
+    Targets x_i = (s_i, fs_i) default to the source set y_j = (t_j, f_j).
     """
-    t = np.asarray(t_nodes, dtype=float)
-    f = np.asarray(f_vals, dtype=float)
-    s = t if s_nodes is None else np.asarray(s_nodes, dtype=float)
-    fs = f if s_nodes is None else np.asarray(fs_vals, dtype=float)
-    i4 = sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus, t, f,
-                                       s_nodes=s_nodes, fs_vals=fs_vals)
-    mirror = green_mod._free_terms(medium.k_minus, s[:, None] - t[None, :],
-                                   fs[:, None], f[None, :])
-    # summed into the C-ordered mirror arrays, the layout the kernels expect
-    for acc, part in zip(mirror, i4):
-        acc += part
-    return mirror[:3]
+    return sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus,
+                                         t_nodes, f_vals, s_nodes=s_nodes,
+                                         fs_vals=fs_vals)
 
 
 def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):

@@ -15,9 +15,13 @@ and I_case = (1/2pi) int E_case(xi)/(S+ + S-) e^{i xi (x1-y1)} d xi with the
 exponents of sommerfeld._CASES.  The smooth remainder R = G - Phi_{k-} below
 the interface is then  -Phi_{k-}(x, y') + I4.
 
-The closed-form Hankel terms come from one array function, _free_terms, and
-the spectral part on point sets from sommerfeld.remainder_matrices: the two
-serve assembly, point-source data, field evaluation and Green tables alike.
+The scalar path (green, grad_green_*, green_remainder) evaluates I_case by
+sommerfeld.spectral_point and adds the Hankel terms of _free_terms.  On point
+sets sommerfeld.remainder_matrices integrates R whole, with the mirror term
+subtracted inside the integral, and G above the interface; green_surface_batch
+adds only the direct term Phi_{k-}(x, y) below it (_add_direct).  That one
+path serves point-source data, field evaluation and Green tables, and
+bie.surface_remainder the assembly.
 """
 
 from __future__ import annotations
@@ -83,39 +87,65 @@ def phi_free(k: float, x, y) -> complex:
     return 0.25j * hankel1(0, k * r)
 
 
+def _phi_terms(k, d1, d2, grad):
+    """Phi_k = (i/4) H1_0(k r) at r = |(d1, d2)| and, with grad set, the
+    factor (i/4) k H1_1(k r) / r (None otherwise), with which
+    d Phi_k / d d1 = -factor d1 and d Phi_k / d d2 = -factor d2."""
+    r = np.hypot(d1, d2)
+    if np.min(r) < _SING_DIST:
+        raise SingularityError("free-space kernel evaluated at coincident points")
+    z = k * r
+    val = hankel1(0, z)
+    val *= 0.25j
+    if not grad:
+        return val, None
+    fac = hankel1(1, z)
+    fac *= 0.25j * k
+    fac /= r
+    return val, fac
+
+
 def _free_terms(k, d1, x2, y2, direct=False):
     """Closed-form Hankel terms of G within one layer of wavenumber k.
 
     Returns (val, dy1, dy2, dx2) of the mirror term -Phi_k(x, y'),
     y' = (y1, -y2), plus, with direct set, the direct term Phi_k(x, y).
-    d1 = x1 - y1, x2 and y2 are scalars or arrays that broadcast together.
-    Both terms depend on x1 - y1 only, so d/dx1 = -d/dy1.
+    d1 = x1 - y1, x2 and y2 are scalars.  Both terms depend on x1 - y1 only,
+    so d/dx1 = -d/dy1.
     """
     w = x2 + y2
-    rp = np.hypot(d1, w)
-    if np.min(rp) < _SING_DIST:
-        raise SingularityError("mirror point coincides with target")
-    z = k * rp
-    val = hankel1(0, z)
-    val *= -0.25j
-    fac = hankel1(1, z)
-    fac *= 0.25j * k
-    fac /= rp
-    dy1 = fac * d1
-    dy1 *= -1.0
-    dy2 = fac * w
-    dx2 = dy2
+    val, fac = _phi_terms(k, d1, w, True)
+    val, dy1, dy2, dx2 = -val, -fac * d1, fac * w, fac * w
     if direct:
         dz = x2 - y2
-        r = np.hypot(d1, dz)
-        if np.min(r) < _SING_DIST:
-            raise SingularityError("Green function evaluated at coincident points")
-        val = val + 0.25j * hankel1(0, k * r)
-        fac = 0.25j * k * hankel1(1, k * r) / r
-        dy1 = dy1 + fac * d1
-        dx2 = dy2 - fac * dz
-        dy2 = dy2 + fac * dz
+        phi, fac = _phi_terms(k, d1, dz, True)
+        val += phi
+        dy1 += fac * d1
+        dy2 += fac * dz
+        dx2 -= fac * dz
     return val, dy1, dy2, dx2
+
+
+#: elements per temporary of the direct term in green_surface_batch
+_DIRECT_BLOCK = 1 << 16
+
+
+def _add_direct(out, k, s, fs, t, f):
+    """Add Phi_k(x_i, y_j) to out["val"] and, when out holds "dy1" and
+    "dy2", its y-gradient to those, in place, for targets x_i = (s_i, fs_i)
+    and sources y_j = (t_j, f_j).  Rows go in blocks of at most _DIRECT_BLOCK
+    elements, and the order-1 Hankel pass runs only for the gradient."""
+    grad = "dy1" in out
+    rows = max(1, _DIRECT_BLOCK // t.size)
+    for lo in range(0, s.size, rows):
+        sl = slice(lo, lo + rows)
+        d1 = s[sl, None] - t
+        d2 = fs[sl, None] - f
+        phi, fac = _phi_terms(k, d1, d2, grad)
+        out["val"][sl] += phi
+        if grad:
+            out["dy1"][sl] += fac * d1
+            out["dy2"][sl] += fac * d2
 
 
 def _case_of(x2, y2):
@@ -189,14 +219,16 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
     arrays of shape x1.shape + (n,).
 
     Each side of the interface (x2 >= 0, x2 < 0) takes one call of
-    sommerfeld.remainder_matrices, the shared rule of assembly; below it
-    _free_terms adds the closed-form Hankel terms.  With check set, values
-    come from the doubled rule (refine=2), and AccuracyError is raised when
-    one differs from the single rule by more than 1e-10, the two-pass test
-    of green().  When a side hugs the interface too closely for the shared
-    rule, its (target, source) pairs take the pointwise fallback, always
-    checked as green() is.  As G is symmetric, G(y_j, x) and nabla_x G(y, x)
-    at y = y_j are the same arrays: boundary data of a point source at x.
+    sommerfeld.remainder_matrices, the shared rule of assembly: above it that
+    is all of G, below it the remainder R = G - Phi_{k-}(x, y), to which
+    _add_direct adds the direct term.  With check set, values come from the
+    doubled rule (refine=2), and AccuracyError is raised when one differs
+    from the single rule by more than 1e-10, the two-pass test of green().
+    When the shared rule refuses a side (a side hugging the interface, or a
+    rule that would need too many panels), its (target, source) pairs take
+    the pointwise fallback, always checked as green() is.  As G is
+    symmetric, G(y_j, x) and nabla_x G(y, x) at y = y_j are the same arrays:
+    boundary data of a point source at x.
     """
     x1, x2 = _points(x)
     t = np.asarray(t_nodes, dtype=float)
@@ -223,29 +255,26 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
                 coarse = shared(idx, 1)
                 est = max(float(np.abs(part[m] - coarse[m]).max(initial=0.0))
                           for m in modes)
+                del coarse
                 if not est <= 1e-10:
                     raise AccuracyError("shared spectral rule did not reach "
                                         "tolerance", estimate=est)
         except DomainError:
-            # shared real-axis rule needs vertical decay (surface hugging the
-            # interface); fall back to pointwise contour evaluation, with the
+            # pointwise contour evaluation of the same G or R, with the
             # two-pass check that green() makes
-            case = 4 if below[idx[0]] else 2
-            for i in idx:
+            part = {m: np.empty((idx.size, t.size), dtype=complex)
+                    for m in modes}
+            for a, i in enumerate(idx):
                 for j in range(t.size):
-                    vals, _ = sommerfeld.spectral_point(
-                        kp, km, case, fs[i], f[j], s[i] - t[j], modes=modes,
-                        check=True)
+                    vals = _green_modes(medium, (s[i], fs[i]), (t[j], f[j]),
+                                        modes, 1e-10, True, direct=False)
                     for m in modes:
-                        out[m][i, j] = vals[m]
-            continue
+                        part[m][a, j] = vals[m]
+        if below[idx[0]]:
+            _add_direct(part, km, s[idx], fs[idx], t, f)
         for m in modes:
             out[m][idx] = part[m]
-    if below.any():
-        free = _free_terms(km, s[below, None] - t, fs[below, None], f,
-                           direct=True)
-        for m, term in zip(modes, free):
-            out[m][below] += term
+        del part
     return {m: v.reshape(x1.shape + t.shape) for m, v in out.items()}
 
 

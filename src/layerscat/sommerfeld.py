@@ -29,9 +29,21 @@ density provides the error estimate.
 spectral_point evaluates one pair this way.  On point sets one evaluator,
 remainder_matrices, serves assembly, boundary data and field evaluation: a
 real-axis rule (no ray tails, so it needs v_min > 0.02) shared by all pairs.
+Below the interface it integrates the remainder R = G - Phi_{k-}(x, y) whole:
+the mirror term's integrand e^{S-(x2+y2)}/(2 S-) is subtracted inside the
+integral, leaving g = (k+^2 - k-^2) / (2 S- (S+ + S-)^2), which decays like
+|xi|^-3.  The shared rule is sized by a tolerance: its cutoff leaves a tail
+of at most _RULE_TOL (a bound on the integrand beyond both branch points,
+see _tail_cutoff), each 16-point panel covers two oscillations (the
+Gauss-Legendre error on e^{i omega x} over two oscillations is about
+pi^32 / 32! ~ 3e-20), and S+, S- come from the exact squares of the
+substitutions rather than sqrt(xi^2 - k^2), whose cancellation near a branch
+point the factor 1/S- would magnify.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg.blas import get_blas_funcs
@@ -53,6 +65,12 @@ _CASES = {
 #: elements per (node, rule point) temporary in remainder_matrices; a
 #: complex block then stays under 8 MB
 _BLOCK = 500_000
+
+#: absolute bound on the part of each shared-rule integral beyond its cutoff
+_RULE_TOL = 1e-15
+
+#: panels per segment of a rule; the shared rule refuses to exceed it
+_MAX_PANELS = 4000
 
 #: derivative factors; sigma = +1 keeps the even fold 2cos, -1 the odd 2i sin
 _MODE_SIGMA = {"val": 1.0, "dx1": -1.0, "dy1": -1.0, "dx2": 1.0, "dy2": 1.0}
@@ -107,26 +125,50 @@ def _panel_nodes(edges):
     return x, w
 
 
-def _head_segments(k1, k2, u_abs, v, w0, refine):
-    """Real-axis nodes/weights on [0, T0] in kink-removing coordinates."""
-    xs, ws = [], []
-
-    def add(count, lo, hi, to_xi, dxi):
-        count = int(min(max(count, 3) * refine, 4000))
-        p, wp = _panel_nodes(np.linspace(lo, hi, count + 1))
-        xs.append(to_xi(p))
-        ws.append(wp * dxi(p))
-
-    phase = u_abs / (2 * np.pi)
-    add(np.ceil(k1 * phase + 0.15 * k1 * v), 0.0, 0.5 * np.pi,
-        lambda p: k1 * np.sin(p), lambda p: k1 * np.cos(p))
-    mid, c = 0.5 * (k1 + k2), 0.5 * (k2 - k1)
-    add(np.ceil(2 * c * phase + 0.3 * c * v), 0.0, np.pi,
-        lambda p: mid - c * np.cos(p), lambda p: c * np.sin(p))
+def _segment_panels(k1, k2, u_abs, v, w0, oscillations):
+    """Panel counts of the three segments of _head_segments: enough for the
+    given number of oscillations of e^{i xi u_abs} per panel, plus a share
+    for the decay e^{-xi v}."""
+    phase = u_abs / (2 * np.pi * oscillations)
+    c = 0.5 * (k2 - k1)
     ximax = np.hypot(k2, w0)
-    add(np.ceil((ximax - k2) * phase + 0.2 * w0 * v), 0.0, w0,
-        lambda p: np.sqrt(k2 * k2 + p * p), lambda p: p / np.sqrt(k2 * k2 + p * p))
-    return np.concatenate(xs), np.concatenate(ws), ximax
+    return (np.ceil(k1 * phase + 0.15 * k1 * v),
+            np.ceil(2 * c * phase + 0.3 * c * v),
+            np.ceil((ximax - k2) * phase + 0.2 * w0 * v))
+
+
+def _head_segments(k1, k2, w0, counts):
+    """Real-axis rule on [0, T0], T0 = sqrt(k2^2 + w0^2), in kink-removing
+    coordinates, with counts[i] panels on segment i.
+
+    Returns (xi, w, s1, s2, T0) with s1 = S(xi, k1), s2 = S(xi, k2) taken
+    from the exact squares of each substitution,
+
+        [0, k1]   xi^2 - k1^2 = -(k1 cos phi)^2,
+        [k1, k2]  xi - k1 = 2c sin^2(phi/2),  k2 - xi = 2c cos^2(phi/2),
+        [k2, T0]  xi^2 - k2^2 = w^2,
+
+    so that they keep full relative accuracy up to the branch points, where
+    sqrt(xi^2 - k^2) of the rounded node would not.
+    """
+    gap = (k2 - k1) * (k2 + k1)
+    p, wp = _panel_nodes(np.linspace(0.0, 0.5 * np.pi, int(counts[0]) + 1))
+    kcos = k1 * np.cos(p)
+    xi1, w1 = k1 * np.sin(p), wp * kcos
+    s1 = [-1j * kcos]
+    s2 = [-1j * np.sqrt(gap + kcos * kcos)]
+    mid, c = 0.5 * (k1 + k2), 0.5 * (k2 - k1)
+    p, wp = _panel_nodes(np.linspace(0.0, np.pi, int(counts[1]) + 1))
+    xi2, w2 = mid - c * np.cos(p), wp * (c * np.sin(p))
+    s1.append(np.sqrt(2 * c * (xi2 + k1)) * np.sin(0.5 * p))
+    s2.append(-1j * np.sqrt(2 * c * (xi2 + k2)) * np.cos(0.5 * p))
+    p, wp = _panel_nodes(np.linspace(0.0, w0, int(counts[2]) + 1))
+    xi3 = np.sqrt(k2 * k2 + p * p)
+    w3 = wp * (p / xi3)
+    s1.append(np.sqrt(p * p + gap))
+    s2.append(p)
+    return (np.concatenate((xi1, xi2, xi3)), np.concatenate((w1, w2, w3)),
+            np.concatenate(s1), np.concatenate(s2), np.hypot(k2, w0))
 
 
 def _ray_tail(kern, modes, t0, u, coeff, v, refine, tol):
@@ -171,7 +213,9 @@ def _spectral_once(kern, u, modes, tol, refine):
     k1, k2 = sorted((kern.kp, kern.km))
     v = kern.v_decay
     w0 = max(1.0, min(k2 + 1.0, 60.0 / max(v, 1e-2)))
-    xi, w, t0 = _head_segments(k1, k2, abs(u), v, w0, refine)
+    counts = [int(min(max(n, 3) * refine, _MAX_PANELS))
+              for n in _segment_panels(k1, k2, abs(u), v, w0, 1)]
+    xi, w, _, _, t0 = _head_segments(k1, k2, w0, counts)
     sp, sm = kern.splus_sminus(xi)
     g = kern.g(xi, sp, sm)
     eplus = np.exp(1j * xi * u)
@@ -207,18 +251,61 @@ def spectral_point(k_plus, k_minus, case, x2, y2, u, modes=("val",),
     return fine, est
 
 
-def real_axis_rule(k_plus, k_minus, u_max, v_min, refine=1):
-    """Shared positive-axis rule (xi, w) for families of integrals with
-    oscillation up to u_max and vertical decay at least v_min > 0.
+def _tail_cutoff(c, p, v):
+    """Smallest w0 (from above, by bisection) with
 
-    The caller folds with e^{i xi u} + sigma e^{-i xi u} and applies 1/(2pi).
+        (1/pi) c e^{-w0 v} / (v w0^p min(1, w0)) <= _RULE_TOL.
+
+    Beyond k2 = max(k+, k-) write xi = sqrt(k2^2 + w^2): then S(xi, k+) and
+    S(xi, k-) are at least w, and d xi = (w / xi) d w.  Take an integrand
+    bounded by c e^{-S v} / S^(p+1) times its mode factor (1, xi or S-, all
+    at most max(1, xi)).  In w it is then at most
+    c e^{-w v} / (w^p min(1, w)), since max(1, xi) / xi <= 1 / min(1, w).
+    Folded with 1/pi, its integral beyond T0 = sqrt(k2^2 + w0^2) is at most
+    the bound above: the factor after e^{-w v} decreases, and e^{-w v}
+    alone integrates to e^{-w0 v} / v.
+    """
+    log_c = math.log(c / (math.pi * v * _RULE_TOL))
+    lo, hi = 0.0, max(1.0, log_c / v)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if log_c - mid * v - p * math.log(mid) - min(0.0, math.log(mid)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def real_axis_rule(k_plus, k_minus, u_max, v_min, above, refine=1):
+    """Shared positive-axis rule (xi, w, S+, S-) for families of integrals
+    with oscillation up to u_max and vertical decay at least v_min > 0.02.
+
+    The rule is sized for the integrand of remainder_matrices: for targets
+    above the interface (above set) E / (S+ + S-), bounded by e^{-S v} / (2 S)
+    beyond both branch points; below it the mirror-subtracted
+    E (k+^2 - k-^2) / (2 S- (S+ + S-)^2), bounded by
+    e^{-S v} |k+^2 - k-^2| / (8 S^3), S = min(S+, S-).  The cutoff T0 leaves
+    a tail of at most _RULE_TOL (see _tail_cutoff), and each 16-point panel
+    covers about two oscillations of e^{i xi u_max}.  S+ = S(xi, k+) and
+    S- = S(xi, k-) come from the exact squares of _head_segments.  A segment
+    that would need more than _MAX_PANELS panels raises DomainError.  The
+    caller folds with e^{i xi u} + sigma e^{-i xi u} and applies 1/(2pi).
     """
     if v_min <= 0.02:
         raise DomainError("real_axis_rule requires vertical decay v_min > 0.02")
     k1, k2 = sorted((k_plus, k_minus))
-    w0 = 38.0 / v_min + 1.0
-    xi, w, _ = _head_segments(k1, k2, u_max, v_min, w0, refine)
-    return xi, w
+    c, p = (0.5, 0) if above else (abs(k_plus ** 2 - k_minus ** 2) / 8, 2)
+    w0 = _tail_cutoff(c, p, v_min)
+    counts = [max(n, 3) * refine
+              for n in _segment_panels(k1, k2, u_max, v_min, w0, 2)]
+    if max(counts) > _MAX_PANELS:
+        raise DomainError(
+            f"shared spectral rule needs {int(max(counts))} panels on one "
+            f"segment (limit {_MAX_PANELS}): u_max = {u_max:.6g}, "
+            f"v_min = {v_min:.6g}, refine = {refine}")
+    xi, w, s1, s2, _ = _head_segments(k1, k2, w0, counts)
+    sp, sm = (s1, s2) if k_plus < k_minus else (s2, s1)
+    return xi, w, sp, sm
 
 
 def _fold_factors(xi, expo, pos, height, scale):
@@ -241,19 +328,22 @@ def _gemm(c, a, b, alpha=1.0):
     gemm(alpha, a.T, b.T, beta=1.0, c=c, trans_a=1, overwrite_c=1)
 
 
-def _syrk(c, a):
-    """Upper triangle of c += a a^T in place; a (n, k) C-ordered, c Fortran-ordered."""
+def _syrk(c, a, alpha):
+    """Upper triangle of c += alpha a a^T in place; a (n, k) C-ordered, c
+    Fortran-ordered."""
     syrk, = get_blas_funcs(("syrk",), (a, c))
-    syrk(1.0, a.T, beta=1.0, c=c, trans=1, overwrite_c=1)
+    syrk(alpha, a.T, beta=1.0, c=c, trans=1, overwrite_c=1)
 
 
-def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric):
+def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric, sign):
     """Add one part of the folded rule to sums = (I, dI/dy1, dI/dy2); st is
     the targets' exponent, S- below the interface and -S+ above it.
 
     The dtype of the rule (real beyond both branch points, complex below)
     picks real or complex BLAS.  In the symmetric case sums hold the upper
-    triangles of I and dI/dy2 and, for dI/dy1, M with dI/dy1 = M^T - M.
+    triangles of I and dI/dy2 and, for dI/dy1, M with dI/dy1 = M^T - M; the
+    factors there carry sqrt(sign base), so sign (+-1) makes sign base
+    positive where the rule is real.
     """
     i4, g1, g2 = sums
     blk = max(1, _BLOCK // (2 * max(s.size, t.size, 1)))
@@ -261,11 +351,12 @@ def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric):
         sl = slice(lo, lo + blk)
         nq = xi[sl].size
         if symmetric:
-            # with sqrt(base) in both factors, I4 = X X^T; likewise sqrt(S-)
-            x = _fold_factors(xi[sl], sm[sl], t, f, np.sqrt(base[sl]))
-            _syrk(i4, x)
-            _syrk(g2, x * np.tile(np.sqrt(sm[sl]), 2))
-            _gemm(g1, x[:, :nq] * xi[sl], x[:, nq:])
+            # with sqrt(sign base) in both factors, I4 = sign X X^T; likewise
+            # sqrt(S-)
+            x = _fold_factors(xi[sl], sm[sl], t, f, np.sqrt(sign * base[sl]))
+            _syrk(i4, x, sign)
+            _syrk(g2, x * np.tile(np.sqrt(sm[sl]), 2), sign)
+            _gemm(g1, x[:, :nq] * xi[sl], x[:, nq:], alpha=sign)
             continue
         xs = _fold_factors(xi[sl], st[sl], s, fs, base[sl])
         xt = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
@@ -285,13 +376,17 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     targets x_i = (s_i, fs_i) all on one side of it (DomainError otherwise).
     Returns (I, dI/dy1, dI/dy2), dense complex arrays with
 
-        I[i, j] = (1/2pi) int_R  E_i e^{S-(xi) f_j} / (S+ + S-)
-                  e^{i xi (s_i - t_j)} d xi,
+        I[i, j] = (1/2pi) int_R  E_i e^{S-(xi) f_j} g(xi)
+                  e^{i xi (s_i - t_j)} d xi.
 
-    E_i = e^{S- fs_i} below the interface (case 4: the layer part I4, to
-    which the closed-form Hankel terms add) and e^{-S+ fs_i} at or above it
-    (case 2: all of G).  The rule on xi > 0 spans u_max = max|s_i - t_j| and
-    decays at least as e^{-xi v_min}, v_min = min|fs| + min|f|.  The fold
+    Below the interface E_i = e^{S- fs_i} and
+    g = (k+^2 - k-^2) / (2 S- (S+ + S-)^2) = 1/(S+ + S-) - 1/(2 S-): the
+    integrand of case 4 minus that of the mirror term Phi_{k-}(x, y') (the
+    Sommerfeld identity), so I is the smooth remainder R = G - Phi_{k-}(x, y)
+    itself.  At or above it E_i = e^{-S+ fs_i} and g = 1/(S+ + S-) (case 2:
+    all of G).  The rule on xi > 0 (real_axis_rule) spans
+    u_max = max|s_i - t_j| and decays at least as e^{-xi v_min},
+    v_min = min|fs| + min|f|.  The fold
     e^{i xi u} + e^{-i xi u} = 2 [cos xi s cos xi t + sin xi s sin xi t]
     (2 sin(xi u) for the odd dI/dy1) writes every sum as products of the
     per-node factors E cos(xi t), E sin(xi t).  Beyond both branch points
@@ -308,25 +403,33 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     fs = f if symmetric else np.asarray(fs_vals, dtype=float)
     if np.any(f >= 0):
         raise DomainError("surface nodes must lie strictly below the interface")
-    above = fs >= 0
-    if above.any() and not above.all():
+    up = fs >= 0
+    if up.any() and not up.all():
         raise DomainError("targets must lie on one side of the interface")
+    above = bool(up.any())
     u_max = float(max(s.max() - t.min(), t.max() - s.min()))
     v_min = float(np.abs(fs).min() + np.abs(f).min())
-    xi, w = real_axis_rule(k_plus, k_minus, u_max, v_min, refine=refine)
-    sp = vertical_wavenumber(xi, k_plus)
-    sm = vertical_wavenumber(xi, k_minus)
-    st = -sp if above.any() else sm
-    base = w / (sp + sm) / np.pi        # 2 / (2 pi): the fold's factor 2
+    xi, w, sp, sm = real_axis_rule(k_plus, k_minus, u_max, v_min, above,
+                                   refine=refine)
+    # 2 / (2 pi): the fold's factor 2
+    if above:
+        st = -sp
+        base = w / (sp + sm) / np.pi
+    else:
+        st = sm
+        base = w * (k_plus ** 2 - k_minus ** 2) / (2 * sm * (sp + sm) ** 2)
+        base /= np.pi
+    # the sign of base on the real part of the rule (symmetric case only)
+    sign = 1.0 if k_plus > k_minus else -1.0
     real = (sp.imag == 0) & (sm.imag == 0)
     shape = (s.size, t.size)
     sums = [np.zeros(shape, dtype=complex, order="F") for _ in range(3)]
     _fold_sums(sums, xi[~real], sm[~real], st[~real], base[~real],
-               s, fs, t, f, symmetric)
+               s, fs, t, f, symmetric, sign)
     if real.any():
         part = [np.zeros(shape, order="F") for _ in range(3)]
         _fold_sums(part, xi[real], sm[real].real, st[real].real,
-                   base[real].real, s, fs, t, f, symmetric)
+                   base[real].real, s, fs, t, f, symmetric, sign)
         for acc, p in zip(sums, part):
             acc += p
         del part        # freed before the symmetrizing temporaries below

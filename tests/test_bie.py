@@ -585,22 +585,20 @@ def test_remainder_targets_above_interface(kp, km):
 
 
 def test_remainder_fold_against_extended_precision_sum():
-    # the real/complex BLAS fold reproduces the rule's sum of
-    # base e^{S-(f_i+f_j)} 2cos(xi (t_i - t_j)) (and its derivative factors)
-    # summed entry by entry in long double
+    # the real/complex BLAS fold reproduces the rule's sum of the
+    # mirror-subtracted integrand base e^{S-(f_i+f_j)} 2cos(xi (t_i - t_j)),
+    # base = w (k+^2 - k-^2) / (2 S- (S+ + S-)^2) / pi (and its derivative
+    # factors), summed entry by entry in long double from the rule's nodes
     kp, km = 3.0, 4.0
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
     f = np.asarray(builtin("gamma3").f(t), float)
     i4, g1, g2 = sommerfeld.remainder_matrices(kp, km, t, f)
-    xi, w = sommerfeld.real_axis_rule(kp, km, t[-1] - t[0], -2 * f.max())
+    xi, w, sp, sm = sommerfeld.real_axis_rule(kp, km, t[-1] - t[0],
+                                              -2 * f.max(), False)
     x = xi.astype(np.longdouble)
-
-    def vertical(a):
-        d = x * x - np.longdouble(a) ** 2
-        return np.where(d > 0, np.sqrt(np.abs(d)), -1j * np.sqrt(np.abs(d)))
-
-    sm = vertical(km)
-    base = w.astype(np.longdouble) / (vertical(kp) + sm) / np.pi
+    sp, sm = sp.astype(np.clongdouble), sm.astype(np.clongdouble)
+    gap = np.longdouble(kp) ** 2 - np.longdouble(km) ** 2
+    base = w.astype(np.longdouble) * gap / (2 * sm * (sp + sm) ** 2) / np.pi
     for i, j in [(0, 96), (10, 11), (48, 48), (70, 5), (33, 90)]:
         e = base * np.exp(sm * (np.longdouble(f[i]) + np.longdouble(f[j])))
         ph = x * (np.longdouble(t[i]) - np.longdouble(t[j]))

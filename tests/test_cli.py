@@ -153,6 +153,17 @@ def test_cli_impedance_beta_checked_on_every_node(tmp_path, capsys):
     assert "Re beta > 0" in capsys.readouterr().err
 
 
+def test_cli_rule_panel_limit_exit_code(tmp_path, capsys):
+    # at A/pi = 40 a surface at -0.05 (v_min = 0.1) needs more than 4000
+    # panels on a segment of the shared rule: assembly refuses with exit 3
+    raw = dict(_PRESETS["example3-dbvp"], surface={"expr": "-0.05"},
+               A_over_pi=40, N=4)
+    cfg_path = tmp_path / "panels.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 3
+    assert "panels" in capsys.readouterr().err
+
+
 def test_cli_presets(capsys):
     assert main(["presets", "list"]) == 0
     out = capsys.readouterr().out.split()

@@ -1,6 +1,7 @@
 """Two-layered Green function: values, gradients, invariants, reference field."""
 
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from layerscat.green import (MediumPair, fresnel_R, fresnel_T, grad_green_x,
                              reference_field_plane, reference_field_plane_grad,
                              transmitted_direction)
 from layerscat.specfun import hankel1
+from layerscat.surface import builtin
 
 MED = MediumPair(2.7, 3.5)
 
@@ -313,9 +315,9 @@ def test_surface_batch_rule_spans_one_target(monkeypatch, x):
     seen = []
     rule = sommerfeld.real_axis_rule
 
-    def spy(k_plus, k_minus, u_max, v_min, refine=1):
+    def spy(k_plus, k_minus, u_max, v_min, *args, **kwargs):
         seen.append((u_max, v_min))
-        return rule(k_plus, k_minus, u_max, v_min, refine=refine)
+        return rule(k_plus, k_minus, u_max, v_min, *args, **kwargs)
 
     monkeypatch.setattr(sommerfeld, "real_axis_rule", spy)
     t = np.linspace(-4, 4, 9)
@@ -394,3 +396,47 @@ def test_surface_batch_fallback_near_interface():
     out = green_surface_batch(MED, (0.5, 0.0), t, f)
     ref = np.array([green(MED, (0.5, 0.0), (tj, -0.01)) for tj in t])
     assert np.abs(out["val"] - ref).max() <= 1e-9
+
+
+def test_surface_batch_order_one_hankel_only_for_gradient(monkeypatch):
+    # below the interface the batch adds the direct term Phi_{k-}(x, y); its
+    # order-1 Hankel pass serves only the gradient
+    green_mod = importlib.import_module("layerscat.green")
+    orders = []
+
+    def spy(order, z):
+        orders.append(order)
+        return hankel1(order, z)
+
+    monkeypatch.setattr(green_mod, "hankel1", spy)
+    t = np.linspace(-4, 4, 9)
+    f = -1 + 0.3 * np.sin(0.7 * np.pi * t)
+    x = (1.0, -0.2)
+    val = green_surface_batch(MED, x, t, f)["val"]
+    assert orders == [0]
+    grad = green_surface_batch(MED, x, t, f, grad_y=True)
+    assert orders == [0, 0, 1]
+    assert np.array_equal(grad["val"], val)
+
+
+def test_surface_batch_memory_below_matches_above():
+    # the direct term goes into the shared rule's output in place, in row
+    # blocks: a call below the interface peaks (tracemalloc) no more than
+    # 10% above the same call above it, with and without the gradient
+    import tracemalloc
+    med = MediumPair(2.7, 3.5)
+    t = -10 * math.pi + (math.pi / 32) * np.arange(641)
+    f = np.asarray(builtin("gamma3").f(t), float)
+    x1 = np.linspace(-9.0, 9.0, 780)
+    peak = {}
+    for x2 in (-0.5, 0.5):
+        for grad in (False, True):
+            tracemalloc.start()
+            try:
+                green_surface_batch(med, (x1, np.full_like(x1, x2)), t, f,
+                                    grad_y=grad)
+                peak[x2, grad] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for grad in (False, True):
+        assert peak[-0.5, grad] <= 1.1 * peak[0.5, grad]

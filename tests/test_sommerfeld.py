@@ -1,0 +1,114 @@
+"""The shared spectral rule: accuracy against pointwise evaluation, stability
+under refinement, its size against the fixed-cutoff rule, its panel limit."""
+
+import math
+
+import numpy as np
+import pytest
+
+from layerscat import sommerfeld
+from layerscat.errors import DomainError
+from layerscat.green import (MediumPair, grad_green_y, green,
+                             green_remainder_modes)
+from layerscat.surface import builtin
+
+MEDIA = [(3.0, 4.0), (2.7, 3.5), (3.5, 2.7)]
+MODES = ("val", "dy1", "dy2")
+
+
+def _grid(surface, a_half=10 * math.pi, n=16):
+    """The 321 nodes of a full-width N = 16 grid on [-10 pi, 10 pi]."""
+    t = -a_half + (math.pi / n) * np.arange(int(2 * a_half * n / math.pi) + 1)
+    return t, np.asarray(builtin(surface).f(t), float)
+
+
+@pytest.mark.parametrize("surface", ["gamma1", "gamma2", "gamma3"])
+@pytest.mark.parametrize("kp,km", MEDIA)
+def test_shared_rule_against_pointwise(kp, km, surface):
+    # the mirror-subtracted rule gives R below the interface and the plain
+    # one G above it; corner pairs |s - t| = u_max set the panel count and
+    # the diagonal is where R is least smooth in the rule's eyes
+    med = MediumPair(kp, km)
+    t, f = _grid(surface)
+    n = t.size
+    rem = sommerfeld.remainder_matrices(kp, km, t, f)
+    for i, j in [(0, n - 1), (n - 1, 0), (0, 0), (n // 2, n // 2),
+                 (n - 1, n - 1), (37, 250)]:
+        ref = green_remainder_modes(med, (t[i], f[i]), (t[j], f[j]),
+                                    modes=MODES, tol=1e-13)
+        for mat, m in zip(rem, MODES):
+            assert abs(mat[i, j] - ref[m]) <= 1e-13
+    s = np.array([t[0], 0.3, t[-1]])
+    fs = np.array([0.2, 0.0, 1.1])
+    up = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=s, fs_vals=fs)
+    for i in range(s.size):
+        for j in (0, n // 2, n - 1):
+            x, y = (s[i], fs[i]), (t[j], f[j])
+            ref = (green(med, x, y, tol=1e-13),)
+            ref += grad_green_y(med, x, y, tol=1e-13)
+            for mat, r in zip(up, ref):
+                assert abs(mat[i, j] - r) <= 1e-13
+
+
+@pytest.mark.parametrize("kp,km", MEDIA)
+def test_shared_rule_refinement_stable(kp, km):
+    # S+- from the exact squares of the substitutions keep the rule's error
+    # at rounding level as the panels multiply; sqrt(xi^2 - k^2) of the
+    # rounded nodes lets the 1/S- factor grow it with refine
+    t, f = _grid("gamma3")
+    coarse = sommerfeld.remainder_matrices(kp, km, t, f, refine=1)
+    for refine in (2, 3):
+        fine = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine)
+        for a, b in zip(coarse, fine):
+            assert np.abs(a - b).max() <= 1e-14
+
+
+def _fixed_cutoff_rule(k_plus, k_minus, u_max, v_min):
+    """Size of the shared rule before it was sized by a tolerance: cutoff
+    w0 = 38 / v_min + 1, one oscillation per 16-point panel, each segment
+    clipped at 4000 panels.  Returns (nodes, whether a segment was clipped)."""
+    k1, k2 = sorted((k_plus, k_minus))
+    phase = u_max / (2 * math.pi)
+    w0 = 38.0 / v_min + 1.0
+    c = 0.5 * (k2 - k1)
+    counts = [max(math.ceil(n), 3) for n in (
+        k1 * phase + 0.15 * k1 * v_min,
+        2 * c * phase + 0.3 * c * v_min,
+        (math.hypot(k2, w0) - k2) * phase + 0.2 * w0 * v_min)]
+    return 16 * sum(min(n, 4000) for n in counts), max(counts) > 4000
+
+
+@pytest.mark.parametrize("kp,km", [(3.0, 4.0), (4.0, 3.0), (1.0, 40.0)])
+def test_shared_rule_never_larger_than_fixed_cutoff(kp, km):
+    checked = 0
+    for u_max in (1.0, 20 * math.pi, 80 * math.pi):
+        for v_min in (0.021, 0.2, 2.0, 10.0):
+            old, clipped = _fixed_cutoff_rule(kp, km, u_max, v_min)
+            for above in (False, True):
+                try:
+                    xi = sommerfeld.real_axis_rule(kp, km, u_max, v_min,
+                                                   above)[0]
+                except DomainError:
+                    # refused only where the fixed rule ran under-resolved
+                    assert clipped
+                    continue
+                assert xi.size <= old
+                checked += 1
+    assert checked >= 12
+
+
+def test_shared_rule_refuses_too_many_panels():
+    # at A/pi = 40 (u_max = 80 pi) the rule needs more than 4000 panels on a
+    # segment once v_min falls to 0.1; it says so instead of clipping
+    with pytest.raises(DomainError, match="panels"):
+        sommerfeld.real_axis_rule(3.0, 4.0, 80 * math.pi, 0.1, False)
+    # where it fits, the doubled rule of the two-pass check is twice the size
+    one = sommerfeld.real_axis_rule(3.0, 4.0, 80 * math.pi, 0.3, False)
+    two = sommerfeld.real_axis_rule(3.0, 4.0, 80 * math.pi, 0.3, False,
+                                    refine=2)
+    assert two[0].size == 2 * one[0].size
+    # roughplane-ibvp: example3 media, A = 10 pi, gamma3 (v_min = 2 * 0.84)
+    for refine in (1, 2):
+        xi = sommerfeld.real_axis_rule(3.0, 4.0, 20 * math.pi, 1.68, False,
+                                       refine=refine)[0]
+        assert xi.size <= 1500 * refine
