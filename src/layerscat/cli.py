@@ -1,6 +1,7 @@
 """Configuration-driven experiment runner and command-line interface.
 
-Config files are JSON:
+Config files are JSON, one key per setting; any other key, also inside
+incident, surface or beta, is a configuration error:
 
     {
       "problem":  "dirichlet" | "impedance",
@@ -30,7 +31,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -81,6 +82,12 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _known_keys(mapping, allowed, where):
+    """ConfigError naming every key of mapping that allowed lacks."""
+    unknown = sorted(repr(k) for k in set(mapping) - set(allowed))
+    _require(not unknown, f"{where}: unknown key(s) {', '.join(unknown)}")
+
+
 def _number(value, name) -> float:
     """value as a finite float, or ConfigError naming the field."""
     try:
@@ -102,6 +109,7 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     """Validate a raw config mapping (file contents) into a RunConfig."""
     data = dict(raw)
     data.update({k: v for k, v in overrides.items() if v is not None})
+    _known_keys(data, (f.name for f in fields(RunConfig)), "config")
     problem = data.get("problem")
     _require(problem in ("dirichlet", "impedance"),
              f"problem: expected 'dirichlet' or 'impedance', got {problem!r}")
@@ -113,9 +121,13 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     _require(isinstance(surf, str) or (isinstance(surf, dict)
                                        and isinstance(surf.get("expr"), str)),
              "surface: builtin name or {'expr': '...'} required")
+    if isinstance(surf, dict):
+        _known_keys(surf, ("expr",), "surface")
     inc = data.get("incident")
     _require(isinstance(inc, dict) and inc.get("type") in ("plane", "point"),
              "incident: {'type': 'plane'|'point', ...} required")
+    _known_keys(inc, ("type", "theta_d" if inc["type"] == "plane" else "y0"),
+                "incident")
     if inc["type"] == "plane":
         theta = _number(inc.get("theta_d"), "incident.theta_d")
         _require(math.pi - 1e-12 <= theta <= 2 * math.pi + 1e-12,
@@ -131,6 +143,7 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     if isinstance(beta, dict):
         _require(isinstance(beta.get("expr"), str),
                  f"beta: {{'expr': '...'}} needs a string, got {beta!r}")
+        _known_keys(beta, ("expr",), "beta")
     else:
         _require(not pair or len(beta) == 2, f"beta: [re, im] required, got {beta!r}")
         for v in beta if pair else [beta]:
@@ -141,16 +154,8 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
         _require(eta > 0, f"eta: must be positive, got {eta}")
     n = _integer(data.get("N", 16), "N")
     _require(n >= 1, f"N: must be >= 1, got {n}")
-    if "A_over_pi" in data:
-        a_pi = _integer(data["A_over_pi"], "A_over_pi")
-        _require(a_pi >= 1, f"A_over_pi: positive integer required, got {a_pi}")
-    elif "A" in data:
-        a_val = _number(data["A"], "A")
-        a_pi = round(a_val / math.pi)
-        _require(a_pi >= 1 and abs(a_val - a_pi * math.pi) < 1e-9,
-                 f"A: must be a positive multiple of pi, got {a_val}")
-    else:
-        a_pi = _DEF_A_OVER_PI
+    a_pi = _integer(data.get("A_over_pi", _DEF_A_OVER_PI), "A_over_pi")
+    _require(a_pi >= 1, f"A_over_pi: positive integer required, got {a_pi}")
     pts = data.get("eval_points", ())
     _require(isinstance(pts, (list, tuple)), "eval_points: list of [x1, x2] required")
     points = []
@@ -228,24 +233,27 @@ def build_problem(config: RunConfig) -> BoundaryProblem:
 
 
 def _exact_reference(config: RunConfig, problem: BoundaryProblem):
-    """Closed-form reference at an eval point, when one exists.
+    """Closed-form reference on a point set, when one exists.
 
-    Returns (label, fn) with fn(x) -> complex, or (None, None):
-      * point incidence: exact scattered field G(x, y0);
-      * plane incidence on a flat surface: exact total field (four waves).
+    Returns (label, fn) with fn((x1, x2)) -> complex array, or (None, None):
+      * point incidence: exact scattered field G(x, y0), one scalar green()
+        per point, independent of the shared rule behind the boundary data;
+      * plane incidence with surface and beta constant on [-A, A] and
+        [-30, 30] (sampled at spacing 0.1): exact total field (four waves).
     """
     inc = config.incident
     if inc["type"] == "point":
         y0 = tuple(inc["y0"])
-        return "scattered", lambda x: point_source_exact(problem.medium, y0, x)
-    surf = problem.surface
-    grid = np.linspace(-30, 30, 601)
-    vals = np.asarray(surf.f(grid), dtype=float)
-    if np.ptp(vals) < 1e-14:
-        beta0 = complex(np.asarray(problem.beta(0.0), dtype=complex)) \
-            if problem.kind == "impedance" else 1.0
+        return "scattered", lambda pts: np.array(
+            [point_source_exact(problem.medium, y0, x) for x in zip(*pts)])
+    half = max(30.0, config.A)
+    sample = np.linspace(-half, half, 20 * math.ceil(half) + 1)
+    vals = np.asarray(problem.surface.f(sample), dtype=float)
+    beta = np.asarray(problem.beta(sample), dtype=complex) \
+        if problem.kind == "impedance" else np.ones(1)
+    if np.ptp(vals) < 1e-14 and np.abs(beta - beta[0]).max() < 1e-14:
         fw = four_wave_exact(problem.medium, inc["theta_d"], problem.kind,
-                             beta0=beta0, plane_height=float(vals[0]))
+                             beta0=complex(beta[0]), plane_height=float(vals[0]))
         return "total", fw.field
     return None, None
 
@@ -291,6 +299,7 @@ def run(config: RunConfig) -> RunReport:
     plane = config.incident["type"] == "plane"
     if plane:
         u0 = reference_field_plane(problem.medium, config.incident["theta_d"], pts)
+    exact = exact_fn(pts) if exact_fn is not None else None
     for i, x in enumerate(config.eval_points):
         us = complex(scattered[i])
         row = {"x1": x[0], "x2": x[1], "scattered": us, "near_surface": bool(near[i])}
@@ -298,7 +307,7 @@ def run(config: RunConfig) -> RunReport:
             row["reference"] = complex(u0[i])
             row["total"] = us + row["reference"]
         if exact_fn is not None:
-            ex = complex(exact_fn(x))
+            ex = complex(exact[i])
             approx = row["total"] if label == "total" else us
             row["exact_" + label] = ex
             row["abs_error"] = abs(approx - ex)

@@ -309,30 +309,38 @@ def _check_downward(theta_d):
         raise DomainError("reference field requires downward incidence (sin theta_d <= 0)")
 
 
-def _reference_field(medium: MediumPair, theta_d: float, x):
-    """u0 and its gradient on a point or point set x = (x1, x2), as arrays
-    of the points' shape: incident + reflected above x2 = 0, transmitted
-    below."""
+def _plane_waves(medium: MediumPair, theta_d: float, coeffs, x):
+    """(u, du/dx1, du/dx2) on a point or point set x = (x1, x2), as arrays of
+    the points' shape, for coeffs = (a, b, c, e):
+
+        u = a e^{i k+ x.d} + b e^{i k+ x.d_r}    at or above x2 = 0,
+        u = c e^{i k- x.d_t} + e e^{i k- x.d_n}  below it,
+
+    with d = (cos theta_d, sin theta_d), d_t = transmitted_direction and
+    d_r, d_n their mirror images.  A zero coefficient adds nothing, even where
+    its wave (the growing one of an evanescent pair) would overflow."""
     _check_downward(theta_d)
     x1, x2 = _points(x)
-    kp, km = medium.k_plus, medium.k_minus
-    r = fresnel_R(medium, math.pi + theta_d)
-    d1, d2 = math.cos(theta_d), math.sin(theta_d)
+    up = x2 >= 0
+    d = (math.cos(theta_d), math.sin(theta_d))
     dt = transmitted_direction(medium, theta_d)
     u, g1, g2 = (np.empty(x1.shape, dtype=complex) for _ in range(3))
-    up = x2 >= 0
-    a1, a2 = x1[up], x2[up]
-    ui = np.exp(1j * kp * (a1 * d1 + a2 * d2))
-    ur = r * np.exp(1j * kp * (a1 * d1 - a2 * d2))
-    u[up] = ui + ur
-    g1[up] = 1j * kp * d1 * (ui + ur)
-    g2[up] = 1j * kp * (d2 * ui - d2 * ur)
-    down = ~up
-    ut = (r + 1.0) * np.exp(1j * km * (x1[down] * dt[0] + x2[down] * dt[1]))
-    u[down] = ut
-    g1[down] = 1j * km * dt[0] * ut
-    g2[down] = 1j * km * dt[1] * ut
+    for side, k, (p1, p2), (ca, cb) in ((up, medium.k_plus, d, coeffs[:2]),
+                                        (~up, medium.k_minus, dt, coeffs[2:])):
+        y1, y2 = x1[side], x2[side]
+        ea = ca * np.exp(1j * k * (y1 * p1 + y2 * p2))
+        eb = cb * np.exp(1j * k * (y1 * p1 - y2 * p2)) if cb != 0 else 0.0
+        u[side] = ea + eb
+        g1[side] = 1j * k * p1 * (ea + eb)
+        g2[side] = 1j * k * (p2 * ea - p2 * eb)
     return u[()], g1[()], g2[()]
+
+
+def _reference_field(medium: MediumPair, theta_d: float, x):
+    """u0 and its gradient, as _plane_waves gives them: incident + reflected
+    above x2 = 0, transmitted below."""
+    r = fresnel_R(medium, math.pi + theta_d)
+    return _plane_waves(medium, theta_d, (1.0, r, r + 1.0, 0.0), x)
 
 
 def _incident_field(medium: MediumPair, incident: dict):

@@ -23,8 +23,8 @@ import numpy as np
 from . import sommerfeld
 from .bie import BoundaryProblem
 from .errors import DomainError, SingularityError, SolverError
-from .green import (MediumPair, _points, green, green_surface_batch,
-                    transmitted_direction)
+from .green import (MediumPair, _check_downward, _plane_waves, _points, green,
+                    green_surface_batch, transmitted_direction)
 from .nystrom import DensitySolution
 from .surface import SurfaceProfile
 
@@ -96,7 +96,8 @@ def eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
 class FourWaveSolution:
     """Exact total field for the flat boundary x2 = plane_height under the
     interface: A e^{i k+ x.d} + B e^{i k+ x.d_r} above the interface,
-    C e^{i k- x.d_t} + D e^{i k- x.d_n} between interface and boundary."""
+    C e^{i k- x.d_t} + D e^{i k- x.d_n} between interface and boundary
+    (directions as in green._plane_waves)."""
 
     medium: MediumPair
     theta_d: float
@@ -107,54 +108,28 @@ class FourWaveSolution:
     B_c: complex
     C_c: complex
     D_c: complex
-    d: np.ndarray
-    d_r: np.ndarray
-    d_t: np.ndarray
-    d_n: np.ndarray
 
-    def field(self, x) -> complex:
-        x1, x2 = float(x[0]), float(x[1])
-        kp, km = self.medium.k_plus, self.medium.k_minus
-        if x2 >= 0:
-            return complex(
-                self.A_c * np.exp(1j * kp * (x1 * self.d[0] + x2 * self.d[1]))
-                + self.B_c * np.exp(1j * kp * (x1 * self.d_r[0] + x2 * self.d_r[1])))
-        return complex(
-            self.C_c * np.exp(1j * km * (x1 * self.d_t[0] + x2 * self.d_t[1]))
-            + self.D_c * np.exp(1j * km * (x1 * self.d_n[0] + x2 * self.d_n[1])))
+    def _waves(self, x):
+        return _plane_waves(self.medium, self.theta_d,
+                            (self.A_c, self.B_c, self.C_c, self.D_c), x)
 
-    def _grad(self, x):
-        x1, x2 = float(x[0]), float(x[1])
-        kp, km = self.medium.k_plus, self.medium.k_minus
-        if x2 >= 0:
-            ea = self.A_c * np.exp(1j * kp * (x1 * self.d[0] + x2 * self.d[1]))
-            eb = self.B_c * np.exp(1j * kp * (x1 * self.d_r[0] + x2 * self.d_r[1]))
-            return (1j * kp * (self.d[0] * ea + self.d_r[0] * eb),
-                    1j * kp * (self.d[1] * ea + self.d_r[1] * eb))
-        ec = self.C_c * np.exp(1j * km * (x1 * self.d_t[0] + x2 * self.d_t[1]))
-        ed = self.D_c * np.exp(1j * km * (x1 * self.d_n[0] + x2 * self.d_n[1]))
-        return (1j * km * (self.d_t[0] * ec + self.d_n[0] * ed),
-                1j * km * (self.d_t[1] * ec + self.d_n[1] * ed))
+    def field(self, x):
+        """Total field at one point (complex) or at a point set x = (x1, x2)
+        of coordinate arrays (array of the points' shape)."""
+        return self._waves(x)[0]
 
     def boundary_residual(self, x1_samples) -> float:
         """Max violation of the interface transmission conditions and the
         boundary condition at x2 = plane_height over the sample abscissas."""
-        worst = 0.0
-        for x1 in np.atleast_1d(x1_samples):
-            up = self.field((x1, 1e-30))
-            dn = self.field((x1, -1e-30))
-            worst = max(worst, abs(up - dn))
-            gu = self._grad((x1, 1e-30))
-            gd = self._grad((x1, -1e-30))
-            worst = max(worst, abs(gu[1] - gd[1]))
-            xb = (x1, self.plane_height)
-            if self.kind == "dirichlet":
-                worst = max(worst, abs(self.field(xb)))
-            else:
-                g = self._grad(xb)
-                km = self.medium.k_minus
-                worst = max(worst, abs(-g[1] - 1j * km * self.beta0 * self.field(xb)))
-        return worst
+        x1 = np.atleast_1d(np.asarray(x1_samples, dtype=float))
+        heights = np.array([[1e-30], [-1e-30], [self.plane_height]])
+        u, _, g2 = self._waves((x1, heights))
+        if self.kind == "dirichlet":
+            bc = u[2]
+        else:
+            bc = -g2[2] - 1j * self.medium.k_minus * self.beta0 * u[2]
+        misfit = np.concatenate((u[0] - u[1], g2[0] - g2[1], bc))
+        return float(np.abs(misfit).max(initial=0.0))
 
 
 def four_wave_exact(medium: MediumPair, theta_d: float, kind: str,
@@ -168,28 +143,21 @@ def four_wave_exact(medium: MediumPair, theta_d: float, kind: str,
         raise DomainError(f"unknown boundary kind {kind!r}")
     if not plane_height < 0:
         raise DomainError("boundary plane must lie below the interface")
-    if math.sin(theta_d) > 1e-12:
-        raise DomainError("four-wave solution requires downward incidence")
+    _check_downward(theta_d)
     kp, km = medium.k_plus, medium.k_minus
-    d = np.array([math.cos(theta_d), math.sin(theta_d)], dtype=complex)
-    d_r = np.array([d[0], -d[1]], dtype=complex)
-    d_t = transmitted_direction(medium, theta_d)
-    d_n = np.array([d_t[0], -d_t[1]], dtype=complex)
-    p = plane_height
-    e_t = np.exp(1j * km * d_t[1] * p)
-    e_n = np.exp(1j * km * d_n[1] * p)
-    mat = np.zeros((3, 3), dtype=complex)
-    rhs = np.zeros(3, dtype=complex)
-    mat[0] = [1.0, -1.0, -1.0]
-    rhs[0] = -1.0
-    mat[1] = [-1j * kp * d[1], -1j * km * d_t[1], -1j * km * d_n[1]]
-    rhs[1] = -1j * kp * d[1]
+    d2 = math.sin(theta_d)
+    # vertical components: d_t2 of the transmitted wave, -d_t2 of its mirror
+    t2 = transmitted_direction(medium, theta_d)[1]
+    e_t = np.exp(1j * km * t2 * plane_height)
+    e_n = np.exp(-1j * km * t2 * plane_height)
     if kind == "dirichlet":
-        mat[2] = [0.0, e_t, e_n]
+        bc = [0.0, e_t, e_n]
     else:
-        mat[2] = [0.0,
-                  (-1j * km * d_t[1] - 1j * km * beta0) * e_t,
-                  (-1j * km * d_n[1] - 1j * km * beta0) * e_n]
+        bc = [0.0, (-1j * km * t2 - 1j * km * beta0) * e_t,
+              (1j * km * t2 - 1j * km * beta0) * e_n]
+    mat = np.array([[1.0, -1.0, -1.0],
+                    [-1j * kp * d2, -1j * km * t2, 1j * km * t2], bc])
+    rhs = np.array([-1.0, -1j * kp * d2, 0.0])
     try:
         b, c, dd = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
@@ -197,7 +165,7 @@ def four_wave_exact(medium: MediumPair, theta_d: float, kind: str,
     return FourWaveSolution(medium=medium, theta_d=theta_d, kind=kind,
                             beta0=complex(beta0), plane_height=plane_height,
                             A_c=1.0 + 0j, B_c=complex(b), C_c=complex(c),
-                            D_c=complex(dd), d=d, d_r=d_r, d_t=d_t, d_n=d_n)
+                            D_c=complex(dd))
 
 
 def point_source_exact(medium: MediumPair, y0, x,

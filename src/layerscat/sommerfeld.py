@@ -69,7 +69,7 @@ _BLOCK = 500_000
 #: absolute bound on the part of each shared-rule integral beyond its cutoff
 _RULE_TOL = 1e-15
 
-#: panels per segment of a rule; the shared rule refuses to exceed it
+#: panels per segment of a rule; both rules refuse to exceed it
 _MAX_PANELS = 4000
 
 #: derivative factors; sigma = +1 keeps the even fold 2cos, -1 the odd 2i sin
@@ -125,16 +125,23 @@ def _panel_nodes(edges):
     return x, w
 
 
-def _segment_panels(k1, k2, u_abs, v, w0, oscillations):
+def _segment_panels(k1, k2, u_abs, v, w0, oscillations, refine):
     """Panel counts of the three segments of _head_segments: enough for the
     given number of oscillations of e^{i xi u_abs} per panel, plus a share
-    for the decay e^{-xi v}."""
+    for the decay e^{-xi v}, at least 3, times refine.  A segment that would
+    need more than _MAX_PANELS panels raises DomainError."""
     phase = u_abs / (2 * np.pi * oscillations)
     c = 0.5 * (k2 - k1)
     ximax = np.hypot(k2, w0)
-    return (np.ceil(k1 * phase + 0.15 * k1 * v),
-            np.ceil(2 * c * phase + 0.3 * c * v),
-            np.ceil((ximax - k2) * phase + 0.2 * w0 * v))
+    counts = [int(max(n, 3) * refine)
+              for n in (np.ceil(k1 * phase + 0.15 * k1 * v),
+                        np.ceil(2 * c * phase + 0.3 * c * v),
+                        np.ceil((ximax - k2) * phase + 0.2 * w0 * v))]
+    if max(counts) > _MAX_PANELS:
+        raise DomainError(
+            f"spectral rule needs {max(counts)} panels on one segment (limit "
+            f"{_MAX_PANELS}): u = {u_abs:.6g}, v = {v:.6g}, refine = {refine}")
+    return counts
 
 
 def _head_segments(k1, k2, w0, counts):
@@ -171,11 +178,9 @@ def _head_segments(k1, k2, w0, counts):
             np.concatenate(s1), np.concatenate(s2), np.hypot(k2, w0))
 
 
-def _ray_tail(kern, modes, t0, u, coeff, v, refine, tol):
-    """integral_{T0}^{inf} g f e^{i xi u} d xi, rotated by sign(u) * pi/4.
-
-    coeff scales the contribution (1 or sigma).  Returns dict mode -> value.
-    """
+def _ray_tail(kern, modes, t0, u, v, refine, tol):
+    """integral_{T0}^{inf} g f e^{i xi u} d xi, rotated by sign(u) * pi/4,
+    as dict mode -> value."""
     theta = 0.25 * np.pi if u >= 0 else -0.25 * np.pi
     rot = np.exp(1j * theta)
     rate = (abs(u) + v) / np.sqrt(2.0)
@@ -196,7 +201,7 @@ def _ray_tail(kern, modes, t0, u, coeff, v, refine, tol):
         base = kern.g(xi, sp, sm) * np.exp(1j * xi * u) * (rot * wp)
         mag = 0.0
         for m in modes:
-            contrib = coeff * np.sum(base * _mode_factor(m, xi, sp, sm, kern.case))
+            contrib = np.sum(base * _mode_factor(m, xi, sp, sm, kern.case))
             acc[m] += contrib
             mag = max(mag, abs(contrib))
         pos += length
@@ -213,8 +218,7 @@ def _spectral_once(kern, u, modes, tol, refine):
     k1, k2 = sorted((kern.kp, kern.km))
     v = kern.v_decay
     w0 = max(1.0, min(k2 + 1.0, 60.0 / max(v, 1e-2)))
-    counts = [int(min(max(n, 3) * refine, _MAX_PANELS))
-              for n in _segment_panels(k1, k2, abs(u), v, w0, 1)]
+    counts = _segment_panels(k1, k2, abs(u), v, w0, 1, refine)
     xi, w, _, _, t0 = _head_segments(k1, k2, w0, counts)
     sp, sm = kern.splus_sminus(xi)
     g = kern.g(xi, sp, sm)
@@ -225,8 +229,8 @@ def _spectral_once(kern, u, modes, tol, refine):
         sigma = _MODE_SIGMA[m]
         fm = _mode_factor(m, xi, sp, sm, kern.case)
         out[m] = np.sum(w * g * fm * (eplus + sigma * eminus))
-    tail_p = _ray_tail(kern, modes, t0, u, 1.0, v, refine, tol)
-    tail_m = _ray_tail(kern, modes, t0, -u, 1.0, v, refine, tol)
+    tail_p = _ray_tail(kern, modes, t0, u, v, refine, tol)
+    tail_m = _ray_tail(kern, modes, t0, -u, v, refine, tol)
     for m in modes:
         out[m] = (out[m] + tail_p[m] + _MODE_SIGMA[m] * tail_m[m]) / (2 * np.pi)
     return out
@@ -296,13 +300,7 @@ def real_axis_rule(k_plus, k_minus, u_max, v_min, above, refine=1):
     k1, k2 = sorted((k_plus, k_minus))
     c, p = (0.5, 0) if above else (abs(k_plus ** 2 - k_minus ** 2) / 8, 2)
     w0 = _tail_cutoff(c, p, v_min)
-    counts = [max(n, 3) * refine
-              for n in _segment_panels(k1, k2, u_max, v_min, w0, 2)]
-    if max(counts) > _MAX_PANELS:
-        raise DomainError(
-            f"shared spectral rule needs {int(max(counts))} panels on one "
-            f"segment (limit {_MAX_PANELS}): u_max = {u_max:.6g}, "
-            f"v_min = {v_min:.6g}, refine = {refine}")
+    counts = _segment_panels(k1, k2, u_max, v_min, w0, 2, refine)
     xi, w, s1, s2, _ = _head_segments(k1, k2, w0, counts)
     sp, sm = (s1, s2) if k_plus < k_minus else (s2, s1)
     return xi, w, sp, sm

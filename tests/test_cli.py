@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,30 @@ def test_config_validation_errors(patch, field):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("patch,key", [
+    ({"A_over_Pi": 40}, "A_over_Pi"),
+    ({"n": 64}, "n"),
+    ({"A": 10 * math.pi}, "A"),
+    ({"incident": {"type": "plane", "theta_d": 4.2, "theta": 4.0}}, "theta"),
+    ({"incident": {"type": "plane", "theta_d": 4.2, "y0": [0, -2]}}, "y0"),
+    ({"incident": {"type": "point", "y0": [0, -2], "theta_d": 4.2}}, "theta_d"),
+    ({"surface": {"expr": "-1", "exp": "-2"}}, "exp"),
+    ({"beta": {"expr": "1", "re": 2}}, "re"),
+])
+def test_config_unknown_keys_rejected(patch, key):
+    # a misspelt key used to run silently with the default value
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) {key!r}")):
+        config_from_dict(dict(BASE, **patch))
+
+
+def test_readme_config_block_validates():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"),
+                      re.S).group(1)
+    cfg = config_from_dict(json.loads(block))
+    assert (cfg.problem, cfg.surface, cfg.N) == ("impedance", "gamma2", 32)
+
+
 def test_point_source_must_be_below_surface():
     raw = dict(BASE)
     raw["surface"] = "gamma1"
@@ -125,6 +150,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg_path.write_text(json.dumps(bad), encoding="utf-8")
     assert main(["solve", "--config", str(cfg_path)]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.json")]) == 2
+    cfg_path.write_text(json.dumps(dict(BASE, A_over_Pi=40)), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
     capsys.readouterr()
 
 
@@ -162,6 +189,22 @@ def test_cli_rule_panel_limit_exit_code(tmp_path, capsys):
     cfg_path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["solve", "--config", str(cfg_path)]) == 3
     assert "panels" in capsys.readouterr().err
+
+
+def test_exact_reference_needs_flat_surface_and_constant_beta():
+    # the bump at t = 50 lies inside the window [-20 pi, 20 pi] but outside
+    # [-30, 30]: the flat four-wave field is no reference there
+    bump = dict(BASE, surface={"expr": "-1+0.5*exp(-(t-50)^2)"},
+                A_over_pi=20, N=4)
+    row = run(config_from_dict(bump)).rows[0]
+    assert "exact_total" not in row and "abs_error" not in row
+    row = run(config_from_dict(dict(bump, surface="gamma2"))).rows[0]
+    assert "exact_total" in row and "abs_error" in row
+    # a flat surface with varying beta has no four-wave solution either
+    varying = dict(_PRESETS["example2-ibvp"], beta={"expr": "1+0.2*cos(0.3*t)"},
+                   N=4)
+    row = run(config_from_dict(varying)).rows[0]
+    assert "exact_total" not in row and "abs_error" not in row
 
 
 def test_cli_presets(capsys):

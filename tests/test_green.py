@@ -11,7 +11,8 @@ from conftest import GOLDEN_CSV
 from oracle import read_golden
 
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import (MediumPair, fresnel_R, fresnel_T, grad_green_x,
+from layerscat.green import (MediumPair, _plane_waves, _reference_field,
+                             fresnel_R, fresnel_T, grad_green_x,
                              grad_green_y, green, green_remainder,
                              green_surface_batch, phi_free,
                              reference_field_plane, reference_field_plane_grad,
@@ -220,6 +221,45 @@ def test_reference_field_gradient_consistency():
 def test_reference_field_requires_downward():
     with pytest.raises(DomainError):
         reference_field_plane(MED, 0.7, (0.0, 1.0))
+
+
+def test_reference_field_is_plane_waves_with_fresnel_coefficients():
+    rng = np.random.default_rng(9)
+    x = (rng.uniform(-4, 4, 50), rng.uniform(-2, 2, 50))
+    for med, theta_d in ((MED, 4 * math.pi / 3),
+                         (MediumPair(3.5, 2.7), math.pi + 0.25)):
+        coeffs = (1.0, fresnel_R(med, math.pi + theta_d),
+                  fresnel_T(med, math.pi + theta_d), 0.0)
+        for got, want in zip(_reference_field(med, theta_d, x),
+                             _plane_waves(med, theta_d, coeffs, x)):
+            assert np.array_equal(got, want)
+
+
+def test_reference_field_on_point_set_matches_pointwise():
+    # both sides of the interface, propagating and evanescent transmission
+    rng = np.random.default_rng(10)
+    x1 = rng.uniform(-4, 4, 60)
+    x2 = np.concatenate((rng.uniform(0, 2, 30), rng.uniform(-2, -1e-3, 30)))
+    for med, theta_d in ((MED, 4 * math.pi / 3),
+                         (MediumPair(3.5, 2.7), math.pi + 0.25)):
+        u = reference_field_plane(med, theta_d, (x1, x2))
+        g1, g2 = reference_field_plane_grad(med, theta_d, (x1, x2))
+        assert u.shape == g1.shape == g2.shape == x1.shape
+        for i in range(x1.size):
+            x = (x1[i], x2[i])
+            assert abs(u[i] - reference_field_plane(med, theta_d, x)) <= 1e-15
+            p1, p2 = reference_field_plane_grad(med, theta_d, x)
+            scale = med.k_minus + med.k_plus
+            assert abs(g1[i] - p1) <= 1e-15 * scale
+            assert abs(g2[i] - p2) <= 1e-15 * scale
+
+
+def test_scalar_rule_refuses_beyond_panel_limit():
+    # at |x1 - y1| = 40000 the doubled pass needs more than 4000 panels on a
+    # segment; clipped to 4000, both passes were one rule and the two-pass
+    # check passed on a value off by 8.8e-9
+    with pytest.raises(DomainError, match="panels"):
+        green(MED, (40000.0, 0.3), (0.0, -0.2))
 
 
 def test_decay_slope():

@@ -14,7 +14,7 @@ from layerscat.bie import kernel_rows
 from layerscat.cli import build_problem, preset_config
 from layerscat.errors import DomainError, SingularityError
 from layerscat.green import (MediumPair, grad_green_y, green,
-                             reference_field_plane)
+                             reference_field_plane, transmitted_direction)
 from layerscat.nystrom import DensitySolution, Grid, log_weight
 from layerscat.potentials import (_eval_scattered, eval_scattered,
                                   four_wave_exact, point_source_exact)
@@ -224,10 +224,27 @@ def test_four_wave_reference_values():
 
 def test_four_wave_boundary_residual():
     rng = np.random.default_rng(12)
-    x1s = rng.uniform(-5, 5, size=10)
+    x1s = rng.uniform(-5, 5, size=1000)
     for kind in ("dirichlet", "impedance"):
         fw = four_wave_exact(MED, 4 * math.pi / 3, kind, beta0=1.0)
         assert fw.boundary_residual(x1s) <= 1e-12
+    assert fw.boundary_residual([]) == 0.0
+
+
+def test_four_wave_field_on_point_set_matches_pointwise():
+    # both sides of the interface, propagating and evanescent transmission
+    rng = np.random.default_rng(13)
+    x1 = rng.uniform(-4, 4, 60)
+    x2 = np.concatenate((rng.uniform(0, 2, 30), rng.uniform(-1, -1e-3, 30)))
+    for med, theta_d in ((MED, 4 * math.pi / 3),
+                         (MediumPair(3.5, 2.7), math.pi + 0.25)):
+        for kind in ("dirichlet", "impedance"):
+            fw = four_wave_exact(med, theta_d, kind, beta0=1.0 + 0.5j)
+            u = fw.field((x1, x2))
+            assert u.shape == x1.shape
+            scale = abs(fw.A_c) + abs(fw.B_c) + abs(fw.C_c) + abs(fw.D_c)
+            for i in range(x1.size):
+                assert abs(u[i] - fw.field((x1[i], x2[i]))) <= 1e-15 * scale
 
 
 def test_four_wave_evanescent_transmission():
@@ -239,7 +256,8 @@ def test_four_wave_evanescent_transmission():
     fw = four_wave_exact(med, theta_d, "dirichlet")
     rng = np.random.default_rng(1)
     assert fw.boundary_residual(rng.uniform(-3, 3, size=10)) <= 1e-12
-    assert abs(fw.d_t[1].real) < 1e-14  # purely imaginary vertical component
+    # purely imaginary vertical component
+    assert abs(transmitted_direction(med, theta_d)[1].real) < 1e-14
 
 
 def test_four_wave_validation():
