@@ -188,23 +188,17 @@ def _split_matrices(problem: BoundaryProblem, s, t, remainder):
     layer *= 2.0 * Jt
     layer /= jn
     kappa += layer
-    # B = kappa - a chi ln|2 sin(tau/2)|, A = pi a chi
-    chi = cutoff_chi(tau)
-    band = (chi > 0) & ~diag
-    a *= chi
+    # B = kappa - a chi ln|2 sin(tau/2)|, A = pi a chi; chi = 0 off the band
+    # |tau| < pi, so chi and the log correction are evaluated on it only
+    band = np.abs(tau) < math.pi
+    chi = cutoff_chi(tau[band])
+    a[~band] = 0.0
+    a[band] *= chi
+    band[band] = chi > 0
+    band &= ~diag
     kappa[band] -= a[band] * np.log(np.abs(2.0 * np.sin(0.5 * tau[band])))
     a *= math.pi
     return a, kappa
-
-
-def kernel_matrices(problem: BoundaryProblem, nodes):
-    """Dense (A, B) matrices of the split kernel at collocation nodes, with
-    the shared-rule layer integrals over the node set."""
-    t = np.asarray(nodes, dtype=float)
-    if problem.kind == "impedance":     # fail before the layer integrals
-        _checked_beta(problem, t)
-    f = np.asarray(problem.surface.f(t), dtype=float)
-    return _split_matrices(problem, t, t, surface_remainder(problem.medium, t, f))
 
 
 def surface_remainder(medium: MediumPair, t_nodes, f_vals, s_nodes=None,

@@ -1,7 +1,9 @@
 """Configuration-driven experiment runner and command-line interface.
 
 Config files are JSON, one key per setting; any other key, also inside
-incident, surface or beta, is a configuration error:
+incident, surface or beta, is a configuration error, and so is a key that
+sets nothing for the problem (beta on a Dirichlet one, eta on an impedance
+one):
 
     {
       "problem":  "dirichlet" | "impedance",
@@ -11,7 +13,7 @@ incident, surface or beta, is a configuration error:
       "incident": {"type": "plane", "theta_d": 4.1887902} |
                   {"type": "point", "y0": [1.0, -1.3]},
       "beta":     1.0 | [re, im] | {"expr": "..."},          (impedance only)
-      "eta":      optional positive float (default sqrt(k+ k-)),
+      "eta":      positive float, default sqrt(k+ k-),       (Dirichlet only)
       "N":        16,
       "A_over_pi": 10,                                        (truncation A = 10 pi)
       "eval_points": [[0.6, 0.56]],
@@ -163,6 +165,9 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
         _require(isinstance(p, (list, tuple)) and len(p) == 2,
                  f"eval_points: bad entry {p!r}")
         points.append(tuple(_number(v, "eval_points") for v in p))
+    idle = "beta" if problem == "dirichlet" else "eta"
+    _require(idle not in data, f"config: key {idle!r} sets nothing for a "
+             f"{problem} problem")
     return RunConfig(problem=problem, k_plus=kp, k_minus=km, surface=surf,
                      incident=inc, beta=beta, eta=eta,
                      N=n, A_over_pi=a_pi, eval_points=tuple(points),
@@ -285,16 +290,23 @@ def _write_csv(path: Path, digest: str, header: str, lines):
 
 
 def run(config: RunConfig) -> RunReport:
-    """Solve one configuration, evaluate requested points, write CSV outputs."""
+    """Solve one configuration, evaluate requested points, write CSV outputs.
+
+    An evaluation point below the surface, where no field is defined, is a
+    ConfigError raised before the solve."""
     problem = build_problem(config)
     grid = Grid(half_width_A=config.A, N=config.N)
+    pts = np.array(config.eval_points, dtype=float).reshape(-1, 2).T
+    below = np.flatnonzero(pts[1] < np.asarray(problem.surface.f(pts[0]), dtype=float))
+    if below.size:
+        raise ConfigError(f"eval_points: {config.eval_points[below[0]]} lies "
+                          "below the surface, where no field is defined")
     t0 = time.perf_counter()
     sol = solve(problem, grid)
     t_solve = time.perf_counter() - t0
     label, exact_fn = _exact_reference(config, problem)
     rows = []
     t0 = time.perf_counter()
-    pts = np.array(config.eval_points, dtype=float).reshape(-1, 2).T
     scattered, near = _eval_scattered(sol, problem, pts)
     plane = config.incident["type"] == "plane"
     if plane:

@@ -24,11 +24,17 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack as _lapack
 
-from .bie import BoundaryProblem, kernel_matrices, rhs_vector
+from . import sommerfeld
+from .bie import (BoundaryProblem, _checked_beta, _split_matrices, rhs_vector,
+                  surface_remainder)
 from .errors import DomainError, SolverError
 
 _COND_LIMIT = 1e12
 _RESIDUAL_LIMIT = 1e-10
+#: elements per row panel of assemble: bie._split_matrices holds about eight
+#: panel-sized complex temporaries, so together they stay near the
+#: sommerfeld._BLOCK budget
+_PANEL = sommerfeld._BLOCK // 8
 
 
 @dataclass(frozen=True)
@@ -86,18 +92,35 @@ def log_weight(N: int, s, t_j):
     return float(out) if out.ndim == 0 else out
 
 
-def _weight_matrix(grid: Grid) -> np.ndarray:
-    """R_{i-j} = R_j^N(t_i); Toeplitz in i - j and even in the offset."""
-    offsets = np.arange(grid.node_count) * grid.h
-    return sla.toeplitz(log_weight(grid.N, offsets, 0.0))
-
-
 def assemble(problem: BoundaryProblem, grid: Grid):
-    """Dense collocation system (matrix, rhs) for the given problem."""
+    """Dense collocation system (matrix, rhs) for the given problem.
+
+    The matrix I - (W o A + h B), W_ij = R^N(t_i - t_j) = w_|i-j|, is
+    written one row panel at a time: the panel's (A, B) come from
+    bie._split_matrices on its rows of the shared-rule layer sums
+    (R, dR/dy1, dR/dy2), and since a panel reads only its own rows, it is
+    written over them in R.  Beyond those three sums only panel-sized
+    temporaries exist.
+    """
     t = grid.nodes
-    A, B = kernel_matrices(problem, t)
-    alpha = _weight_matrix(grid) * A + grid.h * B
-    matrix = np.eye(grid.node_count, dtype=complex) - alpha
+    n = t.size
+    if problem.kind == "impedance":     # fail before the layer integrals
+        _checked_beta(problem, t)
+    rem = surface_remainder(problem.medium, t,
+                            np.asarray(problem.surface.f(t), dtype=float))
+    w = log_weight(grid.N, np.arange(n) * grid.h, 0.0)
+    matrix = rem[0]
+    j = np.arange(n)
+    rows = max(1, _PANEL // n)
+    for lo in range(0, n, rows):
+        sl = slice(lo, lo + rows)
+        a, b = _split_matrices(problem, t[sl], t, tuple(r[sl] for r in rem))
+        a *= w[np.abs(j[sl, None] - j)]
+        b *= grid.h
+        a += b
+        np.negative(a, out=matrix[sl])
+        i = j[sl]
+        matrix[i, i] = 1.0 - a[i - lo, i]
     rhs = np.asarray(rhs_vector(problem, t), dtype=complex)
     return matrix, rhs
 
@@ -105,7 +128,7 @@ def assemble(problem: BoundaryProblem, grid: Grid):
 def solve_system(matrix: np.ndarray, rhs: np.ndarray):
     """Direct dense solve with a factor-based condition estimate and one step
     of iterative refinement.  Returns (values, residual_norm, cond_estimate)."""
-    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    matrix = np.asarray(matrix, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise SolverError("system matrix must be square")

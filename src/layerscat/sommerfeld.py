@@ -365,6 +365,25 @@ def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric, sign):
         _gemm(g1, xs[:, :nq] * xi[sl], xt[:, nq:], alpha=-1.0)
 
 
+def _complete_in_place(c, odd):
+    """Finish a symmetric-path sum in place, one row panel at a time: c = U + U^T
+    from its upper triangle U (zero below the diagonal), or, with odd,
+    c = M^T - M.  Each temporary stays under _BLOCK elements."""
+    n = c.shape[0]
+    rows = max(1, _BLOCK // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        d = c[lo:hi, lo:hi]
+        if odd:
+            up = c[hi:, lo:hi].T - c[lo:hi, hi:]
+            c[lo:hi, hi:] = up
+            c[hi:, lo:hi] = -up.T
+            d[...] = d.T - d
+        else:
+            c[hi:, lo:hi] = c[lo:hi, hi:].T
+            d += np.triu(d, 1).T
+
+
 def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
                        fs_vals=None, refine=1):
     """Spectral part of G between point sets, through one shared rule.
@@ -389,10 +408,13 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     (2 sin(xi u) for the odd dI/dy1) writes every sum as products of the
     per-node factors E cos(xi t), E sin(xi t).  Beyond both branch points
     (xi > max(k+, k-)) every factor and weight is real, so that part of the
-    rule runs in real arithmetic; the rest in complex.  When s_nodes is
-    omitted the targets are the sources: I and dI/dy2 are then symmetric
-    rank-2q updates (syrk) and dI/dy1 is M^T - M for one product M.  Blocks
-    of the rule keep each (node, rule point) temporary under _BLOCK elements.
+    rule runs in real arithmetic, first, into real sums that are then made
+    complex one at a time; the rest in complex.  When s_nodes is omitted the
+    targets are the sources: I and dI/dy2 are then symmetric rank-2q updates
+    (syrk) and dI/dy1 is M^T - M for one product M, each completed in place.
+    Blocks of the rule keep each (node, rule point) temporary under _BLOCK
+    elements, so the three (targets, sources) sums, and one real sum while
+    they are made complex, are the only full-size arrays.
     """
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -420,20 +442,18 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     # the sign of base on the real part of the rule (symmetric case only)
     sign = 1.0 if k_plus > k_minus else -1.0
     real = (sp.imag == 0) & (sm.imag == 0)
-    shape = (s.size, t.size)
-    sums = [np.zeros(shape, dtype=complex, order="F") for _ in range(3)]
+    # the real part of the rule goes into real buffers, each then made
+    # complex in turn, so no real buffer sits beside all three complex sums
+    sums = [np.zeros((s.size, t.size), order="F") for _ in range(3)]
+    _fold_sums(sums, xi[real], sm[real].real, st[real].real, base[real].real,
+               s, fs, t, f, symmetric, sign)
+    for k in range(3):
+        sums[k] = sums[k].astype(complex, order="F")
     _fold_sums(sums, xi[~real], sm[~real], st[~real], base[~real],
                s, fs, t, f, symmetric, sign)
-    if real.any():
-        part = [np.zeros(shape, order="F") for _ in range(3)]
-        _fold_sums(part, xi[real], sm[real].real, st[real].real,
-                   base[real].real, s, fs, t, f, symmetric, sign)
-        for acc, p in zip(sums, part):
-            acc += p
-        del part        # freed before the symmetrizing temporaries below
     i4, g1, g2 = sums
     if symmetric:
-        i4 += np.triu(i4, 1).T
-        g2 += np.triu(g2, 1).T
-        g1 = g1.T - g1
+        _complete_in_place(i4, odd=False)
+        _complete_in_place(g2, odd=False)
+        _complete_in_place(g1, odd=True)
     return i4, g1, g2

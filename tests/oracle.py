@@ -13,6 +13,11 @@ split_ibvp) check the assembled matrices of layerscat.bie pointwise: the raw
 kernels from the library's adaptive scalar green/grad_green_x/grad_green_y,
 the split from a pointwise remainder fed through bie._split_matrices.
 
+The one-shot system (kernel_matrices, weight_matrix, system_matrix) forms
+I - (W o A + h B) whole, with the (A, B) of all nodes from one
+bie._split_matrices call: the reference for nystrom.assemble, which builds
+the same matrix in row panels.
+
 Run as a script to regenerate the golden CSV:
 
     PYTHONPATH=src python3 tests/oracle.py tests/data/green_golden.csv
@@ -25,13 +30,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import hankel1 as _h1
 
-from layerscat.bie import _split_matrices
+from layerscat.bie import _checked_beta, _split_matrices, surface_remainder
 from layerscat.errors import DomainError, SingularityError
 from layerscat.green import (grad_green_x, grad_green_y, green,
                              green_remainder_modes)
+from layerscat.nystrom import log_weight
 
 ORACLE_TOL = 1e-12
 
@@ -199,6 +206,29 @@ def kernel_ibvp_raw(problem, s: float, t: float) -> complex:
     beta_s = complex(np.asarray(problem.beta(s), dtype=complex))
     return 2.0 * (ns[0] * gx[0] + ns[1] * gx[1]
                   - 1j * med.k_minus * beta_s * gval) * jt
+
+
+def kernel_matrices(problem, nodes):
+    """Dense (A, B) of the split kernel at the nodes, all rows at once, with
+    the shared-rule layer sums over the node set."""
+    t = np.asarray(nodes, dtype=float)
+    if problem.kind == "impedance":     # fail before the layer integrals
+        _checked_beta(problem, t)
+    f = np.asarray(problem.surface.f(t), dtype=float)
+    return _split_matrices(problem, t, t, surface_remainder(problem.medium, t, f))
+
+
+def weight_matrix(grid):
+    """W_ij = R_j^N(t_i); Toeplitz in i - j and even in the offset."""
+    offsets = np.arange(grid.node_count) * grid.h
+    return sla.toeplitz(log_weight(grid.N, offsets, 0.0))
+
+
+def system_matrix(problem, grid):
+    """The collocation matrix I - (W o A + h B), formed in one shot."""
+    A, B = kernel_matrices(problem, grid.nodes)
+    return np.eye(grid.node_count, dtype=complex) - (weight_matrix(grid) * A
+                                                     + grid.h * B)
 
 
 def write_golden(path, k_plus=2.7, k_minus=3.5):

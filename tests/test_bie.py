@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracle import (green_oracle, kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
-                    split_ibvp)
+from oracle import (green_oracle, kernel_dbvp_raw, kernel_ibvp_raw,
+                    kernel_matrices, split_dbvp, split_ibvp)
 
 from layerscat import sommerfeld
 from layerscat.bie import (BoundaryProblem, _split_matrices, cutoff_chi,
-                           kernel_matrices, rhs_vector)
+                           rhs_vector)
 from layerscat.cli import (_PRESETS, build_problem, config_from_dict,
                            preset_config)
 from layerscat.errors import AccuracyError, DomainError, SingularityError
@@ -19,7 +19,7 @@ from layerscat.green import (MediumPair, fresnel_T, grad_green_x,
                              grad_green_y, green, green_remainder_modes,
                              green_surface_batch, reference_field_plane,
                              reference_field_plane_grad, transmitted_direction)
-from layerscat.nystrom import Grid
+from layerscat.nystrom import Grid, assemble
 from layerscat.specfun import EULER_GAMMA, hankel1
 from layerscat.surface import builtin
 
@@ -380,8 +380,8 @@ def test_problem_validation():
 
 
 def test_impedance_beta_checked_before_layer_integrals(monkeypatch):
-    # Re beta = 2 - 0.04 t fails beyond t = 50: kernel_matrices and
-    # kernel_rows must say so before the shared-rule layer integrals run
+    # Re beta = 2 - 0.04 t fails beyond t = 50: assemble and kernel_rows
+    # must say so before the shared-rule layer integrals run
     from layerscat.bie import kernel_rows
     calls = []
     real = sommerfeld.remainder_matrices
@@ -393,9 +393,10 @@ def test_impedance_beta_checked_before_layer_integrals(monkeypatch):
     monkeypatch.setattr(sommerfeld, "remainder_matrices", spy)
     problem = build_problem(config_from_dict(
         dict(_PRESETS["example2-ibvp"], beta={"expr": "2-0.04*t"})))
-    t = Grid(half_width_A=20 * math.pi, N=4).nodes
+    grid = Grid(half_width_A=20 * math.pi, N=4)
+    t = grid.nodes
     with pytest.raises(DomainError, match="Re beta > 0"):
-        kernel_matrices(problem, t)
+        assemble(problem, grid)
     with pytest.raises(DomainError, match="Re beta > 0"):
         kernel_rows(problem, [0.0, 60.0], t[:5])
     assert calls == []

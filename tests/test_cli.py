@@ -84,6 +84,37 @@ def test_config_unknown_keys_rejected(patch, key):
         config_from_dict(dict(BASE, **patch))
 
 
+@pytest.mark.parametrize("raw,key", [
+    (dict(BASE, beta=5.0), "beta"),
+    (dict(_PRESETS["example2-ibvp"], eta=2.0), "eta"),
+])
+def test_cli_key_that_sets_nothing_exit_code(tmp_path, capsys, raw, key):
+    # beta on a Dirichlet config and eta on an impedance one used to be
+    # validated, then ignored: the result was that of the config without it
+    cfg_path = tmp_path / "idle.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert f"key {key!r} sets nothing" in capsys.readouterr().err
+
+
+def test_cli_eval_point_below_surface_exit_code(tmp_path, capsys, monkeypatch):
+    # (1, -1.5) lies below the flat surface x2 = -1 of gamma2, where no field
+    # is defined; it used to be reported with abs_error 0.66 against the
+    # four-wave formula continued below the boundary.  The check comes
+    # before the solve.
+    from layerscat import cli as cli_mod
+
+    def no_solve(problem, grid):
+        raise AssertionError("solved a config with a point below the surface")
+
+    monkeypatch.setattr(cli_mod, "solve", no_solve)
+    raw = dict(BASE, eval_points=[[0.0, 0.5], [1.0, -1.5]])
+    cfg_path = tmp_path / "below.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert "(1.0, -1.5) lies below the surface" in capsys.readouterr().err
+
+
 def test_readme_config_block_validates():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = re.search(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"),

@@ -1,15 +1,17 @@
 """Grid, periodic-log quadrature weights, assembly, and the dense solve."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from layerscat.bie import kernel_matrices
-from layerscat.cli import build_problem, preset_config, run
+from oracle import kernel_matrices, system_matrix, weight_matrix
+
+from layerscat import nystrom
+from layerscat.cli import _PRESETS, build_problem, preset_config, run
 from layerscat.errors import DomainError, SolverError
-from layerscat.nystrom import (Grid, assemble, log_weight, solve, solve_system,
-                               _weight_matrix)
+from layerscat.nystrom import Grid, assemble, log_weight, solve, solve_system
 
 
 def test_grid_invariants():
@@ -65,7 +67,7 @@ def test_log_weight_trigonometric_exactness(m):
 
 def test_weight_matrix_toeplitz():
     g = Grid(half_width_A=2 * math.pi, N=4)
-    w = _weight_matrix(g)
+    w = weight_matrix(g)
     t = g.nodes
     for i in (0, 3, 8):
         for j in (0, 5, last := g.node_count - 1):
@@ -117,6 +119,56 @@ def test_assemble_diagonal_structure():
         expected = 1.0 - (ri * A[i, i] + grid.h * B[i, i])
         assert matrix[i, i] == pytest.approx(expected, abs=1e-14)
     assert rhs.shape == (grid.node_count,)
+
+
+@pytest.mark.parametrize("rows", [None, 50])
+@pytest.mark.parametrize("preset", sorted(_PRESETS))
+def test_panelled_matrix_matches_one_shot(preset, rows, monkeypatch):
+    # 321 rows in panels of the default height (194) or of 50: each panel
+    # boundary cuts the band |s - t| < pi, and with 50 the last panel has
+    # 21 rows
+    cfg = preset_config(preset, N=16)
+    problem = build_problem(cfg)
+    grid = Grid(half_width_A=cfg.A, N=cfg.N)
+    if rows is not None:
+        monkeypatch.setattr(nystrom, "_PANEL", rows * grid.node_count)
+    matrix, _ = assemble(problem, grid)
+    ref = system_matrix(problem, grid)
+    assert np.abs(matrix - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_assembly_memory_is_bounded():
+    # the three layer sums (the matrix is written over one of them) and
+    # panel temporaries: at most 5x the matrix; forming the whole system at
+    # once peaked at 12x
+    cfg = preset_config("example3-ibvp", N=64)
+    problem = build_problem(cfg)
+    grid = Grid(half_width_A=cfg.A, N=cfg.N)
+    assert grid.node_count == 1281
+    tracemalloc.start()
+    try:
+        matrix, _ = assemble(problem, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * matrix.nbytes
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_solve_system_keeps_one_lu_copy(order):
+    # whatever the layout of the matrix, the one copy solve_system makes is
+    # the LU factor
+    cfg = preset_config("example1-dbvp", N=8)
+    problem = build_problem(cfg)
+    matrix, rhs = assemble(problem, Grid(half_width_A=cfg.A, N=cfg.N))
+    matrix = np.asarray(matrix, order=order)
+    tracemalloc.start()
+    try:
+        solve_system(matrix, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix.nbytes
 
 
 def test_density_convergence(solved):
