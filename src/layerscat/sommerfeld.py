@@ -22,9 +22,9 @@ plus, beyond T0, ray tails rotated by +-pi/4 into the quadrant where both the
 oscillatory factor and the vertical decay are exponentially damped (the cuts
 hang upward from +k1, +k2, so both rotated quadrants are cut-free).
 
-Panel counts follow the accumulated phase xi*u and decay xi*v so that each
-16-point panel sees about one oscillation.  A second pass with doubled panel
-density provides the error estimate.
+In spectral_point panel counts follow the accumulated phase xi*u and decay
+xi*v so that each 16-point panel sees about one oscillation.  A second pass
+with doubled panel density provides the error estimate.
 
 spectral_point evaluates one pair this way.  On point sets one evaluator,
 remainder_matrices, serves assembly, boundary data and field evaluation: a
@@ -34,11 +34,18 @@ the mirror term's integrand e^{S-(x2+y2)}/(2 S-) is subtracted inside the
 integral, leaving g = (k+^2 - k-^2) / (2 S- (S+ + S-)^2), which decays like
 |xi|^-3.  The shared rule is sized by a tolerance: its cutoff leaves a tail
 of at most _RULE_TOL (a bound on the integrand beyond both branch points,
-see _tail_cutoff), each 16-point panel covers two oscillations (the
-Gauss-Legendre error on e^{i omega x} over two oscillations is about
-pi^32 / 32! ~ 3e-20), and S+, S- come from the exact squares of the
+see _tail_cutoff), and S+, S- come from the exact squares of the
 substitutions rather than sqrt(xi^2 - k^2), whose cancellation near a branch
-point the factor 1/S- would magnify.
+point the factor 1/S- would magnify.  Its panels have 32 points and cover
+seven oscillations each (4.6 points per wavelength, against 8 for 16 points
+over two).  The n-point Gauss-Legendre error on e^{i omega x} over a panel
+of length L holding m oscillations is at most
+
+    (2 pi m)^{2n} (n!)^4 / ((2n + 1) ((2n)!)^3) * L,
+
+5.3e-23 L for n = 32, m = 7 (4.8e-20 L for n = 16, m = 2).  Both rules
+refuse (DomainError) a segment that would need more than _MAX_POINTS points:
+4000 panels of 16 for spectral_point, 2000 of 32 for the shared rule.
 """
 
 from __future__ import annotations
@@ -51,7 +58,6 @@ from scipy.linalg.blas import get_blas_funcs
 from .errors import AccuracyError, DomainError
 from .specfun import vertical_wavenumber
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 #: exponent coefficients per case: E = exp(cx2 * S? * x2 + cy2 * S? * y2)
 #: case -> (x2 uses S_plus?, x2 sign, y2 uses S_plus?, y2 sign)
@@ -69,8 +75,28 @@ _BLOCK = 500_000
 #: absolute bound on the part of each shared-rule integral beyond its cutoff
 _RULE_TOL = 1e-15
 
-#: panels per segment of a rule; both rules refuse to exceed it
-_MAX_PANELS = 4000
+#: Gauss-Legendre points per segment of a rule; both rules refuse to exceed it
+_MAX_POINTS = 64_000
+
+
+class _Panels:
+    """How a rule lays Gauss-Legendre panels on its segments: `order` points
+    per panel, each covering `oscillations` oscillations of e^{i xi u} and
+    `decay` times the scalar rule's share of the decay e^{-xi v}, at least
+    `least` panels per segment and at most _MAX_POINTS points."""
+
+    def __init__(self, order, oscillations, decay, least):
+        self.nodes, self.weights = np.polynomial.legendre.leggauss(order)
+        self.order, self.oscillations = order, oscillations
+        self.decay, self.least = decay, least
+        self.limit = _MAX_POINTS // order
+
+
+#: spectral_point: one oscillation per 16-point panel
+_SCALAR_PANELS = _Panels(16, 1, 1.0, 3)
+#: real_axis_rule: seven oscillations per 32-point panel, which resolves
+#: twice the decay of a 16-point one
+_SHARED_PANELS = _Panels(32, 7, 0.5, 2)
 
 #: derivative factors; sigma = +1 keeps the even fold 2cos, -1 the odd 2i sin
 _MODE_SIGMA = {"val": 1.0, "dx1": -1.0, "dy1": -1.0, "dx2": 1.0, "dy2": 1.0}
@@ -115,38 +141,44 @@ class _Kernel:
             else abs(self.x2 + self.y2)
 
 
-def _panel_nodes(edges):
+def _panel_nodes(edges, panels):
     """Gauss-Legendre nodes/weights on consecutive panels [edges[i], edges[i+1]]."""
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     half = 0.5 * (b - a)
-    x = (0.5 * (a + b) + half * _GL_NODES).ravel()
-    w = (half * _GL_WEIGHTS).ravel()
+    x = (0.5 * (a + b) + half * panels.nodes).ravel()
+    w = (half * panels.weights).ravel()
     return x, w
 
 
-def _segment_panels(k1, k2, u_abs, v, w0, oscillations, refine):
-    """Panel counts of the three segments of _head_segments: enough for the
-    given number of oscillations of e^{i xi u_abs} per panel, plus a share
-    for the decay e^{-xi v}, at least 3, times refine.  A segment that would
-    need more than _MAX_PANELS panels raises DomainError."""
-    phase = u_abs / (2 * np.pi * oscillations)
+def _segment_panels(k1, k2, u_abs, v, w0, panels, refine):
+    """Panel counts of the three segments of _head_segments: enough for
+    panels.oscillations oscillations of e^{i xi u_abs} per panel, plus a
+    share panels.decay of (0.15 k1, 0.3 c, 0.2 w0) v for the decay
+    e^{-xi v}, at least panels.least, times refine.  A segment that would
+    need more than panels.limit panels (_MAX_POINTS points) raises
+    DomainError."""
+    phase = u_abs / (2 * np.pi * panels.oscillations)
+    share = panels.decay * v
     c = 0.5 * (k2 - k1)
     ximax = np.hypot(k2, w0)
-    counts = [int(max(n, 3) * refine)
-              for n in (np.ceil(k1 * phase + 0.15 * k1 * v),
-                        np.ceil(2 * c * phase + 0.3 * c * v),
-                        np.ceil((ximax - k2) * phase + 0.2 * w0 * v))]
-    if max(counts) > _MAX_PANELS:
+    counts = [int(max(n, panels.least) * refine)
+              for n in (np.ceil(k1 * phase + 0.15 * k1 * share),
+                        np.ceil(2 * c * phase + 0.3 * c * share),
+                        np.ceil((ximax - k2) * phase + 0.2 * w0 * share))]
+    if max(counts) > panels.limit:
         raise DomainError(
-            f"spectral rule needs {max(counts)} panels on one segment (limit "
-            f"{_MAX_PANELS}): u = {u_abs:.6g}, v = {v:.6g}, refine = {refine}")
+            f"spectral rule needs {max(counts)} panels of {panels.order} "
+            f"points on one segment (limit {panels.limit} panels, "
+            f"{_MAX_POINTS} points): u = {u_abs:.6g}, v = {v:.6g}, "
+            f"refine = {refine}")
     return counts
 
 
-def _head_segments(k1, k2, w0, counts):
+def _head_segments(k1, k2, w0, counts, panels):
     """Real-axis rule on [0, T0], T0 = sqrt(k2^2 + w0^2), in kink-removing
-    coordinates, with counts[i] panels on segment i.
+    coordinates, with counts[i] Gauss-Legendre panels of panels.order points
+    on segment i.
 
     Returns (xi, w, s1, s2, T0) with s1 = S(xi, k1), s2 = S(xi, k2) taken
     from the exact squares of each substitution,
@@ -159,17 +191,18 @@ def _head_segments(k1, k2, w0, counts):
     sqrt(xi^2 - k^2) of the rounded node would not.
     """
     gap = (k2 - k1) * (k2 + k1)
-    p, wp = _panel_nodes(np.linspace(0.0, 0.5 * np.pi, int(counts[0]) + 1))
+    p, wp = _panel_nodes(np.linspace(0.0, 0.5 * np.pi, int(counts[0]) + 1),
+                         panels)
     kcos = k1 * np.cos(p)
     xi1, w1 = k1 * np.sin(p), wp * kcos
     s1 = [-1j * kcos]
     s2 = [-1j * np.sqrt(gap + kcos * kcos)]
     mid, c = 0.5 * (k1 + k2), 0.5 * (k2 - k1)
-    p, wp = _panel_nodes(np.linspace(0.0, np.pi, int(counts[1]) + 1))
+    p, wp = _panel_nodes(np.linspace(0.0, np.pi, int(counts[1]) + 1), panels)
     xi2, w2 = mid - c * np.cos(p), wp * (c * np.sin(p))
     s1.append(np.sqrt(2 * c * (xi2 + k1)) * np.sin(0.5 * p))
     s2.append(-1j * np.sqrt(2 * c * (xi2 + k2)) * np.cos(0.5 * p))
-    p, wp = _panel_nodes(np.linspace(0.0, w0, int(counts[2]) + 1))
+    p, wp = _panel_nodes(np.linspace(0.0, w0, int(counts[2]) + 1), panels)
     xi3 = np.sqrt(k2 * k2 + p * p)
     w3 = wp * (p / xi3)
     s1.append(np.sqrt(p * p + gap))
@@ -195,7 +228,7 @@ def _ray_tail(kern, modes, t0, u, v, refine, tol):
     length = cap(0.0)
     quiet = 0
     for _ in range(int(400 * refine)):
-        p, wp = _panel_nodes(np.linspace(pos, pos + length, 2))
+        p, wp = _panel_nodes(np.linspace(pos, pos + length, 2), _SCALAR_PANELS)
         xi = t0 + rot * p
         sp, sm = kern.splus_sminus(xi)
         base = kern.g(xi, sp, sm) * np.exp(1j * xi * u) * (rot * wp)
@@ -218,8 +251,8 @@ def _spectral_once(kern, u, modes, tol, refine):
     k1, k2 = sorted((kern.kp, kern.km))
     v = kern.v_decay
     w0 = max(1.0, min(k2 + 1.0, 60.0 / max(v, 1e-2)))
-    counts = _segment_panels(k1, k2, abs(u), v, w0, 1, refine)
-    xi, w, _, _, t0 = _head_segments(k1, k2, w0, counts)
+    counts = _segment_panels(k1, k2, abs(u), v, w0, _SCALAR_PANELS, refine)
+    xi, w, _, _, t0 = _head_segments(k1, k2, w0, counts, _SCALAR_PANELS)
     sp, sm = kern.splus_sminus(xi)
     g = kern.g(xi, sp, sm)
     eplus = np.exp(1j * xi * u)
@@ -289,19 +322,22 @@ def real_axis_rule(k_plus, k_minus, u_max, v_min, above, refine=1):
     beyond both branch points; below it the mirror-subtracted
     E (k+^2 - k-^2) / (2 S- (S+ + S-)^2), bounded by
     e^{-S v} |k+^2 - k-^2| / (8 S^3), S = min(S+, S-).  The cutoff T0 leaves
-    a tail of at most _RULE_TOL (see _tail_cutoff), and each 16-point panel
-    covers about two oscillations of e^{i xi u_max}.  S+ = S(xi, k+) and
-    S- = S(xi, k-) come from the exact squares of _head_segments.  A segment
-    that would need more than _MAX_PANELS panels raises DomainError.  The
-    caller folds with e^{i xi u} + sigma e^{-i xi u} and applies 1/(2pi).
+    a tail of at most _RULE_TOL (see _tail_cutoff).  Each 32-point panel
+    covers about seven oscillations of e^{i xi u_max} (Gauss-Legendre error
+    at most 5.3e-23 times its length, see the module docstring) and half the
+    decay share of a 16-point one; each segment has at least 2 panels.
+    S+ = S(xi, k+) and S- = S(xi, k-) come from the exact squares of
+    _head_segments.  A segment that would need more than _MAX_POINTS points
+    (2000 panels) raises DomainError.  The caller folds with
+    e^{i xi u} + sigma e^{-i xi u} and applies 1/(2pi).
     """
     if v_min <= 0.02:
         raise DomainError("real_axis_rule requires vertical decay v_min > 0.02")
     k1, k2 = sorted((k_plus, k_minus))
     c, p = (0.5, 0) if above else (abs(k_plus ** 2 - k_minus ** 2) / 8, 2)
     w0 = _tail_cutoff(c, p, v_min)
-    counts = _segment_panels(k1, k2, u_max, v_min, w0, 2, refine)
-    xi, w, s1, s2, _ = _head_segments(k1, k2, w0, counts)
+    counts = _segment_panels(k1, k2, u_max, v_min, w0, _SHARED_PANELS, refine)
+    xi, w, s1, s2, _ = _head_segments(k1, k2, w0, counts, _SHARED_PANELS)
     sp, sm = (s1, s2) if k_plus < k_minus else (s2, s1)
     return xi, w, sp, sm
 

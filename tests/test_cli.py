@@ -212,9 +212,9 @@ def test_cli_impedance_beta_checked_on_every_node(tmp_path, capsys):
 
 
 def test_cli_rule_panel_limit_exit_code(tmp_path, capsys):
-    # at A/pi = 40 a surface at -0.05 (v_min = 0.1) needs more than 4000
-    # panels on a segment of the shared rule: assembly refuses with exit 3
-    raw = dict(_PRESETS["example3-dbvp"], surface={"expr": "-0.05"},
+    # at A/pi = 40 a surface at -0.03 (v_min = 0.06) needs more than 64,000
+    # points on a segment of the shared rule: assembly refuses with exit 3
+    raw = dict(_PRESETS["example3-dbvp"], surface={"expr": "-0.03"},
                A_over_pi=40, N=4)
     cfg_path = tmp_path / "panels.json"
     cfg_path.write_text(json.dumps(raw), encoding="utf-8")

@@ -17,7 +17,7 @@ MODES = ("val", "dy1", "dy2")
 
 
 def _grid(surface, a_half=10 * math.pi, n=16):
-    """The 321 nodes of a full-width N = 16 grid on [-10 pi, 10 pi]."""
+    """The nodes of a full-width grid on [-10 pi, 10 pi]: 321 at N = 16."""
     t = -a_half + (math.pi / n) * np.arange(int(2 * a_half * n / math.pi) + 1)
     return t, np.asarray(builtin(surface).f(t), float)
 
@@ -98,10 +98,10 @@ def test_shared_rule_never_larger_than_fixed_cutoff(kp, km):
 
 
 def test_shared_rule_refuses_too_many_panels():
-    # at A/pi = 40 (u_max = 80 pi) the rule needs more than 4000 panels on a
-    # segment once v_min falls to 0.1; it says so instead of clipping
+    # at A/pi = 40 (u_max = 80 pi) the rule needs more than 64,000 points on
+    # a segment once v_min falls to 0.06; it says so instead of clipping
     with pytest.raises(DomainError, match="panels"):
-        sommerfeld.real_axis_rule(3.0, 4.0, 80 * math.pi, 0.1, False)
+        sommerfeld.real_axis_rule(3.0, 4.0, 80 * math.pi, 0.06, False)
     # where it fits, the doubled rule of the two-pass check is twice the size
     one = sommerfeld.real_axis_rule(3.0, 4.0, 80 * math.pi, 0.3, False)
     two = sommerfeld.real_axis_rule(3.0, 4.0, 80 * math.pi, 0.3, False,
@@ -111,4 +111,35 @@ def test_shared_rule_refuses_too_many_panels():
     for refine in (1, 2):
         xi = sommerfeld.real_axis_rule(3.0, 4.0, 20 * math.pi, 1.68, False,
                                        refine=refine)[0]
-        assert xi.size <= 1500 * refine
+        assert xi.size <= 1000 * refine
+
+
+def test_shared_rule_fits_thin_clearance_at_wide_window():
+    # at A/pi = 40 and v_min = 0.1 the 32-point panels fit under the point
+    # cap (16-point ones did not): the rule must still give R to rounding
+    a_half = 40 * math.pi
+    t = np.linspace(-a_half, a_half, 161)
+    f = np.full_like(t, -0.05)
+    rem = sommerfeld.remainder_matrices(3.0, 4.0, t, f)
+    med = MediumPair(3.0, 4.0)
+    n = t.size
+    for i, j in [(0, n - 1), (n - 1, 0), (0, 0), (n // 2, n // 2), (40, 121)]:
+        ref = green_remainder_modes(med, (t[i], f[i]), (t[j], f[j]),
+                                    modes=MODES, tol=1e-13)
+        for mat, m in zip(rem, MODES):
+            assert abs(mat[i, j] - ref[m]) <= 1e-13
+
+
+def test_shared_rule_refinement_stable_off_surface():
+    # targets off the surface, on both sides of the interface, as in field
+    # evaluation and the two-pass check of green_surface_batch; near the
+    # window's centre u_max is about half the surface's span, where 16-point
+    # panels of two oscillations left the two passes 1e-13 to 1e-12 apart
+    t, f = _grid("gamma3", n=64)
+    s = np.linspace(-2.0, 2.0, 9)
+    for x2 in (0.3, -0.2, -0.5):
+        fs = np.full_like(s, x2)
+        coarse, fine = (sommerfeld.remainder_matrices(
+            3.0, 4.0, t, f, s_nodes=s, fs_vals=fs, refine=r) for r in (1, 2))
+        for a, b in zip(coarse, fine):
+            assert np.abs(a - b).max() <= 1e-14
