@@ -129,47 +129,89 @@ def _checked_beta(problem: BoundaryProblem, s):
     return beta
 
 
-def _split_matrices(problem: BoundaryProblem, s, t, remainder):
-    """(A, B) of the periodic-log split between rows x_i = (s_i, f(s_i)) and
-    columns y_j = (t_j, f(t_j)).
+def _pair_pieces(k_minus, rows, cols):
+    """The pieces of the split between rows x_i and columns y_j that the
+    pair (x_i, y_j) shares with (y_j, x_i).
 
-    remainder: (R, dR/dy1, dR/dy2) pairwise arrays.  kappa and its log
-    coefficient a come from the one formula of the module doc; entries with
-    s_i == t_j get the analytic diagonal limits.  For the impedance problem
-    the matrices are those of K = M + L (see module doc).
+    rows, cols: surface jets (s, f, f', f'', J) of _surface_arrays.  Returns
+    (tau, dx2, rho, diag, h0, h1, band): tau = x1 - y1, dx2 = x2 - y2,
+    rho = |x - y| (1 on the diagonal mask diag, s_i == t_j, where the kernel
+    takes the analytic limits), H0 and H1 of k- rho, and the band terms.
+    chi vanishes off the band |tau| < pi, so band = (bi, bj, chi, lg) holds
+    them at its entries (bi, bj) only: chi, and lg = ln|2 sin(tau/2)| (0 on
+    the diagonal and where chi = 0).  Swapping rows and columns negates tau
+    and dx2 and transposes the rest (_swapped).
     """
-    km = problem.medium.k_minus
-    s, fs, dfs, d2fs, Js = _surface_arrays(problem.surface, s)
-    t, ft, dft, _, Jt = _surface_arrays(problem.surface, t)
-    if problem.kind == "dirichlet":     # normal at y, coupling i eta
-        sigma, c = 1.0, np.full((s.size, 1), 1j * problem.eta)
-        slope, jn = dft[None, :], Jt[None, :]
-    else:                               # normal at x, coupling i k- beta(s)
-        sigma, c = -1.0, 1j * km * _checked_beta(problem, s)[:, None]
-        slope, jn = dfs[:, None], Js[:, None]
+    s, fs = rows[:2]
+    t, ft = cols[:2]
     tau = s[:, None] - t[None, :]       # = x1 - y1
     dx2 = fs[:, None] - ft[None, :]
     rho = np.hypot(tau, dx2)
     diag = (np.abs(tau) <= 1e-14) & (rho <= 1e-14)
     if np.any((rho <= 1e-14) & ~diag):
         raise SingularityError("distinct parameters mapped to coincident points")
-    rho[diag] = 1.0                    # diagonal entries are set below
+    rho[diag] = 1.0
+    krho = k_minus * rho
+    h0, h1 = hankel1(0, krho), hankel1(1, krho)
+    del krho
+    bi, bj = np.nonzero(np.abs(tau) < math.pi)
+    tb = tau[bi, bj]
+    chi = cutoff_chi(tb)
+    lg = np.zeros(tb.shape)
+    keep = (chi > 0) & ~diag[bi, bj]
+    lg[keep] = np.log(np.abs(2.0 * np.sin(0.5 * tb[keep])))
+    return tau, dx2, rho, diag, h0, h1, (bi, bj, chi, lg)
+
+
+def _swapped(pieces, k):
+    """Pieces of the swapped pairs (y_j, x_i) for the columns j >= k of
+    _pair_pieces: tau and dx2 negated, every piece transposed.  tau, dx2, h0
+    and h1 are C-ordered copies, since _kernel_block writes over tau, h0 and
+    h1; rho and diag are views."""
+    tau, dx2, rho, diag, h0, h1, (bi, bj, chi, lg) = pieces
+    on = bj >= k
+    return (np.negative(tau[:, k:].T, order="C"),
+            np.negative(dx2[:, k:].T, order="C"), rho[:, k:].T, diag[:, k:].T,
+            h0[:, k:].T.copy(), h1[:, k:].T.copy(),
+            (bj[on] - k, bi[on], chi[on], lg[on]))
+
+
+def _kernel_block(problem, rows, cols, beta, pieces, remainder):
+    """(a, (bi, bj), B) of the periodic-log split between rows x_i and
+    columns y_j, from their _pair_pieces: A is a at the band entries
+    (bi, bj) and 0 elsewhere.
+
+    rows, cols: surface jets of _surface_arrays; beta: beta at the rows
+    (impedance only); remainder: (R, dR/dy1, dR/dy2) pairwise arrays.  kappa
+    and its log coefficient a come from the one formula of the module doc;
+    entries with s_i == t_j get the analytic diagonal limits.  For the
+    impedance problem the matrices are those of K = M + L (see module doc).
+    Writes over tau, h0 and h1 of pieces and over dR/dy1.
+    """
+    km = problem.medium.k_minus
+    _, _, dfs, d2fs, Js = rows
+    _, _, dft, _, Jt = cols
+    if problem.kind == "dirichlet":     # normal at y, coupling i eta
+        sigma, c = 1.0, np.full(Js.size, 1j * problem.eta)
+        slope, jn = dft[None, :], Jt[None, :]
+    else:                               # normal at x, coupling i k- beta(s)
+        sigma, c = -1.0, 1j * km * beta
+        slope, jn = dfs[:, None], Js[:, None]
+    tau, dx2, rho, diag, h0, h1, (bi, bj, chi, lg) = pieces
     # q = dot J_t / rho, dot = -sigma (tau f' - dx2) / J at the normal's end
-    q = tau * slope
+    q = np.multiply(tau, slope, out=tau)
     q -= dx2
-    del dx2
     q *= -sigma * Jt
     q /= jn * rho
     q[diag] = 0.0
-    rho *= km
-    h0, h1 = hankel1(0, rho), hankel1(1, rho)
     dd = np.nonzero(diag)
     i = dd[0]
-    # a = sigma (k-/pi) q J1 - (c/pi) J0 J_t, with J_n = Re H_n; on the
-    # diagonal (here and in kappa) the limits of the module doc
-    a = (h0.real * Jt) * (-c / math.pi)
-    a += (sigma * km / math.pi) * q * h1.real
-    a[dd] = -c[i, 0] * Js[i] / math.pi
+    # a = sigma (k-/pi) q J1 - (c/pi) J0 J_t, with J_n = Re H_n, at the band
+    # entries; on the diagonal (here and in kappa) the limits of the module doc
+    a = (h0.real[bi, bj] * Jt[bj]) * (-c[bi] / math.pi)
+    a += (sigma * km / math.pi) * q[bi, bj] * h1.real[bi, bj]
+    on = diag[bi, bj]
+    a[on] = -c[bi[on]] * Js[bi[on]] / math.pi
     # kappa = sigma (-i k-/2) q H1 + c (i/2 H0 + 2R) J_t + layer normal term
     R, Ry1, Ry2 = remainder
     kappa = h0
@@ -177,28 +219,38 @@ def _split_matrices(problem: BoundaryProblem, s, t, remainder):
     kappa[dd] = 0.25j - (EULER_GAMMA + np.log(0.5 * km * Js[i])) / (2 * math.pi)
     kappa += R
     kappa *= Jt
-    kappa *= 2.0 * c
+    kappa *= 2.0 * c[:, None]
     h1 *= q
     h1 *= -0.5j * sigma * km
     h1[dd] = -sigma * d2fs[i] / (2 * math.pi * Js[i] ** 2)
     kappa += h1
     # layer normal term 2 (f' Ry1 - sigma Ry2) J_t / J at the normal's end
-    layer = Ry1 * slope
-    layer -= sigma * Ry2
+    layer = np.multiply(Ry1, slope, out=Ry1)
+    (np.subtract if sigma > 0 else np.add)(layer, Ry2, out=layer)
     layer *= 2.0 * Jt
     layer /= jn
     kappa += layer
     # B = kappa - a chi ln|2 sin(tau/2)|, A = pi a chi; chi = 0 off the band
-    # |tau| < pi, so chi and the log correction are evaluated on it only
-    band = np.abs(tau) < math.pi
-    chi = cutoff_chi(tau[band])
-    a[~band] = 0.0
-    a[band] *= chi
-    band[band] = chi > 0
-    band &= ~diag
-    kappa[band] -= a[band] * np.log(np.abs(2.0 * np.sin(0.5 * tau[band])))
+    a *= chi
+    kappa[bi, bj] -= a * lg
     a *= math.pi
-    return a, kappa
+    return a, (bi, bj), kappa
+
+
+def _split_matrices(problem: BoundaryProblem, s, t, remainder):
+    """(A, B) of the periodic-log split between rows x_i = (s_i, f(s_i)) and
+    columns y_j = (t_j, f(t_j)): _kernel_block on the _pair_pieces of all
+    pairs at once.  remainder: (R, dR/dy1, dR/dy2) pairwise arrays; dR/dy1
+    is written over."""
+    rows = _surface_arrays(problem.surface, s)
+    cols = _surface_arrays(problem.surface, t)
+    beta = (_checked_beta(problem, rows[0]) if problem.kind == "impedance"
+            else None)
+    pieces = _pair_pieces(problem.medium.k_minus, rows, cols)
+    a, band, b = _kernel_block(problem, rows, cols, beta, pieces, remainder)
+    A = np.zeros_like(b)
+    A[band] = a
+    return A, b
 
 
 def surface_remainder(medium: MediumPair, t_nodes, f_vals, s_nodes=None,

@@ -13,6 +13,17 @@ discrete operator is
     (K_N psi)(s) = sum_j [ R_j^N(s) A(s, t_j) + (pi/N) B(s, t_j) ] psi(t_j),
 
 collocated at s = t_i, giving the dense system (I - K_N) psi = rhs.
+
+The pair geometry, the Hankel values and the band terms of (A, B) are the
+same for a node pair and its mirror, up to the sign of x - y, so assemble
+evaluates them once for each unordered pair:
+row panels sweep the upper triangle and also fill the block below the panel
+from the transposed pieces.  It reads the shared-rule layer sums packed, as
+sommerfeld.remainder_matrices builds them: R and dR/dy2 from their upper
+triangles, transposed below the diagonal and completed only on each panel's
+diagonal block, and dR/dy1 as M^T - M from the product M.
+remainder_matrices completes them to full matrices only for its other
+callers.
 """
 
 from __future__ import annotations
@@ -25,15 +36,15 @@ import scipy.linalg as sla
 from scipy.linalg import lapack as _lapack
 
 from . import sommerfeld
-from .bie import (BoundaryProblem, _checked_beta, _split_matrices, rhs_vector,
-                  surface_remainder)
+from .bie import (BoundaryProblem, _checked_beta, _kernel_block, _pair_pieces,
+                  _surface_arrays, _swapped, rhs_vector)
 from .errors import DomainError, SolverError
 
 _COND_LIMIT = 1e12
 _RESIDUAL_LIMIT = 1e-10
-#: elements per row panel of assemble: bie._split_matrices holds about eight
-#: panel-sized complex temporaries, so together they stay near the
-#: sommerfeld._BLOCK budget
+#: elements per row panel of assemble: a panel's bie._pair_pieces and the
+#: bie._kernel_block made from them hold about eight panel-sized complex
+#: temporaries, so together they stay near the sommerfeld._BLOCK budget
 _PANEL = sommerfeld._BLOCK // 8
 
 
@@ -96,31 +107,54 @@ def assemble(problem: BoundaryProblem, grid: Grid):
     """Dense collocation system (matrix, rhs) for the given problem.
 
     The matrix I - (W o A + h B), W_ij = R^N(t_i - t_j) = w_|i-j|, is
-    written one row panel at a time: the panel's (A, B) come from
-    bie._split_matrices on its rows of the shared-rule layer sums
-    (R, dR/dy1, dR/dy2), and since a panel reads only its own rows, it is
-    written over them in R.  Beyond those three sums only panel-sized
-    temporaries exist.
+    written one row panel [lo, hi) at a time: bie._pair_pieces on rows
+    [lo, hi) x columns [lo, n), then bie._kernel_block on them for the rows
+    [hi, n) x columns [lo, hi) below the panel (transposed) and for the
+    panel's rows [lo, hi) x columns [lo, n).  The matrix is written over the
+    packed layer sum R: the first block into its empty lower triangle, the
+    second over the panel's own rows, which the first has read.  Beyond the
+    three sums only panel-sized temporaries exist.
     """
     t = grid.nodes
     n = t.size
+    beta = None
     if problem.kind == "impedance":     # fail before the layer integrals
-        _checked_beta(problem, t)
-    rem = surface_remainder(problem.medium, t,
-                            np.asarray(problem.surface.f(t), dtype=float))
+        beta = _checked_beta(problem, t)
+    jets = _surface_arrays(problem.surface, t)
+    km = problem.medium.k_minus
+    matrix, m1, r2 = sommerfeld.remainder_matrices(
+        problem.medium.k_plus, km, t, jets[1], packed=True)
     w = log_weight(grid.N, np.arange(n) * grid.h, 0.0)
-    matrix = rem[0]
     j = np.arange(n)
-    rows = max(1, _PANEL // n)
-    for lo in range(0, n, rows):
-        sl = slice(lo, lo + rows)
-        a, b = _split_matrices(problem, t[sl], t, tuple(r[sl] for r in rem))
-        a *= w[np.abs(j[sl, None] - j)]
+
+    def block(rows, cols, pieces, remainder):
+        """Write -(W o A + h B) on the nodes rows x cols (slices) into the
+        matrix."""
+        a, (bi, bj), b = _kernel_block(
+            problem, tuple(x[rows] for x in jets), tuple(x[cols] for x in jets),
+            None if beta is None else beta[rows], pieces, remainder)
+        a *= w[np.abs(j[rows][bi] - j[cols][bj])]
         b *= grid.h
-        a += b
-        np.negative(a, out=matrix[sl])
-        i = j[sl]
-        matrix[i, i] = 1.0 - a[i - lo, i]
+        b[bi, bj] += a
+        np.negative(b, out=matrix[rows, cols])
+
+    step = max(1, _PANEL // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        own, rest, below = slice(lo, hi), slice(lo, n), slice(hi, n)
+        pieces = _pair_pieces(km, tuple(x[own] for x in jets),
+                              tuple(x[rest] for x in jets))
+        if hi < n:
+            block(below, own, _swapped(pieces, hi - lo),
+                  (matrix[own, below].T, m1[own, below].T - m1[below, own],
+                   r2[own, below].T))
+        for x in (matrix, r2):      # the panel's diagonal block, completed
+            d = x[own, own]
+            d += np.triu(d, 1).T
+        block(own, rest, pieces,
+              (matrix[own, rest], m1[rest, own].T - m1[own, rest],
+               r2[own, rest]))
+        matrix[j[own], j[own]] += 1.0      # the identity
     rhs = np.asarray(rhs_vector(problem, t), dtype=complex)
     return matrix, rhs
 

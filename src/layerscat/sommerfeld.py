@@ -386,11 +386,12 @@ def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric, sign):
         nq = xi[sl].size
         if symmetric:
             # with sqrt(sign base) in both factors, I4 = sign X X^T; likewise
-            # sqrt(S-)
+            # sqrt(S-), scaled into X in place once I4 and M have it
             x = _fold_factors(xi[sl], sm[sl], t, f, np.sqrt(sign * base[sl]))
             _syrk(i4, x, sign)
-            _syrk(g2, x * np.tile(np.sqrt(sm[sl]), 2), sign)
             _gemm(g1, x[:, :nq] * xi[sl], x[:, nq:], alpha=sign)
+            x *= np.tile(np.sqrt(sm[sl]), 2)
+            _syrk(g2, x, sign)
             continue
         xs = _fold_factors(xi[sl], st[sl], s, fs, base[sl])
         xt = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
@@ -421,7 +422,7 @@ def _complete_in_place(c, odd):
 
 
 def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
-                       fs_vals=None, refine=1):
+                       fs_vals=None, refine=1, packed=False):
     """Spectral part of G between point sets, through one shared rule.
 
     The one shared-rule evaluator of assembly, boundary data and field
@@ -447,8 +448,11 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     rule runs in real arithmetic, first, into real sums that are then made
     complex one at a time; the rest in complex.  When s_nodes is omitted the
     targets are the sources: I and dI/dy2 are then symmetric rank-2q updates
-    (syrk) and dI/dy1 is M^T - M for one product M, each completed in place.
-    Blocks of the rule keep each (node, rule point) temporary under _BLOCK
+    (syrk) that fill only their upper triangles, and dI/dy1 is M^T - M for
+    one product M.  With packed those three (upper I, M, upper dI/dy2) are
+    returned as they are: nystrom.assemble reads them so, each node pair
+    once.  Otherwise each is completed in place to the full matrix.  Blocks
+    of the rule keep each (node, rule point) temporary under _BLOCK
     elements, so the three (targets, sources) sums, and one real sum while
     they are made complex, are the only full-size arrays.
     """
@@ -488,7 +492,7 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     _fold_sums(sums, xi[~real], sm[~real], st[~real], base[~real],
                s, fs, t, f, symmetric, sign)
     i4, g1, g2 = sums
-    if symmetric:
+    if symmetric and not packed:
         _complete_in_place(i4, odd=False)
         _complete_in_place(g2, odd=False)
         _complete_in_place(g1, odd=True)

@@ -524,7 +524,8 @@ def test_surface_remainder_at_assembly_scale():
 @pytest.mark.parametrize("refine", [1, 2])
 def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
     # the symmetric fast path (syrk, M^T - M) and the rectangular path with
-    # targets = sources evaluate the same folded sums
+    # targets = sources evaluate the same folded sums; packed, the symmetric
+    # path returns the upper triangles and M that it completes
     surf = builtin("gamma3")
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
     f = np.asarray(surf.f(t), float)
@@ -537,6 +538,11 @@ def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
     assert np.array_equal(sym[0], sym[0].T)
     assert np.array_equal(sym[1], -sym[1].T)
     assert np.array_equal(sym[2], sym[2].T)
+    up, m, up2 = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine,
+                                               packed=True)
+    assert np.array_equal(up, np.triu(sym[0]))
+    assert np.array_equal(m.T - m, sym[1])
+    assert np.array_equal(up2, np.triu(sym[2]))
 
 
 def test_surface_remainder_against_pointwise_k_plus_above():

@@ -8,7 +8,7 @@ import pytest
 
 from oracle import kernel_matrices, system_matrix, weight_matrix
 
-from layerscat import nystrom
+from layerscat import bie, nystrom
 from layerscat.cli import _PRESETS, build_problem, preset_config, run
 from layerscat.errors import DomainError, SolverError
 from layerscat.nystrom import Grid, assemble, log_weight, solve, solve_system
@@ -121,12 +121,13 @@ def test_assemble_diagonal_structure():
     assert rhs.shape == (grid.node_count,)
 
 
-@pytest.mark.parametrize("rows", [None, 50])
+@pytest.mark.parametrize("rows", [None, 50, 107, 1])
 @pytest.mark.parametrize("preset", sorted(_PRESETS))
 def test_panelled_matrix_matches_one_shot(preset, rows, monkeypatch):
-    # 321 rows in panels of the default height (194) or of 50: each panel
-    # boundary cuts the band |s - t| < pi, and with 50 the last panel has
-    # 21 rows
+    # 321 rows in panels of the default height (194), of 50, 107 or 1: each
+    # panel boundary cuts the band |s - t| < pi, with 50 the last panel has
+    # 21 rows, 107 divides 321, and single rows leave each panel's diagonal
+    # block one entry
     cfg = preset_config(preset, N=16)
     problem = build_problem(cfg)
     grid = Grid(half_width_A=cfg.A, N=cfg.N)
@@ -135,6 +136,29 @@ def test_panelled_matrix_matches_one_shot(preset, rows, monkeypatch):
     matrix, _ = assemble(problem, grid)
     ref = system_matrix(problem, grid)
     assert np.abs(matrix - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("preset", ["example1-dbvp", "example1-ibvp"])
+def test_hankel_points_cover_each_pair_once(preset, monkeypatch):
+    # a panel of rows [lo, hi) evaluates H0 and H1 of k- rho on its rows x
+    # columns [lo, n) only, and takes the pairs below it from their mirrors:
+    # sum_p r_p (n - lo_p) points per order, not n^2
+    cfg = preset_config(preset, N=16)
+    problem = build_problem(cfg)
+    grid = Grid(half_width_A=cfg.A, N=cfg.N)
+    n = grid.node_count
+    monkeypatch.setattr(nystrom, "_PANEL", 50 * n)
+    points = {0: 0, 1: 0}
+    hankel1 = bie.hankel1
+
+    def counted(order, z):
+        points[order] += np.size(z)
+        return hankel1(order, z)
+
+    monkeypatch.setattr(bie, "hankel1", counted)
+    assemble(problem, grid)
+    expected = sum(min(50, n - lo) * (n - lo) for lo in range(0, n, 50))
+    assert points == {0: expected, 1: expected}
 
 
 def test_assembly_memory_is_bounded():
