@@ -46,6 +46,10 @@ _RESIDUAL_LIMIT = 1e-10
 #: bie._kernel_block made from them hold about eight panel-sized complex
 #: temporaries, so together they stay near the sommerfeld._BLOCK budget
 _PANEL = sommerfeld._BLOCK // 8
+#: rows per panel at most: a panel of r rows evaluates its pair pieces on
+#: r (n - lo) pairs, so the sweep covers about n^2 / 2 + r n / 2 pairs, and
+#: a short panel keeps that near n^2 / 2 where _PANEL // n alone is tall
+_PANEL_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,8 @@ def assemble(problem: BoundaryProblem, grid: Grid):
     """Dense collocation system (matrix, rhs) for the given problem.
 
     The matrix I - (W o A + h B), W_ij = R^N(t_i - t_j) = w_|i-j|, is
-    written one row panel [lo, hi) at a time: bie._pair_pieces on rows
+    written one row panel [lo, hi) of min(_PANEL_ROWS, _PANEL // n) rows
+    at a time: bie._pair_pieces on rows
     [lo, hi) x columns [lo, n), then bie._kernel_block on them for the rows
     [hi, n) x columns [lo, hi) below the panel (transposed) and for the
     panel's rows [lo, hi) x columns [lo, n).  The matrix is written over the
@@ -138,7 +143,7 @@ def assemble(problem: BoundaryProblem, grid: Grid):
         b[bi, bj] += a
         np.negative(b, out=matrix[rows, cols])
 
-    step = max(1, _PANEL // n)
+    step = max(1, min(_PANEL_ROWS, _PANEL // n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         own, rest, below = slice(lo, hi), slice(lo, n), slice(hi, n)

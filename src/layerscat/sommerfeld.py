@@ -46,6 +46,24 @@ of length L holding m oscillations is at most
 5.3e-23 L for n = 32, m = 7 (4.8e-20 L for n = 16, m = 2).  Both rules
 refuse (DomainError) a segment that would need more than _MAX_POINTS points:
 4000 panels of 16 for spectral_point, 2000 of 32 for the shared rule.
+
+The shared rule's sums are products of per-node fold factors
+e^{S f_j} cos(xi t_j) and e^{S f_j} sin(xi t_j).  On the Nystrom grid, the
+arithmetic progression t_j = t_0 + j h, cos and sin are evaluated only at
+m = ceil(sqrt(n)) anchors t_{am} and at the m offsets b h, each for the
+exact product xi t (the rounding error of the product, from Dekker's
+two-product, enters to first order).  Angle addition,
+
+    cos(A + B) = cos A cos B - sin A sin B,
+    sin(A + B) = sin A cos B + cos A sin B,
+
+gives them at node j = a m + b.  That node is t_{am} + b h + d_j, with d_j
+the rounding the grid's own nodes carry, and the first-order correction
+C -= xi d_j S, S += xi d_j C puts it back: the factors are those of the
+exact phase xi t_j to a few rounding errors of 1, where cos of the rounded
+phase fl(xi t_j) is off by up to half an ulp of the phase.  Other point sets
+(field and source points off the grid) take cos and sin of each rounded
+phase.
 """
 
 from __future__ import annotations
@@ -71,6 +89,11 @@ _CASES = {
 #: elements per (node, rule point) temporary in remainder_matrices; a
 #: complex block then stays under 8 MB
 _BLOCK = 500_000
+
+#: elements per block of nodes x rule points that _fold_factors finishes
+#: at a time; its five temporaries (under 1 MB together) then stay in a
+#: core's L2 cache
+_FOLD_CHUNK = 16_384
 
 #: absolute bound on the part of each shared-rule integral beyond its cutoff
 _RULE_TOL = 1e-15
@@ -342,17 +365,90 @@ def real_axis_rule(k_plus, k_minus, u_max, v_min, above, refine=1):
     return xi, w, sp, sm
 
 
+def _anchors(pos):
+    """pos as anchors plus offsets: (anchors, offsets, d) with
+    pos_j = anchors_a + offsets_b + d_j for j = a m + b, m = offsets.size.
+
+    On an arithmetic progression pos_j = pos_0 + j h (exactly, as Grid.nodes
+    is) the anchors are every m-th point, m = ceil(sqrt(n)), the offsets
+    b h, and d_j = (pos_j - anchors_a) - b h the rounding left over.  Any
+    other point set is its own anchors, with one zero offset and d = None."""
+    n = pos.size
+    if n > 2:
+        h = (pos[-1] - pos[0]) / (n - 1)
+        j = np.arange(n)
+        if np.array_equal(pos, pos[0] + h * j):
+            m = math.isqrt(n - 1) + 1
+            anchors, offsets = pos[::m], h * np.arange(m)
+            return anchors, offsets, (pos - anchors[j // m]) - offsets[j % m]
+    return pos, np.zeros(1), None
+
+
+def _split(x):
+    """x = hi + lo with hi holding the upper 26 bits (Veltkamp's splitting
+    by 2^27 + 1)."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _cos_sin(a, b, exact=True):
+    """cos and sin of the outer product a b.  With exact they are those of
+    the exact product to first order: the rounding error r of p = fl(a b)
+    (Dekker's two-product, itself exact) enters as cos(p + r) =
+    cos p - r sin p, sin(p + r) = sin p + r cos p."""
+    p = np.multiply.outer(a, b)
+    c, s = np.cos(p), np.sin(p)
+    if not exact:
+        return c, s
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    r = np.multiply.outer(ah, bh) - p
+    r += np.multiply.outer(ah, bl)
+    r += np.multiply.outer(al, bh)
+    r += np.multiply.outer(al, bl)
+    return c - r * s, s + r * c
+
+
 def _fold_factors(xi, expo, pos, height, scale):
-    """[C | S] per node and rule point: C = scale e^{expo height} cos(xi pos),
-    S = scale e^{expo height} sin(xi pos), shape (nodes, 2 * rule points)."""
-    nq = xi.size
-    ph = np.multiply.outer(pos, xi)
-    amp = np.exp(np.multiply.outer(height, expo)) * scale
-    out = np.empty((pos.size, 2 * nq), dtype=amp.dtype)
-    np.cos(ph, out=out[:, :nq])
-    np.sin(ph, out=out[:, nq:])
-    out[:, :nq] *= amp
-    out[:, nq:] *= amp
+    """[C, S] per node and rule point: C = scale e^{expo height} cos(xi pos),
+    S = scale e^{expo height} sin(xi pos), shape (2, nodes, rule points).
+
+    On a progression cos and sin come from the anchors and offsets of
+    _anchors, for the exact products (_cos_sin), by angle addition and the
+    first-order correction C -= xi d S, S += xi d C of the module docstring;
+    any other point set takes cos and sin of each rounded phase.  The nodes
+    go in blocks of whole anchors of about _FOLD_CHUNK elements, each
+    finished (rotation, correction, amplitude) in cache before the next."""
+    nq, n = xi.size, pos.size
+    anchors, offsets, d = _anchors(pos)
+    m = offsets.size
+    ca, sa = _cos_sin(anchors, xi, exact=d is not None)
+    cb, sb = _cos_sin(offsets, xi)
+    out = np.empty((2, n, nq), dtype=np.result_type(expo, scale))
+    step = max(1, _FOLD_CHUNK // (nq * m))
+    for a0 in range(0, anchors.size, step):
+        sl = slice(a0, a0 + step)
+        lo = a0 * m
+        hi = min(lo + step * m, n)
+        if d is None:
+            c, s = ca[sl], sa[sl]
+        else:
+            c = ca[sl, None] * cb
+            t = sa[sl, None] * sb
+            c -= t
+            s = sa[sl, None] * cb
+            np.multiply(ca[sl, None], sb, out=t)
+            s += t
+            c, s, t = (x.reshape(-1, nq)[:hi - lo] for x in (c, s, t))
+            e = np.multiply.outer(d[lo:hi], xi)
+            np.multiply(e, s, out=t)
+            e *= c
+            c -= t
+            s += e
+        amp = np.exp(np.multiply.outer(height[lo:hi], expo))
+        amp *= scale
+        np.multiply(c, amp, out=out[0, lo:hi])
+        np.multiply(s, amp, out=out[1, lo:hi])
     return out
 
 
@@ -374,32 +470,35 @@ def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric, sign):
     the targets' exponent, S- below the interface and -S+ above it.
 
     The dtype of the rule (real beyond both branch points, complex below)
-    picks real or complex BLAS.  In the symmetric case sums hold the upper
-    triangles of I and dI/dy2 and, for dI/dy1, M with dI/dy1 = M^T - M; the
-    factors there carry sqrt(sign base), so sign (+-1) makes sign base
-    positive where the rule is real.
+    picks real or complex BLAS.  The factors [C, S] of _fold_factors reach
+    BLAS as two C-ordered halves, each without a copy.  In the symmetric
+    case sums hold the upper triangles of I and dI/dy2 and, for dI/dy1, M
+    with dI/dy1 = M^T - M; the factors there carry sqrt(sign base), so sign
+    (+-1) makes sign base positive where the rule is real.
     """
     i4, g1, g2 = sums
     blk = max(1, _BLOCK // (2 * max(s.size, t.size, 1)))
     for lo in range(0, xi.size, blk):
         sl = slice(lo, lo + blk)
-        nq = xi[sl].size
         if symmetric:
-            # with sqrt(sign base) in both factors, I4 = sign X X^T; likewise
-            # sqrt(S-), scaled into X in place once I4 and M have it
+            # with sqrt(sign base) in both factors, I4 = sign (C C^T + S S^T);
+            # likewise sqrt(S-), scaled in place once I4 and M have it
             x = _fold_factors(xi[sl], sm[sl], t, f, np.sqrt(sign * base[sl]))
-            _syrk(i4, x, sign)
-            _gemm(g1, x[:, :nq] * xi[sl], x[:, nq:], alpha=sign)
-            x *= np.tile(np.sqrt(sm[sl]), 2)
-            _syrk(g2, x, sign)
+            for half in x:
+                _syrk(i4, half, sign)
+            _gemm(g1, x[0] * xi[sl], x[1], alpha=sign)
+            x *= np.sqrt(sm[sl])
+            for half in x:
+                _syrk(g2, half, sign)
             continue
         xs = _fold_factors(xi[sl], st[sl], s, fs, base[sl])
         xt = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
-        _gemm(i4, xs, xt)
-        _gemm(g2, xs * np.tile(sm[sl], 2), xt)
+        for a, b in zip(xs, xt):
+            _gemm(i4, a, b)
+            _gemm(g2, a * sm[sl], b)
         # sin(xi (s - t)) = S_s C_t - C_s S_t
-        _gemm(g1, xs[:, nq:] * xi[sl], xt[:, :nq])
-        _gemm(g1, xs[:, :nq] * xi[sl], xt[:, nq:], alpha=-1.0)
+        _gemm(g1, xs[1] * xi[sl], xt[0])
+        _gemm(g1, xs[0] * xi[sl], xt[1], alpha=-1.0)
 
 
 def _complete_in_place(c, odd):

@@ -124,7 +124,7 @@ def test_assemble_diagonal_structure():
 @pytest.mark.parametrize("rows", [None, 50, 107, 1])
 @pytest.mark.parametrize("preset", sorted(_PRESETS))
 def test_panelled_matrix_matches_one_shot(preset, rows, monkeypatch):
-    # 321 rows in panels of the default height (194), of 50, 107 or 1: each
+    # 321 rows in panels of the default height (32), of 50, 107 or 1: each
     # panel boundary cuts the band |s - t| < pi, with 50 the last panel has
     # 21 rows, 107 divides 321, and single rows leave each panel's diagonal
     # block one entry
@@ -132,7 +132,7 @@ def test_panelled_matrix_matches_one_shot(preset, rows, monkeypatch):
     problem = build_problem(cfg)
     grid = Grid(half_width_A=cfg.A, N=cfg.N)
     if rows is not None:
-        monkeypatch.setattr(nystrom, "_PANEL", rows * grid.node_count)
+        monkeypatch.setattr(nystrom, "_PANEL_ROWS", rows)
     matrix, _ = assemble(problem, grid)
     ref = system_matrix(problem, grid)
     assert np.abs(matrix - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -147,7 +147,7 @@ def test_hankel_points_cover_each_pair_once(preset, monkeypatch):
     problem = build_problem(cfg)
     grid = Grid(half_width_A=cfg.A, N=cfg.N)
     n = grid.node_count
-    monkeypatch.setattr(nystrom, "_PANEL", 50 * n)
+    monkeypatch.setattr(nystrom, "_PANEL_ROWS", 50)
     points = {0: 0, 1: 0}
     hankel1 = bie.hankel1
 

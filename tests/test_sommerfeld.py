@@ -10,6 +10,7 @@ from layerscat import sommerfeld
 from layerscat.errors import DomainError
 from layerscat.green import (MediumPair, grad_green_y, green,
                              green_remainder_modes)
+from layerscat.nystrom import Grid
 from layerscat.surface import builtin
 
 MEDIA = [(3.0, 4.0), (2.7, 3.5), (3.5, 2.7)]
@@ -143,3 +144,75 @@ def test_shared_rule_refinement_stable_off_surface():
             3.0, 4.0, t, f, s_nodes=s, fs_vals=fs, refine=r) for r in (1, 2))
         for a, b in zip(coarse, fine):
             assert np.abs(a - b).max() <= 1e-14
+
+
+def _factor_errors(t, f, refine=1):
+    """Largest error of the fold factors of the shared rule at nodes t, f,
+    from _fold_factors and from np.cos/np.sin of the rounded phase, each
+    against a long-double reference, on the real and the complex part of a
+    rule spanning the nodes (about 64 points of each, spread over it)."""
+    u_max = float(t[-1] - t[0])
+    xi, _, sp, sm = sommerfeld.real_axis_rule(3.0, 4.0, u_max, 0.6, False,
+                                              refine=refine)
+    real = (sp.imag == 0) & (sm.imag == 0)
+    out = []
+    for sel, expo in ((real, sm.real), (~real, sm)):
+        every = max(1, np.count_nonzero(sel) // 64)
+        x, e = xi[sel][::every], expo[sel][::every]
+        scale = np.linspace(0.5, 2.0, x.size)
+        got = sommerfeld._fold_factors(x, e, t, f, scale)
+        phase = np.multiply.outer(t, x)
+        amp = np.exp(np.multiply.outer(f, e)) * scale
+        direct = np.stack((np.cos(phase) * amp, np.sin(phase) * amp))
+        wide = np.clongdouble if np.iscomplexobj(e) else np.longdouble
+        phase = np.multiply.outer(t.astype(np.longdouble),
+                                  x.astype(np.longdouble))
+        amp = np.exp(np.multiply.outer(f.astype(np.longdouble),
+                                       e.astype(wide)))
+        amp *= scale.astype(np.longdouble)
+        ref = np.stack((np.cos(phase) * amp, np.sin(phase) * amp))
+        out.append((float(np.abs(got - ref).max()),
+                    float(np.abs(direct - ref).max())))
+    return out
+
+
+@pytest.mark.parametrize("a_over_pi", [10, 40])
+def test_grid_fold_factors_as_accurate_as_direct(a_over_pi):
+    # angle addition from anchors and offsets of exact phase, with the
+    # first-order term of the nodes' rounding, against cos/sin of each
+    # rounded phase: the first is off by a few rounding errors of 1 (1e-16
+    # to 1e-15 here), the second by up to half an ulp of a phase near 100
+    # to 400.  Without the nodes' term the grid factors' error is 3 to 3.7
+    # times the direct one; from the anchors' and offsets' rounded phases
+    # it is 0.8 to 1.3 times it.
+    t = Grid(a_over_pi * math.pi, 64).nodes
+    f = -0.3 - 0.2 * np.cos(t) ** 2
+    assert sommerfeld._anchors(t)[2] is not None
+    for got, direct in _factor_errors(t, f):
+        assert got <= 0.25 * direct
+
+
+def test_jittered_nodes_fold_factors_fall_back():
+    # off an arithmetic progression each node is its own anchor, with one
+    # zero offset and no correction: the factors are cos/sin of each
+    # rounded phase
+    t = Grid(10 * math.pi, 16).nodes
+    t = t + 1e-3 * np.random.default_rng(5).uniform(-1.0, 1.0, t.size)
+    f = -0.3 - 0.2 * np.cos(t) ** 2
+    anchors, offsets, d = sommerfeld._anchors(t)
+    assert anchors is t and offsets.tolist() == [0.0] and d is None
+    for got, direct in _factor_errors(t, f):
+        assert got <= direct
+
+
+@pytest.mark.parametrize("n_per_pi", [4, 16, 64])
+@pytest.mark.parametrize("a_over_pi", [1, 10, 40, 80])
+def test_progression_check_accepts_grid_nodes(a_over_pi, n_per_pi):
+    # Grid.nodes is t_0 + h j to the last bit, so every production call
+    # (assembly, boundary data, field evaluation) takes the anchored path
+    t = Grid(a_over_pi * math.pi, n_per_pi).nodes
+    anchors, offsets, d = sommerfeld._anchors(t)
+    m = math.isqrt(t.size - 1) + 1
+    assert offsets.size == m > 1 and d is not None
+    assert np.array_equal(anchors, t[::m])
+    assert np.abs(d).max() <= 4 * np.spacing(np.abs(t).max())
