@@ -36,7 +36,7 @@ the diagonal a = -c J_s/pi and, with C the Euler constant,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,8 +78,6 @@ class BoundaryProblem:
     function beta~(s) or a constant (impedance only, Re beta >= d > 0,
     default 1); eta the coupling
     constant of the combined Dirichlet ansatz (default sqrt(k+ k-)).
-    incident optionally records the incident-wave configuration so field
-    routines can form reference/total fields.
     """
 
     kind: str
@@ -88,7 +86,6 @@ class BoundaryProblem:
     data_g: Callable
     eta: Optional[float] = None
     beta: Optional[Callable | complex] = None
-    incident: Optional[dict] = field(default=None)
 
     def __post_init__(self):
         if self.kind not in ("dirichlet", "impedance"):
@@ -253,20 +250,6 @@ def _split_matrices(problem: BoundaryProblem, s, t, remainder):
     return A, b
 
 
-def surface_remainder(medium: MediumPair, t_nodes, f_vals, s_nodes=None,
-                      fs_vals=None):
-    """Pairwise (R, dR/dy1, dR/dy2) between surface point sets.
-
-    R(x, y) = G(x, y) - Phi_{k-}(x, y) = -Phi_{k-}(x, y') + I4(x, y) comes
-    whole from the shared rule of sommerfeld.remainder_matrices, which
-    integrates I4 with the mirror term subtracted inside the integral.
-    Targets x_i = (s_i, fs_i) default to the source set y_j = (t_j, f_j).
-    """
-    return sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus,
-                                         t_nodes, f_vals, s_nodes=s_nodes,
-                                         fs_vals=fs_vals)
-
-
 def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):
     """Rectangular (A, B) kernel matrices between off-node collocation points
     s_points and the quadrature grid t_nodes (Nystrom natural interpolation)."""
@@ -276,7 +259,9 @@ def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):
         _checked_beta(problem, s)
     f_t = np.asarray(problem.surface.f(t), dtype=float)
     f_s = np.asarray(problem.surface.f(s), dtype=float)
-    rem = surface_remainder(problem.medium, t, f_t, s_nodes=s, fs_vals=f_s)
+    rem = sommerfeld.remainder_matrices(problem.medium.k_plus,
+                                        problem.medium.k_minus, t, f_t,
+                                        s_nodes=s, fs_vals=f_s)
     return _split_matrices(problem, s, t, rem)
 
 

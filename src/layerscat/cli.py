@@ -91,7 +91,8 @@ def _known_keys(mapping, allowed, where):
 
 
 def _number(value, name) -> float:
-    """value as a finite float, or ConfigError naming the field."""
+    """value as a finite float (never a bool), or ConfigError naming it."""
+    _require(not isinstance(value, bool), f"{name}: number required, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -165,13 +166,16 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
         _require(isinstance(p, (list, tuple)) and len(p) == 2,
                  f"eval_points: bad entry {p!r}")
         points.append(tuple(_number(v, "eval_points") for v in p))
+    out_dir = data.get("out_dir")
+    _require(out_dir is None or isinstance(out_dir, str),
+             f"out_dir: directory path string required, got {out_dir!r}")
     idle = "beta" if problem == "dirichlet" else "eta"
     _require(idle not in data, f"config: key {idle!r} sets nothing for a "
              f"{problem} problem")
     return RunConfig(problem=problem, k_plus=kp, k_minus=km, surface=surf,
                      incident=inc, beta=beta, eta=eta,
                      N=n, A_over_pi=a_pi, eval_points=tuple(points),
-                     out_dir=data.get("out_dir"))
+                     out_dir=out_dir)
 
 
 def load_config(path, **overrides) -> RunConfig:
@@ -233,7 +237,7 @@ def build_problem(config: RunConfig) -> BoundaryProblem:
 
     kwargs = {"beta": _build_beta(config.beta)} if impedance else {"eta": config.eta}
     problem = BoundaryProblem(kind=config.problem, medium=med, surface=surf,
-                              data_g=data_g, incident=dict(inc), **kwargs)
+                              data_g=data_g, **kwargs)
     return problem
 
 

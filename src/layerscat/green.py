@@ -20,8 +20,8 @@ sommerfeld.spectral_point and adds the Hankel terms of _free_terms.  On point
 sets sommerfeld.remainder_matrices integrates R whole, with the mirror term
 subtracted inside the integral, and G above the interface; green_surface_batch
 adds only the direct term Phi_{k-}(x, y) below it (_add_direct).  That one
-path serves point-source data, field evaluation and Green tables, and
-bie.surface_remainder the assembly.
+path serves point-source data, field evaluation and Green tables;
+bie.kernel_rows and nystrom.assemble call remainder_matrices directly.
 """
 
 from __future__ import annotations

@@ -19,11 +19,10 @@ same for a node pair and its mirror, up to the sign of x - y, so assemble
 evaluates them once for each unordered pair:
 row panels sweep the upper triangle and also fill the block below the panel
 from the transposed pieces.  It reads the shared-rule layer sums packed, as
-sommerfeld.remainder_matrices builds them: R and dR/dy2 from their upper
-triangles, transposed below the diagonal and completed only on each panel's
-diagonal block, and dR/dy1 as M^T - M from the product M.
-remainder_matrices completes them to full matrices only for its other
-callers.
+sommerfeld.remainder_matrices returns them on a node set: R and dR/dy2
+from their upper triangles, transposed below the diagonal and completed
+only on each panel's diagonal block, and dR/dy1 as M^T - M from the
+product M.  No full layer-sum matrix is formed.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ def assemble(problem: BoundaryProblem, grid: Grid):
     jets = _surface_arrays(problem.surface, t)
     km = problem.medium.k_minus
     matrix, m1, r2 = sommerfeld.remainder_matrices(
-        problem.medium.k_plus, km, t, jets[1], packed=True)
+        problem.medium.k_plus, km, t, jets[1])
     w = log_weight(grid.N, np.arange(n) * grid.h, 0.0)
     j = np.arange(n)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sommerfeld
-from .bie import BoundaryProblem
+from .bie import BoundaryProblem, _surface_arrays
 from .errors import DomainError, SingularityError, SolverError
 from .green import (MediumPair, _check_downward, _plane_waves, _points, green,
                     green_surface_batch, transmitted_direction)
@@ -66,9 +66,7 @@ def _eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
             f"evaluation point {(float(p1[i]), float(p2[i]))} within "
             f"{dist[i]:.2e} of the surface; the plain quadrature rule is "
             "invalid there")
-    f = np.asarray(surf.f(t), dtype=float)
-    df = np.asarray(surf.df(t), dtype=float)
-    speed = np.sqrt(1.0 + df * df)
+    _, f, df, _, speed = _surface_arrays(surf, t)
     weights = sol.grid.h * speed * sol.values
     dirichlet = problem.kind == "dirichlet"
     values = np.empty(p1.size, dtype=complex)

@@ -501,33 +501,15 @@ def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric, sign):
         _gemm(g1, xs[0] * xi[sl], xt[1], alpha=-1.0)
 
 
-def _complete_in_place(c, odd):
-    """Finish a symmetric-path sum in place, one row panel at a time: c = U + U^T
-    from its upper triangle U (zero below the diagonal), or, with odd,
-    c = M^T - M.  Each temporary stays under _BLOCK elements."""
-    n = c.shape[0]
-    rows = max(1, _BLOCK // n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        d = c[lo:hi, lo:hi]
-        if odd:
-            up = c[hi:, lo:hi].T - c[lo:hi, hi:]
-            c[lo:hi, hi:] = up
-            c[hi:, lo:hi] = -up.T
-            d[...] = d.T - d
-        else:
-            c[hi:, lo:hi] = c[lo:hi, hi:].T
-            d += np.triu(d, 1).T
-
-
 def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
-                       fs_vals=None, refine=1, packed=False):
+                       fs_vals=None, refine=1):
     """Spectral part of G between point sets, through one shared rule.
 
     The one shared-rule evaluator of assembly, boundary data and field
     evaluation.  Sources y_j = (t_j, f_j) lie strictly below the interface,
     targets x_i = (s_i, fs_i) all on one side of it (DomainError otherwise).
-    Returns (I, dI/dy1, dI/dy2), dense complex arrays with
+    Returns (I, dI/dy1, dI/dy2), dense complex arrays (packed when s_nodes
+    is omitted, see below) with
 
         I[i, j] = (1/2pi) int_R  E_i e^{S-(xi) f_j} g(xi)
                   e^{i xi (s_i - t_j)} d xi.
@@ -546,14 +528,14 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     (xi > max(k+, k-)) every factor and weight is real, so that part of the
     rule runs in real arithmetic, first, into real sums that are then made
     complex one at a time; the rest in complex.  When s_nodes is omitted the
-    targets are the sources: I and dI/dy2 are then symmetric rank-2q updates
-    (syrk) that fill only their upper triangles, and dI/dy1 is M^T - M for
-    one product M.  With packed those three (upper I, M, upper dI/dy2) are
-    returned as they are: nystrom.assemble reads them so, each node pair
-    once.  Otherwise each is completed in place to the full matrix.  Blocks
-    of the rule keep each (node, rule point) temporary under _BLOCK
-    elements, so the three (targets, sources) sums, and one real sum while
-    they are made complex, are the only full-size arrays.
+    targets are the sources and the sums come packed, as nystrom.assemble
+    reads them, each node pair once: I and dI/dy2 are symmetric rank-2q
+    updates (syrk) that fill only their upper triangles (zeros below the
+    diagonal), and in place of dI/dy1 comes the one product M with
+    dI/dy1 = M^T - M.  Blocks of the rule keep each (node, rule point)
+    temporary under _BLOCK elements, so the three (targets, sources) sums,
+    and one real sum while they are made complex, are the only full-size
+    arrays.
     """
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -590,9 +572,4 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
         sums[k] = sums[k].astype(complex, order="F")
     _fold_sums(sums, xi[~real], sm[~real], st[~real], base[~real],
                s, fs, t, f, symmetric, sign)
-    i4, g1, g2 = sums
-    if symmetric and not packed:
-        _complete_in_place(i4, odd=False)
-        _complete_in_place(g2, odd=False)
-        _complete_in_place(g1, odd=True)
-    return i4, g1, g2
+    return tuple(sums)

@@ -12,6 +12,8 @@ The scalar kernel paths (kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
 split_ibvp) check the assembled matrices of layerscat.bie pointwise: the raw
 kernels from the library's adaptive scalar green/grad_green_x/grad_green_y,
 the split from a pointwise remainder fed through bie._split_matrices.
+full_remainder completes the packed layer sums of a node set to full
+matrices.
 
 The one-shot system (kernel_matrices, weight_matrix, system_matrix) forms
 I - (W o A + h B) whole, with the (A, B) of all nodes from one
@@ -34,7 +36,8 @@ import scipy.linalg as sla
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import hankel1 as _h1
 
-from layerscat.bie import _checked_beta, _split_matrices, surface_remainder
+from layerscat import sommerfeld
+from layerscat.bie import _checked_beta, _split_matrices
 from layerscat.errors import DomainError, SingularityError
 from layerscat.green import (grad_green_x, grad_green_y, green,
                              green_remainder_modes)
@@ -208,6 +211,16 @@ def kernel_ibvp_raw(problem, s: float, t: float) -> complex:
                   - 1j * med.k_minus * beta_s * gval) * jt
 
 
+def full_remainder(medium, t, f, refine=1):
+    """Full (R, dR/dy1, dR/dy2) between the surface nodes (t_j, f_j) and
+    themselves, completed from the packed sums of
+    sommerfeld.remainder_matrices: U + U^T off the diagonal for R and dR/dy2
+    from their upper triangles U, and M^T - M for dR/dy1."""
+    up, m, up2 = sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus,
+                                               t, f, refine=refine)
+    return up + np.triu(up, 1).T, m.T - m, up2 + np.triu(up2, 1).T
+
+
 def kernel_matrices(problem, nodes):
     """Dense (A, B) of the split kernel at the nodes, all rows at once, with
     the shared-rule layer sums over the node set."""
@@ -215,7 +228,7 @@ def kernel_matrices(problem, nodes):
     if problem.kind == "impedance":     # fail before the layer integrals
         _checked_beta(problem, t)
     f = np.asarray(problem.surface.f(t), dtype=float)
-    return _split_matrices(problem, t, t, surface_remainder(problem.medium, t, f))
+    return _split_matrices(problem, t, t, full_remainder(problem.medium, t, f))
 
 
 def weight_matrix(grid):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracle import (green_oracle, kernel_dbvp_raw, kernel_ibvp_raw,
-                    kernel_matrices, split_dbvp, split_ibvp)
+from oracle import (full_remainder, green_oracle, kernel_dbvp_raw,
+                    kernel_ibvp_raw, kernel_matrices, split_dbvp, split_ibvp)
 
 from layerscat import sommerfeld
 from layerscat.bie import (BoundaryProblem, _split_matrices, cutoff_chi,
@@ -283,10 +283,10 @@ def _plane_u0(med, theta_d, x):
     return ut, 1j * med.k_minus * dt[0] * ut, 1j * med.k_minus * dt[1] * ut
 
 
-def _scalar_data(problem, s):
+def _scalar_data(cfg, problem, s):
     """Boundary data node by node from scalar formulas, one per incident
-    type and boundary kind: the oracle of the batched data_g."""
-    med, surf, inc = problem.medium, problem.surface, problem.incident
+    type of the config and boundary kind: the oracle of the batched data_g."""
+    med, surf, inc = problem.medium, problem.surface, cfg.incident
     impedance = problem.kind == "impedance"
     out = []
     for si in np.atleast_1d(s):
@@ -318,12 +318,12 @@ def test_batched_data_matches_scalar_oracle(preset):
     nodes = Grid(half_width_A=cfg.A, N=cfg.N).nodes
     for s in (nodes, np.array([-7.3, -0.41, 0.123, 2.9, 11.05])):
         got = problem.data_g(s)
-        ref = _scalar_data(problem, s)
+        ref = _scalar_data(cfg, problem, s)
         assert got.shape == s.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     one = problem.data_g(0.77)
     assert isinstance(one, complex)
-    ref = _scalar_data(problem, 0.77)[0]
+    ref = _scalar_data(cfg, problem, 0.77)[0]
     assert abs(one - ref) <= 1e-12 * abs(ref)
 
 
@@ -337,7 +337,7 @@ def test_batched_point_data_fallback_near_interface(kind):
                             "N": 8})
     problem = build_problem(cfg)
     s = np.array([-2.0, 0.3, 1.0, 4.5])
-    assert np.abs(problem.data_g(s) - _scalar_data(problem, s)).max() <= 1e-9
+    assert np.abs(problem.data_g(s) - _scalar_data(cfg, problem, s)).max() <= 1e-9
 
 
 @pytest.mark.parametrize("gap, raises", [(1e-8, True), (1e-12, False)])
@@ -502,14 +502,13 @@ def test_jump_relations():
 def test_surface_remainder_at_assembly_scale():
     # shared-rule matrices agree with pointwise evaluation on a full-width
     # production grid (third surface, reversed medium ordering)
-    from layerscat.bie import surface_remainder
     med = MediumPair(3.0, 4.0)
     surf = builtin("gamma3")
     a_half = 10 * math.pi
     n = 16
     t = -a_half + (math.pi / n) * np.arange(int(2 * a_half * n / math.pi) + 1)
     f = np.asarray(surf.f(t), float)
-    R, R1, R2 = surface_remainder(med, t, f)
+    R, R1, R2 = full_remainder(med, t, f)
     rng = np.random.default_rng(0)
     for _ in range(8):
         i, j = rng.integers(0, t.size, 2)
@@ -524,12 +523,12 @@ def test_surface_remainder_at_assembly_scale():
 @pytest.mark.parametrize("refine", [1, 2])
 def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
     # the symmetric fast path (syrk, M^T - M) and the rectangular path with
-    # targets = sources evaluate the same folded sums; packed, the symmetric
-    # path returns the upper triangles and M that it completes
+    # targets = sources evaluate the same folded sums; the symmetric path
+    # returns them packed: the upper triangles and M, completed by the oracle
     surf = builtin("gamma3")
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
     f = np.asarray(surf.f(t), float)
-    sym = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine)
+    sym = full_remainder(MediumPair(kp, km), t, f, refine=refine)
     rect = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=t, fs_vals=f,
                                          refine=refine)
     for a, b in zip(sym, rect):
@@ -538,8 +537,7 @@ def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
     assert np.array_equal(sym[0], sym[0].T)
     assert np.array_equal(sym[1], -sym[1].T)
     assert np.array_equal(sym[2], sym[2].T)
-    up, m, up2 = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine,
-                                               packed=True)
+    up, m, up2 = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine)
     assert np.array_equal(up, np.triu(sym[0]))
     assert np.array_equal(m.T - m, sym[1])
     assert np.array_equal(up2, np.triu(sym[2]))
@@ -547,15 +545,15 @@ def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
 
 def test_surface_remainder_against_pointwise_k_plus_above():
     # k+ > k-: the part of the rule below both branch points covers [0, k+]
-    from layerscat.bie import surface_remainder
     med = MediumPair(3.5, 2.7)
     surf = builtin("gamma3")
     t = np.linspace(-10 * math.pi, 10 * math.pi, 161)
     f = np.asarray(surf.f(t), float)
     s = t[::9] + 0.05
     fs = np.asarray(surf.f(s), float)
-    sym = surface_remainder(med, t, f)
-    rect = surface_remainder(med, t, f, s_nodes=s, fs_vals=fs)
+    sym = full_remainder(med, t, f)
+    rect = sommerfeld.remainder_matrices(med.k_plus, med.k_minus, t, f,
+                                         s_nodes=s, fs_vals=fs)
     rng = np.random.default_rng(1)
     for _ in range(4):
         i, j = rng.integers(0, s.size), rng.integers(0, t.size)
@@ -599,7 +597,7 @@ def test_remainder_fold_against_extended_precision_sum():
     kp, km = 3.0, 4.0
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
     f = np.asarray(builtin("gamma3").f(t), float)
-    i4, g1, g2 = sommerfeld.remainder_matrices(kp, km, t, f)
+    i4, g1, g2 = full_remainder(MediumPair(kp, km), t, f)
     xi, w, sp, sm = sommerfeld.real_axis_rule(kp, km, t[-1] - t[0],
                                               -2 * f.max(), False)
     x = xi.astype(np.longdouble)

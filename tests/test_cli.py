@@ -60,6 +60,10 @@ def test_config_roundtrip():
     ({"surface": {"expr": 5}}, "surface"),
     ({"beta": 1e400}, "beta"),
     ({"beta": [1e400, 0]}, "beta"),
+    # JSON booleans are not numbers (float(True) would give 1.0)
+    ({"k_plus": True}, "k_plus"),
+    ({"N": True}, "N"),
+    ({"problem": "impedance", "beta": True}, "beta"),
 ])
 def test_config_validation_errors(patch, field):
     raw = dict(BASE)
@@ -184,6 +188,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg_path.write_text(json.dumps(dict(BASE, A_over_Pi=40)), encoding="utf-8")
     assert main(["solve", "--config", str(cfg_path)]) == 2
     capsys.readouterr()
+    # a number as out_dir used to pass validation, run the whole solve and
+    # then die in pathlib with a TypeError traceback (exit 1)
+    cfg_path.write_text(json.dumps(dict(BASE, out_dir=5)), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert "out_dir" in capsys.readouterr().err
 
 
 def test_cli_numerical_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -149,13 +149,13 @@ def test_field_evaluation_memory_is_bounded():
 def test_flat_dirichlet_total_vanishes_on_boundary(solved):
     # |u_total| on the flat boundary << |u0| (Dirichlet condition)
     cfg, problem, sol = solved("example2-dbvp", 32)
-    theta = problem.incident["theta_d"]
+    theta = cfg.incident["theta_d"]
     u0_scale = max(abs(reference_field_plane(MED, theta, (x1, -1.0)))
                    for x1 in np.linspace(-3, 3, 13))
     t_new = sol.grid.nodes[:-1] + 0.5 * sol.grid.h
     keep = np.abs(t_new) <= 3.0
     t_new = t_new[keep][::4]
-    resid = _dirichlet_boundary_values(problem, sol, t_new)
+    resid = _dirichlet_boundary_values(problem, sol, t_new, theta)
     assert np.abs(resid).max() <= 5e-2 * u0_scale
     assert np.abs(resid).max() <= 1e-2 * max(u0_scale, 1.0)
 
@@ -168,10 +168,11 @@ def _interp_to(problem, sol, t_new):
     return nystrom_interpolate(problem, sol, t_new)
 
 
-def _dirichlet_boundary_values(problem, sol, s_points):
+def _dirichlet_boundary_values(problem, sol, s_points, theta):
     """Total field on the boundary from the interior limit of the combined
     ansatz, evaluated with a 2x-refined quadrature of the interpolated
-    density: u_s+ = (K psi)/2 - psi/2, then add the reference field."""
+    density: u_s+ = (K psi)/2 - psi/2, then add the reference field of the
+    plane wave at angle theta."""
     fine = _refined_grid(sol.grid)
     t_f = fine.nodes
     psi_f = _interp_to(problem, sol, t_f)
@@ -180,7 +181,6 @@ def _dirichlet_boundary_values(problem, sol, s_points):
     k_rows = (rw * A + fine.h * B) @ psi_f
     psi_at = _interp_to(problem, sol, s_points)
     us_plus = 0.5 * k_rows - 0.5 * psi_at
-    theta = problem.incident["theta_d"]
     surf = problem.surface
     u0 = np.array([reference_field_plane(problem.medium, theta,
                                          (s, float(surf.f(s))))

