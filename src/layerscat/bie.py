@@ -173,27 +173,30 @@ def _swapped(pieces, k):
             (bj[on] - k, bi[on], chi[on], lg[on]))
 
 
-def _kernel_block(problem, rows, cols, beta, pieces, remainder):
+def _normal_terms(problem, rows, cols, beta):
+    """(sigma, c, f', J): c at the rows, f', J at the normal's end (2-D)."""
+    if problem.kind == "dirichlet":
+        return (1.0, np.full(rows[0].size, 1j * problem.eta),
+                *(x[None, :] for x in cols[2::2]))
+    return -1.0, 1j * problem.medium.k_minus * beta, \
+        *(x[:, None] for x in rows[2::2])
+
+
+def _kernel_block(problem, rows, cols, beta, pieces, layer):
     """(a, (bi, bj), B) of the periodic-log split between rows x_i and
     columns y_j, from their _pair_pieces: A is a at the band entries
     (bi, bj) and 0 elsewhere.
 
     rows, cols: surface jets of _surface_arrays; beta: beta at the rows
-    (impedance only); remainder: (R, dR/dy1, dR/dy2) pairwise arrays.  kappa
-    and its log coefficient a come from the one formula of the module doc;
-    entries with s_i == t_j get the analytic diagonal limits.  For the
+    (impedance only); layer: 2 c R + (layer normal term) / J_t, pairwise.
+    kappa and its log coefficient a come from the one formula of the module
+    doc; entries with s_i == t_j get the analytic diagonal limits.  For the
     impedance problem the matrices are those of K = M + L (see module doc).
-    Writes over tau, h0 and h1 of pieces and over dR/dy1.
+    Writes over tau, h0 and h1 of pieces.
     """
     km = problem.medium.k_minus
-    _, _, dfs, d2fs, Js = rows
-    _, _, dft, _, Jt = cols
-    if problem.kind == "dirichlet":     # normal at y, coupling i eta
-        sigma, c = 1.0, np.full(Js.size, 1j * problem.eta)
-        slope, jn = dft[None, :], Jt[None, :]
-    else:                               # normal at x, coupling i k- beta(s)
-        sigma, c = -1.0, 1j * km * beta
-        slope, jn = dfs[:, None], Js[:, None]
+    d2fs, Js, Jt = rows[3], rows[4], cols[4]
+    sigma, c, slope, jn = _normal_terms(problem, rows, cols, beta)
     tau, dx2, rho, diag, h0, h1, (bi, bj, chi, lg) = pieces
     # q = dot J_t / rho, dot = -sigma (tau f' - dx2) / J at the normal's end
     q = np.multiply(tau, slope, out=tau)
@@ -209,24 +212,17 @@ def _kernel_block(problem, rows, cols, beta, pieces, remainder):
     a += (sigma * km / math.pi) * q[bi, bj] * h1.real[bi, bj]
     on = diag[bi, bj]
     a[on] = -c[bi[on]] * Js[bi[on]] / math.pi
-    # kappa = sigma (-i k-/2) q H1 + c (i/2 H0 + 2R) J_t + layer normal term
-    R, Ry1, Ry2 = remainder
+    # kappa = [2 c (i/4) H0 + layer] J_t + sigma (-i k-/2) q H1
     kappa = h0
     kappa *= 0.25j
     kappa[dd] = 0.25j - (EULER_GAMMA + np.log(0.5 * km * Js[i])) / (2 * math.pi)
-    kappa += R
-    kappa *= Jt
     kappa *= 2.0 * c[:, None]
+    kappa += layer
+    kappa *= Jt
     h1 *= q
     h1 *= -0.5j * sigma * km
     h1[dd] = -sigma * d2fs[i] / (2 * math.pi * Js[i] ** 2)
     kappa += h1
-    # layer normal term 2 (f' Ry1 - sigma Ry2) J_t / J at the normal's end
-    layer = np.multiply(Ry1, slope, out=Ry1)
-    (np.subtract if sigma > 0 else np.add)(layer, Ry2, out=layer)
-    layer *= 2.0 * Jt
-    layer /= jn
-    kappa += layer
     # B = kappa - a chi ln|2 sin(tau/2)|, A = pi a chi; chi = 0 off the band
     a *= chi
     kappa[bi, bj] -= a * lg
@@ -237,14 +233,17 @@ def _kernel_block(problem, rows, cols, beta, pieces, remainder):
 def _split_matrices(problem: BoundaryProblem, s, t, remainder):
     """(A, B) of the periodic-log split between rows x_i = (s_i, f(s_i)) and
     columns y_j = (t_j, f(t_j)): _kernel_block on the _pair_pieces of all
-    pairs at once.  remainder: (R, dR/dy1, dR/dy2) pairwise arrays; dR/dy1
-    is written over."""
+    pairs at once.  remainder: (R, dR/dy1, dR/dy2) pairwise arrays, made
+    into its layer argument here (R_x2 = R_y2 below the interface)."""
     rows = _surface_arrays(problem.surface, s)
     cols = _surface_arrays(problem.surface, t)
     beta = (_checked_beta(problem, rows[0]) if problem.kind == "impedance"
             else None)
+    sigma, c, slope, jn = _normal_terms(problem, rows, cols, beta)
+    R, Ry1, Ry2 = remainder
+    layer = (sigma * slope * Ry1 - Ry2) * (2 * sigma / jn) + 2 * c[:, None] * R
     pieces = _pair_pieces(problem.medium.k_minus, rows, cols)
-    a, band, b = _kernel_block(problem, rows, cols, beta, pieces, remainder)
+    a, band, b = _kernel_block(problem, rows, cols, beta, pieces, layer)
     A = np.zeros_like(b)
     A[band] = a
     return A, b

@@ -159,6 +159,7 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     _require(n >= 1, f"N: must be >= 1, got {n}")
     a_pi = _integer(data.get("A_over_pi", _DEF_A_OVER_PI), "A_over_pi")
     _require(a_pi >= 1, f"A_over_pi: positive integer required, got {a_pi}")
+    _build_surface(surf, a_pi * math.pi)   # below the interface on [-A, A]
     pts = data.get("eval_points", ())
     _require(isinstance(pts, (list, tuple)), "eval_points: list of [x1, x2] required")
     points = []
@@ -188,13 +189,13 @@ def load_config(path, **overrides) -> RunConfig:
     return config_from_dict(raw, **overrides)
 
 
-def _build_surface(spec) -> surface_mod.SurfaceProfile:
+def _build_surface(spec, half_width) -> surface_mod.SurfaceProfile:
     if isinstance(spec, str):
         try:
             return surface_mod.builtin(spec)
         except LayerScatError as exc:
             raise ConfigError(str(exc))
-    return exprs.surface_from_expression(spec["expr"])
+    return exprs.surface_from_expression(spec["expr"], half_width)
 
 
 def _build_beta(spec):
@@ -214,7 +215,7 @@ def build_problem(config: RunConfig) -> BoundaryProblem:
     points data_g is called with.
     """
     med = MediumPair(config.k_plus, config.k_minus)
-    surf = _build_surface(config.surface)
+    surf = _build_surface(config.surface, config.A)
     inc = config.incident
     if inc["type"] == "point":
         y0 = tuple(inc["y0"])

@@ -171,12 +171,12 @@ def parse_expression(text: str) -> Expression:
     return Expression(node)
 
 
-def surface_from_expression(text: str) -> SurfaceProfile:
-    """Surface profile from an expression in t, with exact derivatives."""
+def surface_from_expression(text: str, half_width=40.0) -> SurfaceProfile:
+    """Profile of an expression in t, exact derivatives (from_callables)."""
     f = parse_expression(text)
     df = f.diff()
     d2f = df.diff()
     try:
-        return from_callables(f, df, d2f, name="inline")
+        return from_callables(f, df, d2f, name="inline", half_width=half_width)
     except Exception as exc:
         raise ConfigError(f"surface expression {text!r} invalid: {exc}") from exc

@@ -18,11 +18,10 @@ The pair geometry, the Hankel values and the band terms of (A, B) are the
 same for a node pair and its mirror, up to the sign of x - y, so assemble
 evaluates them once for each unordered pair:
 row panels sweep the upper triangle and also fill the block below the panel
-from the transposed pieces.  It reads the shared-rule layer sums packed, as
-sommerfeld.remainder_matrices returns them on a node set: R and dR/dy2
-from their upper triangles, transposed below the diagonal and completed
-only on each panel's diagonal block, and dR/dy1 as M^T - M from the
-product M.  No full layer-sum matrix is formed.
+from the transposed pieces.  The layer part of the kernel comes whole from
+one shared-rule sum, sommerfeld.remainder_matrices on the node set: R and
+its normal derivative, combined with the kind's coefficients, in the one
+matrix the system is then written over.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ import scipy.linalg as sla
 from scipy.linalg import lapack as _lapack
 
 from . import sommerfeld
-from .bie import (BoundaryProblem, _checked_beta, _kernel_block, _pair_pieces,
-                  _surface_arrays, _swapped, rhs_vector)
+from .bie import (BoundaryProblem, _checked_beta, _kernel_block, _normal_terms,
+                  _pair_pieces, _surface_arrays, _swapped, rhs_vector)
 from .errors import DomainError, SolverError
 
 _COND_LIMIT = 1e12
@@ -114,10 +113,9 @@ def assemble(problem: BoundaryProblem, grid: Grid):
     at a time: bie._pair_pieces on rows
     [lo, hi) x columns [lo, n), then bie._kernel_block on them for the rows
     [hi, n) x columns [lo, hi) below the panel (transposed) and for the
-    panel's rows [lo, hi) x columns [lo, n).  The matrix is written over the
-    packed layer sum R: the first block into its empty lower triangle, the
-    second over the panel's own rows, which the first has read.  Beyond the
-    three sums only panel-sized temporaries exist.
+    panel's rows [lo, hi) x columns [lo, n).  Each block is written over
+    the layer sum it has just read; later panels read only rows and columns
+    from hi on.  Beyond that one sum only panel-sized temporaries exist.
     """
     t = grid.nodes
     n = t.size
@@ -126,17 +124,19 @@ def assemble(problem: BoundaryProblem, grid: Grid):
         beta = _checked_beta(problem, t)
     jets = _surface_arrays(problem.surface, t)
     km = problem.medium.k_minus
-    matrix, m1, r2 = sommerfeld.remainder_matrices(
-        problem.medium.k_plus, km, t, jets[1])
+    sigma, c, slope, jn = _normal_terms(problem, jets, jets, beta)
+    matrix = sommerfeld.remainder_matrices(
+        problem.medium.k_plus, km, t, jets[1],
+        normal=(2 * c, 2 * sigma / jn.ravel(), slope.ravel(), sigma < 0))
     w = log_weight(grid.N, np.arange(n) * grid.h, 0.0)
     j = np.arange(n)
 
-    def block(rows, cols, pieces, remainder):
+    def block(rows, cols, pieces):
         """Write -(W o A + h B) on the nodes rows x cols (slices) into the
-        matrix."""
+        matrix, over the layer sum there."""
         a, (bi, bj), b = _kernel_block(
             problem, tuple(x[rows] for x in jets), tuple(x[cols] for x in jets),
-            None if beta is None else beta[rows], pieces, remainder)
+            None if beta is None else beta[rows], pieces, matrix[rows, cols])
         a *= w[np.abs(j[rows][bi] - j[cols][bj])]
         b *= grid.h
         b[bi, bj] += a
@@ -149,15 +149,8 @@ def assemble(problem: BoundaryProblem, grid: Grid):
         pieces = _pair_pieces(km, tuple(x[own] for x in jets),
                               tuple(x[rest] for x in jets))
         if hi < n:
-            block(below, own, _swapped(pieces, hi - lo),
-                  (matrix[own, below].T, m1[own, below].T - m1[below, own],
-                   r2[own, below].T))
-        for x in (matrix, r2):      # the panel's diagonal block, completed
-            d = x[own, own]
-            d += np.triu(d, 1).T
-        block(own, rest, pieces,
-              (matrix[own, rest], m1[rest, own].T - m1[own, rest],
-               r2[own, rest]))
+            block(below, own, _swapped(pieces, hi - lo))
+        block(own, rest, pieces)
         matrix[j[own], j[own]] += 1.0      # the identity
     rhs = np.asarray(rhs_vector(problem, t), dtype=complex)
     return matrix, rhs

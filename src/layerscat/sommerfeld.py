@@ -63,7 +63,7 @@ C -= xi d_j S, S += xi d_j C puts it back: the factors are those of the
 exact phase xi t_j to a few rounding errors of 1, where cos of the rounded
 phase fl(xi t_j) is off by up to half an ulp of the phase.  Other point sets
 (field and source points off the grid) take cos and sin of each rounded
-phase.
+phase.  On the grid's nodes they make the one layer sum assembly needs.
 """
 
 from __future__ import annotations
@@ -416,8 +416,9 @@ def _fold_factors(xi, expo, pos, height, scale):
     On a progression cos and sin come from the anchors and offsets of
     _anchors, for the exact products (_cos_sin), by angle addition and the
     first-order correction C -= xi d S, S += xi d C of the module docstring;
-    any other point set takes cos and sin of each rounded phase.  The nodes
-    go in blocks of whole anchors of about _FOLD_CHUNK elements, each
+    any other point set takes cos and sin of each rounded phase, and real
+    exponents (after the imaginary ones, as xi ascends) the real exp.  The
+    nodes go in blocks of whole anchors of about _FOLD_CHUNK elements, each
     finished (rotation, correction, amplitude) in cache before the next."""
     nq, n = xi.size, pos.size
     anchors, offsets, d = _anchors(pos)
@@ -425,6 +426,7 @@ def _fold_factors(xi, expo, pos, height, scale):
     ca, sa = _cos_sin(anchors, xi, exact=d is not None)
     cb, sb = _cos_sin(offsets, xi)
     out = np.empty((2, n, nq), dtype=np.result_type(expo, scale))
+    ni = np.count_nonzero(np.imag(expo))
     step = max(1, _FOLD_CHUNK // (nq * m))
     for a0 in range(0, anchors.size, step):
         sl = slice(a0, a0 + step)
@@ -445,7 +447,9 @@ def _fold_factors(xi, expo, pos, height, scale):
             e *= c
             c -= t
             s += e
-        amp = np.exp(np.multiply.outer(height[lo:hi], expo))
+        h, amp = height[lo:hi], np.empty((hi - lo, nq), dtype=out.dtype)
+        np.exp(np.multiply.outer(h, expo[:ni]), out=amp[:, :ni])
+        np.exp(np.multiply.outer(h, np.real(expo[ni:])), out=amp[:, ni:])
         amp *= scale
         np.multiply(c, amp, out=out[0, lo:hi])
         np.multiply(s, amp, out=out[1, lo:hi])
@@ -465,32 +469,15 @@ def _syrk(c, a, alpha):
     syrk(alpha, a.T, beta=1.0, c=c, trans=1, overwrite_c=1)
 
 
-def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric, sign):
+def _fold_sums(sums, xi, sm, st, base, s, fs, t, f):
     """Add one part of the folded rule to sums = (I, dI/dy1, dI/dy2); st is
-    the targets' exponent, S- below the interface and -S+ above it.
-
-    The dtype of the rule (real beyond both branch points, complex below)
-    picks real or complex BLAS.  The factors [C, S] of _fold_factors reach
-    BLAS as two C-ordered halves, each without a copy.  In the symmetric
-    case sums hold the upper triangles of I and dI/dy2 and, for dI/dy1, M
-    with dI/dy1 = M^T - M; the factors there carry sqrt(sign base), so sign
-    (+-1) makes sign base positive where the rule is real.
-    """
+    the targets' exponent, S- below the interface and -S+ above it.  The
+    rule's dtype (real beyond both branch points, complex below) picks real
+    or complex BLAS, which takes the two halves of [C, S] uncopied."""
     i4, g1, g2 = sums
-    blk = max(1, _BLOCK // (2 * max(s.size, t.size, 1)))
+    blk = max(1, _BLOCK // (2 * max(s.size, t.size)))
     for lo in range(0, xi.size, blk):
         sl = slice(lo, lo + blk)
-        if symmetric:
-            # with sqrt(sign base) in both factors, I4 = sign (C C^T + S S^T);
-            # likewise sqrt(S-), scaled in place once I4 and M have it
-            x = _fold_factors(xi[sl], sm[sl], t, f, np.sqrt(sign * base[sl]))
-            for half in x:
-                _syrk(i4, half, sign)
-            _gemm(g1, x[0] * xi[sl], x[1], alpha=sign)
-            x *= np.sqrt(sm[sl])
-            for half in x:
-                _syrk(g2, half, sign)
-            continue
         xs = _fold_factors(xi[sl], st[sl], s, fs, base[sl])
         xt = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
         for a, b in zip(xs, xt):
@@ -501,15 +488,40 @@ def _fold_sums(sums, xi, sm, st, base, s, fs, t, f, symmetric, sign):
         _gemm(g1, xs[0] * xi[sl], xt[1], alpha=-1.0)
 
 
+def _fold_layer(out, xi, sm, base, t, f, normal, sign, r=None):
+    """Add one part of the folded rule to the layer sum out (normal as in
+    remainder_matrices), and R's upper triangle to r.  With [C, S] of
+    _fold_factors carrying sqrt(base), and P = (a - b S-) C - b f' xi S,
+    Q = (a - b S-) S + b f' xi C built in place, sign (C P^T + S Q^T) is
+    R diag(a) + N diag(b) there; [C, S] holds about min(_BLOCK, n^2) / 4."""
+    a, b, df, rows = normal
+    blk = max(1, min(_BLOCK, t.size ** 2) // (8 * t.size))
+    for lo in range(0, xi.size, blk):
+        sl = slice(lo, lo + blk)
+        x = _fold_factors(xi[sl], sm[sl], t, f, np.sqrt(base[sl]))
+        y = np.empty_like(x)
+        u = np.subtract(np.reshape(a, (-1, 1)), np.multiply.outer(b, sm[sl]),
+                        out=y[0])
+        np.multiply(u, x[1], out=y[1])
+        u *= x[0]
+        v = np.multiply.outer(b * df, xi[sl])
+        u -= v * x[1]
+        y[1] += v * x[0]
+        for xh, yh in zip(x, y):
+            if r is not None:
+                _syrk(r, xh, sign)
+            _gemm(out, *((yh, xh) if rows else (xh, yh)), alpha=sign)
+
+
 def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
-                       fs_vals=None, refine=1):
+                       fs_vals=None, refine=1, normal=None):
     """Spectral part of G between point sets, through one shared rule.
 
     The one shared-rule evaluator of assembly, boundary data and field
     evaluation.  Sources y_j = (t_j, f_j) lie strictly below the interface,
     targets x_i = (s_i, fs_i) all on one side of it (DomainError otherwise).
-    Returns (I, dI/dy1, dI/dy2), dense complex arrays (packed when s_nodes
-    is omitted, see below) with
+    Returns (I, dI/dy1, dI/dy2), dense complex arrays (one layer sum when
+    s_nodes is omitted, see below) with
 
         I[i, j] = (1/2pi) int_R  E_i e^{S-(xi) f_j} g(xi)
                   e^{i xi (s_i - t_j)} d xi.
@@ -527,15 +539,14 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     per-node factors E cos(xi t), E sin(xi t).  Beyond both branch points
     (xi > max(k+, k-)) every factor and weight is real, so that part of the
     rule runs in real arithmetic, first, into real sums that are then made
-    complex one at a time; the rest in complex.  When s_nodes is omitted the
-    targets are the sources and the sums come packed, as nystrom.assemble
-    reads them, each node pair once: I and dI/dy2 are symmetric rank-2q
-    updates (syrk) that fill only their upper triangles (zeros below the
-    diagonal), and in place of dI/dy1 comes the one product M with
-    dI/dy1 = M^T - M.  Blocks of the rule keep each (node, rule point)
-    temporary under _BLOCK elements, so the three (targets, sources) sums,
-    and one real sum while they are made complex, are the only full-size
-    arrays.
+    complex; the rest in complex.
+
+    When s_nodes is omitted the targets are the sources, and with normal =
+    (a, b, f', rows), coefficients at the nodes that carry the normal, one
+    matrix L = R diag(a) + N diag(b), N = f' dR/dy1 - dR/dy2, comes back
+    (with rows its transpose).  Its real part is a syrk for R and a product
+    for N diag(b), two real buffers freed once L is formed from them a
+    column panel at a time; its complex part is added by _fold_layer.
     """
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -560,16 +571,28 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
         st = sm
         base = w * (k_plus ** 2 - k_minus ** 2) / (2 * sm * (sp + sm) ** 2)
         base /= np.pi
-    # the sign of base on the real part of the rule (symmetric case only)
-    sign = 1.0 if k_plus > k_minus else -1.0
     real = (sp.imag == 0) & (sm.imag == 0)
-    # the real part of the rule goes into real buffers, each then made
-    # complex in turn, so no real buffer sits beside all three complex sums
-    sums = [np.zeros((s.size, t.size), order="F") for _ in range(3)]
-    _fold_sums(sums, xi[real], sm[real].real, st[real].real, base[real].real,
-               s, fs, t, f, symmetric, sign)
-    for k in range(3):
-        sums[k] = sums[k].astype(complex, order="F")
-    _fold_sums(sums, xi[~real], sm[~real], st[~real], base[~real],
-               s, fs, t, f, symmetric, sign)
-    return tuple(sums)
+    xr, smr, br = xi[real], sm[real].real, base[real].real
+    if not symmetric:
+        sums = [np.zeros((s.size, t.size), order="F") for _ in range(3)]
+        _fold_sums(sums, xr, smr, st[real].real, br, s, fs, t, f)
+        for k in range(3):      # one at a time: one real sum beside them
+            sums[k] = sums[k].astype(complex, order="F")
+        _fold_sums(sums, xi[~real], sm[~real], st[~real], base[~real],
+                   s, fs, t, f)
+        return tuple(sums)
+    a, b, df, rows = normal
+    sign = 1.0 if k_plus > k_minus else -1.0    # sign base > 0 where real
+    r, out = (np.zeros((t.size, t.size), order="F") for _ in range(2))
+    _fold_layer(out, xr, smr, sign * br, t, f, (0.0, b, df, rows), sign, r)
+    out = out.astype(complex, order="F")
+    step = max(1, _FOLD_CHUNK // t.size)
+    for lo in range(0, t.size, step):   # out += R diag(a), or diag(a) R
+        sl, hi = slice(lo, lo + step), lo + step
+        r[sl, sl] += np.triu(r[sl, sl], 1).T
+        r[hi:, sl] = r[sl, hi:].T
+        out[:, sl] += r[:, sl] * (a[:, None] if rows else a[sl])
+    del r
+    _fold_layer(out, xi[~real], sm[~real], sign * base[~real], t, f, normal,
+                sign)
+    return out

@@ -2,7 +2,7 @@
 
 A profile carries analytic first and second derivatives (the Nystrom diagonal
 terms need f'' pointwise), plus numeric bounds sup f, inf f and sup|f'| that
-are spot-checked on a sample grid at construction.
+are spot-checked on a sample grid at construction ([-40, 40] and [-A, A]).
 
 Built-in profiles:
     gamma1:  f(t) = -1 + 0.3 sin(0.7 pi t) exp(-0.4 t^2)
@@ -75,7 +75,7 @@ class SurfaceProfile:
 
 
 def _refined_extremum(fn, grid, vals, want_max):
-    """Polish a grid extremum with two rounds of local refinement."""
+    """Polish a grid extremum with two rounds of local refinement: (t, f)."""
     pick = np.argmax if want_max else np.argmin
     j = int(pick(vals))
     lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
@@ -84,21 +84,25 @@ def _refined_extremum(fn, grid, vals, want_max):
         v = np.asarray(fn(g), dtype=float)
         j = int(pick(v))
         lo, hi = g[max(j - 1, 0)], g[min(j + 1, g.size - 1)]
-    best = v[j]
-    return float(best)
+    return float(g[j]), float(v[j])
 
 
-def from_callables(f, df, d2f, name="custom") -> SurfaceProfile:
+def from_callables(f, df, d2f, name="custom", half_width=40.0) -> SurfaceProfile:
     """Build a profile from a (f, f', f'') triple; bounds measured numerically
-    (grid scan with local refinement, plus a small safety margin)."""
-    grid = _CHECK_GRID
+    on [-w, w], w = max(40, half_width) (grid scan with local refinement,
+    plus a small safety margin), refused where f reaches the interface."""
+    w = max(40.0, half_width)
+    grid = np.linspace(-w, w, 2 * int(np.ceil(50 * w)) + 1)    # step <= 0.02
     vals = np.asarray(f(grid), dtype=float)
     slopes = np.abs(np.asarray(df(grid), dtype=float))
     pad = 1e-7 * (1.0 + np.abs(vals).max())
-    f_plus = _refined_extremum(f, grid, vals, want_max=True) + pad
-    f_minus = _refined_extremum(f, grid, vals, want_max=False) - pad
+    top, f_plus = _refined_extremum(f, grid, vals, want_max=True)
+    if not f_plus < 0:
+        raise DomainError(f"surface reaches the interface at t = {top:.6g}")
+    f_plus += pad
+    f_minus = _refined_extremum(f, grid, vals, want_max=False)[1] - pad
     lip = abs(_refined_extremum(lambda t: np.abs(np.asarray(df(t), dtype=float)),
-                                grid, slopes, want_max=True)) + pad
+                                grid, slopes, want_max=True)[1]) + pad
     return SurfaceProfile(f=f, df=df, d2f=d2f, f_plus=float(f_plus),
                           f_minus=float(f_minus), lipschitz_L=float(lip),
                           name=name)

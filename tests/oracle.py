@@ -12,8 +12,8 @@ The scalar kernel paths (kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
 split_ibvp) check the assembled matrices of layerscat.bie pointwise: the raw
 kernels from the library's adaptive scalar green/grad_green_x/grad_green_y,
 the split from a pointwise remainder fed through bie._split_matrices.
-full_remainder completes the packed layer sums of a node set to full
-matrices.
+full_remainder gives the layer sums of a node set as full matrices, from
+the rectangular path.
 
 The one-shot system (kernel_matrices, weight_matrix, system_matrix) forms
 I - (W o A + h B) whole, with the (A, B) of all nodes from one
@@ -213,12 +213,29 @@ def kernel_ibvp_raw(problem, s: float, t: float) -> complex:
 
 def full_remainder(medium, t, f, refine=1):
     """Full (R, dR/dy1, dR/dy2) between the surface nodes (t_j, f_j) and
-    themselves, completed from the packed sums of
-    sommerfeld.remainder_matrices: U + U^T off the diagonal for R and dR/dy2
-    from their upper triangles U, and M^T - M for dR/dy1."""
-    up, m, up2 = sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus,
-                                               t, f, refine=refine)
-    return up + np.triu(up, 1).T, m.T - m, up2 + np.triu(up2, 1).T
+    themselves, from the rectangular path of sommerfeld.remainder_matrices
+    with the nodes as targets too."""
+    return sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus, t, f,
+                                         s_nodes=t, fs_vals=f, refine=refine)
+
+
+def layer_normal(surface, t, a, rows):
+    """normal = (a, b, f', rows) of sommerfeld.remainder_matrices at the
+    nodes t: b = 2 sigma / J, sigma = -1 with the normal at the rows
+    (impedance) and +1 at the columns (Dirichlet)."""
+    df = np.asarray(surface.df(t), dtype=float)
+    b = (-2.0 if rows else 2.0) / np.sqrt(1.0 + df * df)
+    return np.broadcast_to(a, np.shape(t)), b, df, rows
+
+
+def layer_sum(remainder, normal):
+    """The layer sum of a node set from its full (R, dR/dy1, dR/dy2): with
+    N = f' dR/dy1 - dR/dy2, R diag(a) + N diag(b), or with rows its
+    transpose diag(a) R^T + diag(b) N^T."""
+    R, R1, R2 = remainder
+    a, b, df, rows = normal
+    L = R * a + (df * R1 - R2) * b
+    return L.T if rows else L
 
 
 def kernel_matrices(problem, nodes):

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from oracle import (full_remainder, green_oracle, kernel_dbvp_raw,
-                    kernel_ibvp_raw, kernel_matrices, split_dbvp, split_ibvp)
+                    kernel_ibvp_raw, kernel_matrices, layer_normal, layer_sum,
+                    split_dbvp, split_ibvp)
 
 from layerscat import sommerfeld
 from layerscat.bie import (BoundaryProblem, _split_matrices, cutoff_chi,
@@ -522,25 +523,26 @@ def test_surface_remainder_at_assembly_scale():
 @pytest.mark.parametrize("kp,km", [(3.0, 4.0), (3.5, 2.7)])
 @pytest.mark.parametrize("refine", [1, 2])
 def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
-    # the symmetric fast path (syrk, M^T - M) and the rectangular path with
-    # targets = sources evaluate the same folded sums; the symmetric path
-    # returns them packed: the upper triangles and M, completed by the oracle
+    # the node-set layer sum (syrk for R, one product with [P Q] for the
+    # rest) and the rectangular path with targets = sources evaluate the
+    # same folded sums; the layer sum combines them with the coefficients at
+    # the end that carries the normal, the columns (Dirichlet) or the rows
+    # (impedance, the transposed form).  1e-13 on each of R, dR/dy1 and
+    # dR/dy2, carried through the coefficients
     surf = builtin("gamma3")
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
     f = np.asarray(surf.f(t), float)
-    sym = full_remainder(MediumPair(kp, km), t, f, refine=refine)
     rect = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=t, fs_vals=f,
                                          refine=refine)
-    for a, b in zip(sym, rect):
-        assert a.shape == (t.size, t.size)
-        assert np.abs(a - b).max() <= 1e-13
-    assert np.array_equal(sym[0], sym[0].T)
-    assert np.array_equal(sym[1], -sym[1].T)
-    assert np.array_equal(sym[2], sym[2].T)
-    up, m, up2 = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine)
-    assert np.array_equal(up, np.triu(sym[0]))
-    assert np.array_equal(m.T - m, sym[1])
-    assert np.array_equal(up2, np.triu(sym[2]))
+    for rows, a in ((False, 2j * math.sqrt(kp * km)),
+                    (True, 2j * km * (1.0 + 0.5j + 0.2 * np.sin(t)))):
+        normal = layer_normal(surf, t, a, rows)
+        got = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine,
+                                            normal=normal)
+        assert got.shape == (t.size, t.size)
+        scale = np.abs(normal[0]).max() \
+            + np.abs(normal[1] * (1 + np.abs(normal[2]))).max()
+        assert np.abs(got - layer_sum(rect, normal)).max() <= 1e-13 * scale
 
 
 def test_surface_remainder_against_pointwise_k_plus_above():

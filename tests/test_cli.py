@@ -220,6 +220,23 @@ def test_cli_impedance_beta_checked_on_every_node(tmp_path, capsys):
     assert "Re beta > 0" in capsys.readouterr().err
 
 
+def test_cli_surface_bounds_checked_on_the_window(tmp_path, capsys):
+    # the bump reaches x2 = 1 at t = 50: outside the construction-time
+    # sample [-40, 40], inside the window [-20 pi, 20 pi].  Config
+    # validation refuses it there (exit 2), naming the point, rather than
+    # assembly failing on the nodes (exit 3)
+    raw = dict(BASE, surface={"expr": "-1 + 2*exp(-(t-50)^2)"},
+               A_over_pi=20, N=4)
+    with pytest.raises(ConfigError, match="interface at t = 50"):
+        config_from_dict(raw)
+    cfg_path = tmp_path / "bump.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert "interface at t = 50" in capsys.readouterr().err
+    # on the default window [-10 pi, 10 pi] the bump is out of reach
+    assert config_from_dict(dict(raw, A_over_pi=10)).A_over_pi == 10
+
+
 def test_cli_rule_panel_limit_exit_code(tmp_path, capsys):
     # at A/pi = 40 a surface at -0.03 (v_min = 0.06) needs more than 64,000
     # points on a segment of the shared rule: assembly refuses with exit 3

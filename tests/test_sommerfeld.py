@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import full_remainder
+from oracle import full_remainder, layer_normal
 
 from layerscat import sommerfeld
 from layerscat.errors import DomainError
@@ -50,6 +50,33 @@ def test_shared_rule_against_pointwise(kp, km, surface):
             ref += grad_green_y(med, x, y, tol=1e-13)
             for mat, r in zip(up, ref):
                 assert abs(mat[i, j] - r) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "impedance"])
+@pytest.mark.parametrize("kp,km", [(3.0, 4.0), (3.5, 2.7)])
+def test_layer_sum_against_pointwise(kp, km, kind):
+    # the one node-set sum L = R diag(a) + N diag(b), N = f' dR/dy1 - dR/dy2,
+    # with the Dirichlet coefficients (a = 2i eta, b = 2/J at the columns)
+    # or the impedance ones (a = 2i k- beta with a complex beta, b = -2/J at
+    # the rows, where L is the transpose), entry by entry: the normal sits
+    # at node q of the pair (p, q), L[i, j] at (p, q) = (i, j) or (j, i)
+    med = MediumPair(kp, km)
+    surf = builtin("gamma1")
+    t, f = _grid("gamma1")
+    n = t.size
+    rows = kind == "impedance"
+    a = (2j * km * (1.0 + 0.5j + 0.3 * np.cos(t)) if rows
+         else 2j * math.sqrt(kp * km))
+    normal = layer_normal(surf, t, a, rows)
+    got = sommerfeld.remainder_matrices(kp, km, t, f, normal=normal)
+    coef_a, coef_b, df, _ = normal
+    for i, j in [(0, n - 1), (n - 1, 0), (n // 2, n // 2), (37, 250),
+                 (161, 149)]:
+        p, q = (j, i) if rows else (i, j)
+        m = green_remainder_modes(med, (t[p], f[p]), (t[q], f[q]),
+                                  modes=MODES)
+        ref = coef_a[q] * m["val"] + coef_b[q] * (df[q] * m["dy1"] - m["dy2"])
+        assert abs(got[i, j] - ref) <= 1e-10
 
 
 @pytest.mark.parametrize("kp,km", MEDIA)
@@ -205,6 +232,29 @@ def test_jittered_nodes_fold_factors_fall_back():
     assert anchors is t and offsets.tolist() == [0.0] and d is None
     for got, direct in _factor_errors(t, f):
         assert got <= direct
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("kp,km", [(3.0, 4.0), (3.5, 2.7)])
+def test_fold_amplitude_matches_complex_exp(kp, km, above):
+    # on the real axis each exponent (S- below, -S+ above the interface) is
+    # real or imaginary; the real ones take the real exp, and the factors
+    # stay within 4 ulp of those from the complex exp of every exponent
+    t = Grid(10 * math.pi, 16).nodes
+    height = np.full_like(t, 0.4) if above else -0.3 - 0.2 * np.cos(t) ** 2
+    xi, w, sp, sm = sommerfeld.real_axis_rule(kp, km, t[-1] - t[0], 0.6,
+                                              above)
+    real = (sp.imag == 0) & (sm.imag == 0)
+    expo = (-sp if above else sm)[~real]
+    x, scale = xi[~real], np.sqrt(w[~real] * (1.0 + 0.5j))
+    # both kinds on (k1, k2) when the exponent's wavenumber is the smaller
+    mixed = 0 < np.count_nonzero(expo.imag) < expo.size
+    assert mixed == ((kp < km) == above)
+    got = sommerfeld._fold_factors(x, expo, t, height, scale)
+    # cos and sin alone (zero exponent, unit scale), times the complex exp
+    cs = sommerfeld._fold_factors(x, np.zeros(x.size), t, height, 1.0)
+    ref = cs * (np.exp(np.multiply.outer(height, expo)) * scale)
+    assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
 @pytest.mark.parametrize("n_per_pi", [4, 16, 64])
