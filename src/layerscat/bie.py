@@ -182,6 +182,14 @@ def _normal_terms(problem, rows, cols, beta):
         *(x[:, None] for x in rows[2::2])
 
 
+def _layer_normal(problem, rows, cols, beta):
+    """The normal (a, b, f', rows) of remainder_matrices whose layer sum is
+    _kernel_block's layer: a = 2 c, b = 2 sigma / J, f' at the normal's end."""
+    sigma, c, slope, jn = _normal_terms(problem, rows, cols, beta)
+    a = 2 * c if sigma < 0 else np.full(cols[0].size, 2 * c[0])
+    return a, 2 * sigma / jn.ravel(), slope.ravel(), sigma < 0
+
+
 def _kernel_block(problem, rows, cols, beta, pieces, layer):
     """(a, (bi, bj), B) of the periodic-log split between rows x_i and
     columns y_j, from their _pair_pieces: A is a at the band entries
@@ -230,38 +238,23 @@ def _kernel_block(problem, rows, cols, beta, pieces, layer):
     return a, (bi, bj), kappa
 
 
-def _split_matrices(problem: BoundaryProblem, s, t, remainder):
-    """(A, B) of the periodic-log split between rows x_i = (s_i, f(s_i)) and
-    columns y_j = (t_j, f(t_j)): _kernel_block on the _pair_pieces of all
-    pairs at once.  remainder: (R, dR/dy1, dR/dy2) pairwise arrays, made
-    into its layer argument here (R_x2 = R_y2 below the interface)."""
-    rows = _surface_arrays(problem.surface, s)
-    cols = _surface_arrays(problem.surface, t)
+def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):
+    """Rectangular (A, B) kernel matrices between off-node collocation points
+    s_points and the quadrature grid t_nodes (Nystrom natural interpolation):
+    _kernel_block on all pairs at once, over the rectangular layer sum."""
+    rows = _surface_arrays(problem.surface, s_points)
+    cols = _surface_arrays(problem.surface, t_nodes)
     beta = (_checked_beta(problem, rows[0]) if problem.kind == "impedance"
             else None)
-    sigma, c, slope, jn = _normal_terms(problem, rows, cols, beta)
-    R, Ry1, Ry2 = remainder
-    layer = (sigma * slope * Ry1 - Ry2) * (2 * sigma / jn) + 2 * c[:, None] * R
+    layer = sommerfeld.remainder_matrices(
+        problem.medium.k_plus, problem.medium.k_minus, cols[0], cols[1],
+        s_nodes=rows[0], fs_vals=rows[1],
+        normal=_layer_normal(problem, rows, cols, beta))
     pieces = _pair_pieces(problem.medium.k_minus, rows, cols)
     a, band, b = _kernel_block(problem, rows, cols, beta, pieces, layer)
     A = np.zeros_like(b)
     A[band] = a
     return A, b
-
-
-def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):
-    """Rectangular (A, B) kernel matrices between off-node collocation points
-    s_points and the quadrature grid t_nodes (Nystrom natural interpolation)."""
-    s = np.asarray(s_points, dtype=float)
-    t = np.asarray(t_nodes, dtype=float)
-    if problem.kind == "impedance":
-        _checked_beta(problem, s)
-    f_t = np.asarray(problem.surface.f(t), dtype=float)
-    f_s = np.asarray(problem.surface.f(s), dtype=float)
-    rem = sommerfeld.remainder_matrices(problem.medium.k_plus,
-                                        problem.medium.k_minus, t, f_t,
-                                        s_nodes=s, fs_vals=f_s)
-    return _split_matrices(problem, s, t, rem)
 
 
 def rhs_vector(problem: BoundaryProblem, s):

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import exprs, surface as surface_mod
+from . import exprs, sommerfeld, surface as surface_mod
 from .bie import BoundaryProblem
 from .errors import ConfigError, LayerScatError
 from .green import (MediumPair, _incident_field, green_surface_batch,
@@ -159,7 +159,15 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     _require(n >= 1, f"N: must be >= 1, got {n}")
     a_pi = _integer(data.get("A_over_pi", _DEF_A_OVER_PI), "A_over_pi")
     _require(a_pi >= 1, f"A_over_pi: positive integer required, got {a_pi}")
-    _build_surface(surf, a_pi * math.pi)   # below the interface on [-A, A]
+    # on [-A, A] f < -_MIN_DECAY / 2: the shared rule's v_min = 2 min|f|
+    a = a_pi * math.pi
+    f = _build_surface(surf, a).f
+    grid = np.linspace(-a, a, 2 * math.ceil(50 * a) + 1)
+    top, high = surface_mod._refined_extremum(f, grid, f(grid), want_max=True)
+    gap = sommerfeld._MIN_DECAY / 2
+    _require(high < -gap, f"surface: highest point on [-A, A] is x2 = "
+             f"{high:.6g} at t = {top:.6g}; the shared spectral rule needs a "
+             f"clearance above {gap:g} (v_min = 2 min|f| > {2 * gap:g})")
     pts = data.get("eval_points", ())
     _require(isinstance(pts, (list, tuple)), "eval_points: list of [x1, x2] required")
     points = []
@@ -210,8 +218,8 @@ def _build_beta(spec):
 def build_problem(config: RunConfig) -> BoundaryProblem:
     """BoundaryProblem (with boundary data from the incident spec) for a config.
 
-    The boundary data is g = -u_b (Dirichlet) or
-    g = -(d u_b/d nu - i k- beta u_b) (impedance), evaluated lazily on the
+    The boundary data is g = -u_b (Dirichlet) or g = -(a u_b + b J du_b/dnu)
+    with (a, b) = (-i k- beta, 1/J) (impedance), evaluated lazily on the
     points data_g is called with.
     """
     med = MediumPair(config.k_plus, config.k_minus)
@@ -227,14 +235,12 @@ def build_problem(config: RunConfig) -> BoundaryProblem:
     def data_g(s):
         s = np.asarray(s, dtype=float)
         t = np.atleast_1d(s)
-        u, grad = field_b(t, np.asarray(surf.f(t), dtype=float), impedance)
-        if impedance:
-            g1, g2 = grad
-            df = np.asarray(surf.df(t), dtype=float)
-            dnu = (df * g1 - g2) / np.sqrt(1 + df * df)
-            # problem.beta: the callable BoundaryProblem makes of a constant
-            u = dnu - 1j * med.k_minus * np.asarray(problem.beta(t), dtype=complex) * u
-        return complex(-u[0]) if s.ndim == 0 else -u
+        df = np.asarray(surf.df(t), dtype=float) if impedance else None
+        # problem.beta: the callable BoundaryProblem makes of a constant
+        normal = (-1j * med.k_minus * np.asarray(problem.beta(t), complex),
+                  1.0 / np.sqrt(1 + df * df), df) if impedance else None
+        g = -field_b(t, np.asarray(surf.f(t), dtype=float), normal)
+        return complex(g[0]) if s.ndim == 0 else g
 
     kwargs = {"beta": _build_beta(config.beta)} if impedance else {"eta": config.eta}
     problem = BoundaryProblem(kind=config.problem, medium=med, surface=surf,
@@ -406,7 +412,7 @@ def greens_table(config: RunConfig, grid_spec: str):
                           "expected 'x1min:x1max:n1,x2min:x2max:n2'")
     _require(y0[1] < 0, f"greens: y_ref {y0} must lie below the interface")
     x1, x2 = np.meshgrid(xs, ys)
-    g = green_surface_batch(med, (x1, x2), [y0[0]], [y0[1]], check=True)["val"]
+    g = green_surface_batch(med, (x1, x2), [y0[0]], [y0[1]], check=True)
     rows = [(float(a), float(b), complex(v))
             for a, b, v in zip(x1.ravel(), x2.ravel(), g.ravel())]
     return y0, rows

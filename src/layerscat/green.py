@@ -19,9 +19,11 @@ The scalar path (green, grad_green_*, green_remainder) evaluates I_case by
 sommerfeld.spectral_point and adds the Hankel terms of _free_terms.  On point
 sets sommerfeld.remainder_matrices integrates R whole, with the mirror term
 subtracted inside the integral, and G above the interface; green_surface_batch
-adds only the direct term Phi_{k-}(x, y) below it (_add_direct).  That one
-path serves point-source data, field evaluation and Green tables;
-bie.kernel_rows and nystrom.assemble call remainder_matrices directly.
+adds only the direct term Phi_{k-}(x, y) below it (_add_direct).  It gives
+G or the layer sum a G + b (f' dG/dy1 - dG/dy2) of a normal at the sources,
+never (dy1, dy2).  That one path serves point-source data, field evaluation
+and Green tables; bie.kernel_rows and nystrom.assemble call
+remainder_matrices directly.
 """
 
 from __future__ import annotations
@@ -130,22 +132,20 @@ def _free_terms(k, d1, x2, y2, direct=False):
 _DIRECT_BLOCK = 1 << 16
 
 
-def _add_direct(out, k, s, fs, t, f):
-    """Add Phi_k(x_i, y_j) to out["val"] and, when out holds "dy1" and
-    "dy2", its y-gradient to those, in place, for targets x_i = (s_i, fs_i)
-    and sources y_j = (t_j, f_j).  Rows go in blocks of at most _DIRECT_BLOCK
-    elements, and the order-1 Hankel pass runs only for the gradient."""
-    grad = "dy1" in out
+def _add_direct(out, k, s, fs, t, f, normal):
+    """Add Phi_k(x_i, y_j), or with normal = (a, b, f') its layer sum, to out
+    in place, for targets x_i = (s_i, fs_i) and sources y_j = (t_j, f_j), in
+    row blocks of at most _DIRECT_BLOCK elements; the order-1 Hankel pass
+    runs only with a normal."""
     rows = max(1, _DIRECT_BLOCK // t.size)
     for lo in range(0, s.size, rows):
         sl = slice(lo, lo + rows)
         d1 = s[sl, None] - t
         d2 = fs[sl, None] - f
-        phi, fac = _phi_terms(k, d1, d2, grad)
-        out["val"][sl] += phi
-        if grad:
-            out["dy1"][sl] += fac * d1
-            out["dy2"][sl] += fac * d2
+        phi, fac = _phi_terms(k, d1, d2, normal is not None)
+        if normal is not None:
+            phi = sommerfeld._normal_sum(phi, fac * d1, fac * d2, *normal)
+        out[sl] += phi
 
 
 def _case_of(x2, y2):
@@ -174,6 +174,13 @@ def _green_modes(medium, x, y, modes, tol, check, direct=True):
         free = {"val": val, "dy1": dy1, "dy2": dy2, "dx1": -dy1, "dx2": dx2}
         vals = {m: vals[m] + free[m] for m in modes}
     return vals
+
+
+def _green_pair(medium, x, y, grad):
+    """[G] or [G, dG/dy1, dG/dy2] (R below the interface) at one pair, by the
+    pointwise path checked as green() is: green_surface_batch's fallback."""
+    modes = ("val", "dy1", "dy2") if grad else ("val",)
+    return list(_green_modes(medium, x, y, modes, 1e-10, True, direct=False).values())
 
 
 def green(medium: MediumPair, x, y, tol: float = 1e-10, check: bool = True) -> complex:
@@ -212,39 +219,35 @@ def green_remainder_modes(medium: MediumPair, x, y, modes=("val",),
 
 
 def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
-                        grad_y: bool = False, check: bool = False):
-    """G(x, y_j) (and optionally nabla_y G) for sources y_j = (t_j, f_j)
-    below the interface, at a target x = (x1, x2), one point or coordinate
-    arrays.  Returns dict with "val" and, with grad_y, "dy1"/"dy2": complex
-    arrays of shape x1.shape + (n,).
+                        normal=None, check: bool = False):
+    """G(x, y_j), or with normal = (a, b, f') at the sources the layer sum
+    a G + b (f' dG/dy1 - dG/dy2) = a G + b J dG/dnu(y), for sources
+    y_j = (t_j, f_j) below the interface and a target x = (x1, x2), one
+    point or coordinate arrays: a complex array of shape x1.shape + (n,).
 
-    Each side of the interface (x2 >= 0, x2 < 0) takes one call of
-    sommerfeld.remainder_matrices, the shared rule of assembly: above it that
-    is all of G, below it the remainder R = G - Phi_{k-}(x, y), to which
-    _add_direct adds the direct term.  With check set, values come from the
-    doubled rule (refine=2), and AccuracyError is raised when one differs
-    from the single rule by more than 1e-10, the two-pass test of green().
-    When the shared rule refuses a side (a side hugging the interface, or a
-    rule that would need too many panels), its (target, source) pairs take
-    the pointwise fallback, always checked as green() is.  As G is
-    symmetric, G(y_j, x) and nabla_x G(y, x) at y = y_j are the same arrays:
-    boundary data of a point source at x.
+    Each side of the interface (x2 >= 0, x2 < 0) takes one
+    sommerfeld.remainder_matrices call (G above, R below, plus _add_direct).
+    With check set, values come from the doubled rule (refine=2), and
+    AccuracyError is raised when they differ from the single rule by more
+    than 1e-10, the two-pass test of green().  When the shared rule refuses
+    a side (a side hugging the interface, or a rule that would need too
+    many panels), its pairs take the pointwise fallback, _green_pair.  As G
+    is symmetric, G(y_j, x) and nabla_x G(y, x) at y = y_j are the same
+    arrays: boundary data of a point source at x.
     """
     x1, x2 = _points(x)
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
     if np.any(f >= 0):
         raise DomainError("sources must lie strictly below the interface")
-    modes = ("val", "dy1", "dy2") if grad_y else ("val",)
-    kp, km = medium.k_plus, medium.k_minus
     s, fs = x1.ravel(), x2.ravel()
     below = fs < 0
-    out = {m: np.empty((s.size, t.size), dtype=complex) for m in modes}
+    out = np.empty((s.size, t.size), dtype=complex)
 
     def shared(idx, refine):
-        rows = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=s[idx],
-                                             fs_vals=fs[idx], refine=refine)
-        return dict(zip(modes, rows))
+        return sommerfeld.remainder_matrices(
+            medium.k_plus, medium.k_minus, t, f, s_nodes=s[idx],
+            fs_vals=fs[idx], refine=refine, normal=normal)
 
     for idx in (np.flatnonzero(~below), np.flatnonzero(below)):
         if idx.size == 0:
@@ -252,30 +255,20 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
         try:
             part = shared(idx, 2 if check else 1)
             if check:
-                coarse = shared(idx, 1)
-                est = max(float(np.abs(part[m] - coarse[m]).max(initial=0.0))
-                          for m in modes)
-                del coarse
+                est = float(np.abs(part - shared(idx, 1)).max(initial=0.0))
                 if not est <= 1e-10:
                     raise AccuracyError("shared spectral rule did not reach "
                                         "tolerance", estimate=est)
         except DomainError:
-            # pointwise contour evaluation of the same G or R, with the
-            # two-pass check that green() makes
-            part = {m: np.empty((idx.size, t.size), dtype=complex)
-                    for m in modes}
-            for a, i in enumerate(idx):
-                for j in range(t.size):
-                    vals = _green_modes(medium, (s[i], fs[i]), (t[j], f[j]),
-                                        modes, 1e-10, True, direct=False)
-                    for m in modes:
-                        part[m][a, j] = vals[m]
+            part = np.moveaxis(np.array([[_green_pair(
+                medium, (s[i], fs[i]), (t[j], f[j]), normal is not None)
+                for j in range(t.size)] for i in idx], dtype=complex), -1, 0)
+            part = part[0] if normal is None else sommerfeld._normal_sum(*part, *normal)
         if below[idx[0]]:
-            _add_direct(part, km, s[idx], fs[idx], t, f)
-        for m in modes:
-            out[m][idx] = part[m]
+            _add_direct(part, medium.k_minus, s[idx], fs[idx], t, f, normal)
+        out[idx] = part
         del part
-    return {m: v.reshape(x1.shape + t.shape) for m, v in out.items()}
+    return out.reshape(x1.shape + t.shape)
 
 
 def fresnel_R(medium: MediumPair, theta: float) -> complex:
@@ -345,26 +338,25 @@ def _reference_field(medium: MediumPair, theta_d: float, x):
 
 def _incident_field(medium: MediumPair, incident: dict):
     """The field u_b that the scattered field cancels on the surface, as
-    fn(x1, x2, grad) -> (u_b, (du_b/dx1, du_b/dx2) or None) on coordinate
-    arrays.
-
-    Plane wave: u_b = u0, the reference field.  Point source: u_b = -G(., y0),
-    from one batched, two-pass-checked call with y0 as the field point
-    (G(x, y0) = G(y0, x), and nabla_x G(x, y0) is nabla_y G(y0, y) at y = x).
-    """
+    fn(x1, x2, normal) on coordinate arrays: u_b, or with normal = (a, b, f')
+    a u_b + b (f' du_b/dx1 - du_b/dx2).  Plane wave: u_b = u0, the reference
+    field.  Point source: u_b = -G(., y0), from one batched, two-pass-checked
+    call with y0 as the field point (G(x, y0) = G(y0, x), and
+    nabla_x G(x, y0) is nabla_y G(y0, y) at y = x)."""
     if incident["type"] == "plane":
         theta = incident["theta_d"]
 
-        def plane_wave(x1, x2, grad):
+        def plane_wave(x1, x2, normal):
             u, g1, g2 = _reference_field(medium, theta, (x1, x2))
-            return u, ((g1, g2) if grad else None)
+            return u if normal is None else \
+                sommerfeld._normal_sum(u, g1, g2, *normal)
 
         return plane_wave
     y0 = tuple(incident["y0"])
 
-    def point_source(x1, x2, grad):
-        g = green_surface_batch(medium, y0, x1, x2, grad_y=grad, check=True)
-        return -g["val"], ((-g["dy1"], -g["dy2"]) if grad else None)
+    def point_source(x1, x2, normal):
+        return -green_surface_batch(medium, y0, x1, x2, normal=normal,
+                                    check=True)
 
     return point_source
 

@@ -34,7 +34,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack as _lapack
 
 from . import sommerfeld
-from .bie import (BoundaryProblem, _checked_beta, _kernel_block, _normal_terms,
+from .bie import (BoundaryProblem, _checked_beta, _kernel_block, _layer_normal,
                   _pair_pieces, _surface_arrays, _swapped, rhs_vector)
 from .errors import DomainError, SolverError
 
@@ -124,10 +124,9 @@ def assemble(problem: BoundaryProblem, grid: Grid):
         beta = _checked_beta(problem, t)
     jets = _surface_arrays(problem.surface, t)
     km = problem.medium.k_minus
-    sigma, c, slope, jn = _normal_terms(problem, jets, jets, beta)
     matrix = sommerfeld.remainder_matrices(
         problem.medium.k_plus, km, t, jets[1],
-        normal=(2 * c, 2 * sigma / jn.ravel(), slope.ravel(), sigma < 0))
+        normal=_layer_normal(problem, jets, jets, beta))
     w = log_weight(grid.N, np.arange(n) * grid.h, 0.0)
     j = np.arange(n)
 

@@ -5,7 +5,8 @@ Nystrom grid (spacing h = pi/N), since the kernels are smooth off the
 boundary:
 
     Dirichlet:  u_s(x) = h sum_j [dG/dnu(y_j) + i eta G(x, y_j)] J_j psi_j,
-    impedance:  u_s(x) = h sum_j G(x, y_j) J_j psi_j.
+    impedance:  u_s(x) = h sum_j G(x, y_j) J_j psi_j,
+the bracket being green_surface_batch's layer sum for normal (i eta, 1/J, f').
 
 Exact references: the two-layered Green function itself for a point source
 below the surface, and the four-wave piecewise-plane solution for a flat
@@ -68,19 +69,15 @@ def _eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
             "invalid there")
     _, f, df, _, speed = _surface_arrays(surf, t)
     weights = sol.grid.h * speed * sol.values
-    dirichlet = problem.kind == "dirichlet"
+    normal = (1j * problem.eta, 1.0 / speed, df) if problem.kind == "dirichlet" else None
     values = np.empty(p1.size, dtype=complex)
     rows = max(1, sommerfeld._BLOCK // t.size)
     for lo in range(0, p1.size, rows):
         blk = slice(lo, lo + rows)
-        batch = green_surface_batch(problem.medium, (p1[blk], p2[blk]), t, f,
-                                    grad_y=dirichlet)
-        kern = batch["val"]
-        if dirichlet:
-            kern = ((df * batch["dy1"] - batch["dy2"]) / speed
-                    + 1j * problem.eta * kern)
+        kern = green_surface_batch(problem.medium, (p1[blk], p2[blk]), t, f,
+                                   normal=normal)
         values[blk] = kern @ weights
-        del batch, kern     # free this block before the next one is built
+        del kern        # free this block before the next one is built
     return values.reshape(x1.shape)[()], (dist < _WARN_DIST).reshape(x1.shape)[()]
 
 

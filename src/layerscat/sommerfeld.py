@@ -28,7 +28,8 @@ with doubled panel density provides the error estimate.
 
 spectral_point evaluates one pair this way.  On point sets one evaluator,
 remainder_matrices, serves assembly, boundary data and field evaluation: a
-real-axis rule (no ray tails, so it needs v_min > 0.02) shared by all pairs.
+real-axis rule (no ray tails, so it needs v_min > _MIN_DECAY) shared by all
+pairs, returning the sum I or one layer sum a I + b (f' dI/dy1 - dI/dy2).
 Below the interface it integrates the remainder R = G - Phi_{k-}(x, y) whole:
 the mirror term's integrand e^{S-(x2+y2)}/(2 S-) is subtracted inside the
 integral, leaving g = (k+^2 - k-^2) / (2 S- (S+ + S-)^2), which decays like
@@ -100,6 +101,9 @@ _RULE_TOL = 1e-15
 
 #: Gauss-Legendre points per segment of a rule; both rules refuse to exceed it
 _MAX_POINTS = 64_000
+
+#: least vertical decay v_min of the shared rule; v_min = 2 min|f| on nodes
+_MIN_DECAY = 0.02
 
 
 class _Panels:
@@ -338,7 +342,7 @@ def _tail_cutoff(c, p, v):
 
 def real_axis_rule(k_plus, k_minus, u_max, v_min, above, refine=1):
     """Shared positive-axis rule (xi, w, S+, S-) for families of integrals
-    with oscillation up to u_max and vertical decay at least v_min > 0.02.
+    with oscillation up to u_max and vertical decay at least v_min > _MIN_DECAY.
 
     The rule is sized for the integrand of remainder_matrices: for targets
     above the interface (above set) E / (S+ + S-), bounded by e^{-S v} / (2 S)
@@ -354,8 +358,8 @@ def real_axis_rule(k_plus, k_minus, u_max, v_min, above, refine=1):
     (2000 panels) raises DomainError.  The caller folds with
     e^{i xi u} + sigma e^{-i xi u} and applies 1/(2pi).
     """
-    if v_min <= 0.02:
-        raise DomainError("real_axis_rule requires vertical decay v_min > 0.02")
+    if v_min <= _MIN_DECAY:
+        raise DomainError(f"real_axis_rule requires vertical decay v_min > {_MIN_DECAY}")
     k1, k2 = sorted((k_plus, k_minus))
     c, p = (0.5, 0) if above else (abs(k_plus ** 2 - k_minus ** 2) / 8, 2)
     w0 = _tail_cutoff(c, p, v_min)
@@ -470,22 +474,34 @@ def _syrk(c, a, alpha):
 
 
 def _fold_sums(sums, xi, sm, st, base, s, fs, t, f):
-    """Add one part of the folded rule to sums = (I, dI/dy1, dI/dy2); st is
-    the targets' exponent, S- below the interface and -S+ above it.  The
-    rule's dtype (real beyond both branch points, complex below) picks real
-    or complex BLAS, which takes the two halves of [C, S] uncopied."""
-    i4, g1, g2 = sums
+    """Add one part of the folded rule to sums, (I,) or (I, dI/dy1, dI/dy2),
+    in two or six products per rule block; st is the targets' exponent, S-
+    below the interface and -S+ above it.  The rule's dtype picks real or
+    complex BLAS, which takes the two halves of [C, S] uncopied."""
     blk = max(1, _BLOCK // (2 * max(s.size, t.size)))
     for lo in range(0, xi.size, blk):
         sl = slice(lo, lo + blk)
         xs = _fold_factors(xi[sl], st[sl], s, fs, base[sl])
         xt = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
-        for a, b in zip(xs, xt):
-            _gemm(i4, a, b)
-            _gemm(g2, a * sm[sl], b)
-        # sin(xi (s - t)) = S_s C_t - C_s S_t
-        _gemm(g1, xs[1] * xi[sl], xt[0])
-        _gemm(g1, xs[0] * xi[sl], xt[1], alpha=-1.0)
+        for k, (a, b) in enumerate(zip(xs, xt)):
+            _gemm(sums[0], a, b)
+            if len(sums) > 1:   # sin(xi (s - t)) = S_s C_t - C_s S_t
+                _gemm(sums[2], a * sm[sl], b)
+                _gemm(sums[1], xs[1 - k] * xi[sl], xt[k], alpha=1 - 2 * k)
+
+
+def _normal_sum(val, dy1, dy2, a, b, df, rows=False):
+    """a val + b (f' dy1 - dy2), written over val and dy1, with a, b, f' per
+    column (source); with rows per row (target, below the interface, where
+    d/dx1 = -d/dy1, d/dx2 = d/dy2): a val + b (-f' dy1 - dy2)."""
+    if rows:
+        a, b, df = (np.reshape(x, (-1, 1)) for x in (a, b, np.negative(df)))
+    dy1 *= df
+    dy1 -= dy2
+    dy1 *= b
+    val *= a
+    val += dy1
+    return val
 
 
 def _fold_layer(out, xi, sm, base, t, f, normal, sign, r=None):
@@ -517,36 +533,31 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
                        fs_vals=None, refine=1, normal=None):
     """Spectral part of G between point sets, through one shared rule.
 
-    The one shared-rule evaluator of assembly, boundary data and field
-    evaluation.  Sources y_j = (t_j, f_j) lie strictly below the interface,
-    targets x_i = (s_i, fs_i) all on one side of it (DomainError otherwise).
-    Returns (I, dI/dy1, dI/dy2), dense complex arrays (one layer sum when
-    s_nodes is omitted, see below) with
+    Sources y_j = (t_j, f_j) lie strictly below the interface, targets
+    x_i = (s_i, fs_i) (the sources when s_nodes is omitted) all on one side
+    of it (DomainError otherwise).  Of the sum
 
         I[i, j] = (1/2pi) int_R  E_i e^{S-(xi) f_j} g(xi)
-                  e^{i xi (s_i - t_j)} d xi.
+                  e^{i xi (s_i - t_j)} d xi,
 
-    Below the interface E_i = e^{S- fs_i} and
-    g = (k+^2 - k-^2) / (2 S- (S+ + S-)^2) = 1/(S+ + S-) - 1/(2 S-): the
-    integrand of case 4 minus that of the mirror term Phi_{k-}(x, y') (the
-    Sommerfeld identity), so I is the smooth remainder R = G - Phi_{k-}(x, y)
-    itself.  At or above it E_i = e^{-S+ fs_i} and g = 1/(S+ + S-) (case 2:
-    all of G).  The rule on xi > 0 (real_axis_rule) spans
-    u_max = max|s_i - t_j| and decays at least as e^{-xi v_min},
-    v_min = min|fs| + min|f|.  The fold
+    the remainder R = G - Phi_{k-}(x, y) below the interface (E_i =
+    e^{S- fs_i}, g mirror-subtracted as in the module doc) and all of G at
+    or above it (E_i = e^{-S+ fs_i}, g = 1/(S+ + S-): case 2), it returns
+    with normal = (a, b, f', rows) the layer sum L = I diag(a) + N diag(b),
+    N = f' dI/dy1 - dI/dy2, or with rows the form with the normal at the
+    targets (_normal_sum; rows may be left out between point sets); with
+    normal None (targets given) I alone: one dense complex matrix.
+
+    The rule on xi > 0 (real_axis_rule) spans u_max = max|s_i - t_j| and
+    decays at least as e^{-xi v_min}, v_min = min|fs| + min|f|.  The fold
     e^{i xi u} + e^{-i xi u} = 2 [cos xi s cos xi t + sin xi s sin xi t]
     (2 sin(xi u) for the odd dI/dy1) writes every sum as products of the
-    per-node factors E cos(xi t), E sin(xi t).  Beyond both branch points
-    (xi > max(k+, k-)) every factor and weight is real, so that part of the
-    rule runs in real arithmetic, first, into real sums that are then made
-    complex; the rest in complex.
-
-    When s_nodes is omitted the targets are the sources, and with normal =
-    (a, b, f', rows), coefficients at the nodes that carry the normal, one
-    matrix L = R diag(a) + N diag(b), N = f' dR/dy1 - dR/dy2, comes back
-    (with rows its transpose).  Its real part is a syrk for R and a product
-    for N diag(b), two real buffers freed once L is formed from them a
-    column panel at a time; its complex part is added by _fold_layer.
+    per-node factors E cos(xi t), E sin(xi t).  Where xi > max(k+, k-)
+    they are real: that part runs first, in real BLAS, into real sums then
+    made complex.  Between point sets _fold_sums gives I (and dI/dy1,
+    dI/dy2, combined in place); on the node set L's real part is a syrk for
+    R and a product for N diag(b), real buffers freed once L is formed from
+    them a column panel at a time, and _fold_layer adds its complex part.
     """
     t = np.asarray(t_nodes, dtype=float)
     f = np.asarray(f_vals, dtype=float)
@@ -574,13 +585,14 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     real = (sp.imag == 0) & (sm.imag == 0)
     xr, smr, br = xi[real], sm[real].real, base[real].real
     if not symmetric:
-        sums = [np.zeros((s.size, t.size), order="F") for _ in range(3)]
+        sums = [np.zeros((s.size, t.size), order="F")
+                for _ in range(1 if normal is None else 3)]
         _fold_sums(sums, xr, smr, st[real].real, br, s, fs, t, f)
-        for k in range(3):      # one at a time: one real sum beside them
+        for k in range(len(sums)):  # one at a time: one real sum beside them
             sums[k] = sums[k].astype(complex, order="F")
         _fold_sums(sums, xi[~real], sm[~real], st[~real], base[~real],
                    s, fs, t, f)
-        return tuple(sums)
+        return sums[0] if normal is None else _normal_sum(*sums, *normal)
     a, b, df, rows = normal
     sign = 1.0 if k_plus > k_minus else -1.0    # sign base > 0 where real
     r, out = (np.zeros((t.size, t.size), order="F") for _ in range(2))

@@ -11,14 +11,17 @@ requires a vertical separation v >= 0.05 so the tail truncates.
 The scalar kernel paths (kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
 split_ibvp) check the assembled matrices of layerscat.bie pointwise: the raw
 kernels from the library's adaptive scalar green/grad_green_x/grad_green_y,
-the split from a pointwise remainder fed through bie._split_matrices.
-full_remainder gives the layer sums of a node set as full matrices, from
-the rectangular path.
+the split from a pointwise remainder, made into its layer sum here
+(layer_sum), fed through split_matrices.  remainder_triple and
+batch_triple read the value and both source derivatives of the
+rectangular sums and of green_surface_batch from three of their layer sums;
+full_remainder is remainder_triple on a node set.
 
 The one-shot system (kernel_matrices, weight_matrix, system_matrix) forms
 I - (W o A + h B) whole, with the (A, B) of all nodes from one
-bie._split_matrices call: the reference for nystrom.assemble, which builds
-the same matrix in row panels.
+bie.kernel_rows call on the rectangular path: the reference for
+nystrom.assemble, which builds the same matrix in row panels from the
+node-set sum.
 
 Run as a script to regenerate the golden CSV:
 
@@ -37,10 +40,11 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import hankel1 as _h1
 
 from layerscat import sommerfeld
-from layerscat.bie import _checked_beta, _split_matrices
+from layerscat.bie import (_checked_beta, _kernel_block, _pair_pieces,
+                           _surface_arrays, kernel_rows)
 from layerscat.errors import DomainError, SingularityError
 from layerscat.green import (grad_green_x, grad_green_y, green,
-                             green_remainder_modes)
+                             green_remainder_modes, green_surface_batch)
 from layerscat.nystrom import log_weight
 
 ORACLE_TOL = 1e-12
@@ -167,16 +171,39 @@ def _split(problem, sign):
     regrouping as the matrices."""
     surf = problem.surface
     modes = ("val", "dy1", "dy2")
+    rows = sign < 0
 
     def AB(s, t):
         s, t = float(s), float(t)
-        r = green_remainder_modes(problem.medium, (s, float(surf.f(s))),
-                                  (t, float(surf.f(t))), modes=modes)
+        # the normal sits at the triple's source q: q = t, or for the
+        # impedance kernel q = s, whose layer_sum is the transposed form
+        p, q = (t, s) if rows else (s, t)
+        r = green_remainder_modes(problem.medium, (p, float(surf.f(p))),
+                                  (q, float(surf.f(q))), modes=modes)
         rem = tuple(np.array([[r[m]]]) for m in modes)
-        A, B = _split_matrices(problem, np.array([s]), np.array([t]), rem)
+        a = 2j * (problem.medium.k_minus * complex(problem.beta(s)) if rows
+                  else problem.eta)
+        normal = layer_normal(surf, np.array([q]), a, rows)
+        A, B = split_matrices(problem, np.array([s]), np.array([t]),
+                              layer_sum(rem, normal))
         return sign * complex(A[0, 0]), sign * complex(B[0, 0])
 
     return KernelSplit(A=lambda s, t: AB(s, t)[0], B=lambda s, t: AB(s, t)[1])
+
+
+def split_matrices(problem, s, t, layer):
+    """(A, B) of the periodic-log split between rows x_i = (s_i, f(s_i)) and
+    columns y_j = (t_j, f(t_j)) for a given pairwise layer argument of
+    bie._kernel_block: bie.kernel_rows with the layer sum supplied."""
+    rows = _surface_arrays(problem.surface, s)
+    cols = _surface_arrays(problem.surface, t)
+    beta = (_checked_beta(problem, rows[0]) if problem.kind == "impedance"
+            else None)
+    pieces = _pair_pieces(problem.medium.k_minus, rows, cols)
+    a, band, b = _kernel_block(problem, rows, cols, beta, pieces, layer)
+    A = np.zeros_like(b)
+    A[band] = a
+    return A, b
 
 
 def _raw_points(problem, s, t):
@@ -211,12 +238,33 @@ def kernel_ibvp_raw(problem, s: float, t: float) -> complex:
                   - 1j * med.k_minus * beta_s * gval) * jt
 
 
+def remainder_triple(medium, t, f, s, fs, refine=1):
+    """(I, dI/dy1, dI/dy2) of sommerfeld.remainder_matrices between the
+    sources (t_j, f_j) and the targets (s_i, fs_i), from three of its sums:
+    I with no normal, -dI/dy2 with (a, b, f') = (0, 1, 0) and
+    dI/dy1 - dI/dy2 with (0, 1, 1)."""
+    def rect(normal):
+        return sommerfeld.remainder_matrices(
+            medium.k_plus, medium.k_minus, t, f, s_nodes=s, fs_vals=fs,
+            refine=refine, normal=normal)
+
+    i2 = -rect((0.0, 1.0, 0.0, False))
+    return rect(None), rect((0.0, 1.0, 1.0, False)) + i2, i2
+
+
 def full_remainder(medium, t, f, refine=1):
     """Full (R, dR/dy1, dR/dy2) between the surface nodes (t_j, f_j) and
-    themselves, from the rectangular path of sommerfeld.remainder_matrices
-    with the nodes as targets too."""
-    return sommerfeld.remainder_matrices(medium.k_plus, medium.k_minus, t, f,
-                                         s_nodes=t, fs_vals=f, refine=refine)
+    themselves: remainder_triple with the nodes as targets too."""
+    return remainder_triple(medium, t, f, t, f, refine)
+
+
+def batch_triple(medium, x, t, f, check=False):
+    """(G, dG/dy1, dG/dy2) of green_surface_batch at the targets x, from the
+    same three layer sums as remainder_triple."""
+    g2 = -green_surface_batch(medium, x, t, f, (0.0, 1.0, 0.0), check)
+    return (green_surface_batch(medium, x, t, f, None, check),
+            green_surface_batch(medium, x, t, f, (0.0, 1.0, 1.0), check) + g2,
+            g2)
 
 
 def layer_normal(surface, t, a, rows):
@@ -231,7 +279,8 @@ def layer_normal(surface, t, a, rows):
 def layer_sum(remainder, normal):
     """The layer sum of a node set from its full (R, dR/dy1, dR/dy2): with
     N = f' dR/dy1 - dR/dy2, R diag(a) + N diag(b), or with rows its
-    transpose diag(a) R^T + diag(b) N^T."""
+    transpose diag(a) R^T + diag(b) N^T.  The tests' one copy of the
+    formula, independent of sommerfeld._normal_sum."""
     R, R1, R2 = remainder
     a, b, df, rows = normal
     L = R * a + (df * R1 - R2) * b
@@ -240,12 +289,8 @@ def layer_sum(remainder, normal):
 
 def kernel_matrices(problem, nodes):
     """Dense (A, B) of the split kernel at the nodes, all rows at once, with
-    the shared-rule layer sums over the node set."""
-    t = np.asarray(nodes, dtype=float)
-    if problem.kind == "impedance":     # fail before the layer integrals
-        _checked_beta(problem, t)
-    f = np.asarray(problem.surface.f(t), dtype=float)
-    return _split_matrices(problem, t, t, full_remainder(problem.medium, t, f))
+    the layer sum from the rectangular path with the nodes as targets."""
+    return kernel_rows(problem, nodes, nodes)
 
 
 def weight_matrix(grid):

@@ -1,18 +1,18 @@
 """Kernels, splits, diagonal limits, right-hand sides, jump relations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from oracle import (full_remainder, green_oracle, kernel_dbvp_raw,
-                    kernel_ibvp_raw, kernel_matrices, layer_normal, layer_sum,
-                    split_dbvp, split_ibvp)
+                    kernel_ibvp_raw, kernel_matrices, layer_normal,
+                    remainder_triple, split_dbvp, split_ibvp, split_matrices)
 
 from layerscat import sommerfeld
-from layerscat.bie import (BoundaryProblem, _split_matrices, cutoff_chi,
-                           rhs_vector)
+from layerscat.bie import BoundaryProblem, cutoff_chi, rhs_vector
 from layerscat.cli import (_PRESETS, build_problem, config_from_dict,
                            preset_config)
 from layerscat.errors import AccuracyError, DomainError, SingularityError
@@ -65,15 +65,10 @@ def test_cutoff_properties():
         assert abs(d2) < 50
 
 
-def _zero_remainder(n, m):
-    z = np.zeros((n, m), dtype=complex)
-    return z, z.copy(), z.copy()
-
-
 def _diagonal_ab(problem, s):
     """(a, b) of kappa = a ln|s-t| + b at the diagonal entry (s, s): there
     chi = 1 and the log correction vanishes, so a = A/pi and b = B."""
-    A, B = _split_matrices(problem, s, s, _zero_remainder(1, 1))
+    A, B = split_matrices(problem, s, s, np.zeros((1, 1), dtype=complex))
     return A / math.pi, B
 
 
@@ -331,11 +326,14 @@ def test_batched_data_matches_scalar_oracle(preset):
 @pytest.mark.parametrize("kind", ["dirichlet", "impedance"])
 def test_batched_point_data_fallback_near_interface(kind):
     # v_min = 0.014 defeats the shared rule: the data comes from the checked
-    # pointwise fallback and must still match scalar green()
-    cfg = config_from_dict({"problem": kind, "k_plus": 2.7, "k_minus": 3.5,
-                            "surface": {"expr": "-0.004"},
-                            "incident": {"type": "point", "y0": [1.0, -0.01]},
-                            "N": 8})
+    # pointwise fallback and must still match scalar green().  Config
+    # validation refuses a surface this close to the interface, so the
+    # surface goes in after it
+    cfg = replace(config_from_dict(
+        {"problem": kind, "k_plus": 2.7, "k_minus": 3.5, "surface": "gamma2",
+         "incident": {"type": "point", "y0": [1.0, -1.3]}, "N": 8}),
+        surface={"expr": "-0.004"}, incident={"type": "point",
+                                              "y0": [1.0, -0.01]})
     problem = build_problem(cfg)
     s = np.array([-2.0, 0.3, 1.0, 4.5])
     assert np.abs(problem.data_g(s) - _scalar_data(cfg, problem, s)).max() <= 1e-9
@@ -350,20 +348,22 @@ def test_batched_data_accuracy_check(monkeypatch, gap, raises):
 
     def shifted(*args, refine=1, **kwargs):
         out = remainder_matrices(*args, refine=refine, **kwargs)
-        return out if refine == 2 else tuple(v + gap for v in out)
+        return out if refine == 2 else out + gap
 
     monkeypatch.setattr(sommerfeld, "remainder_matrices", shifted)
     t = np.linspace(-4, 4, 9)
     f = -1 + 0.3 * np.sin(0.7 * np.pi * t)
     y0 = (1.0, -1.3)
     if raises:
-        with pytest.raises(AccuracyError) as exc:
-            green_surface_batch(MED, y0, t, f, grad_y=True, check=True)
-        assert exc.value.estimate == pytest.approx(gap, rel=1e-3)
+        for normal in ((0.0, 1.0, 1.0), None):
+            with pytest.raises(AccuracyError) as exc:
+                green_surface_batch(MED, y0, t, f, normal=normal, check=True)
+            assert exc.value.estimate == pytest.approx(gap, rel=1e-3)
         return
-    out = green_surface_batch(MED, y0, t, f, grad_y=True, check=True)
+    green_surface_batch(MED, y0, t, f, normal=(0.0, 1.0, 1.0), check=True)
+    out = green_surface_batch(MED, y0, t, f, check=True)
     ref = [green(MED, (tj, fj), y0) for tj, fj in zip(t, f)]
-    assert np.abs(out["val"] - ref).max() <= 1e-12
+    assert np.abs(out - ref).max() <= 1e-12
 
 
 def test_problem_validation():
@@ -524,25 +524,26 @@ def test_surface_remainder_at_assembly_scale():
 @pytest.mark.parametrize("refine", [1, 2])
 def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
     # the node-set layer sum (syrk for R, one product with [P Q] for the
-    # rest) and the rectangular path with targets = sources evaluate the
-    # same folded sums; the layer sum combines them with the coefficients at
-    # the end that carries the normal, the columns (Dirichlet) or the rows
-    # (impedance, the transposed form).  1e-13 on each of R, dR/dy1 and
-    # dR/dy2, carried through the coefficients
+    # rest) and the rectangular path with targets = sources (three sums,
+    # combined at the end) evaluate the same folded sums, with the
+    # coefficients at the end that carries the normal, the columns
+    # (Dirichlet) or the rows (impedance, the transposed form).  1e-13 on
+    # each of R, dR/dy1 and dR/dy2, carried through the coefficients
     surf = builtin("gamma3")
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
     f = np.asarray(surf.f(t), float)
-    rect = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=t, fs_vals=f,
-                                         refine=refine)
     for rows, a in ((False, 2j * math.sqrt(kp * km)),
                     (True, 2j * km * (1.0 + 0.5j + 0.2 * np.sin(t)))):
         normal = layer_normal(surf, t, a, rows)
+        rect = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=t,
+                                             fs_vals=f, refine=refine,
+                                             normal=normal)
         got = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine,
                                             normal=normal)
-        assert got.shape == (t.size, t.size)
+        assert got.shape == rect.shape == (t.size, t.size)
         scale = np.abs(normal[0]).max() \
             + np.abs(normal[1] * (1 + np.abs(normal[2]))).max()
-        assert np.abs(got - layer_sum(rect, normal)).max() <= 1e-13 * scale
+        assert np.abs(got - rect).max() <= 1e-13 * scale
 
 
 def test_surface_remainder_against_pointwise_k_plus_above():
@@ -554,8 +555,7 @@ def test_surface_remainder_against_pointwise_k_plus_above():
     s = t[::9] + 0.05
     fs = np.asarray(surf.f(s), float)
     sym = full_remainder(med, t, f)
-    rect = sommerfeld.remainder_matrices(med.k_plus, med.k_minus, t, f,
-                                         s_nodes=s, fs_vals=fs)
+    rect = remainder_triple(med, t, f, s, fs)
     rng = np.random.default_rng(1)
     for _ in range(4):
         i, j = rng.integers(0, s.size), rng.integers(0, t.size)
@@ -577,8 +577,7 @@ def test_remainder_targets_above_interface(kp, km):
     f = -0.8 + 0.3 * np.sin(0.9 * t)
     s = np.array([-2.5, 0.0, 0.7, 3.2])
     fs = np.array([0.0, 0.4, 1.3, 0.05])
-    val, dy1, dy2 = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=s,
-                                                  fs_vals=fs)
+    val, dy1, dy2 = remainder_triple(med, t, f, s, fs)
     for i in range(s.size):
         for j in range(t.size):
             x, y = (s[i], fs[i]), (t[j], f[j])
@@ -595,11 +594,16 @@ def test_remainder_fold_against_extended_precision_sum():
     # the real/complex BLAS fold reproduces the rule's sum of the
     # mirror-subtracted integrand base e^{S-(f_i+f_j)} 2cos(xi (t_i - t_j)),
     # base = w (k+^2 - k-^2) / (2 S- (S+ + S-)^2) / pi (and its derivative
-    # factors), summed entry by entry in long double from the rule's nodes
+    # factors), summed entry by entry in long double from the rule's nodes;
+    # the layer sums R, -dR/dy2 ((a, b, f') = (0, 1, 0)) and
+    # dR/dy1 - dR/dy2 ((0, 1, 1)) against the same combinations
     kp, km = 3.0, 4.0
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
     f = np.asarray(builtin("gamma3").f(t), float)
-    i4, g1, g2 = full_remainder(MediumPair(kp, km), t, f)
+    i4, m2, d12 = (sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=t,
+                                                 fs_vals=f, normal=normal)
+                   for normal in (None, (0.0, 1.0, 0.0, False),
+                                  (0.0, 1.0, 1.0, False)))
     xi, w, sp, sm = sommerfeld.real_axis_rule(kp, km, t[-1] - t[0],
                                               -2 * f.max(), False)
     x = xi.astype(np.longdouble)
@@ -609,7 +613,7 @@ def test_remainder_fold_against_extended_precision_sum():
     for i, j in [(0, 96), (10, 11), (48, 48), (70, 5), (33, 90)]:
         e = base * np.exp(sm * (np.longdouble(f[i]) + np.longdouble(f[j])))
         ph = x * (np.longdouble(t[i]) - np.longdouble(t[j]))
-        ref = (np.sum(e * np.cos(ph)), np.sum(e * x * np.sin(ph)),
-               np.sum(e * sm * np.cos(ph)))
-        for mat, r in zip((i4, g1, g2), ref):
+        r1, r2 = np.sum(e * x * np.sin(ph)), np.sum(e * sm * np.cos(ph))
+        ref = (np.sum(e * np.cos(ph)), -r2, r1 - r2)
+        for mat, r in zip((i4, m2, d12), ref):
             assert abs(mat[i, j] - complex(r)) <= 2e-15

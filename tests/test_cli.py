@@ -237,6 +237,21 @@ def test_cli_surface_bounds_checked_on_the_window(tmp_path, capsys):
     assert config_from_dict(dict(raw, A_over_pi=10)).A_over_pi == 10
 
 
+def test_cli_surface_clearance_checked(tmp_path, capsys):
+    # a surface within 0.01 of the interface passed validation, then failed
+    # in assembly with exit 3 (the shared rule on the nodes needs
+    # v_min = 2 min|f| > 0.02); validation refuses it with exit 2, naming
+    # the highest point on [-A, A] and the clearance.  -0.03 still solves
+    raw = dict(BASE, surface={"expr": "-0.005"}, eval_points=[[1.0, 0.5]])
+    cfg_path = tmp_path / "thin.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "x2 = -0.005" in err and "clearance above 0.01" in err
+    row = run(config_from_dict(dict(raw, surface={"expr": "-0.03"}))).rows[0]
+    assert np.isfinite(row["scattered"])
+
+
 def test_cli_rule_panel_limit_exit_code(tmp_path, capsys):
     # at A/pi = 40 a surface at -0.03 (v_min = 0.06) needs more than 64,000
     # points on a segment of the shared rule: assembly refuses with exit 3

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_CSV
-from oracle import read_golden
+from oracle import batch_triple, read_golden
 
 from layerscat.errors import DomainError, SingularityError
 from layerscat.green import (MediumPair, _plane_waves, _reference_field,
@@ -309,12 +309,12 @@ def test_surface_batch_matches_pointwise(med):
     t = np.linspace(-4, 4, 9)
     f = -1 + 0.3 * np.sin(0.7 * np.pi * t) * np.exp(-0.4 * t * t)
     for x in ((0.6, 0.56), (1.0, -0.2)):
-        out = green_surface_batch(med, x, t, f, grad_y=True)
+        val, dy1, dy2 = batch_triple(med, x, t, f)
         for j, (tj, fj) in enumerate(zip(t, f)):
-            assert abs(out["val"][j] - green(med, x, (tj, fj))) <= 1e-10
+            assert abs(val[j] - green(med, x, (tj, fj))) <= 1e-10
             gy = grad_green_y(med, x, (tj, fj))
-            assert abs(out["dy1"][j] - gy[0]) <= 1e-9
-            assert abs(out["dy2"][j] - gy[1]) <= 1e-9
+            assert abs(dy1[j] - gy[0]) <= 1e-9
+            assert abs(dy2[j] - gy[1]) <= 1e-9
 
 
 def test_surface_batch_target_set_both_sides(monkeypatch):
@@ -333,16 +333,16 @@ def test_surface_batch_target_set_both_sides(monkeypatch):
     f = -1 + 0.3 * np.sin(0.7 * np.pi * t) * np.exp(-0.4 * t * t)
     x1 = np.array([[0.6, -1.2], [1.0, 2.5]])
     x2 = np.array([[0.56, 0.0], [-0.2, -0.4]])
-    out = green_surface_batch(MED, (x1, x2), t, f, grad_y=True, check=True)
+    val, dy1, dy2 = batch_triple(MED, (x1, x2), t, f, check=True)
     assert calls == []
-    assert out["val"].shape == x1.shape + t.shape
+    assert val.shape == x1.shape + t.shape
     for i in np.ndindex(x1.shape):
         x = (x1[i], x2[i])
         for j, (tj, fj) in enumerate(zip(t, f)):
-            assert abs(out["val"][i][j] - green(MED, x, (tj, fj))) <= 1e-10
+            assert abs(val[i][j] - green(MED, x, (tj, fj))) <= 1e-10
             gy = grad_green_y(MED, x, (tj, fj))
-            assert abs(out["dy1"][i][j] - gy[0]) <= 1e-10
-            assert abs(out["dy2"][i][j] - gy[1]) <= 1e-10
+            assert abs(dy1[i][j] - gy[0]) <= 1e-10
+            assert abs(dy2[i][j] - gy[1]) <= 1e-10
     with pytest.raises(DomainError):        # sources above the interface
         green_surface_batch(MED, (x1, x2), t, -f)
 
@@ -435,12 +435,29 @@ def test_surface_batch_fallback_near_interface():
     f = np.full_like(t, -0.01)
     out = green_surface_batch(MED, (0.5, 0.0), t, f)
     ref = np.array([green(MED, (0.5, 0.0), (tj, -0.01)) for tj in t])
-    assert np.abs(out["val"] - ref).max() <= 1e-9
+    assert np.abs(out - ref).max() <= 1e-9
+
+
+@pytest.mark.parametrize("x", [(0.5, 0.0), (0.5, 0.5), (0.5, -0.3)])
+def test_surface_batch_layer_sum_per_source(x):
+    # a normal with coefficients and slope per source gives a_j G + b_j
+    # (f'_j dG/dy1 - dG/dy2) on the shared rule, above and below the
+    # interface, and on the pointwise fallback (x2 = 0 beside a surface at
+    # -0.01: v_min = 0.01); the same combination formed here from the value
+    # and the two source derivatives agrees to rounding
+    t = np.linspace(-3, 3, 7)
+    f = np.full_like(t, -0.01) if x[1] == 0.0 else -1 + 0.3 * np.sin(t)
+    a, b, df = 1j * (1 + 0.1 * t), 1 / (1 + t * t), 0.3 * t
+    got = green_surface_batch(MED, x, t, f, normal=(a, b, df))
+    val, dy1, dy2 = batch_triple(MED, x, t, f)
+    ref = a * val + b * (df * dy1 - dy2)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_surface_batch_order_one_hankel_only_for_gradient(monkeypatch):
     # below the interface the batch adds the direct term Phi_{k-}(x, y); its
-    # order-1 Hankel pass serves only the gradient
+    # order-1 Hankel pass serves only a normal's layer sum, here
+    # (a, b, f') = (1, 0, 0), which is G itself
     green_mod = importlib.import_module("layerscat.green")
     orders = []
 
@@ -452,11 +469,11 @@ def test_surface_batch_order_one_hankel_only_for_gradient(monkeypatch):
     t = np.linspace(-4, 4, 9)
     f = -1 + 0.3 * np.sin(0.7 * np.pi * t)
     x = (1.0, -0.2)
-    val = green_surface_batch(MED, x, t, f)["val"]
+    val = green_surface_batch(MED, x, t, f)
     assert orders == [0]
-    grad = green_surface_batch(MED, x, t, f, grad_y=True)
+    grad = green_surface_batch(MED, x, t, f, normal=(1.0, 0.0, 0.0))
     assert orders == [0, 0, 1]
-    assert np.array_equal(grad["val"], val)
+    assert np.array_equal(grad, val)
 
 
 def test_surface_batch_memory_below_matches_above():
@@ -474,7 +491,7 @@ def test_surface_batch_memory_below_matches_above():
             tracemalloc.start()
             try:
                 green_surface_batch(med, (x1, np.full_like(x1, x2)), t, f,
-                                    grad_y=grad)
+                                    normal=(0.0, 1.0, 1.0) if grad else None)
                 peak[x2, grad] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

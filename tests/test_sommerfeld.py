@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import full_remainder, layer_normal
+from oracle import full_remainder, layer_normal, remainder_triple
 
 from layerscat import sommerfeld
 from layerscat.errors import DomainError
@@ -42,7 +42,7 @@ def test_shared_rule_against_pointwise(kp, km, surface):
             assert abs(mat[i, j] - ref[m]) <= 1e-13
     s = np.array([t[0], 0.3, t[-1]])
     fs = np.array([0.2, 0.0, 1.1])
-    up = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=s, fs_vals=fs)
+    up = remainder_triple(med, t, f, s, fs)
     for i in range(s.size):
         for j in (0, n // 2, n - 1):
             x, y = (s[i], fs[i]), (t[j], f[j])
@@ -169,10 +169,36 @@ def test_shared_rule_refinement_stable_off_surface():
     s = np.linspace(-2.0, 2.0, 9)
     for x2 in (0.3, -0.2, -0.5):
         fs = np.full_like(s, x2)
-        coarse, fine = (sommerfeld.remainder_matrices(
-            3.0, 4.0, t, f, s_nodes=s, fs_vals=fs, refine=r) for r in (1, 2))
+        coarse, fine = (remainder_triple(MediumPair(3.0, 4.0), t, f, s, fs,
+                                         refine=r) for r in (1, 2))
         for a, b in zip(coarse, fine):
             assert np.abs(a - b).max() <= 1e-14
+
+
+@pytest.mark.parametrize("normal,products", [(None, 2),
+                                             ((0.0, 1.0, 1.0, False), 6)])
+def test_point_set_sums_make_only_the_products_needed(monkeypatch, normal,
+                                                      products):
+    # between point sets each rule block (one _fold_factors call for the
+    # targets, one for the sources) makes two products for I alone, the C
+    # and S halves, and six for a normal's layer sum (I, dI/dy1, dI/dy2)
+    calls = {"gemm": 0, "factors": 0}
+    gemm, factors = sommerfeld._gemm, sommerfeld._fold_factors
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(sommerfeld, "_gemm", spy("gemm", gemm))
+    monkeypatch.setattr(sommerfeld, "_fold_factors", spy("factors", factors))
+    t, f = _grid("gamma3")
+    sommerfeld.remainder_matrices(3.0, 4.0, t, f, s_nodes=[0.5], fs_vals=[0.3],
+                                  normal=normal)
+    blocks = calls["factors"] // 2
+    assert blocks >= 2          # the real part and the complex part
+    assert calls["gemm"] == products * blocks
 
 
 def _factor_errors(t, f, refine=1):
