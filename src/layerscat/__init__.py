@@ -4,15 +4,13 @@ below a two-layered medium interface."""
 from .bie import BoundaryProblem, cutoff_chi
 from .errors import (AccuracyError, ConfigError, DomainError, LayerScatError,
                      SingularityError, SolverError)
-from .green import (MediumPair, fresnel_R, fresnel_T, grad_green_x,
-                    grad_green_y, green, green_remainder, phi_free,
+from .green import (MediumPair, fresnel_R, fresnel_T, green,
                     reference_field_plane, reference_field_plane_grad,
                     transmitted_direction)
 from .nystrom import DensitySolution, Grid, assemble, log_weight, solve
 from .potentials import (FourWaveSolution, eval_scattered, four_wave_exact,
                          point_source_exact)
-from .specfun import (bessel_j, bessel_y, critical_angle, hankel1,
-                      sqrt_branch1, sqrt_branch2, vertical_wavenumber)
+from .specfun import critical_angle, hankel1, vertical_wavenumber
 from .surface import SurfaceProfile, builtin, from_callables
 
 __version__ = "0.1.0"
@@ -21,11 +19,9 @@ __all__ = [
     "AccuracyError", "BoundaryProblem", "ConfigError", "DensitySolution",
     "DomainError", "FourWaveSolution", "Grid", "LayerScatError", "MediumPair",
     "SingularityError", "SolverError", "SurfaceProfile", "assemble",
-    "bessel_j", "bessel_y", "builtin", "critical_angle", "cutoff_chi",
-    "eval_scattered", "four_wave_exact", "fresnel_R", "fresnel_T",
-    "from_callables", "grad_green_x", "grad_green_y", "green",
-    "green_remainder", "hankel1", "log_weight", "phi_free",
-    "point_source_exact", "reference_field_plane",
-    "reference_field_plane_grad", "solve", "sqrt_branch1", "sqrt_branch2",
-    "transmitted_direction", "vertical_wavenumber",
+    "builtin", "critical_angle", "cutoff_chi", "eval_scattered",
+    "four_wave_exact", "fresnel_R", "fresnel_T", "from_callables", "green",
+    "hankel1", "log_weight", "point_source_exact", "reference_field_plane",
+    "reference_field_plane_grad", "solve", "transmitted_direction",
+    "vertical_wavenumber",
 ]

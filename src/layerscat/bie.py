@@ -41,7 +41,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import sommerfeld
 from .errors import DomainError, SingularityError
 from .green import MediumPair
 from .specfun import EULER_GAMMA, hankel1
@@ -182,12 +181,12 @@ def _normal_terms(problem, rows, cols, beta):
         *(x[:, None] for x in rows[2::2])
 
 
-def _layer_normal(problem, rows, cols, beta):
-    """The normal (a, b, f', rows) of remainder_matrices whose layer sum is
-    _kernel_block's layer: a = 2 c, b = 2 sigma / J, f' at the normal's end."""
-    sigma, c, slope, jn = _normal_terms(problem, rows, cols, beta)
-    a = 2 * c if sigma < 0 else np.full(cols[0].size, 2 * c[0])
-    return a, 2 * sigma / jn.ravel(), slope.ravel(), sigma < 0
+def _layer_normal(problem, jets, beta):
+    """The normal (a, b, f', rows) of remainder_matrices on the node set
+    (surface jets of _surface_arrays) whose layer sum is _kernel_block's
+    layer: a = 2 c, b = 2 sigma / J, f' at the normal's end."""
+    sigma, c, slope, jn = _normal_terms(problem, jets, jets, beta)
+    return 2 * c, 2 * sigma / jn.ravel(), slope.ravel(), sigma < 0
 
 
 def _kernel_block(problem, rows, cols, beta, pieces, layer):
@@ -236,25 +235,6 @@ def _kernel_block(problem, rows, cols, beta, pieces, layer):
     kappa[bi, bj] -= a * lg
     a *= math.pi
     return a, (bi, bj), kappa
-
-
-def kernel_rows(problem: BoundaryProblem, s_points, t_nodes):
-    """Rectangular (A, B) kernel matrices between off-node collocation points
-    s_points and the quadrature grid t_nodes (Nystrom natural interpolation):
-    _kernel_block on all pairs at once, over the rectangular layer sum."""
-    rows = _surface_arrays(problem.surface, s_points)
-    cols = _surface_arrays(problem.surface, t_nodes)
-    beta = (_checked_beta(problem, rows[0]) if problem.kind == "impedance"
-            else None)
-    layer = sommerfeld.remainder_matrices(
-        problem.medium.k_plus, problem.medium.k_minus, cols[0], cols[1],
-        s_nodes=rows[0], fs_vals=rows[1],
-        normal=_layer_normal(problem, rows, cols, beta))
-    pieces = _pair_pieces(problem.medium.k_minus, rows, cols)
-    a, band, b = _kernel_block(problem, rows, cols, beta, pieces, layer)
-    A = np.zeros_like(b)
-    A[band] = a
-    return A, b
 
 
 def rhs_vector(problem: BoundaryProblem, s):

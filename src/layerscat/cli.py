@@ -45,8 +45,8 @@ from .errors import ConfigError, LayerScatError
 from .green import (MediumPair, _incident_field, green_surface_batch,
                     reference_field_plane)
 from .nystrom import Grid, solve
-from .potentials import (_eval_scattered, four_wave_exact,
-                         point_source_exact)
+from .potentials import (_MIN_DIST, _eval_scattered, _surface_distance,
+                         four_wave_exact, point_source_exact)
 
 _DEF_A_OVER_PI = 10
 
@@ -303,15 +303,21 @@ def _write_csv(path: Path, digest: str, header: str, lines):
 def run(config: RunConfig) -> RunReport:
     """Solve one configuration, evaluate requested points, write CSV outputs.
 
-    An evaluation point below the surface, where no field is defined, is a
-    ConfigError raised before the solve."""
+    An evaluation point below the surface, where no field is defined, or
+    within potentials._MIN_DIST of it, where the field quadrature is
+    invalid, is a ConfigError raised before the solve."""
     problem = build_problem(config)
     grid = Grid(half_width_A=config.A, N=config.N)
     pts = np.array(config.eval_points, dtype=float).reshape(-1, 2).T
-    below = np.flatnonzero(pts[1] < np.asarray(problem.surface.f(pts[0]), dtype=float))
-    if below.size:
-        raise ConfigError(f"eval_points: {config.eval_points[below[0]]} lies "
-                          "below the surface, where no field is defined")
+    below = pts[1] < np.asarray(problem.surface.f(pts[0]), dtype=float)
+    near = _surface_distance(problem.surface, *pts, grid.nodes) < _MIN_DIST
+    bad = np.flatnonzero(below | near)
+    if bad.size:
+        i = bad[0]
+        where = ("below the surface, where no field is defined" if below[i]
+                 else f"within {_MIN_DIST:g} of the surface, where the "
+                 "field quadrature is invalid")
+        raise ConfigError(f"eval_points: {config.eval_points[i]} lies {where}")
     t0 = time.perf_counter()
     sol = solve(problem, grid)
     t_solve = time.perf_counter() - t0

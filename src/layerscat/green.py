@@ -15,14 +15,14 @@ and I_case = (1/2pi) int E_case(xi)/(S+ + S-) e^{i xi (x1-y1)} d xi with the
 exponents of sommerfeld._CASES.  The smooth remainder R = G - Phi_{k-} below
 the interface is then  -Phi_{k-}(x, y') + I4.
 
-The scalar path (green, grad_green_*, green_remainder) evaluates I_case by
-sommerfeld.spectral_point and adds the Hankel terms of _free_terms.  On point
-sets sommerfeld.remainder_matrices integrates R whole, with the mirror term
-subtracted inside the integral, and G above the interface; green_surface_batch
-adds only the direct term Phi_{k-}(x, y) below it (_add_direct).  It gives
-G or the layer sum a G + b (f' dG/dy1 - dG/dy2) of a normal at the sources,
-never (dy1, dy2).  That one path serves point-source data, field evaluation
-and Green tables; bie.kernel_rows and nystrom.assemble call
+The scalar path (green, and _green_pair, the fallback of the batch) evaluates
+I_case by sommerfeld.spectral_point and adds the Hankel terms of _free_terms.
+On point sets sommerfeld.remainder_matrices integrates R whole, with the
+mirror term subtracted inside the integral, and G above the interface;
+green_surface_batch adds only the direct term Phi_{k-}(x, y) below it
+(_add_direct).  It gives G or the layer sum a G + b (f' dG/dy1 - dG/dy2) of
+a normal at the sources, never (dy1, dy2).  That one path serves
+point-source data, field evaluation and Green tables; nystrom.assemble calls
 remainder_matrices directly.
 """
 
@@ -75,18 +75,6 @@ def _points(x):
 def _pt(x):
     x1, x2 = _points(x)
     return float(x1), float(x2)
-
-
-def phi_free(k: float, x, y) -> complex:
-    """Free-space kernel (i/4) H1_0(k |x - y|)."""
-    if not k > 0:
-        raise DomainError("phi_free requires k > 0")
-    x1, x2 = _pt(x)
-    y1, y2 = _pt(y)
-    r = math.hypot(x1 - y1, x2 - y2)
-    if r < _SING_DIST:
-        raise SingularityError("phi_free evaluated at coincident points")
-    return 0.25j * hankel1(0, k * r)
 
 
 def _phi_terms(k, d1, d2, grad):
@@ -158,16 +146,16 @@ def _case_of(x2, y2):
     return 4
 
 
-def _green_modes(medium, x, y, modes, tol, check, direct=True):
-    """G (direct set) or R = G - Phi(x, y) at one pair, per mode."""
+def _green_modes(medium, x, y, modes, tol, direct=True):
+    """G (direct set) or R = G - Phi(x, y) at one pair, as dict mode ->
+    value (modes among val, dx1, dx2, dy1, dy2), two-pass checked to tol."""
     x1, x2 = _pt(x)
     y1, y2 = _pt(y)
     if direct and math.hypot(x1 - y1, x2 - y2) < _SING_DIST:
         raise SingularityError("two-layered Green function at coincident points")
     case = _case_of(x2, y2)
-    vals, _ = sommerfeld.spectral_point(medium.k_plus, medium.k_minus, case,
-                                        x2, y2, x1 - y1, modes=modes,
-                                        tol=tol, check=check)
+    vals = sommerfeld.spectral_point(medium.k_plus, medium.k_minus, case,
+                                     x2, y2, x1 - y1, modes=modes, tol=tol)
     if case in (1, 4):
         k = medium.k_plus if case == 1 else medium.k_minus
         val, dy1, dy2, dx2 = _free_terms(k, x1 - y1, x2, y2, direct)
@@ -180,42 +168,12 @@ def _green_pair(medium, x, y, grad):
     """[G] or [G, dG/dy1, dG/dy2] (R below the interface) at one pair, by the
     pointwise path checked as green() is: green_surface_batch's fallback."""
     modes = ("val", "dy1", "dy2") if grad else ("val",)
-    return list(_green_modes(medium, x, y, modes, 1e-10, True, direct=False).values())
+    return list(_green_modes(medium, x, y, modes, 1e-10, direct=False).values())
 
 
-def green(medium: MediumPair, x, y, tol: float = 1e-10, check: bool = True) -> complex:
+def green(medium: MediumPair, x, y, tol: float = 1e-10) -> complex:
     """Two-layered Green function G(x, y)."""
-    return _green_modes(medium, x, y, ("val",), tol, check)["val"]
-
-
-def grad_green_y(medium: MediumPair, x, y, tol: float = 1e-10, check: bool = True):
-    """(dG/dy1, dG/dy2); y must lie off the interface (gradient within one layer)."""
-    if float(y[1]) == 0.0:
-        raise DomainError("grad_green_y requires y2 != 0")
-    v = _green_modes(medium, x, y, ("dy1", "dy2"), tol, check)
-    return v["dy1"], v["dy2"]
-
-
-def grad_green_x(medium: MediumPair, x, y, tol: float = 1e-10, check: bool = True):
-    """(dG/dx1, dG/dx2); x must lie off the interface."""
-    if float(x[1]) == 0.0:
-        raise DomainError("grad_green_x requires x2 != 0")
-    v = _green_modes(medium, x, y, ("dx1", "dx2"), tol, check)
-    return v["dx1"], v["dx2"]
-
-
-def green_remainder(medium: MediumPair, x, y, tol: float = 1e-10,
-                    check: bool = True) -> complex:
-    """Smooth remainder R(x, y) = G(x, y) - Phi_{k-}(x, y) for x2, y2 < 0."""
-    return green_remainder_modes(medium, x, y, ("val",), tol, check)["val"]
-
-
-def green_remainder_modes(medium: MediumPair, x, y, modes=("val",),
-                          tol: float = 1e-10, check: bool = True):
-    """R(x, y) and/or its derivatives (modes as in the spectral kernel)."""
-    if _pt(x)[1] >= 0 or _pt(y)[1] >= 0:
-        raise DomainError("green_remainder requires both points below the interface")
-    return _green_modes(medium, x, y, modes, tol, check, direct=False)
+    return _green_modes(medium, x, y, ("val",), tol)["val"]
 
 
 def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,

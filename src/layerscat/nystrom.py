@@ -126,7 +126,7 @@ def assemble(problem: BoundaryProblem, grid: Grid):
     km = problem.medium.k_minus
     matrix = sommerfeld.remainder_matrices(
         problem.medium.k_plus, km, t, jets[1],
-        normal=_layer_normal(problem, jets, jets, beta))
+        normal=_layer_normal(problem, jets, beta))
     w = log_weight(grid.N, np.arange(n) * grid.h, 0.0)
     j = np.arange(n)
 

@@ -297,22 +297,18 @@ def _spectral_once(kern, u, modes, tol, refine):
 
 
 def spectral_point(k_plus, k_minus, case, x2, y2, u, modes=("val",),
-                   tol=1e-10, check=True):
-    """Spectral integral(s) for one source/target pair.
-
-    Returns (values, estimate): dict mode -> complex, and the difference
-    between two panel refinements (0.0 when check=False).  Raises
-    AccuracyError if the estimate exceeds tol.
+                   tol=1e-10):
+    """Spectral integral(s) for one source/target pair, as dict mode ->
+    complex, from the doubled panel density.  Raises AccuracyError when
+    they differ from the single density by more than tol.
     """
     kern = _Kernel(k_plus, k_minus, case, x2, y2)
     fine = _spectral_once(kern, u, modes, tol, refine=2)
-    if not check:
-        return fine, 0.0
     coarse = _spectral_once(kern, u, modes, tol, refine=1)
     est = max(abs(fine[m] - coarse[m]) for m in modes)
     if est > tol:
         raise AccuracyError("spectral integral did not reach tolerance", estimate=est)
-    return fine, est
+    return fine
 
 
 def _tail_cutoff(c, p, v):
@@ -490,12 +486,9 @@ def _fold_sums(sums, xi, sm, st, base, s, fs, t, f):
                 _gemm(sums[1], xs[1 - k] * xi[sl], xt[k], alpha=1 - 2 * k)
 
 
-def _normal_sum(val, dy1, dy2, a, b, df, rows=False):
+def _normal_sum(val, dy1, dy2, a, b, df):
     """a val + b (f' dy1 - dy2), written over val and dy1, with a, b, f' per
-    column (source); with rows per row (target, below the interface, where
-    d/dx1 = -d/dy1, d/dx2 = d/dy2): a val + b (-f' dy1 - dy2)."""
-    if rows:
-        a, b, df = (np.reshape(x, (-1, 1)) for x in (a, b, np.negative(df)))
+    column (source)."""
     dy1 *= df
     dy1 -= dy2
     dy1 *= b
@@ -543,10 +536,11 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     the remainder R = G - Phi_{k-}(x, y) below the interface (E_i =
     e^{S- fs_i}, g mirror-subtracted as in the module doc) and all of G at
     or above it (E_i = e^{-S+ fs_i}, g = 1/(S+ + S-): case 2), it returns
-    with normal = (a, b, f', rows) the layer sum L = I diag(a) + N diag(b),
-    N = f' dI/dy1 - dI/dy2, or with rows the form with the normal at the
-    targets (_normal_sum; rows may be left out between point sets); with
-    normal None (targets given) I alone: one dense complex matrix.
+    with normal = (a, b, f') at the sources the layer sum
+    L = I diag(a) + N diag(b), N = f' dI/dy1 - dI/dy2 (_normal_sum); on the
+    node set normal = (a, b, f', rows), and with rows set (the normal at
+    the targets) L's transpose; with normal None (targets given) I alone:
+    one dense complex matrix.
 
     The rule on xi > 0 (real_axis_rule) spans u_max = max|s_i - t_j| and
     decays at least as e^{-xi v_min}, v_min = min|fs| + min|f|.  The fold

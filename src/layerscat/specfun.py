@@ -1,18 +1,15 @@
-"""Bessel/Hankel functions and the branch-cut square roots of the spectral kernel.
+"""Hankel functions and the branch-cut square roots of the spectral kernel.
 
-J0, J1, Y0 and Y1 come from scipy.special.j0/j1/y0/y1 (the Cephes
-algorithms as compiled ufuncs), imported on first use so that importing the
-package does not load scipy.special.
+hankel1 packs J and Y of order 0 or 1 from scipy.special.j0/j1/y0/y1 (the
+Cephes algorithms as compiled ufuncs), imported on first use so that
+importing the package does not load scipy.special.  It rejects an order
+other than 0 or 1, and z <= 0, NaN or infinite z, with DomainError, for
+scalars and arrays alike.
 
-Each public function computes the one order it returns; hankel1 packs J and
-Y of that order, so its real and imaginary parts are bit-for-bit bessel_j
-and bessel_y.  Every function rejects negative, NaN or infinite z (and z = 0
-where Y is needed) with DomainError, for scalars and arrays alike.
-
-The branch square roots follow the two cut conventions used by the layered
-Green function: S1 cuts the plane along the positive imaginary axis
-(argument range (-3pi/2, pi/2)), S2 along the negative imaginary axis
-(argument range (-pi/2, 3pi/2)).  The vertical wavenumber is
+The branch square roots (_branch_sqrt) follow the two cut conventions used
+by the layered Green function: S1 cuts the plane along the positive
+imaginary axis (argument range (-3pi/2, pi/2)), S2 along the negative
+imaginary axis (argument range (-pi/2, 3pi/2)).  The vertical wavenumber is
 S(z, a) = S1(z - a) S2(z + a); for real z it reduces to
     -i sqrt(a^2 - z^2)  for |z| <= a,   sqrt(z^2 - a^2)  otherwise.
 """
@@ -28,46 +25,23 @@ from .errors import DomainError
 EULER_GAMMA = 0.5772156649015329
 
 
-def _bessel_jy(name, order, z, positive):
-    """(J_order, Y_order) at z, both of z's shape, after the checks every
-    public function shares: order 0 or 1, z finite and z >= 0 (z > 0 when
-    positive, for callers that need Y with its log singularity at 0)."""
-    if order not in (0, 1):
-        raise DomainError(f"{name} supports orders 0 and 1, got {order}")
-    arr = np.asarray(z, dtype=float)
-    bad = (arr <= 0) if positive else (arr < 0)
-    if np.any(bad) or not np.all(np.isfinite(arr)):
-        bound = "z > 0" if positive else "z >= 0"
-        raise DomainError(f"{name} requires finite {bound} at every point")
-    from scipy import special
-    if order == 0:
-        return special.j0(arr), special.y0(arr)
-    return special.j1(arr), special.y1(arr)
-
-
-def bessel_j(order: int, z):
-    """Bessel function J_order (order 0 or 1) for real z >= 0."""
-    j, _ = _bessel_jy("bessel_j", order, z, positive=False)
-    return float(j) if j.ndim == 0 else j
-
-
-def bessel_y(order: int, z):
-    """Bessel function Y_order (order 0 or 1) for real z > 0."""
-    _, y = _bessel_jy("bessel_y", order, z, positive=True)
-    return float(y) if y.ndim == 0 else y
-
-
 def hankel1(order: int, z):
-    """Hankel function of the first kind, H^1_order = J_order + i Y_order, z > 0.
+    """Hankel function of the first kind, H^1_order = J_order + i Y_order,
+    for order 0 or 1 and finite z > 0 at every point.
 
-    The real and imaginary parts are exactly bessel_j(order, z) and
-    bessel_y(order, z): one pass gives both, so callers that need J and H
-    take J as the real part.
+    One pass gives J and Y of the order, so callers that need J and H take
+    J as the real part.
     """
-    j, y = _bessel_jy("hankel1", order, z, positive=True)
-    res = np.empty(j.shape, dtype=complex)
-    res.real = j
-    res.imag = y
+    if order not in (0, 1):
+        raise DomainError(f"hankel1 supports orders 0 and 1, got {order}")
+    arr = np.asarray(z, dtype=float)
+    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
+        raise DomainError("hankel1 requires finite z > 0 at every point")
+    from scipy import special
+    j, y = (special.j0, special.y0) if order == 0 else (special.j1, special.y1)
+    res = np.empty(arr.shape, dtype=complex)
+    res.real = j(arr)
+    res.imag = y(arr)
     return complex(res) if res.ndim == 0 else res
 
 
@@ -96,24 +70,6 @@ def _branch_sqrt(z, upper_cut: bool):
     else:
         th = np.where(th <= -np.pi / 2, th + 2 * np.pi, th)
     return np.sqrt(np.abs(z)) * np.exp(0.5j * th)
-
-
-def sqrt_branch1(z):
-    """sqrt on the branch with argument in (-3pi/2, pi/2); S1(0) = 0."""
-    arr = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sqrt_branch1 requires finite input")
-    res = _branch_sqrt(arr, upper_cut=True)
-    return complex(res) if arr.ndim == 0 else res
-
-
-def sqrt_branch2(z):
-    """sqrt on the branch with argument in (-pi/2, 3pi/2); S2(0) = 0."""
-    arr = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sqrt_branch2 requires finite input")
-    res = _branch_sqrt(arr, upper_cut=False)
-    return complex(res) if arr.ndim == 0 else res
 
 
 def vertical_wavenumber(z, a: float):

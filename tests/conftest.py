@@ -37,7 +37,9 @@ def solved():
 def nystrom_interpolate(problem, sol, s_points):
     """Natural Nystrom interpolation of the solved density at off-node points:
     psi(s) = rhs(s) + sum_j alpha_j(s) psi_j."""
-    from layerscat.bie import kernel_rows, rhs_vector
+    from oracle import kernel_rows
+
+    from layerscat.bie import rhs_vector
     from layerscat.nystrom import log_weight
 
     s = np.asarray(s_points, dtype=float)

@@ -8,20 +8,23 @@ branch points and truncating where the exponential vertical decay reaches
 Cephes j0/y0/j1/y1 the library uses.  Intended accuracy ~1e-12;
 requires a vertical separation v >= 0.05 so the tail truncates.
 
-The scalar kernel paths (kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
+The pointwise gradients and remainder (grad_green_x, grad_green_y,
+green_remainder, green_remainder_modes) read their modes off the library's
+adaptive scalar path, green._green_modes, which green() runs too.  The
+scalar kernel paths (kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
 split_ibvp) check the assembled matrices of layerscat.bie pointwise: the raw
-kernels from the library's adaptive scalar green/grad_green_x/grad_green_y,
-the split from a pointwise remainder, made into its layer sum here
-(layer_sum), fed through split_matrices.  remainder_triple and
-batch_triple read the value and both source derivatives of the
-rectangular sums and of green_surface_batch from three of their layer sums;
-full_remainder is remainder_triple on a node set.
+kernels from green/grad_green_x/grad_green_y, the split from a pointwise
+remainder, made into its layer sum here (layer_sum), fed through
+split_matrices (_kernel_split).  remainder_triple and batch_triple read the
+value and both source derivatives of the rectangular sums and of
+green_surface_batch from three of their layer sums; full_remainder is
+remainder_triple on a node set.
 
-The one-shot system (kernel_matrices, weight_matrix, system_matrix) forms
-I - (W o A + h B) whole, with the (A, B) of all nodes from one
-bie.kernel_rows call on the rectangular path: the reference for
-nystrom.assemble, which builds the same matrix in row panels from the
-node-set sum.
+kernel_rows gives (A, B) between off-node points and the grid the same way,
+with the triple from remainder_triple.  The one-shot system (weight_matrix,
+system_matrix) forms I - (W o A + h B) whole from kernel_rows on the nodes:
+the reference for nystrom.assemble, which builds the same matrix in row
+panels from the node-set sum.
 
 Run as a script to regenerate the golden CSV:
 
@@ -41,10 +44,9 @@ from scipy.special import hankel1 as _h1
 
 from layerscat import sommerfeld
 from layerscat.bie import (_checked_beta, _kernel_block, _pair_pieces,
-                           _surface_arrays, kernel_rows)
+                           _surface_arrays)
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import (grad_green_x, grad_green_y, green,
-                             green_remainder_modes, green_surface_batch)
+from layerscat.green import _green_modes, _pt, green, green_surface_batch
 from layerscat.nystrom import log_weight
 
 ORACLE_TOL = 1e-12
@@ -139,6 +141,35 @@ def green_oracle(k_plus, k_minus, x, y):
     return base + pref * total
 
 
+def grad_green_y(medium, x, y, tol=1e-10):
+    """(dG/dy1, dG/dy2); y must lie off the interface (gradient within one layer)."""
+    if float(y[1]) == 0.0:
+        raise DomainError("grad_green_y requires y2 != 0")
+    v = _green_modes(medium, x, y, ("dy1", "dy2"), tol)
+    return v["dy1"], v["dy2"]
+
+
+def grad_green_x(medium, x, y, tol=1e-10):
+    """(dG/dx1, dG/dx2); x must lie off the interface."""
+    if float(x[1]) == 0.0:
+        raise DomainError("grad_green_x requires x2 != 0")
+    v = _green_modes(medium, x, y, ("dx1", "dx2"), tol)
+    return v["dx1"], v["dx2"]
+
+
+def green_remainder_modes(medium, x, y, modes=("val",), tol=1e-10):
+    """R(x, y) = G(x, y) - Phi_{k-}(x, y) and/or its derivatives (modes of
+    green._green_modes) for x2, y2 < 0."""
+    if _pt(x)[1] >= 0 or _pt(y)[1] >= 0:
+        raise DomainError("green_remainder requires both points below the interface")
+    return _green_modes(medium, x, y, modes, tol, direct=False)
+
+
+def green_remainder(medium, x, y, tol=1e-10):
+    """Smooth remainder R(x, y) for x2, y2 < 0."""
+    return green_remainder_modes(medium, x, y, ("val",), tol)["val"]
+
+
 @dataclass(frozen=True)
 class KernelSplit:
     """Kernel decomposition kappa = (1/2pi) A ln(4 sin^2((s-t)/2)) + B.
@@ -169,23 +200,17 @@ def split_ibvp(problem) -> KernelSplit:
 def _split(problem, sign):
     """Scalar closures A(s, t), B(s, t): pointwise R, then the same
     regrouping as the matrices."""
-    surf = problem.surface
+    f = problem.surface.f
     modes = ("val", "dy1", "dy2")
-    rows = sign < 0
+
+    def pointwise(p, q):
+        r = green_remainder_modes(problem.medium, (p[0], float(f(p[0]))),
+                                  (q[0], float(f(q[0]))), modes=modes)
+        return tuple(np.array([[r[m]]]) for m in modes)
 
     def AB(s, t):
-        s, t = float(s), float(t)
-        # the normal sits at the triple's source q: q = t, or for the
-        # impedance kernel q = s, whose layer_sum is the transposed form
-        p, q = (t, s) if rows else (s, t)
-        r = green_remainder_modes(problem.medium, (p, float(surf.f(p))),
-                                  (q, float(surf.f(q))), modes=modes)
-        rem = tuple(np.array([[r[m]]]) for m in modes)
-        a = 2j * (problem.medium.k_minus * complex(problem.beta(s)) if rows
-                  else problem.eta)
-        normal = layer_normal(surf, np.array([q]), a, rows)
-        A, B = split_matrices(problem, np.array([s]), np.array([t]),
-                              layer_sum(rem, normal))
+        A, B = _kernel_split(problem, np.array([float(s)]),
+                             np.array([float(t)]), pointwise)
         return sign * complex(A[0, 0]), sign * complex(B[0, 0])
 
     return KernelSplit(A=lambda s, t: AB(s, t)[0], B=lambda s, t: AB(s, t)[1])
@@ -194,7 +219,7 @@ def _split(problem, sign):
 def split_matrices(problem, s, t, layer):
     """(A, B) of the periodic-log split between rows x_i = (s_i, f(s_i)) and
     columns y_j = (t_j, f(t_j)) for a given pairwise layer argument of
-    bie._kernel_block: bie.kernel_rows with the layer sum supplied."""
+    bie._kernel_block."""
     rows = _surface_arrays(problem.surface, s)
     cols = _surface_arrays(problem.surface, t)
     beta = (_checked_beta(problem, rows[0]) if problem.kind == "impedance"
@@ -248,8 +273,8 @@ def remainder_triple(medium, t, f, s, fs, refine=1):
             medium.k_plus, medium.k_minus, t, f, s_nodes=s, fs_vals=fs,
             refine=refine, normal=normal)
 
-    i2 = -rect((0.0, 1.0, 0.0, False))
-    return rect(None), rect((0.0, 1.0, 1.0, False)) + i2, i2
+    i2 = -rect((0.0, 1.0, 0.0))
+    return rect(None), rect((0.0, 1.0, 1.0)) + i2, i2
 
 
 def full_remainder(medium, t, f, refine=1):
@@ -287,10 +312,27 @@ def layer_sum(remainder, normal):
     return L.T if rows else L
 
 
-def kernel_matrices(problem, nodes):
-    """Dense (A, B) of the split kernel at the nodes, all rows at once, with
-    the layer sum from the rectangular path with the nodes as targets."""
-    return kernel_rows(problem, nodes, nodes)
+def _kernel_split(problem, s, t, remainder):
+    """(A, B) between rows s and columns t (split_matrices) over the layer
+    sum formed by layer_sum from remainder(p, q), the triple
+    (R, dR/dy1, dR/dy2) between targets p and sources q.  The sources carry
+    the normal: q = t, or for the impedance kernel q = s, whose layer sum
+    is the transposed form."""
+    rows = problem.kind == "impedance"
+    p, q = (t, s) if rows else (s, t)
+    a = 2j * (problem.medium.k_minus * np.asarray(problem.beta(q), complex)
+              if rows else problem.eta)
+    normal = layer_normal(problem.surface, q, a, rows)
+    return split_matrices(problem, s, t, layer_sum(remainder(p, q), normal))
+
+
+def kernel_rows(problem, s, t):
+    """Rectangular (A, B) between collocation points s and the grid t
+    (Nystrom natural interpolation; t = s gives the dense kernel at the
+    nodes), with the layer sum from remainder_triple."""
+    f, med = problem.surface.f, problem.medium
+    return _kernel_split(problem, np.asarray(s, float), np.asarray(t, float),
+                         lambda p, q: remainder_triple(med, q, f(q), p, f(p)))
 
 
 def weight_matrix(grid):
@@ -301,7 +343,7 @@ def weight_matrix(grid):
 
 def system_matrix(problem, grid):
     """The collocation matrix I - (W o A + h B), formed in one shot."""
-    A, B = kernel_matrices(problem, grid.nodes)
+    A, B = kernel_rows(problem, grid.nodes, grid.nodes)
     return np.eye(grid.node_count, dtype=complex) - (weight_matrix(grid) * A
                                                      + grid.h * B)
 

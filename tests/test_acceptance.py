@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
-from oracle import (GOLDEN_PAIRS, green_oracle, kernel_dbvp_raw,
-                    kernel_ibvp_raw, split_dbvp, split_ibvp)
+from oracle import (GOLDEN_PAIRS, grad_green_x, green_oracle,
+                    kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp, split_ibvp)
 
-from layerscat.green import MediumPair, grad_green_x, green
+from layerscat.green import MediumPair, green
 from layerscat.nystrom import log_weight
 from layerscat.potentials import eval_scattered, four_wave_exact
 

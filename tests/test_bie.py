@@ -1,5 +1,6 @@
 """Kernels, splits, diagonal limits, right-hand sides, jump relations."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracle import (full_remainder, green_oracle, kernel_dbvp_raw,
-                    kernel_ibvp_raw, kernel_matrices, layer_normal,
+from oracle import (full_remainder, grad_green_x, grad_green_y, green_oracle,
+                    green_remainder_modes, kernel_dbvp_raw, kernel_ibvp_raw,
+                    kernel_rows, layer_normal, layer_sum,
                     remainder_triple, split_dbvp, split_ibvp, split_matrices)
 
 from layerscat import sommerfeld
@@ -16,10 +18,9 @@ from layerscat.bie import BoundaryProblem, cutoff_chi, rhs_vector
 from layerscat.cli import (_PRESETS, build_problem, config_from_dict,
                            preset_config)
 from layerscat.errors import AccuracyError, DomainError, SingularityError
-from layerscat.green import (MediumPair, fresnel_T, grad_green_x,
-                             grad_green_y, green, green_remainder_modes,
-                             green_surface_batch, reference_field_plane,
-                             reference_field_plane_grad, transmitted_direction)
+from layerscat.green import (MediumPair, fresnel_T, green, green_surface_batch,
+                             reference_field_plane, reference_field_plane_grad,
+                             transmitted_direction)
 from layerscat.nystrom import Grid, assemble
 from layerscat.specfun import EULER_GAMMA, hankel1
 from layerscat.surface import builtin
@@ -150,7 +151,7 @@ def test_split_matrices_reconstruct_raw_kernel(preset, raw_kernel, sign):
     # reproduces the independent scalar kernel (impedance: kappa_bar = -K)
     problem = build_problem(preset_config(preset))
     nodes = np.linspace(-2.5, 2.5, 7)
-    A, B = kernel_matrices(problem, nodes)
+    A, B = kernel_rows(problem, nodes, nodes)
     for i, s in enumerate(nodes):
         for j, t in enumerate(nodes):
             if i == j:
@@ -226,7 +227,6 @@ def test_dirichlet_kernel_eta_decomposition(dbvp_problem):
     jt = float(surf.speed(t))
     kappa = kernel_dbvp_raw(dbvp_problem, s, t)
     no_eta = kappa - 2j * dbvp_problem.eta * green(MED, x, y) * jt
-    from layerscat.green import grad_green_y
     gy = grad_green_y(MED, x, y)
     nt = surf.normal(t)
     assert no_eta == pytest.approx(2.0 * (nt[0] * gy[0] + nt[1] * gy[1]) * jt,
@@ -324,6 +324,27 @@ def test_batched_data_matches_scalar_oracle(preset):
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "impedance"])
+def test_point_data_at_thinnest_clearance_takes_shared_rule(monkeypatch,
+                                                            kind):
+    # the thinnest surface validation accepts, with the source just below
+    # it: at A/pi = 10 the shared rule fits (v_min = 0.0203), so no node
+    # takes the pointwise fallback (at A/pi = 20 the panel limit sends it
+    # there)
+    green_mod = importlib.import_module("layerscat.green")
+
+    def no_fallback(*args):
+        raise AssertionError("boundary data took the pointwise fallback")
+
+    monkeypatch.setattr(green_mod, "_green_pair", no_fallback)
+    cfg = config_from_dict(
+        {"problem": kind, "k_plus": 2.7, "k_minus": 3.5,
+         "surface": {"expr": "-0.0101"}, "A_over_pi": 10, "N": 2,
+         "incident": {"type": "point", "y0": [0.0, -0.0102]}})
+    g = build_problem(cfg).data_g(Grid(half_width_A=cfg.A, N=cfg.N).nodes)
+    assert np.all(np.isfinite(g))
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "impedance"])
 def test_batched_point_data_fallback_near_interface(kind):
     # v_min = 0.014 defeats the shared rule: the data comes from the checked
     # pointwise fallback and must still match scalar green().  Config
@@ -381,9 +402,8 @@ def test_problem_validation():
 
 
 def test_impedance_beta_checked_before_layer_integrals(monkeypatch):
-    # Re beta = 2 - 0.04 t fails beyond t = 50: assemble and kernel_rows
-    # must say so before the shared-rule layer integrals run
-    from layerscat.bie import kernel_rows
+    # Re beta = 2 - 0.04 t fails beyond t = 50: assemble must say so
+    # before the shared-rule layer integrals run
     calls = []
     real = sommerfeld.remainder_matrices
 
@@ -394,12 +414,8 @@ def test_impedance_beta_checked_before_layer_integrals(monkeypatch):
     monkeypatch.setattr(sommerfeld, "remainder_matrices", spy)
     problem = build_problem(config_from_dict(
         dict(_PRESETS["example2-ibvp"], beta={"expr": "2-0.04*t"})))
-    grid = Grid(half_width_A=20 * math.pi, N=4)
-    t = grid.nodes
     with pytest.raises(DomainError, match="Re beta > 0"):
-        assemble(problem, grid)
-    with pytest.raises(DomainError, match="Re beta > 0"):
-        kernel_rows(problem, [0.0, 60.0], t[:5])
+        assemble(problem, Grid(half_width_A=20 * math.pi, N=4))
     assert calls == []
 
 
@@ -448,8 +464,7 @@ def _layer_potentials(surface, x, want):
         total = 0.0
         for t in t_arr:
             y, j, nu = geometry(t)
-            modes = green_remainder_modes(MED, x, y, modes=("val", "dy1", "dy2"),
-                                          check=False)
+            modes = green_remainder_modes(MED, x, y, modes=("val", "dy1", "dy2"))
             if want == "W":
                 val = nu[0] * modes["dy1"] + nu[1] * modes["dy2"]
             elif want == "V":
@@ -525,19 +540,18 @@ def test_surface_remainder_at_assembly_scale():
 def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
     # the node-set layer sum (syrk for R, one product with [P Q] for the
     # rest) and the rectangular path with targets = sources (three sums,
-    # combined at the end) evaluate the same folded sums, with the
+    # combined by oracle.layer_sum) evaluate the same folded sums, with the
     # coefficients at the end that carries the normal, the columns
     # (Dirichlet) or the rows (impedance, the transposed form).  1e-13 on
     # each of R, dR/dy1 and dR/dy2, carried through the coefficients
     surf = builtin("gamma3")
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
     f = np.asarray(surf.f(t), float)
+    med = MediumPair(kp, km)
     for rows, a in ((False, 2j * math.sqrt(kp * km)),
                     (True, 2j * km * (1.0 + 0.5j + 0.2 * np.sin(t)))):
         normal = layer_normal(surf, t, a, rows)
-        rect = sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=t,
-                                             fs_vals=f, refine=refine,
-                                             normal=normal)
+        rect = layer_sum(full_remainder(med, t, f, refine), normal)
         got = sommerfeld.remainder_matrices(kp, km, t, f, refine=refine,
                                             normal=normal)
         assert got.shape == rect.shape == (t.size, t.size)
@@ -602,8 +616,7 @@ def test_remainder_fold_against_extended_precision_sum():
     f = np.asarray(builtin("gamma3").f(t), float)
     i4, m2, d12 = (sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=t,
                                                  fs_vals=f, normal=normal)
-                   for normal in (None, (0.0, 1.0, 0.0, False),
-                                  (0.0, 1.0, 1.0, False)))
+                   for normal in (None, (0.0, 1.0, 0.0), (0.0, 1.0, 1.0)))
     xi, w, sp, sm = sommerfeld.real_axis_rule(kp, km, t[-1] - t[0],
                                               -2 * f.max(), False)
     x = xi.astype(np.longdouble)

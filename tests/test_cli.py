@@ -119,6 +119,27 @@ def test_cli_eval_point_below_surface_exit_code(tmp_path, capsys, monkeypatch):
     assert "(1.0, -1.5) lies below the surface" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x2", [-1.0, -1.0 + 1e-8])
+def test_cli_eval_point_on_surface_exit_code(tmp_path, capsys, monkeypatch,
+                                             x2):
+    # a point on the flat surface x2 = -1, or 1e-8 above it, passed the
+    # below-surface check, ran the whole solve, then failed in field
+    # evaluation with exit 3; within 1e-6 of the surface it is refused
+    # before the solve, with exit 2
+    from layerscat import cli as cli_mod
+
+    def no_solve(problem, grid):
+        raise AssertionError("solved a config with a point on the surface")
+
+    monkeypatch.setattr(cli_mod, "solve", no_solve)
+    raw = dict(_PRESETS["example2-dbvp"], N=4, eval_points=[[0.0, x2]])
+    cfg_path = tmp_path / "on.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert f"(0.0, {x2!r}) lies within 1e-06 of the surface" \
+        in capsys.readouterr().err
+
+
 def test_readme_config_block_validates():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = re.search(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"),

@@ -8,19 +8,23 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_CSV
-from oracle import batch_triple, read_golden
+from oracle import (batch_triple, grad_green_x, grad_green_y,
+                    green_remainder, read_golden)
 
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import (MediumPair, _plane_waves, _reference_field,
-                             fresnel_R, fresnel_T, grad_green_x,
-                             grad_green_y, green, green_remainder,
-                             green_surface_batch, phi_free,
-                             reference_field_plane, reference_field_plane_grad,
-                             transmitted_direction)
+from layerscat.green import (MediumPair, _phi_terms, _plane_waves,
+                             _reference_field, fresnel_R, fresnel_T, green,
+                             green_surface_batch, reference_field_plane,
+                             reference_field_plane_grad, transmitted_direction)
 from layerscat.specfun import hankel1
 from layerscat.surface import builtin
 
 MED = MediumPair(2.7, 3.5)
+
+
+def phi_free(k, x, y):
+    """Phi_k(x, y) = (i/4) H1_0(k |x - y|), as green._phi_terms gives it."""
+    return _phi_terms(k, x[0] - y[0], x[1] - y[1], False)[0]
 
 
 def test_medium_pair_invariants():

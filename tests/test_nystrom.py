@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import kernel_matrices, system_matrix, weight_matrix
+from oracle import kernel_rows, system_matrix, weight_matrix
 
 from layerscat import bie, nystrom
 from layerscat.cli import _PRESETS, build_problem, preset_config, run
@@ -112,7 +112,7 @@ def test_assemble_diagonal_structure():
     problem = build_problem(cfg)
     grid = Grid(half_width_A=cfg.A, N=cfg.N)
     matrix, rhs = assemble(problem, grid)
-    A, B = kernel_matrices(problem, grid.nodes)
+    A, B = kernel_rows(problem, grid.nodes, grid.nodes)
     t = grid.nodes
     for i in (0, 7, 12):
         ri = log_weight(grid.N, t[i], t[i])

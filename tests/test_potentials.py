@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import nystrom_interpolate
+from oracle import grad_green_y, kernel_rows
 
 from layerscat import sommerfeld
-from layerscat.bie import kernel_rows
 from layerscat.cli import build_problem, preset_config
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import (MediumPair, grad_green_y, green,
-                             reference_field_plane, transmitted_direction)
+from layerscat.green import (MediumPair, green, reference_field_plane,
+                             transmitted_direction)
 from layerscat.nystrom import DensitySolution, Grid, log_weight
 from layerscat.potentials import (_eval_scattered, eval_scattered,
                                   four_wave_exact, point_source_exact)

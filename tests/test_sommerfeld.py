@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from oracle import full_remainder, layer_normal, remainder_triple
+from oracle import (full_remainder, grad_green_y, green_remainder_modes,
+                    layer_normal, remainder_triple)
 
 from layerscat import sommerfeld
 from layerscat.errors import DomainError
-from layerscat.green import (MediumPair, grad_green_y, green,
-                             green_remainder_modes)
+from layerscat.green import MediumPair, green
 from layerscat.nystrom import Grid
 from layerscat.surface import builtin
 
@@ -176,7 +176,7 @@ def test_shared_rule_refinement_stable_off_surface():
 
 
 @pytest.mark.parametrize("normal,products", [(None, 2),
-                                             ((0.0, 1.0, 1.0, False), 6)])
+                                             ((0.0, 1.0, 1.0), 6)])
 def test_point_set_sums_make_only_the_products_needed(monkeypatch, normal,
                                                       products):
     # between point sets each rule block (one _fold_factors call for the

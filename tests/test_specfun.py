@@ -1,4 +1,4 @@
-"""Bessel/Hankel functions and branch square roots."""
+"""Hankel functions, their Bessel parts, and branch square roots."""
 
 import math
 
@@ -7,8 +7,18 @@ import pytest
 import scipy.special as sp
 
 from layerscat.errors import DomainError
-from layerscat.specfun import (bessel_j, bessel_y, critical_angle, hankel1,
-                               sqrt_branch1, sqrt_branch2, vertical_wavenumber)
+from layerscat.specfun import (_branch_sqrt, critical_angle, hankel1,
+                               vertical_wavenumber)
+
+
+def bessel_j(order, z):
+    """J_order as the real part of hankel1's one pass, as assembly reads it."""
+    return np.real(hankel1(order, z))
+
+
+def bessel_y(order, z):
+    """Y_order as the imaginary part of hankel1's one pass."""
+    return np.imag(hankel1(order, z))
 
 
 def series_j0(z, terms=40):
@@ -28,11 +38,6 @@ def series_j1(z, terms=40):
         term *= -q / (m * (m + 1))
         total += term
     return 0.5 * z * total
-
-
-def test_bessel_j_trivial_values():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(1, 0.0) == 0.0
 
 
 def test_bessel_j_series_oracle():
@@ -121,52 +126,52 @@ def test_bessel_arrays_validated_like_scalars(fn, order, bad):
 
 
 def test_bessel_zero_only_where_y_is_finite():
-    assert np.array_equal(bessel_j(0, np.array([0.0, 1.0]))[:1], [1.0])
-    for fn in (bessel_y, hankel1):
+    # z = 0, where Y has its log singularity, fails a whole array
+    for order in (0, 1):
         with pytest.raises(DomainError):
-            fn(0, np.array([1.0, 0.0]))
+            hankel1(order, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_hankel_parts_are_bessel_bit_for_bit(order):
-    # assembly takes J_n as Re H_n, so the identity must hold exactly, on
-    # both sides of the series/asymptotic cut at z = 5 and out to z = 450
+    # assembly takes J_n as Re H_n, so the parts must be the Cephes J_n and
+    # Y_n exactly, on both sides of the series/asymptotic cut at z = 5 and
+    # out to z = 450
+    j, y = (sp.j0, sp.y0) if order == 0 else (sp.j1, sp.y1)
     z = np.concatenate([np.geomspace(1e-6, 4.9, 299),
                         np.nextafter(5.0, [0.0, np.inf]), [5.0],
                         np.linspace(5.01, 450.0, 2000)]).reshape(2, -1)
     h = hankel1(order, z)
     assert h.shape == z.shape
-    assert np.array_equal(h.real, bessel_j(order, z))
-    assert np.array_equal(h.imag, bessel_y(order, z))
+    assert np.array_equal(h.real, j(z))
+    assert np.array_equal(h.imag, y(z))
     for zi in (0.7, 5.0, 5.0000001, 449.0):
-        assert hankel1(order, zi) == complex(bessel_j(order, zi), bessel_y(order, zi))
+        assert hankel1(order, zi) == complex(j(zi), y(zi))
 
 
 def test_sqrt_branches_fixed_points():
-    assert sqrt_branch1(0) == 0
-    assert sqrt_branch2(0) == 0
-    assert sqrt_branch1(4.0) == pytest.approx(2.0, abs=1e-15)
-    assert sqrt_branch2(4.0) == pytest.approx(2.0, abs=1e-15)
+    # S1 cuts along the upper imaginary axis (upper_cut), S2 the lower one
+    for upper in (True, False):
+        assert _branch_sqrt(0, upper) == 0
+        assert abs(_branch_sqrt(4.0, upper) - 2.0) <= 1e-15
     # -1 approached as e^{-i pi} on branch 1, e^{+i pi} on branch 2
-    assert sqrt_branch1(-1.0 + 0j) == pytest.approx(-1j, abs=1e-15)
-    assert sqrt_branch2(-1.0 + 0j) == pytest.approx(1j, abs=1e-15)
+    assert abs(_branch_sqrt(-1.0 + 0j, True) + 1j) <= 1e-15
+    assert abs(_branch_sqrt(-1.0 + 0j, False) - 1j) <= 1e-15
 
 
 def test_sqrt_branches_square_to_argument():
     rng = np.random.default_rng(7)
     z = rng.normal(size=1000) + 1j * rng.normal(size=1000)
-    s1 = sqrt_branch1(z)
-    s2 = sqrt_branch2(z)
-    assert np.abs(s1 * s1 - z).max() < 1e-13 * (1 + np.abs(z)).max()
-    assert np.abs(s2 * s2 - z).max() < 1e-13 * (1 + np.abs(z)).max()
+    for upper in (True, False):
+        s = _branch_sqrt(z, upper)
+        assert np.abs(s * s - z).max() < 1e-13 * (1 + np.abs(z)).max()
 
 
 def test_sqrt_branch_near_cut_perturbation():
     # points on/near the cut evaluate finitely and consistently with one side
-    v = sqrt_branch1(1j)
+    v = _branch_sqrt(1j, True)
     assert np.isfinite(v.real) and np.isfinite(v.imag)
-    side = sqrt_branch1(1e-12 + 1j)
-    assert v == pytest.approx(side, abs=1e-6)
+    assert abs(v - _branch_sqrt(1e-12 + 1j, True)) <= 1e-6
 
 
 def test_vertical_wavenumber_real_cases():
@@ -209,9 +214,8 @@ def test_critical_angle():
 
 
 def test_no_nan_escapes():
-    z = np.linspace(0.0, 120.0, 1201)
-    assert np.all(np.isfinite(bessel_j(0, z)))
-    assert np.all(np.isfinite(bessel_j(1, z)))
-    assert np.all(np.isfinite(hankel1(0, z[1:])))
+    z = np.linspace(0.0, 120.0, 1201)[1:]
+    assert np.all(np.isfinite(hankel1(0, z)))
+    assert np.all(np.isfinite(hankel1(1, z)))
     xi = np.linspace(-50, 50, 501) + 1j * np.linspace(-3, 3, 501)
     assert np.all(np.isfinite(vertical_wavenumber(xi, 2.7)))
