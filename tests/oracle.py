@@ -46,7 +46,7 @@ from layerscat import sommerfeld
 from layerscat.bie import (_checked_beta, _kernel_block, _pair_pieces,
                            _surface_arrays)
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import _green_modes, _pt, green, green_surface_batch
+from layerscat.green import _green_modes, green, green_surface_batch
 from layerscat.nystrom import log_weight
 
 ORACLE_TOL = 1e-12
@@ -160,7 +160,7 @@ def grad_green_x(medium, x, y, tol=1e-10):
 def green_remainder_modes(medium, x, y, modes=("val",), tol=1e-10):
     """R(x, y) = G(x, y) - Phi_{k-}(x, y) and/or its derivatives (modes of
     green._green_modes) for x2, y2 < 0."""
-    if _pt(x)[1] >= 0 or _pt(y)[1] >= 0:
+    if float(x[1]) >= 0 or float(y[1]) >= 0:
         raise DomainError("green_remainder requires both points below the interface")
     return _green_modes(medium, x, y, modes, tol, direct=False)
 
