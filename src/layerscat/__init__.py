@@ -11,7 +11,7 @@ from .nystrom import DensitySolution, Grid, assemble, log_weight, solve
 from .potentials import (FourWaveSolution, eval_scattered, four_wave_exact,
                          point_source_exact)
 from .specfun import critical_angle, hankel1, vertical_wavenumber
-from .surface import SurfaceProfile, builtin, from_callables
+from .surface import SurfaceProfile, builtin
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,7 @@ __all__ = [
     "DomainError", "FourWaveSolution", "Grid", "LayerScatError", "MediumPair",
     "SingularityError", "SolverError", "SurfaceProfile", "assemble",
     "builtin", "critical_angle", "cutoff_chi", "eval_scattered",
-    "four_wave_exact", "fresnel_R", "fresnel_T", "from_callables", "green",
+    "four_wave_exact", "fresnel_R", "fresnel_T", "green",
     "hankel1", "log_weight", "point_source_exact", "reference_field_plane",
     "reference_field_plane_grad", "solve", "transmitted_direction",
     "vertical_wavenumber",

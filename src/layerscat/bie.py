@@ -75,7 +75,7 @@ class BoundaryProblem:
 
     data_g is the parameterized boundary data g~(s); beta the impedance
     function beta~(s) or a constant (impedance only, Re beta >= d > 0,
-    default 1); eta the coupling
+    checked at the nodes by nystrom.assemble; default 1); eta the coupling
     constant of the combined Dirichlet ansatz (default sqrt(k+ k-)).
     """
 
@@ -98,9 +98,6 @@ class BoundaryProblem:
         else:
             beta = self.beta if callable(self.beta) else _const_callable(
                 1.0 if self.beta is None else self.beta)
-            sample = np.asarray(beta(np.linspace(-40, 40, 257)), dtype=complex)
-            if not np.all(sample.real > 0):
-                raise DomainError("impedance requires Re beta > 0 on the surface")
             object.__setattr__(self, "beta", beta)
 
 

@@ -101,6 +101,12 @@ def _number(value, name) -> float:
     return x
 
 
+def _on_window(grid, ok, msg):
+    """ConfigError msg, naming the first t of grid where ok is False."""
+    if not ok.all():
+        raise ConfigError(f"{msg} at t = {grid[np.argmin(ok)]:.6g}")
+
+
 def _integer(value, name) -> int:
     """value as an int (integral numbers only), or ConfigError."""
     x = _number(value, name)
@@ -159,15 +165,27 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     _require(n >= 1, f"N: must be >= 1, got {n}")
     a_pi = _integer(data.get("A_over_pi", _DEF_A_OVER_PI), "A_over_pi")
     _require(a_pi >= 1, f"A_over_pi: positive integer required, got {a_pi}")
-    # on [-A, A] f < -_MIN_DECAY / 2: the shared rule's v_min = 2 min|f|
+    # one check of surface and beta on [-A, A]: f, f', f'' and beta finite,
+    # f < -_MIN_DECAY / 2 (the shared rule's v_min = 2 min|f|), Re beta > 0
     a = a_pi * math.pi
-    f = _build_surface(surf, a).f
     grid = np.linspace(-a, a, 2 * math.ceil(50 * a) + 1)
-    top, high = surface_mod._refined_extremum(f, grid, f(grid), want_max=True)
+    prof = _build_surface(surf)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(prof.f(grid), dtype=float)
+        _on_window(grid, np.isfinite([vals, prof.df(grid), prof.d2f(grid)]).all(0),
+                   "surface: f, f' or f'' not finite")
+        top, high = surface_mod._refined_max(prof.f, grid, vals)
+    _require(high < 0, f"surface: reaches the interface at t = {top:.6g}")
     gap = sommerfeld._MIN_DECAY / 2
     _require(high < -gap, f"surface: highest point on [-A, A] is x2 = "
              f"{high:.6g} at t = {top:.6g}; the shared spectral rule needs a "
              f"clearance above {gap:g} (v_min = 2 min|f| > {2 * gap:g})")
+    if problem == "impedance":
+        b = _build_beta(beta)
+        with np.errstate(all="ignore"):
+            b = b(grid) if callable(b) else np.full(grid.shape, b)
+        _on_window(grid, np.isfinite(b), "beta: not finite")
+        _on_window(grid, b.real > 0, "beta: Re beta > 0 fails")
     pts = data.get("eval_points", ())
     _require(isinstance(pts, (list, tuple)), "eval_points: list of [x1, x2] required")
     points = []
@@ -197,13 +215,13 @@ def load_config(path, **overrides) -> RunConfig:
     return config_from_dict(raw, **overrides)
 
 
-def _build_surface(spec, half_width) -> surface_mod.SurfaceProfile:
+def _build_surface(spec) -> surface_mod.SurfaceProfile:
     if isinstance(spec, str):
         try:
             return surface_mod.builtin(spec)
         except LayerScatError as exc:
             raise ConfigError(str(exc))
-    return exprs.surface_from_expression(spec["expr"], half_width)
+    return exprs.surface_from_expression(spec["expr"])
 
 
 def _build_beta(spec):
@@ -223,7 +241,7 @@ def build_problem(config: RunConfig) -> BoundaryProblem:
     points data_g is called with.
     """
     med = MediumPair(config.k_plus, config.k_minus)
-    surf = _build_surface(config.surface, config.A)
+    surf = _build_surface(config.surface)
     inc = config.incident
     if inc["type"] == "point":
         y0 = tuple(inc["y0"])

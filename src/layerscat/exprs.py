@@ -1,29 +1,33 @@
 """Tiny expression language for user-supplied surface profiles.
 
-Grammar (whitespace-insensitive):
+An expression is a Python expression, with '^' read as '**', parsed by
+Python's own parser (ast.parse) and built only from
 
-    expr   := term (('+' | '-') term)*
-    term   := unary ('*' unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' integer)?
-    atom   := number | 'pi' | 't' | fn '(' expr ')' | '(' expr ')'
-    fn     := 'sin' | 'cos' | 'exp'
+    numbers    finite Python int and float literals (so 0x10 is 16 and 1_0
+               is 10; no bool, no complex)
+    names      t (or s, or x), pi
+    operators  unary '-'; '+', '-', '*'; '**' with an int literal
+               exponent from 0 to _MAX_POWER
+    calls      sin, cos, exp, of one argument
 
-Sums and products of polynomials and sin/cos/exp terms cover all built-in
-surfaces.  An expression is evaluated as a second-order jet (f, f', f''),
-carried through each operation by the sum, product, power and chain rules,
-so second derivatives of the profile are exact.
+Anything else, text that does not parse, and nesting deeper than _MAX_DEPTH
+levels are a ConfigError naming the construct.  Sums and products of
+polynomials and sin/cos/exp terms cover all built-in surfaces.  An
+expression is evaluated as a second-order jet (f, f', f''), carried through
+each operation by the sum, product, power and chain rules, so second
+derivatives of the profile are exact.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-import re
+import sys
 
 import numpy as np
 
 from .errors import ConfigError
-from .surface import SurfaceProfile, from_callables
+from .surface import SurfaceProfile
 
 
 def _jet(node, t):
@@ -70,113 +74,61 @@ class Expression:
         return Expression(self.node, self.order + 1)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_]+)|(\*\*|[-+*^()]))")
+#: deepest nesting walked; _jet recurses at most twice per level
+_MAX_DEPTH = 100
+#: largest exponent; _jet's f'' multiplies by n (n - 1), which must stay a float
+_MAX_POWER = 1000
 
 
-def _tokenize(text):
-    text = text.rstrip()
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ConfigError(f"surface expression: cannot tokenize at {text[pos:]!r}")
-        num, ident, op = m.groups()
-        if num is not None:
-            tokens.append(("num", float(text[m.start():m.end()].strip())))
-        elif ident is not None:
-            tokens.append(("ident", ident))
-        else:
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, kind=None, value=None):
-        k, v = self.toks[self.i]
-        if (kind and k != kind) or (value is not None and v != value):
-            raise ConfigError(f"surface expression: unexpected token {v!r}")
-        self.i += 1
-        return v
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take("op")
-            rhs = self.term()
-            node = ("add", node, rhs if op == "+" else ("mul", ("const", -1.0), rhs))
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*"):
-            self.take("op", "*")
-            node = ("mul", node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take("op", "-")
-            return ("mul", ("const", -1.0), self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take("op", "^")
-            k, v = self.peek()
-            if k != "num" or v != int(v) or v < 0:
-                raise ConfigError("surface expression: exponent must be a nonnegative integer")
-            self.take("num")
-            node = ("pow", node, int(v))
-        return node
-
-    def atom(self):
-        k, v = self.peek()
-        if k == "num":
-            self.take("num")
-            return ("const", v)
-        if k == "ident":
-            self.take("ident")
-            if v == "pi":
-                return ("const", math.pi)
-            if v in ("t", "s", "x"):
-                return ("var",)
-            if v in ("sin", "cos", "exp"):
-                self.take("op", "(")
-                arg = self.expr()
-                self.take("op", ")")
-                return ("fn", v, arg)
-            raise ConfigError(f"surface expression: unknown identifier {v!r}")
-        if (k, v) == ("op", "("):
-            self.take("op", "(")
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise ConfigError(f"surface expression: unexpected {v!r}")
+def _tree(e, text, depth=0):
+    """The _jet node of a node e of the Python syntax tree of text, or
+    ConfigError naming the construct the grammar lacks."""
+    if depth > _MAX_DEPTH:
+        raise ConfigError(f"surface expression: nested deeper than {_MAX_DEPTH} levels")
+    depth += 1
+    if isinstance(e, ast.Constant) and type(e.value) in (int, float) \
+            and e.value <= sys.float_info.max:      # int or float, finite
+        return ("const", float(e.value))
+    if isinstance(e, ast.Name) and e.id in ("pi", "t", "s", "x"):
+        return ("const", math.pi) if e.id == "pi" else ("var",)
+    if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
+        return ("mul", ("const", -1.0), _tree(e.operand, text, depth))
+    if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Pow):
+        n = e.right
+        if not (isinstance(n, ast.Constant) and type(n.value) is int
+                and n.value <= _MAX_POWER):
+            raise ConfigError(f"surface expression: exponent must be an integer "
+                              f"from 0 to {_MAX_POWER}, got "
+                              f"{ast.get_source_segment(text, n)!r}")
+        return ("pow", _tree(e.left, text, depth), n.value)
+    if isinstance(e, ast.BinOp) and isinstance(e.op, (ast.Add, ast.Sub, ast.Mult)):
+        a, b = _tree(e.left, text, depth), _tree(e.right, text, depth)
+        if isinstance(e.op, ast.Sub):
+            b = ("mul", ("const", -1.0), b)
+        return ("mul" if isinstance(e.op, ast.Mult) else "add", a, b)
+    if (isinstance(e, ast.Call) and isinstance(e.func, ast.Name)
+            and e.func.id in ("sin", "cos", "exp") and len(e.args) == 1
+            and not e.keywords):
+        return ("fn", e.func.id, _tree(e.args[0], text, depth))
+    what = type(getattr(e, "op", e)).__name__
+    raise ConfigError(f"surface expression: {what} "
+                      f"{ast.get_source_segment(text, e)!r} is not allowed")
 
 
 def parse_expression(text: str) -> Expression:
-    p = _Parser(_tokenize(text))
-    node = p.expr()
-    p.take("end")
-    return Expression(node)
+    """An expression in t (grammar in the module doc), or ConfigError."""
+    text = text.strip().replace("^", "**")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise ConfigError("surface expression: cannot parse: "
+                          f"{getattr(exc, 'msg', exc)}") from None
+    return Expression(_tree(tree.body, text))
 
 
-def surface_from_expression(text: str, half_width=40.0) -> SurfaceProfile:
-    """Profile of an expression in t, exact derivatives (from_callables)."""
+def surface_from_expression(text: str) -> SurfaceProfile:
+    """Profile of an expression in t, with exact derivatives.  Unchecked:
+    config_from_dict measures it on the run's window [-A, A]."""
     f = parse_expression(text)
     df = f.diff()
-    d2f = df.diff()
-    try:
-        return from_callables(f, df, d2f, name="inline", half_width=half_width)
-    except Exception as exc:
-        raise ConfigError(f"surface expression {text!r} invalid: {exc}") from exc
+    return SurfaceProfile(f=f, df=df, d2f=df.diff(), name="inline")

@@ -558,7 +558,7 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     symmetric = s_nodes is None
     s = t if symmetric else np.asarray(s_nodes, dtype=float)
     fs = f if symmetric else np.asarray(fs_vals, dtype=float)
-    if np.any(f >= 0):
+    if not np.all(f < 0):       # NaN too
         raise DomainError("surface nodes must lie strictly below the interface")
     up = fs >= 0
     if up.any() and not up.all():

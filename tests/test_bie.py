@@ -392,10 +392,12 @@ def test_problem_validation():
     with pytest.raises(DomainError):
         BoundaryProblem(kind="dirichlet", medium=MED, surface=surf,
                         data_g=lambda s: 0.0, eta=-1.0)
-    with pytest.raises(DomainError):
-        BoundaryProblem(kind="impedance", medium=MED, surface=surf,
-                        data_g=lambda s: 0.0,
-                        beta=lambda s: -1.0 + 0 * np.asarray(s, float))
+    # beta is checked where it is used, at the nodes, before any layer sum
+    problem = BoundaryProblem(kind="impedance", medium=MED, surface=surf,
+                              data_g=lambda s: 0.0,
+                              beta=lambda s: -1.0 + 0 * np.asarray(s, float))
+    with pytest.raises(DomainError, match="Re beta > 0"):
+        assemble(problem, Grid(half_width_A=math.pi, N=4))
     with pytest.raises(DomainError):
         BoundaryProblem(kind="mixed", medium=MED, surface=surf,
                         data_g=lambda s: 0.0)

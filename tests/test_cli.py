@@ -231,14 +231,45 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_impedance_beta_checked_on_every_node(tmp_path, capsys):
-    # Re beta = 2 - 0.04 t is positive on the construction-time sample
-    # [-40, 40] but not on the nodes of the window [-20 pi, 20 pi]
+    # Re beta = 2 - 0.04 t is positive on [-40, 40] but not on the window
+    # [-20 pi, 20 pi]: config validation checks beta there (exit 2)
     raw = dict(_PRESETS["example2-ibvp"], beta={"expr": "2-0.04*t"},
                A_over_pi=20, N=4)
     cfg_path = tmp_path / "beta.json"
     cfg_path.write_text(json.dumps(raw), encoding="utf-8")
-    assert main(["solve", "--config", str(cfg_path)]) == 3
+    assert main(["solve", "--config", str(cfg_path)]) == 2
     assert "Re beta > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta,message", [
+    ({"expr": "exp(t^2)"}, "beta: not finite at t = -31.4159"),
+    ({"expr": "1+0*exp(t^2)"}, "beta: not finite at t = -31.4159"),
+    (-1.0, "beta: Re beta > 0 fails at t = -31.4159"),
+], ids=["overflow", "nan", "negative"])
+def test_cli_beta_checked_on_the_window(tmp_path, capsys, beta, message):
+    # each used to pass validation and fail in the solve (exit 3), the first
+    # in the LU on infs, the others without naming a point
+    raw = dict(_PRESETS["example2-ibvp"], beta=beta, N=4)
+    cfg_path = tmp_path / "beta.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", [
+    "-1+" + "(" * 400 + "0*t" + ")" * 400,     # SyntaxError in ast.parse
+    "-1+" + "-" * 3000 + "0*t",                # RecursionError in ast.parse
+    "-1" + "+0*t" * 2000,                      # parses; too deep for _jet
+], ids=["parentheses", "minus", "sum"])
+def test_cli_deep_expression_is_config_error(tmp_path, capsys, expr):
+    # 400 parentheses raised an uncaught RecursionError (exit 1)
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text(json.dumps(dict(BASE, surface={"expr": expr})),
+                        encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "surface expression" in err and "Traceback" not in err
 
 
 def test_cli_surface_bounds_checked_on_the_window(tmp_path, capsys):
@@ -430,15 +461,15 @@ def test_cli_expression_with_trailing_space(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_expression_errors():
-    with pytest.raises(ConfigError):
-        parse_expression("sin(")
-    with pytest.raises(ConfigError):
-        parse_expression("t + q")
-    with pytest.raises(ConfigError):
-        parse_expression("t^0.5")
-    with pytest.raises(ConfigError):
-        surface_from_expression("1+0*t")   # surface above the interface
+@pytest.mark.parametrize("text", [
+    "sin(", "t + q", "t^0.5", "t/2", "+t", "1j*t", "True*t", "t.real",
+    "sin(t, 1)", "sin(x=t)", "2**-1", "t^2^2", "[t]", "__import__('os')",
+])
+def test_expression_errors(text):
+    # a surface above the interface is config_from_dict's to refuse
+    # (tests/test_surface.py)
+    with pytest.raises(ConfigError, match="surface expression"):
+        parse_expression(text)
 
 
 def test_expression_surface_solvable():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ import pytest
 from oracle import kernel_rows, system_matrix, weight_matrix
 
 from layerscat import bie, nystrom
+from layerscat.bie import BoundaryProblem
 from layerscat.cli import _PRESETS, build_problem, preset_config, run
 from layerscat.errors import DomainError, SolverError
+from layerscat.green import MediumPair
 from layerscat.nystrom import Grid, assemble, log_weight, solve, solve_system
+from layerscat.surface import builtin
 
 
 def test_grid_invariants():
@@ -119,6 +123,18 @@ def test_assemble_diagonal_structure():
         expected = 1.0 - (ri * A[i, i] + grid.h * B[i, i])
         assert matrix[i, i] == pytest.approx(expected, abs=1e-14)
     assert rhs.shape == (grid.node_count,)
+
+
+def test_assemble_refuses_nan_surface_node():
+    # a profile is not checked at construction: the shared rule refuses a
+    # node height that is not below the interface, NaN included
+    flat = builtin("gamma2")
+    holed = replace(flat, f=lambda t: np.where(np.abs(t) < 0.1, np.nan,
+                                               flat.f(t)))
+    problem = BoundaryProblem(kind="dirichlet", medium=MediumPair(2.7, 3.5),
+                              surface=holed, data_g=lambda s: 0.0 * s)
+    with pytest.raises(DomainError, match="strictly below the interface"):
+        assemble(problem, Grid(half_width_A=math.pi, N=4))
 
 
 @pytest.mark.parametrize("rows", [None, 50, 107, 1])

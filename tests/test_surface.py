@@ -1,12 +1,14 @@
-"""Surface profiles: geometry, builtins, derivative consistency."""
+"""Surface profiles: geometry, builtins, derivative consistency, and the
+one check of a run's surface on its window."""
 
 import math
 
 import numpy as np
 import pytest
 
-from layerscat.errors import DomainError
-from layerscat.surface import builtin, from_callables
+from layerscat.cli import config_from_dict
+from layerscat.errors import ConfigError, DomainError
+from layerscat.surface import builtin
 
 
 def test_flat_surface_geometry():
@@ -33,8 +35,6 @@ def test_gamma1_bounds():
     vmax = np.asarray(surf.f(grid)).max()
     assert vmax < 0
     assert vmax == pytest.approx(-0.74824, abs=1e-4)
-    assert surf.f_plus < 0
-    assert vmax <= surf.f_plus
 
 
 def test_gamma3_periodicity():
@@ -68,8 +68,9 @@ def test_derivatives_match_finite_differences(name):
 
 
 def test_all_builtins_below_interface():
+    grid = np.linspace(-40, 40, 8001)
     for name in ("gamma1", "gamma2", "gamma3"):
-        assert builtin(name).f_plus < 0
+        assert np.asarray(builtin(name).f(grid)).max() < 0
 
 
 def test_unknown_builtin():
@@ -77,17 +78,26 @@ def test_unknown_builtin():
         builtin("gamma9")
 
 
+def _config(surface):
+    return config_from_dict({
+        "problem": "dirichlet", "k_plus": 2.7, "k_minus": 3.5,
+        "surface": surface,
+        "incident": {"type": "plane", "theta_d": 4 * math.pi / 3}, "N": 4})
+
+
 def test_surface_above_interface_rejected():
-    with pytest.raises(DomainError):
-        from_callables(lambda t: 0.2 + 0 * np.asarray(t, float),
-                       lambda t: 0 * np.asarray(t, float),
-                       lambda t: 0 * np.asarray(t, float))
+    # config_from_dict's scan of the window [-A, A] is the one surface check
+    for expr in ("0.2", "1+0*t"):
+        with pytest.raises(ConfigError, match="reaches the interface at t = "):
+            _config({"expr": expr})
 
 
-def test_custom_profile_bounds_measured():
-    surf = from_callables(lambda t: -2.0 + 0.5 * np.sin(t),
-                          lambda t: 0.5 * np.cos(t),
-                          lambda t: -0.5 * np.sin(t), name="wavy")
-    assert surf.f_plus == pytest.approx(-1.5, abs=1e-6)
-    assert surf.f_minus == pytest.approx(-2.5, abs=1e-6)
-    assert surf.lipschitz_L == pytest.approx(0.5, abs=1e-6)
+def test_surface_not_finite_rejected():
+    # -1 - 0*exp(t^2) is NaN where exp(t^2) overflows (|t| > 26.6), first at
+    # the window's end; the scan used to say "reaches the interface"
+    with pytest.raises(ConfigError, match="not finite at t = -31.4159"):
+        _config({"expr": "-1-0*exp(t^2)"})
+    # f is finite, but the jet's f'' overflows on the way (1e200^2): assembly
+    # would fail in the LU on infs, naming no point
+    with pytest.raises(ConfigError, match="f'' not finite at t = "):
+        _config({"expr": "-2+1e-200*sin(1e200*t)"})
