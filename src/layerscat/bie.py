@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .green import MediumPair
+from .green import MediumPair, incident_field
 from .specfun import EULER_GAMMA, hankel1
 from .surface import SurfaceProfile
 
@@ -71,24 +71,28 @@ def _const_callable(c):
 
 @dataclass(frozen=True)
 class BoundaryProblem:
-    """One scattering problem: boundary kind, media, surface, data.
+    """One scattering problem: boundary kind, media, surface, incident wave.
 
-    data_g is the parameterized boundary data g~(s); beta the impedance
-    function beta~(s) or a constant (impedance only, Re beta >= d > 0,
-    checked at the nodes by nystrom.assemble; default 1); eta the coupling
-    constant of the combined Dirichlet ansatz (default sqrt(k+ k-)).
+    incident is the spec {"type": "plane", "theta_d": ...} or {"type":
+    "point", "y0": [y1, y2]} whose boundary data rhs_vector forms; beta the
+    impedance function beta~(s) or a constant (impedance only, Re beta >=
+    d > 0, checked at the nodes by nystrom.assemble; default 1); eta the
+    coupling constant of the combined Dirichlet ansatz (default sqrt(k+ k-)).
     """
 
     kind: str
     medium: MediumPair
     surface: SurfaceProfile
-    data_g: Callable
+    incident: dict
     eta: Optional[float] = None
     beta: Optional[Callable | complex] = None
 
     def __post_init__(self):
         if self.kind not in ("dirichlet", "impedance"):
             raise DomainError(f"unknown problem kind {self.kind!r}")
+        if not (isinstance(self.incident, dict)
+                and self.incident.get("type") in ("plane", "point")):
+            raise DomainError(f"unknown incident {self.incident!r}")
         if self.kind == "dirichlet":
             eta = self.eta if self.eta is not None else math.sqrt(
                 self.medium.k_plus * self.medium.k_minus)
@@ -235,7 +239,13 @@ def _kernel_block(problem, rows, cols, beta, pieces, layer):
 
 
 def rhs_vector(problem: BoundaryProblem, s):
-    """Collocation right-hand side: -2 g~(s) for Dirichlet, +2 g~(s) for
-    impedance."""
-    sign = -2.0 if problem.kind == "dirichlet" else 2.0
-    return sign * np.asarray(problem.data_g(s), dtype=complex)
+    """Collocation right-hand side at the parameters s, one (complex result)
+    or an array: -2 g~(s) for Dirichlet, +2 g~(s) for impedance, with the
+    boundary data g = -u_b or g = -(a u_b + b J du_b/dnu),
+    (a, b) = (-i k- beta, 1/J), u_b from green.incident_field."""
+    t, f, df, _, speed = _surface_arrays(problem.surface, np.atleast_1d(s))
+    normal = None if problem.kind == "dirichlet" else (
+        -1j * problem.medium.k_minus * np.asarray(problem.beta(t), complex),
+        1.0 / speed, df)
+    g = -incident_field(problem.medium, problem.incident, t, f, normal)
+    return (-2.0 if problem.kind == "dirichlet" else 2.0) * g.reshape(np.shape(s))

@@ -42,8 +42,7 @@ import numpy as np
 from . import exprs, sommerfeld, surface as surface_mod
 from .bie import BoundaryProblem
 from .errors import ConfigError, LayerScatError
-from .green import (MediumPair, _incident_field, green_surface_batch,
-                    reference_field_plane)
+from .green import MediumPair, green_surface_batch, reference_field_plane
 from .nystrom import Grid, solve
 from .potentials import (_MIN_DIST, _eval_scattered, _surface_distance,
                          four_wave_exact, point_source_exact)
@@ -180,6 +179,11 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     _require(high < -gap, f"surface: highest point on [-A, A] is x2 = "
              f"{high:.6g} at t = {top:.6g}; the shared spectral rule needs a "
              f"clearance above {gap:g} (v_min = 2 min|f| > {2 * gap:g})")
+    if inc["type"] == "point":
+        y0 = tuple(inc["y0"])
+        with np.errstate(all="ignore"):
+            below = y0[1] < float(prof.f(y0[0]))
+        _require(below, f"incident.y0: {y0} must lie strictly below the surface")
     if problem == "impedance":
         b = _build_beta(beta)
         with np.errstate(all="ignore"):
@@ -234,62 +238,42 @@ def _build_beta(spec):
 
 
 def build_problem(config: RunConfig) -> BoundaryProblem:
-    """BoundaryProblem (with boundary data from the incident spec) for a config.
-
-    The boundary data is g = -u_b (Dirichlet) or g = -(a u_b + b J du_b/dnu)
-    with (a, b) = (-i k- beta, 1/J) (impedance), evaluated lazily on the
-    points data_g is called with.
-    """
-    med = MediumPair(config.k_plus, config.k_minus)
-    surf = _build_surface(config.surface)
-    inc = config.incident
-    if inc["type"] == "point":
-        y0 = tuple(inc["y0"])
-        if not float(y0[1]) < float(surf.f(y0[0])):
-            raise ConfigError(f"incident.y0: {y0} must lie strictly below the surface")
-    field_b = _incident_field(med, inc)
-    impedance = config.problem == "impedance"
-
-    def data_g(s):
-        s = np.asarray(s, dtype=float)
-        t = np.atleast_1d(s)
-        df = np.asarray(surf.df(t), dtype=float) if impedance else None
-        # problem.beta: the callable BoundaryProblem makes of a constant
-        normal = (-1j * med.k_minus * np.asarray(problem.beta(t), complex),
-                  1.0 / np.sqrt(1 + df * df), df) if impedance else None
-        g = -field_b(t, np.asarray(surf.f(t), dtype=float), normal)
-        return complex(g[0]) if s.ndim == 0 else g
-
-    kwargs = {"beta": _build_beta(config.beta)} if impedance else {"eta": config.eta}
-    problem = BoundaryProblem(kind=config.problem, medium=med, surface=surf,
-                              data_g=data_g, **kwargs)
-    return problem
+    """The BoundaryProblem of a validated config; bie.rhs_vector forms its
+    boundary data from the incident spec."""
+    kwargs = {"beta": _build_beta(config.beta)} if config.problem == "impedance" \
+        else {"eta": config.eta}
+    return BoundaryProblem(kind=config.problem,
+                           medium=MediumPair(config.k_plus, config.k_minus),
+                           surface=_build_surface(config.surface),
+                           incident=config.incident, **kwargs)
 
 
-def _exact_reference(config: RunConfig, problem: BoundaryProblem):
-    """Closed-form reference on a point set, when one exists.
+def _exact_reference(config: RunConfig, problem: BoundaryProblem, pts):
+    """Closed-form reference at the points pts = (x1, x2), when one exists.
 
-    Returns (label, fn) with fn((x1, x2)) -> complex array, or (None, None):
+    Returns (label, values), a complex array, or (None, None):
       * point incidence: exact scattered field G(x, y0), one scalar green()
         per point, independent of the shared rule behind the boundary data;
-      * plane incidence with surface and beta constant on [-A, A] and
-        [-30, 30] (sampled at spacing 0.1): exact total field (four waves).
+      * plane incidence with surface and beta finite and constant on
+        [-A, A] and [-30, 30] (spacing 0.1): exact total field (four waves).
     """
     inc = config.incident
     if inc["type"] == "point":
         y0 = tuple(inc["y0"])
-        return "scattered", lambda pts: np.array(
+        return "scattered", np.array(
             [point_source_exact(problem.medium, y0, x) for x in zip(*pts)])
     half = max(30.0, config.A)
     sample = np.linspace(-half, half, 20 * math.ceil(half) + 1)
-    vals = np.asarray(problem.surface.f(sample), dtype=float)
-    beta = np.asarray(problem.beta(sample), dtype=complex) \
-        if problem.kind == "impedance" else np.ones(1)
-    if np.ptp(vals) < 1e-14 and np.abs(beta - beta[0]).max() < 1e-14:
-        fw = four_wave_exact(problem.medium, inc["theta_d"], problem.kind,
-                             beta0=complex(beta[0]), plane_height=float(vals[0]))
-        return "total", fw.field
-    return None, None
+    with np.errstate(all="ignore"):     # beyond the validated window
+        vals = np.asarray(problem.surface.f(sample), dtype=float)
+        beta = np.asarray(problem.beta(sample), dtype=complex) \
+            if problem.kind == "impedance" else np.ones(1)
+        flat = np.ptp(vals) < 1e-14 and np.abs(beta - beta[0]).max() < 1e-14
+    if not flat:
+        return None, None
+    fw = four_wave_exact(problem.medium, inc["theta_d"], problem.kind,
+                         beta0=complex(beta[0]), plane_height=float(vals[0]))
+    return "total", fw.field(pts)
 
 
 @dataclass
@@ -339,21 +323,20 @@ def run(config: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     sol = solve(problem, grid)
     t_solve = time.perf_counter() - t0
-    label, exact_fn = _exact_reference(config, problem)
     rows = []
     t0 = time.perf_counter()
     scattered, near = _eval_scattered(sol, problem, pts)
     plane = config.incident["type"] == "plane"
     if plane:
         u0 = reference_field_plane(problem.medium, config.incident["theta_d"], pts)
-    exact = exact_fn(pts) if exact_fn is not None else None
+    label, exact = _exact_reference(config, problem, pts)
     for i, x in enumerate(config.eval_points):
         us = complex(scattered[i])
         row = {"x1": x[0], "x2": x[1], "scattered": us, "near_surface": bool(near[i])}
         if plane:
             row["reference"] = complex(u0[i])
             row["total"] = us + row["reference"]
-        if exact_fn is not None:
+        if label is not None:
             ex = complex(exact[i])
             approx = row["total"] if label == "total" else us
             row["exact_" + label] = ex

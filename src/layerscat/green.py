@@ -1,4 +1,4 @@
-"""Two-layered Green function, plane-wave reference field, Fresnel coefficients.
+"""Two-layered Green function, reference and incident fields, Fresnel coefficients.
 
 The Green function of the two-media Helmholtz problem (wavenumber k+ above
 the interface x2 = 0, k- below, transmission conditions across it) is
@@ -22,8 +22,8 @@ mirror term subtracted inside the integral, and G above the interface;
 green_surface_batch adds only the direct term Phi_{k-}(x, y) below it
 (_add_direct).  It gives G or the layer sum a G + b (f' dG/dy1 - dG/dy2) of
 a normal at the sources, never (dy1, dy2).  That one path serves
-point-source data, field evaluation and Green tables; nystrom.assemble calls
-remainder_matrices directly.
+point-source data (incident_field), field evaluation and Green tables;
+nystrom.assemble calls remainder_matrices directly.
 """
 
 from __future__ import annotations
@@ -294,29 +294,20 @@ def _reference_field(medium: MediumPair, theta_d: float, x):
     return _plane_waves(medium, theta_d, (1.0, r, r + 1.0, 0.0), x)
 
 
-def _incident_field(medium: MediumPair, incident: dict):
-    """The field u_b that the scattered field cancels on the surface, as
-    fn(x1, x2, normal) on coordinate arrays: u_b, or with normal = (a, b, f')
-    a u_b + b (f' du_b/dx1 - du_b/dx2).  Plane wave: u_b = u0, the reference
-    field.  Point source: u_b = -G(., y0), from one batched, two-pass-checked
-    call with y0 as the field point (G(x, y0) = G(y0, x), and
-    nabla_x G(x, y0) is nabla_y G(y0, y) at y = x)."""
+def incident_field(medium: MediumPair, incident: dict, x1, x2, normal=None):
+    """The field u_b that the scattered field cancels on the surface, on
+    coordinate arrays (x1, x2): u_b, or with normal = (a, b, f')
+    a u_b + b (f' du_b/dx1 - du_b/dx2).  incident is a validated spec
+    (cli.config_from_dict).  Plane wave {"type": "plane", "theta_d": ...}:
+    u_b = u0, the reference field.  Point source {"type": "point",
+    "y0": [y1, y2]}: u_b = -G(., y0), from one batched, two-pass-checked call
+    with y0 as the field point (G(x, y0) = G(y0, x), and nabla_x G(x, y0) is
+    nabla_y G(y0, y) at y = x)."""
     if incident["type"] == "plane":
-        theta = incident["theta_d"]
-
-        def plane_wave(x1, x2, normal):
-            u, g1, g2 = _reference_field(medium, theta, (x1, x2))
-            return u if normal is None else \
-                sommerfeld._normal_sum(u, g1, g2, *normal)
-
-        return plane_wave
-    y0 = tuple(incident["y0"])
-
-    def point_source(x1, x2, normal):
-        return -green_surface_batch(medium, y0, x1, x2, normal=normal,
-                                    check=True)
-
-    return point_source
+        u, g1, g2 = _reference_field(medium, incident["theta_d"], (x1, x2))
+        return u if normal is None else sommerfeld._normal_sum(u, g1, g2, *normal)
+    return -green_surface_batch(medium, tuple(incident["y0"]), x1, x2,
+                                normal=normal, check=True)
 
 
 def reference_field_plane(medium: MediumPair, theta_d: float, x):

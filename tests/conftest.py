@@ -34,6 +34,14 @@ def solved():
     return get
 
 
+def boundary_data(problem, s):
+    """The boundary data g~(s) inside rhs_vector's -2 g~ (Dirichlet) or
+    +2 g~ (impedance); the halving is exact."""
+    from layerscat.bie import rhs_vector
+
+    return rhs_vector(problem, s) / (-2.0 if problem.kind == "dirichlet" else 2.0)
+
+
 def nystrom_interpolate(problem, sol, s_points):
     """Natural Nystrom interpolation of the solved density at off-node points:
     psi(s) = rhs(s) + sum_j alpha_j(s) psi_j."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import boundary_data
 from oracle import (full_remainder, grad_green_x, grad_green_y, green_oracle,
                     green_remainder_modes, kernel_dbvp_raw, kernel_ibvp_raw,
                     kernel_rows, layer_normal, layer_sum,
@@ -27,6 +28,7 @@ from layerscat.surface import builtin
 
 MED = MediumPair(2.7, 3.5)
 ETA = math.sqrt(2.7 * 3.5)
+PLANE = {"type": "plane", "theta_d": 4 * math.pi / 3}
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +283,8 @@ def _plane_u0(med, theta_d, x):
 
 def _scalar_data(cfg, problem, s):
     """Boundary data node by node from scalar formulas, one per incident
-    type of the config and boundary kind: the oracle of the batched data_g."""
+    type of the config and boundary kind: the oracle of the batched data
+    that rhs_vector forms."""
     med, surf, inc = problem.medium, problem.surface, cfg.incident
     impedance = problem.kind == "impedance"
     out = []
@@ -313,11 +316,11 @@ def test_batched_data_matches_scalar_oracle(preset):
     problem = build_problem(cfg)
     nodes = Grid(half_width_A=cfg.A, N=cfg.N).nodes
     for s in (nodes, np.array([-7.3, -0.41, 0.123, 2.9, 11.05])):
-        got = problem.data_g(s)
+        got = boundary_data(problem, s)
         ref = _scalar_data(cfg, problem, s)
         assert got.shape == s.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    one = problem.data_g(0.77)
+    one = boundary_data(problem, 0.77)
     assert isinstance(one, complex)
     ref = _scalar_data(cfg, problem, 0.77)[0]
     assert abs(one - ref) <= 1e-12 * abs(ref)
@@ -340,7 +343,7 @@ def test_point_data_at_thinnest_clearance_takes_shared_rule(monkeypatch,
         {"problem": kind, "k_plus": 2.7, "k_minus": 3.5,
          "surface": {"expr": "-0.0101"}, "A_over_pi": 10, "N": 2,
          "incident": {"type": "point", "y0": [0.0, -0.0102]}})
-    g = build_problem(cfg).data_g(Grid(half_width_A=cfg.A, N=cfg.N).nodes)
+    g = boundary_data(build_problem(cfg), Grid(half_width_A=cfg.A, N=cfg.N).nodes)
     assert np.all(np.isfinite(g))
 
 
@@ -357,7 +360,7 @@ def test_batched_point_data_fallback_near_interface(kind):
                                               "y0": [1.0, -0.01]})
     problem = build_problem(cfg)
     s = np.array([-2.0, 0.3, 1.0, 4.5])
-    assert np.abs(problem.data_g(s) - _scalar_data(cfg, problem, s)).max() <= 1e-9
+    assert np.abs(boundary_data(problem, s) - _scalar_data(cfg, problem, s)).max() <= 1e-9
 
 
 @pytest.mark.parametrize("gap, raises", [(1e-8, True), (1e-12, False)])
@@ -391,16 +394,41 @@ def test_problem_validation():
     surf = builtin("gamma1")
     with pytest.raises(DomainError):
         BoundaryProblem(kind="dirichlet", medium=MED, surface=surf,
-                        data_g=lambda s: 0.0, eta=-1.0)
+                        incident=PLANE, eta=-1.0)
     # beta is checked where it is used, at the nodes, before any layer sum
     problem = BoundaryProblem(kind="impedance", medium=MED, surface=surf,
-                              data_g=lambda s: 0.0,
+                              incident=PLANE,
                               beta=lambda s: -1.0 + 0 * np.asarray(s, float))
     with pytest.raises(DomainError, match="Re beta > 0"):
         assemble(problem, Grid(half_width_A=math.pi, N=4))
     with pytest.raises(DomainError):
         BoundaryProblem(kind="mixed", medium=MED, surface=surf,
-                        data_g=lambda s: 0.0)
+                        incident=PLANE)
+
+
+@pytest.mark.parametrize("incident", [{"type": "spherical", "y0": [1.0, -1.3]},
+                                      {"theta_d": 4 * math.pi / 3}, None])
+def test_problem_refuses_unknown_incident(incident):
+    with pytest.raises(DomainError, match="unknown incident"):
+        BoundaryProblem(kind="dirichlet", medium=MED, surface=builtin("gamma2"),
+                        incident=incident)
+
+
+@pytest.mark.parametrize("preset", ["example1-dbvp", "example2-ibvp"])
+def test_problem_built_directly_matches_build_problem(preset):
+    # a BoundaryProblem made from the spec alone, with no config, gives the
+    # right-hand side of the one build_problem makes, bit for bit
+    raw = _PRESETS[preset]
+    cfg = config_from_dict(dict(raw, N=8))
+    kwargs = {"beta": raw["beta"]} if raw["problem"] == "impedance" else {}
+    direct = BoundaryProblem(kind=raw["problem"],
+                             medium=MediumPair(raw["k_plus"], raw["k_minus"]),
+                             surface=builtin(raw["surface"]),
+                             incident=raw["incident"], **kwargs)
+    nodes = Grid(half_width_A=cfg.A, N=cfg.N).nodes
+    for s in (nodes, 0.77):
+        assert np.array_equal(rhs_vector(direct, s),
+                              rhs_vector(build_problem(cfg), s))
 
 
 def test_impedance_beta_checked_before_layer_integrals(monkeypatch):

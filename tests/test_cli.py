@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,10 +153,20 @@ def test_point_source_must_be_below_surface():
     raw = dict(BASE)
     raw["surface"] = "gamma1"
     raw["incident"] = {"type": "point", "y0": [1.0, -0.5]}
-    cfg = config_from_dict(raw)
-    from layerscat.cli import build_problem
     with pytest.raises(ConfigError):
-        build_problem(cfg)
+        config_from_dict(raw)
+
+
+def test_cli_point_source_above_surface_exit_code(tmp_path, capsys):
+    # the source at x2 = -0.5 lies above the surface gamma1 (x2 = -0.84 at
+    # t = 1): validation refuses it (exit 2), naming the point
+    raw = dict(BASE, surface="gamma1",
+               incident={"type": "point", "y0": [1.0, -0.5]})
+    cfg_path = tmp_path / "above.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert "incident.y0: (1.0, -0.5) must lie strictly below the surface" \
+        in capsys.readouterr().err
 
 
 def test_preset_list_and_overrides():
@@ -329,6 +340,20 @@ def test_exact_reference_needs_flat_surface_and_constant_beta():
                    N=4)
     row = run(config_from_dict(varying)).rows[0]
     assert "exact_total" not in row and "abs_error" not in row
+
+
+def test_exact_reference_samples_beyond_window_quietly():
+    # beta = 1 + 0 exp(t^2) is finite on the window [-5 pi, 5 pi] but not
+    # on [-30, 30], where the exact reference samples it: the run warns
+    # nothing and reports no four-wave reference; with beta = 1 it does
+    raw = dict(_PRESETS["example2-ibvp"], beta={"expr": "1+0*exp(t^2)"},
+               A_over_pi=5, N=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = run(config_from_dict(raw)).rows[0]
+    assert "exact_total" not in row and "abs_error" not in row
+    row = run(config_from_dict(dict(raw, beta=1.0))).rows[0]
+    assert "exact_total" in row and "abs_error" in row
 
 
 def test_cli_presets(capsys):

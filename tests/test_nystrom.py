@@ -132,7 +132,8 @@ def test_assemble_refuses_nan_surface_node():
     holed = replace(flat, f=lambda t: np.where(np.abs(t) < 0.1, np.nan,
                                                flat.f(t)))
     problem = BoundaryProblem(kind="dirichlet", medium=MediumPair(2.7, 3.5),
-                              surface=holed, data_g=lambda s: 0.0 * s)
+                              surface=holed,
+                              incident={"type": "plane", "theta_d": 4 * math.pi / 3})
     with pytest.raises(DomainError, match="strictly below the interface"):
         assemble(problem, Grid(half_width_A=math.pi, N=4))
 

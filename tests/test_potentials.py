@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import nystrom_interpolate
+from conftest import boundary_data, nystrom_interpolate
 from oracle import grad_green_y, kernel_rows
 
 from layerscat import sommerfeld
@@ -202,8 +202,8 @@ def test_impedance_boundary_residual(solved):
     psi_at = _interp_to(problem, sol, s_points)
     # d u_s+/dnu - i k beta u_s = (psi - K psi)/2; compare with the data g
     lhs = -0.5 * k_rows + 0.5 * psi_at
-    g_ref = np.asarray(problem.data_g(s_points), dtype=complex)
-    g_scale = np.abs(np.asarray(problem.data_g(sol.grid.nodes), complex)).max()
+    g_ref = np.asarray(boundary_data(problem, s_points), dtype=complex)
+    g_scale = np.abs(np.asarray(boundary_data(problem, sol.grid.nodes), complex)).max()
     assert np.abs(lhs - g_ref).max() <= 5e-2 * g_scale
 
 
