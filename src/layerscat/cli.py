@@ -41,11 +41,11 @@ import numpy as np
 
 from . import exprs, sommerfeld, surface as surface_mod
 from .bie import BoundaryProblem
-from .errors import ConfigError, LayerScatError
+from .errors import ConfigError, DomainError, LayerScatError
 from .green import MediumPair, green_surface_batch, reference_field_plane
 from .nystrom import Grid, solve
-from .potentials import (_MIN_DIST, _eval_scattered, _surface_distance,
-                         four_wave_exact, point_source_exact)
+from .potentials import (_check_points, _eval_scattered, four_wave_exact,
+                         point_source_exact)
 
 _DEF_A_OVER_PI = 10
 
@@ -225,7 +225,7 @@ def _build_surface(spec) -> surface_mod.SurfaceProfile:
             return surface_mod.builtin(spec)
         except LayerScatError as exc:
             raise ConfigError(str(exc))
-    return exprs.surface_from_expression(spec["expr"])
+    return surface_mod.surface_from_expression(spec["expr"])
 
 
 def _build_beta(spec):
@@ -295,31 +295,33 @@ def _fmt(z: complex) -> str:
     return f"{z.real:.15g},{z.imag:.15g}"
 
 
+def _write(path: Path, text: str):
+    """Write text to path, making its directory, or ConfigError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
+
+
 def _write_csv(path: Path, digest: str, header: str, lines):
     """A CSV file: the config hash line, the column header, then lines."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([f"# config_sha256={digest}", header, *lines]) + "\n",
-                    encoding="utf-8")
+    _write(path, "\n".join([f"# config_sha256={digest}", header, *lines]) + "\n")
 
 
 def run(config: RunConfig) -> RunReport:
     """Solve one configuration, evaluate requested points, write CSV outputs.
 
-    An evaluation point below the surface, where no field is defined, or
-    within potentials._MIN_DIST of it, where the field quadrature is
-    invalid, is a ConfigError raised before the solve."""
+    An evaluation point that potentials._check_points refuses (below the
+    surface, or within potentials._MIN_DIST of it) is a ConfigError raised
+    before the solve."""
     problem = build_problem(config)
     grid = Grid(half_width_A=config.A, N=config.N)
     pts = np.array(config.eval_points, dtype=float).reshape(-1, 2).T
-    below = pts[1] < np.asarray(problem.surface.f(pts[0]), dtype=float)
-    near = _surface_distance(problem.surface, *pts, grid.nodes) < _MIN_DIST
-    bad = np.flatnonzero(below | near)
-    if bad.size:
-        i = bad[0]
-        where = ("below the surface, where no field is defined" if below[i]
-                 else f"within {_MIN_DIST:g} of the surface, where the "
-                 "field quadrature is invalid")
-        raise ConfigError(f"eval_points: {config.eval_points[i]} lies {where}")
+    try:
+        _check_points(problem.surface, *pts, grid.nodes)
+    except DomainError as exc:
+        raise ConfigError(f"eval_points: {exc}")
     t0 = time.perf_counter()
     sol = solve(problem, grid)
     t_solve = time.perf_counter() - t0
@@ -412,11 +414,14 @@ def greens_table(config: RunConfig, grid_spec: str):
         spec1, spec2 = grid_spec.split(",")
         a1, b1, n1 = spec1.split(":")
         a2, b2, n2 = spec2.split(":")
-        xs = np.linspace(float(a1), float(b1), int(n1))
-        ys = np.linspace(float(a2), float(b2), int(n2))
+        lims = [float(v) for v in (a1, b1, a2, b2)]
+        if not all(map(math.isfinite, lims)):
+            raise ValueError
+        xs = np.linspace(*lims[:2], int(n1))
+        ys = np.linspace(*lims[2:], int(n2))
     except ValueError:
-        raise ConfigError(f"bad --grid spec {grid_spec!r}; "
-                          "expected 'x1min:x1max:n1,x2min:x2max:n2'")
+        raise ConfigError(f"bad --grid spec {grid_spec!r}; expected "
+                          "'x1min:x1max:n1,x2min:x2max:n2' with finite bounds")
     _require(y0[1] < 0, f"greens: y_ref {y0} must lie below the interface")
     x1, x2 = np.meshgrid(xs, ys)
     g = green_surface_batch(med, (x1, x2), [y0[0]], [y0[1]], check=True)
@@ -522,8 +527,7 @@ def main(argv=None) -> int:
             lines += [f"{x1:.15g},{x2:.15g},{_fmt(g)}" for x1, x2, g in rows]
             text = "\n".join(lines) + "\n"
             if args.out:
-                Path(args.out).mkdir(parents=True, exist_ok=True)
-                (Path(args.out) / "greens.csv").write_text(text, encoding="utf-8")
+                _write(Path(args.out) / "greens.csv", text)
             print(f"# G(., y0) with y0 = {y0}")
             sys.stdout.write(text)
         else:

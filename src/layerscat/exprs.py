@@ -1,4 +1,4 @@
-"""Tiny expression language for user-supplied surface profiles.
+"""Tiny expression language for surface profiles and beta.
 
 An expression is a Python expression, with '^' read as '**', parsed by
 Python's own parser (ast.parse) and built only from
@@ -11,11 +11,10 @@ Python's own parser (ast.parse) and built only from
     calls      sin, cos, exp, of one argument
 
 Anything else, text that does not parse, and nesting deeper than _MAX_DEPTH
-levels are a ConfigError naming the construct.  Sums and products of
-polynomials and sin/cos/exp terms cover all built-in surfaces.  An
-expression is evaluated as a second-order jet (f, f', f''), carried through
-each operation by the sum, product, power and chain rules, so second
-derivatives of the profile are exact.
+levels are a ConfigError naming the construct.  An expression is evaluated
+as a second-order jet (f, f', f''), carried through each operation by the
+sum, product, power and chain rules, so second derivatives are exact;
+surface.surface_from_expression makes a profile of one.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import sys
 import numpy as np
 
 from .errors import ConfigError
-from .surface import SurfaceProfile
 
 
 def _jet(node, t):
@@ -125,10 +123,3 @@ def parse_expression(text: str) -> Expression:
                           f"{getattr(exc, 'msg', exc)}") from None
     return Expression(_tree(tree.body, text))
 
-
-def surface_from_expression(text: str) -> SurfaceProfile:
-    """Profile of an expression in t, with exact derivatives.  Unchecked:
-    config_from_dict measures it on the run's window [-A, A]."""
-    f = parse_expression(text)
-    df = f.diff()
-    return SurfaceProfile(f=f, df=df, d2f=df.diff(), name="inline")

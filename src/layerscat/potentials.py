@@ -50,24 +50,35 @@ def _surface_distance(surface: SurfaceProfile, x1, x2, t_nodes):
     return dd.min(axis=1)
 
 
+def _check_points(surface: SurfaceProfile, x1, x2, t_nodes):
+    """Distance from each point (x1_i, x2_i) of 1-D arrays to the surface;
+    DomainError names the first point below it (no field is defined there),
+    SingularityError the first within _MIN_DIST (the quadrature is invalid)."""
+    below = x2 < np.asarray(surface.f(x1), dtype=float)
+    dist = _surface_distance(surface, x1, x2, t_nodes)
+    bad = np.flatnonzero(below | (dist < _MIN_DIST))
+    if bad.size:
+        i = bad[0]
+        x = (float(x1[i]), float(x2[i]))
+        if below[i]:
+            raise DomainError(f"{x} lies below the surface, where no field is defined")
+        raise SingularityError(f"{x} lies within {_MIN_DIST:g} of the surface, "
+                               "where the field quadrature is invalid")
+    return dist
+
+
 def _eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
     """Scattered field and near-surface flags (distance < _WARN_DIST) at one
     point or a point set x = (x1, x2) of coordinate arrays, each shaped like
-    the points.  The points go in blocks of sommerfeld._BLOCK // n rows (n
-    nodes), each one green_surface_batch call and one product with
-    h J_j psi_j, so memory stays bounded for any number of points."""
+    the points; _check_points refuses a point below or on the surface.  The
+    points go in blocks of sommerfeld._BLOCK // n rows (n nodes), each one
+    green_surface_batch call and one product with h J_j psi_j, so memory
+    stays bounded for any number of points."""
     x1, x2 = _points(x)
     p1, p2 = x1.ravel(), x2.ravel()
     t = sol.grid.nodes
-    surf = problem.surface
-    dist = _surface_distance(surf, p1, p2, t)
-    if np.any(dist < _MIN_DIST):
-        i = int(dist.argmin())
-        raise SingularityError(
-            f"evaluation point {(float(p1[i]), float(p2[i]))} within "
-            f"{dist[i]:.2e} of the surface; the plain quadrature rule is "
-            "invalid there")
-    _, f, df, _, speed = _surface_arrays(surf, t)
+    dist = _check_points(problem.surface, p1, p2, t)
+    _, f, df, _, speed = _surface_arrays(problem.surface, t)
     weights = sol.grid.h * speed * sol.values
     normal = (1j * problem.eta, 1.0 / speed, df) if problem.kind == "dirichlet" else None
     values = np.empty(p1.size, dtype=complex)
@@ -83,7 +94,8 @@ def _eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
 
 def eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
     """Scattered field at one point (complex) or at a point set x = (x1, x2)
-    of coordinate arrays (array of the points' shape)."""
+    of coordinate arrays (array of the points' shape).  DomainError for a
+    point below the surface, SingularityError within _MIN_DIST of it."""
     return _eval_scattered(sol, problem, x)[0]
 
 

@@ -1,15 +1,12 @@
 """Rough-surface profiles x2 = f(x1) lying strictly below the interface x2 = 0.
 
-A profile carries analytic first and second derivatives (the Nystrom diagonal
-terms need f'' pointwise).  It is not checked at construction: a run's
-config is refused unless f, f', f'' are finite and f clears the interface on
-its window [-A, A] (cli.config_from_dict), and the shared spectral rule
-refuses nodes that are not below the interface (sommerfeld.remainder_matrices).
-
-Built-in profiles:
-    gamma1:  f(t) = -1 + 0.3 sin(0.7 pi t) exp(-0.4 t^2)
-    gamma2:  f(t) = -1                                  (flat plane)
-    gamma3:  f(t) = -1 + 0.16 sin(0.3 pi t)             (periodic)
+Every profile a config names, the built-in ones (_BUILTINS) included, is an
+expression of exprs, whose second-order jet gives f and its exact f', f''
+(the Nystrom diagonal terms need f'' pointwise).  It is not checked at
+construction: a run's config is refused unless f, f', f'' are finite and f
+clears the interface on its window [-A, A] (cli.config_from_dict), and the
+shared spectral rule refuses nodes that are not below the interface
+(sommerfeld.remainder_matrices).
 """
 
 from __future__ import annotations
@@ -20,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
+from .exprs import parse_expression
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,6 @@ class SurfaceProfile:
     f: Callable
     df: Callable
     d2f: Callable
-    name: str = "custom"
 
     def point(self, s):
         """Boundary point (s, f(s))."""
@@ -62,56 +59,21 @@ def _refined_max(fn, grid, vals):
     return float(g[j]), float(v[j])
 
 
-def _gamma1() -> SurfaceProfile:
-    w = 0.7 * np.pi
-
-    def f(t):
-        return -1.0 + 0.3 * np.sin(w * t) * np.exp(-0.4 * t * t)
-
-    def df(t):
-        e = np.exp(-0.4 * t * t)
-        return 0.3 * e * (w * np.cos(w * t) - 0.8 * t * np.sin(w * t))
-
-    def d2f(t):
-        e = np.exp(-0.4 * t * t)
-        s, c = np.sin(w * t), np.cos(w * t)
-        return 0.3 * e * (-w * w * s - 1.6 * w * t * c + (0.64 * t * t - 0.8) * s)
-
-    return SurfaceProfile(f=f, df=df, d2f=d2f, name="gamma1")
+#: the example surfaces, as expressions
+_BUILTINS = {"gamma1": "-1+0.3*sin(0.7*pi*t)*exp(-0.4*t*t)",   # localized bump
+             "gamma2": "-1",                                   # flat plane
+             "gamma3": "-1+0.16*sin(0.3*pi*t)"}                # periodic
 
 
-def _gamma2() -> SurfaceProfile:
-    def f(t):
-        return -1.0 + 0.0 * np.asarray(t, dtype=float)
-
-    def zero(t):
-        return 0.0 * np.asarray(t, dtype=float)
-
-    return SurfaceProfile(f=f, df=zero, d2f=zero, name="gamma2")
-
-
-def _gamma3() -> SurfaceProfile:
-    w = 0.3 * np.pi
-
-    def f(t):
-        return -1.0 + 0.16 * np.sin(w * t)
-
-    def df(t):
-        return 0.16 * w * np.cos(w * t)
-
-    def d2f(t):
-        return -0.16 * w * w * np.sin(w * t)
-
-    return SurfaceProfile(f=f, df=df, d2f=d2f, name="gamma3")
-
-
-_BUILTINS = {"gamma1": _gamma1, "gamma2": _gamma2, "gamma3": _gamma3}
+def surface_from_expression(text: str) -> SurfaceProfile:
+    """Profile of an expression in t, with exact derivatives.  Unchecked:
+    config_from_dict measures it on the run's window [-A, A]."""
+    f = parse_expression(text)
+    return SurfaceProfile(f=f, df=f.diff(), d2f=f.diff().diff())
 
 
 def builtin(name: str) -> SurfaceProfile:
     """One of the example surfaces: gamma1 | gamma2 | gamma3."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
+    if name not in _BUILTINS:
         raise DomainError(f"unknown surface {name!r}; expected one of {sorted(_BUILTINS)}")
-    return factory()
+    return surface_from_expression(_BUILTINS[name])

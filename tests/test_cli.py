@@ -16,9 +16,9 @@ import layerscat
 from layerscat.cli import (_PRESETS, config_from_dict, convergence_sweep,
                            main, preset_config, run)
 from layerscat.errors import ConfigError
-from layerscat.exprs import parse_expression, surface_from_expression
+from layerscat.exprs import parse_expression
 from layerscat.green import MediumPair, green
-from layerscat.surface import builtin
+from layerscat.surface import builtin, surface_from_expression
 
 BASE = {
     "problem": "dirichlet", "k_plus": 2.7, "k_minus": 3.5,
@@ -386,6 +386,30 @@ def test_cli_greens(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_greens_non_finite_grid_exit_code(tmp_path, capsys):
+    # a NaN bound used to reach green_surface_batch: exit 3, with numpy
+    # arrays in the message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
+    for grid in ("nan:1:2,0:1:2", "0:1:2,0:inf:2"):
+        assert main(["greens", "--config", str(cfg_path), "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert f"bad --grid spec {grid!r}" in err and "finite bounds" in err
+
+
+@pytest.mark.parametrize("cmd", [["solve"], ["greens", "--grid", "0:1:2,0:1:2"]])
+def test_cli_out_names_a_file_exit_code(tmp_path, capsys, cmd):
+    # an --out that names an existing file used to end in a traceback (exit 1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE, N=4)), encoding="utf-8")
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    argv = [cmd[0], "--config", str(cfg_path), *cmd[1:], "--out", str(taken)]
+    assert main(argv) == 2
+    assert f"cannot write {taken}" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
 def test_run_evaluates_points_in_one_call(monkeypatch):
     # perfbench traces field evaluation as the span potentials._eval_scattered:
     # cli.run must reach it under that name, once for all its points
@@ -416,22 +440,32 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 def test_expression_parser_matches_builtin():
+    # the jet of the expression, typed or built in, against gamma3's
+    # hand-derived f, f', f''
     expr = "-1+0.16*sin(0.3*pi*t)"
-    surf = surface_from_expression(expr)
-    ref = builtin("gamma3")
     s = np.linspace(-9, 9, 301)
-    assert np.allclose(surf.f(s), ref.f(s), atol=1e-14)
-    assert np.allclose(surf.df(s), ref.df(s), atol=1e-14)
-    assert np.allclose(surf.d2f(s), ref.d2f(s), atol=1e-13)
+    w = 0.3 * np.pi
+    f = -1.0 + 0.16 * np.sin(w * s)
+    df = 0.16 * w * np.cos(w * s)
+    d2f = -0.16 * w * w * np.sin(w * s)
+    for surf in (surface_from_expression(expr), builtin("gamma3")):
+        assert np.allclose(surf.f(s), f, atol=1e-14)
+        assert np.allclose(surf.df(s), df, atol=1e-14)
+        assert np.allclose(surf.d2f(s), d2f, atol=1e-13)
 
 
 def test_expression_gamma1():
+    # the jet of the expression, typed or built in, against gamma1's
+    # hand-derived f and f''
     expr = "-1+0.3*sin(0.7*pi*t)*exp(-0.4*t^2)"
-    surf = surface_from_expression(expr)
-    ref = builtin("gamma1")
     s = np.linspace(-6, 6, 201)
-    assert np.allclose(surf.f(s), ref.f(s), atol=1e-14)
-    assert np.allclose(surf.d2f(s), ref.d2f(s), atol=1e-12)
+    w = 0.7 * np.pi
+    e, sn, c = np.exp(-0.4 * s * s), np.sin(w * s), np.cos(w * s)
+    f = -1.0 + 0.3 * sn * e
+    d2f = 0.3 * e * (-w * w * sn - 1.6 * w * s * c + (0.64 * s * s - 0.8) * sn)
+    for surf in (surface_from_expression(expr), builtin("gamma1")):
+        assert np.allclose(surf.f(s), f, atol=1e-14)
+        assert np.allclose(surf.d2f(s), d2f, atol=1e-12)
 
 
 def test_expression_symbolic_derivatives():

@@ -1,6 +1,7 @@
 """Field evaluation, exact references, and boundary-condition residuals."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -88,6 +89,22 @@ def test_near_surface_guards(solved):
     on_surface = (0.3, float(surf.f(0.3)) + 1e-8)
     with pytest.raises(SingularityError):
         eval_scattered(sol, problem, on_surface)
+
+
+def test_eval_point_below_or_on_surface_refused(solved):
+    # (0.6, -1.5) lies below gamma1 (f(0.6) ~ -0.77), where no field is
+    # defined; eval_scattered used to answer there with no error.  Each
+    # refusal names the point, also inside a point set.
+    _, problem, sol = solved("example1-dbvp", 8)
+    with pytest.raises(DomainError, match=r"\(0\.6, -1\.5\) lies below the surface") \
+            as info:
+        eval_scattered(sol, problem, (0.6, -1.5))
+    assert not isinstance(info.value, SingularityError)
+    with pytest.raises(DomainError, match=r"\(0\.6, -1\.5\) lies below"):
+        eval_scattered(sol, problem, (np.array([0.6, 0.6]), np.array([0.56, -1.5])))
+    on = (0.3, float(problem.surface.f(0.3)))
+    with pytest.raises(SingularityError, match=re.escape(f"{on} lies within 1e-06")):
+        eval_scattered(sol, problem, on)
 
 
 def test_uprc_decay_slope(solved):
