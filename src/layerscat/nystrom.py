@@ -14,10 +14,16 @@ discrete operator is
 
 collocated at s = t_i, giving the dense system (I - K_N) psi = rhs.
 
-The pair geometry, the Hankel values and the band terms of (A, B) are the
-same for a node pair and its mirror, up to the sign of x - y, so assemble
-evaluates them once for each unordered pair:
-row panels sweep the upper triangle and also fill the block below the panel
+On a plane every entry depends on |i - j| alone: with f' = 0 the layer sum
+is a I - b dI/dy2 whichever end carries the normal, and below the interface
+dI/dy2 = dI/dx2, so one row serves both kinds.  assemble forms row 0 from
+node 0 against all nodes (n Hankel points per order, a one-target layer sum)
+and fills the symmetric Toeplitz matrix from it, in O(n q), not O(n^2 q).
+
+On any other surface the pair geometry, the Hankel values and the band terms
+of (A, B) are the same for a node pair and its mirror, up to the sign of
+x - y, so _panel_sweep evaluates them once for each unordered pair: row
+panels sweep the upper triangle and also fill the block below the panel
 from the transposed pieces.  The layer part of the kernel comes whole from
 one shared-rule sum, sommerfeld.remainder_matrices on the node set: R and
 its normal derivative, combined with the kind's coefficients, in the one
@@ -106,28 +112,52 @@ def log_weight(N: int, s, t_j):
 
 
 def assemble(problem: BoundaryProblem, grid: Grid):
-    """Dense collocation system (matrix, rhs) for the given problem.
+    """Dense collocation system (matrix, rhs) for the given problem.  The
+    matrix is I - (W o A + h B), W_ij = R^N(t_i - t_j) = w_|i-j|: on a
+    plane (f = f[0], f' = f'' = 0 and, for impedance, beta = beta[0] at
+    every node, compared exactly; a NaN node is none) the symmetric
+    Toeplitz matrix of its row 0 (module doc), else _panel_sweep's."""
+    t = grid.nodes
+    beta = None
+    if problem.kind == "impedance":     # fail before the layer integrals
+        beta = _checked_beta(problem, t)
+    jets = _surface_arrays(problem.surface, t)
+    w = log_weight(grid.N, np.arange(t.size) * grid.h, 0.0)
+    if (np.all(jets[1] == jets[1][0]) and not np.any(jets[2:4])
+            and (beta is None or np.all(beta == beta[0]))):
+        first = tuple(x[:1] for x in jets)
+        a, (_, j), b = _kernel_block(
+            problem, first, jets, None if beta is None else beta[:1],
+            _pair_pieces(problem.medium.k_minus, first, jets),
+            sommerfeld.remainder_matrices(
+                problem.medium.k_plus, problem.medium.k_minus, t, jets[1],
+                s_nodes=t[:1], fs_vals=jets[1][:1],
+                normal=_layer_normal(problem, jets, beta)[:3]))
+        row = -(b[0] * grid.h)
+        row[j] -= a * w[j]
+        row[0] += 1.0                   # the identity
+        matrix = sla.toeplitz(row, row)     # toeplitz(row) is Hermitian
+    else:
+        matrix = _panel_sweep(problem, jets, beta, w, grid.h)
+    rhs = np.asarray(rhs_vector(problem, t), dtype=complex)
+    return matrix, rhs
 
-    The matrix I - (W o A + h B), W_ij = R^N(t_i - t_j) = w_|i-j|, is
-    written one row panel [lo, hi) of min(_PANEL_ROWS, _PANEL // n) rows
-    at a time: bie._pair_pieces on rows
+
+def _panel_sweep(problem, jets, beta, w, h):
+    """The matrix on any surface, one row panel [lo, hi) of
+    min(_PANEL_ROWS, _PANEL // n) rows at a time, over the node-set layer
+    sum of sommerfeld.remainder_matrices: bie._pair_pieces on rows
     [lo, hi) x columns [lo, n), then bie._kernel_block on them for the rows
     [hi, n) x columns [lo, hi) below the panel (transposed) and for the
     panel's rows [lo, hi) x columns [lo, n).  Each block is written over
     the layer sum it has just read; later panels read only rows and columns
     from hi on.  Beyond that one sum only panel-sized temporaries exist.
     """
-    t = grid.nodes
-    n = t.size
-    beta = None
-    if problem.kind == "impedance":     # fail before the layer integrals
-        beta = _checked_beta(problem, t)
-    jets = _surface_arrays(problem.surface, t)
+    n = jets[0].size
     km = problem.medium.k_minus
     matrix = sommerfeld.remainder_matrices(
-        problem.medium.k_plus, km, t, jets[1],
+        problem.medium.k_plus, km, jets[0], jets[1],
         normal=_layer_normal(problem, jets, beta))
-    w = log_weight(grid.N, np.arange(n) * grid.h, 0.0)
     j = np.arange(n)
 
     def block(rows, cols, pieces):
@@ -137,7 +167,7 @@ def assemble(problem: BoundaryProblem, grid: Grid):
             problem, tuple(x[rows] for x in jets), tuple(x[cols] for x in jets),
             None if beta is None else beta[rows], pieces, matrix[rows, cols])
         a *= w[np.abs(j[rows][bi] - j[cols][bj])]
-        b *= grid.h
+        b *= h
         b[bi, bj] += a
         np.negative(b, out=matrix[rows, cols])
 
@@ -151,8 +181,7 @@ def assemble(problem: BoundaryProblem, grid: Grid):
             block(below, own, _swapped(pieces, hi - lo))
         block(own, rest, pieces)
         matrix[j[own], j[own]] += 1.0      # the identity
-    rhs = np.asarray(rhs_vector(problem, t), dtype=complex)
-    return matrix, rhs
+    return matrix
 
 
 def solve_system(matrix: np.ndarray, rhs: np.ndarray):

@@ -23,8 +23,10 @@ remainder_triple on a node set.
 kernel_rows gives (A, B) between off-node points and the grid the same way,
 with the triple from remainder_triple.  The one-shot system (weight_matrix,
 system_matrix) forms I - (W o A + h B) whole from kernel_rows on the nodes:
-the reference for nystrom.assemble, which builds the same matrix in row
-panels from the node-set sum.
+the reference for nystrom.assemble's panel sweep, which builds the same
+matrix in row panels from the node-set sum.  On a plane the matrix is
+symmetric Toeplitz, and plane_matrix forms it from its row 0 and column 0,
+each from kernel_rows: the reference for nystrom.assemble's plane path.
 
 Run as a script to regenerate the golden CSV:
 
@@ -346,6 +348,20 @@ def system_matrix(problem, grid):
     A, B = kernel_rows(problem, grid.nodes, grid.nodes)
     return np.eye(grid.node_count, dtype=complex) - (weight_matrix(grid) * A
                                                      + grid.h * B)
+
+
+def plane_matrix(problem, grid):
+    """The collocation matrix of a plane surface, the Toeplitz matrix of its
+    row 0 and column 0, each formed as system_matrix forms it, from
+    kernel_rows between node 0 and the grid."""
+    t, w = grid.nodes, weight_matrix(grid)
+    A, B = kernel_rows(problem, t[:1], t)
+    row = -(w[0] * A[0] + grid.h * B[0])
+    A, B = kernel_rows(problem, t, t[:1])
+    col = -(w[:, 0] * A[:, 0] + grid.h * B[:, 0])
+    row[0] += 1.0
+    col[0] += 1.0
+    return sla.toeplitz(col, row)
 
 
 def write_golden(path, k_plus=2.7, k_minus=3.5):

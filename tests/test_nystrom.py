@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracle import kernel_rows, system_matrix, weight_matrix
+from oracle import kernel_rows, plane_matrix, system_matrix, weight_matrix
 
-from layerscat import bie, nystrom
+from layerscat import bie, nystrom, sommerfeld
 from layerscat.bie import BoundaryProblem
 from layerscat.cli import _PRESETS, build_problem, preset_config, run
 from layerscat.errors import DomainError, SolverError
@@ -138,19 +138,31 @@ def test_assemble_refuses_nan_surface_node():
         assemble(problem, Grid(half_width_A=math.pi, N=4))
 
 
+def _sweep(problem, grid):
+    """The matrix of nystrom._panel_sweep, which assemble takes off a plane,
+    on any surface, a plane included."""
+    t = grid.nodes
+    beta = (bie._checked_beta(problem, t) if problem.kind == "impedance"
+            else None)
+    w = log_weight(grid.N, np.arange(t.size) * grid.h, 0.0)
+    return nystrom._panel_sweep(problem, bie._surface_arrays(problem.surface, t),
+                                beta, w, grid.h)
+
+
 @pytest.mark.parametrize("rows", [None, 50, 107, 1])
 @pytest.mark.parametrize("preset", sorted(_PRESETS))
 def test_panelled_matrix_matches_one_shot(preset, rows, monkeypatch):
     # 321 rows in panels of the default height (32), of 50, 107 or 1: each
     # panel boundary cuts the band |s - t| < pi, with 50 the last panel has
     # 21 rows, 107 divides 321, and single rows leave each panel's diagonal
-    # block one entry
+    # block one entry; the sweep itself, on the plane presets too, where
+    # assemble takes the Toeplitz route (test_plane_matrix_matches_toeplitz)
     cfg = preset_config(preset, N=16)
     problem = build_problem(cfg)
     grid = Grid(half_width_A=cfg.A, N=cfg.N)
     if rows is not None:
         monkeypatch.setattr(nystrom, "_PANEL_ROWS", rows)
-    matrix, _ = assemble(problem, grid)
+    matrix = _sweep(problem, grid)
     ref = system_matrix(problem, grid)
     assert np.abs(matrix - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -176,6 +188,62 @@ def test_hankel_points_cover_each_pair_once(preset, monkeypatch):
     assemble(problem, grid)
     expected = sum(min(50, n - lo) * (n - lo) for lo in range(0, n, 50))
     assert points == {0: expected, 1: expected}
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("preset, media", [
+    ("example2-dbvp", {}), ("example2-ibvp", {}),
+    ("example2-dbvp", {"k_plus": 3.5, "k_minus": 2.7}),  # fieldmap-dbvp's
+])
+def test_plane_matrix_matches_toeplitz(preset, media, N):
+    # on a plane assemble builds the matrix from one row; the oracle builds
+    # the Toeplitz matrix from its row 0 and column 0, each from kernel_rows,
+    # and the density matches the panel sweep's
+    cfg = preset_config(preset, N=N, **media)
+    problem = build_problem(cfg)
+    grid = Grid(half_width_A=cfg.A, N=cfg.N)
+    matrix, rhs = assemble(problem, grid)
+    ref = plane_matrix(problem, grid)
+    assert np.abs(matrix - ref).max() <= 1e-15 * np.abs(ref).max()
+    psi = solve_system(matrix, rhs)[0]
+    swept = solve_system(_sweep(problem, grid), rhs)[0]
+    assert np.abs(psi - swept).max() <= 1e-13 * np.abs(swept).max()
+
+
+@pytest.mark.parametrize("preset, overrides, plane", [
+    ("example2-dbvp", {}, True),
+    ("example2-ibvp", {}, True),
+    ("example2-dbvp", {"surface": {"expr": "-1+1e-300*t"}}, False),  # f' != 0
+    ("example2-ibvp", {"beta": {"expr": "1+0.1*exp(-t*t)"}}, False),
+])
+def test_assemble_route(preset, overrides, plane, monkeypatch):
+    # a plane (f, beta constant, f' = f'' = 0 at every node, compared
+    # exactly) evaluates H0 and H1 on row 0 only, n points per order, over
+    # one layer row (one target); any other surface takes the panel sweep's
+    # points over the one node-set layer sum
+    cfg = preset_config(preset, N=16, **overrides)
+    problem = build_problem(cfg)
+    grid = Grid(half_width_A=cfg.A, N=cfg.N)
+    n = grid.node_count
+    monkeypatch.setattr(nystrom, "_PANEL_ROWS", 50)
+    points, targets = {0: 0, 1: 0}, []
+    hankel1, layer = bie.hankel1, sommerfeld.remainder_matrices
+
+    def counted(order, z):
+        points[order] += np.size(z)
+        return hankel1(order, z)
+
+    def recorded(k_plus, k_minus, t, f, s_nodes=None, *args, **kwargs):
+        targets.append(None if s_nodes is None else np.size(s_nodes))
+        return layer(k_plus, k_minus, t, f, s_nodes, *args, **kwargs)
+
+    monkeypatch.setattr(bie, "hankel1", counted)
+    monkeypatch.setattr(sommerfeld, "remainder_matrices", recorded)
+    assemble(problem, grid)
+    swept = sum(min(50, n - lo) * (n - lo) for lo in range(0, n, 50))
+    expected = n if plane else swept
+    assert points == {0: expected, 1: expected}
+    assert targets == [1 if plane else None]
 
 
 def test_assembly_memory_is_bounded():
