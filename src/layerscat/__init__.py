@@ -11,14 +11,14 @@ from .nystrom import DensitySolution, Grid, assemble, log_weight, solve
 from .potentials import (FourWaveSolution, eval_scattered, four_wave_exact,
                          point_source_exact)
 from .specfun import critical_angle, hankel1, vertical_wavenumber
-from .surface import SurfaceProfile, builtin
+from .surface import builtin
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "BoundaryProblem", "ConfigError", "DensitySolution",
     "DomainError", "FourWaveSolution", "Grid", "LayerScatError", "MediumPair",
-    "SingularityError", "SolverError", "SurfaceProfile", "assemble",
+    "SingularityError", "SolverError", "assemble",
     "builtin", "critical_angle", "cutoff_chi", "eval_scattered",
     "four_wave_exact", "fresnel_R", "fresnel_T", "green",
     "hankel1", "log_weight", "point_source_exact", "reference_field_plane",

@@ -42,9 +42,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, SingularityError
+from .exprs import constant
 from .green import MediumPair, incident_field
 from .specfun import EULER_GAMMA, hankel1
-from .surface import SurfaceProfile
 
 
 def cutoff_chi(s):
@@ -59,30 +59,23 @@ def cutoff_chi(s):
     return float(out) if out.ndim == 0 else out
 
 
-def _const_callable(c):
-    cc = complex(c)
-
-    def fn(s):
-        return np.full_like(np.asarray(s, dtype=float), cc, dtype=complex) \
-            if not np.isscalar(s) else cc
-
-    return fn
-
-
 @dataclass(frozen=True)
 class BoundaryProblem:
     """One scattering problem: boundary kind, media, surface, incident wave.
 
-    incident is the spec {"type": "plane", "theta_d": ...} or {"type":
-    "point", "y0": [y1, y2]} whose boundary data rhs_vector forms; beta the
-    impedance function beta~(s) or a constant (impedance only, Re beta >=
-    d > 0, checked at the nodes by nystrom.assemble; default 1); eta the
-    coupling constant of the combined Dirichlet ansatz (default sqrt(k+ k-)).
+    surface is any object with surface(t) = f and surface.jet(t) = (f, f',
+    f''), such as a parsed expression (module surface); incident the spec
+    {"type": "plane", "theta_d": ...} or {"type": "point", "y0": [y1, y2]}
+    whose boundary data rhs_vector forms; beta the impedance function
+    beta~(s), any callable, or a number, kept as an exprs.constant
+    (impedance only, Re beta >= d > 0, checked at the nodes by
+    nystrom.assemble; default 1); eta the coupling constant of the combined
+    Dirichlet ansatz (default sqrt(k+ k-)).
     """
 
     kind: str
     medium: MediumPair
-    surface: SurfaceProfile
+    surface: object
     incident: dict
     eta: Optional[float] = None
     beta: Optional[Callable | complex] = None
@@ -100,18 +93,16 @@ class BoundaryProblem:
                 raise DomainError("Dirichlet coupling eta must be positive")
             object.__setattr__(self, "eta", float(eta))
         else:
-            beta = self.beta if callable(self.beta) else _const_callable(
-                1.0 if self.beta is None else self.beta)
-            object.__setattr__(self, "beta", beta)
+            beta = 1.0 if self.beta is None else self.beta
+            object.__setattr__(self, "beta", beta if callable(beta)
+                               else constant(complex(beta)))
 
 
 def _surface_arrays(surface, s):
+    """The surface jet (s, f, f', f'', J) at s, from one surface.jet call."""
     s = np.asarray(s, dtype=float)
-    f = np.asarray(surface.f(s), dtype=float)
-    df = np.asarray(surface.df(s), dtype=float)
-    d2f = np.asarray(surface.d2f(s), dtype=float)
-    speed = np.sqrt(1.0 + df * df)
-    return s, f, df, d2f, speed
+    f, df, d2f = (np.asarray(x, dtype=float) for x in surface.jet(s))
+    return s, f, df, d2f, np.sqrt(1.0 + df * df)
 
 
 def _checked_beta(problem: BoundaryProblem, s):

@@ -170,10 +170,9 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     grid = np.linspace(-a, a, 2 * math.ceil(50 * a) + 1)
     prof = _build_surface(surf)
     with np.errstate(all="ignore"):
-        vals = np.asarray(prof.f(grid), dtype=float)
-        _on_window(grid, np.isfinite([vals, prof.df(grid), prof.d2f(grid)]).all(0),
-                   "surface: f, f' or f'' not finite")
-        top, high = surface_mod._refined_max(prof.f, grid, vals)
+        jet = np.asarray(prof.jet(grid), dtype=float)
+        _on_window(grid, np.isfinite(jet).all(0), "surface: f, f' or f'' not finite")
+        top, high = surface_mod._refined_max(prof, grid, jet[0])
     _require(high < 0, f"surface: reaches the interface at t = {top:.6g}")
     gap = sommerfeld._MIN_DECAY / 2
     _require(high < -gap, f"surface: highest point on [-A, A] is x2 = "
@@ -182,12 +181,11 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     if inc["type"] == "point":
         y0 = tuple(inc["y0"])
         with np.errstate(all="ignore"):
-            below = y0[1] < float(prof.f(y0[0]))
+            below = y0[1] < float(prof(y0[0]))
         _require(below, f"incident.y0: {y0} must lie strictly below the surface")
     if problem == "impedance":
-        b = _build_beta(beta)
         with np.errstate(all="ignore"):
-            b = b(grid) if callable(b) else np.full(grid.shape, b)
+            b = _build_beta(beta)(grid)
         _on_window(grid, np.isfinite(b), "beta: not finite")
         _on_window(grid, b.real > 0, "beta: Re beta > 0 fails")
     pts = data.get("eval_points", ())
@@ -219,22 +217,24 @@ def load_config(path, **overrides) -> RunConfig:
     return config_from_dict(raw, **overrides)
 
 
-def _build_surface(spec) -> surface_mod.SurfaceProfile:
+def _build_surface(spec) -> exprs.Expression:
+    """The surface, a parsed expression, of a spec: a built-in name or
+    {"expr": ...}."""
     if isinstance(spec, str):
         try:
             return surface_mod.builtin(spec)
         except LayerScatError as exc:
             raise ConfigError(str(exc))
-    return surface_mod.surface_from_expression(spec["expr"])
+    return exprs.parse_expression(spec["expr"])
 
 
-def _build_beta(spec):
-    """beta, a parsed expression or a complex constant, from a spec that
-    config_from_dict validated."""
+def _build_beta(spec) -> exprs.Expression:
+    """beta, a parsed expression (a constant one for a number or [re, im]),
+    from a spec that config_from_dict validated."""
     if isinstance(spec, dict):
         return exprs.parse_expression(spec["expr"])
-    return complex(*map(float, spec)) if isinstance(spec, (list, tuple)) \
-        else complex(float(spec))
+    return exprs.constant(complex(*map(float, spec)) if isinstance(spec, (list, tuple))
+                          else complex(float(spec)))
 
 
 def build_problem(config: RunConfig) -> BoundaryProblem:
@@ -265,7 +265,7 @@ def _exact_reference(config: RunConfig, problem: BoundaryProblem, pts):
     half = max(30.0, config.A)
     sample = np.linspace(-half, half, 20 * math.ceil(half) + 1)
     with np.errstate(all="ignore"):     # beyond the validated window
-        vals = np.asarray(problem.surface.f(sample), dtype=float)
+        vals = np.asarray(problem.surface(sample), dtype=float)
         beta = np.asarray(problem.beta(sample), dtype=complex) \
             if problem.kind == "impedance" else np.ones(1)
         flat = np.ptp(vals) < 1e-14 and np.abs(beta - beta[0]).max() < 1e-14
@@ -415,13 +415,15 @@ def greens_table(config: RunConfig, grid_spec: str):
         a1, b1, n1 = spec1.split(":")
         a2, b2, n2 = spec2.split(":")
         lims = [float(v) for v in (a1, b1, a2, b2)]
-        if not all(map(math.isfinite, lims)):
+        counts = int(n1), int(n2)
+        if not all(map(math.isfinite, lims)) or min(counts) < 1:
             raise ValueError
-        xs = np.linspace(*lims[:2], int(n1))
-        ys = np.linspace(*lims[2:], int(n2))
+        xs = np.linspace(*lims[:2], counts[0])
+        ys = np.linspace(*lims[2:], counts[1])
     except ValueError:
         raise ConfigError(f"bad --grid spec {grid_spec!r}; expected "
-                          "'x1min:x1max:n1,x2min:x2max:n2' with finite bounds")
+                          "'x1min:x1max:n1,x2min:x2max:n2' with finite bounds "
+                          "and counts >= 1")
     _require(y0[1] < 0, f"greens: y_ref {y0} must lie below the interface")
     x1, x2 = np.meshgrid(xs, ys)
     g = green_surface_batch(med, (x1, x2), [y0[0]], [y0[1]], check=True)

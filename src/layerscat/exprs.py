@@ -11,10 +11,12 @@ Python's own parser (ast.parse) and built only from
     calls      sin, cos, exp, of one argument
 
 Anything else, text that does not parse, and nesting deeper than _MAX_DEPTH
-levels are a ConfigError naming the construct.  An expression is evaluated
-as a second-order jet (f, f', f''), carried through each operation by the
-sum, product, power and chain rules, so second derivatives are exact;
-surface.surface_from_expression makes a profile of one.
+levels are a ConfigError naming the construct.  A parsed Expression is
+evaluated as a second-order jet (f, f', f''), carried through each operation
+by the sum, product, power and chain rules, so second derivatives are exact:
+expr.jet(t) gives all three from one pass, expr(t) gives f.  A surface is
+such an expression (surface.builtin), and so is beta, a constant one too
+(constant).
 """
 
 from __future__ import annotations
@@ -57,19 +59,22 @@ def _jet(node, t):
 
 
 class Expression:
-    """A parsed expression in t; calling it gives the derivative of order
-    `order` (0, 1 or 2) of its value."""
+    """A parsed expression in t: expr(t) is its value f, expr.jet(t) the
+    jet (f, f', f'') from one pass; t a float or an array."""
 
-    def __init__(self, node, order=0):
-        self.node, self.order = node, order
+    def __init__(self, node):
+        self.node = node
 
     def __call__(self, t):
-        return _jet(self.node, np.asarray(t, dtype=float))[self.order]
+        return self.jet(t)[0]
 
-    def diff(self) -> "Expression":
-        if self.order == 2:
-            raise ConfigError("surface expression: no derivative above the second")
-        return Expression(self.node, self.order + 1)
+    def jet(self, t):
+        return _jet(self.node, np.asarray(t, dtype=float))
+
+
+def constant(c) -> Expression:
+    """The constant expression c (complex allowed, as for beta)."""
+    return Expression(("const", c))
 
 
 #: deepest nesting walked; _jet recurses at most twice per level

@@ -125,29 +125,39 @@ def assemble(problem: BoundaryProblem, grid: Grid):
     w = log_weight(grid.N, np.arange(t.size) * grid.h, 0.0)
     if (np.all(jets[1] == jets[1][0]) and not np.any(jets[2:4])
             and (beta is None or np.all(beta == beta[0]))):
-        first = tuple(x[:1] for x in jets)
-        a, (_, j), b = _kernel_block(
-            problem, first, jets, None if beta is None else beta[:1],
-            _pair_pieces(problem.medium.k_minus, first, jets),
-            sommerfeld.remainder_matrices(
-                problem.medium.k_plus, problem.medium.k_minus, t, jets[1],
-                s_nodes=t[:1], fs_vals=jets[1][:1],
-                normal=_layer_normal(problem, jets, beta)[:3]))
-        row = -(b[0] * grid.h)
-        row[j] -= a * w[j]
-        row[0] += 1.0                   # the identity
-        matrix = sla.toeplitz(row, row)     # toeplitz(row) is Hermitian
+        row = sommerfeld.remainder_matrices(
+            problem.medium.k_plus, problem.medium.k_minus, t, jets[1],
+            s_nodes=t[:1], fs_vals=jets[1][:1],
+            normal=_layer_normal(problem, jets, beta)[:3])
+        _write_block(row, problem, jets, beta, w, grid.h, slice(0, 1),
+                     slice(0, t.size), _pair_pieces(
+                         problem.medium.k_minus, tuple(x[:1] for x in jets), jets))
+        row[0, 0] += 1.0                # the identity
+        matrix = sla.toeplitz(row[0], row[0])   # toeplitz(row) is Hermitian
     else:
         matrix = _panel_sweep(problem, jets, beta, w, grid.h)
     rhs = np.asarray(rhs_vector(problem, t), dtype=complex)
     return matrix, rhs
 
 
+def _write_block(matrix, problem, jets, beta, w, h, rows, cols, pieces):
+    """Write -(W o A + h B) on the nodes rows x cols (slices with starts) of
+    the node set into matrix, over the layer sum there, from the pair pieces
+    of those nodes; W_ij = w_|i-j|."""
+    a, (bi, bj), b = _kernel_block(
+        problem, tuple(x[rows] for x in jets), tuple(x[cols] for x in jets),
+        None if beta is None else beta[rows], pieces, matrix[rows, cols])
+    a *= w[np.abs(bi - bj + (rows.start - cols.start))]
+    b *= h
+    b[bi, bj] += a
+    np.negative(b, out=matrix[rows, cols])
+
+
 def _panel_sweep(problem, jets, beta, w, h):
     """The matrix on any surface, one row panel [lo, hi) of
     min(_PANEL_ROWS, _PANEL // n) rows at a time, over the node-set layer
     sum of sommerfeld.remainder_matrices: bie._pair_pieces on rows
-    [lo, hi) x columns [lo, n), then bie._kernel_block on them for the rows
+    [lo, hi) x columns [lo, n), then _write_block on them for the rows
     [hi, n) x columns [lo, hi) below the panel (transposed) and for the
     panel's rows [lo, hi) x columns [lo, n).  Each block is written over
     the layer sum it has just read; later panels read only rows and columns
@@ -158,19 +168,6 @@ def _panel_sweep(problem, jets, beta, w, h):
     matrix = sommerfeld.remainder_matrices(
         problem.medium.k_plus, km, jets[0], jets[1],
         normal=_layer_normal(problem, jets, beta))
-    j = np.arange(n)
-
-    def block(rows, cols, pieces):
-        """Write -(W o A + h B) on the nodes rows x cols (slices) into the
-        matrix, over the layer sum there."""
-        a, (bi, bj), b = _kernel_block(
-            problem, tuple(x[rows] for x in jets), tuple(x[cols] for x in jets),
-            None if beta is None else beta[rows], pieces, matrix[rows, cols])
-        a *= w[np.abs(j[rows][bi] - j[cols][bj])]
-        b *= h
-        b[bi, bj] += a
-        np.negative(b, out=matrix[rows, cols])
-
     step = max(1, min(_PANEL_ROWS, _PANEL // n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -178,9 +175,11 @@ def _panel_sweep(problem, jets, beta, w, h):
         pieces = _pair_pieces(km, tuple(x[own] for x in jets),
                               tuple(x[rest] for x in jets))
         if hi < n:
-            block(below, own, _swapped(pieces, hi - lo))
-        block(own, rest, pieces)
-        matrix[j[own], j[own]] += 1.0      # the identity
+            _write_block(matrix, problem, jets, beta, w, h, below, own,
+                         _swapped(pieces, hi - lo))
+        _write_block(matrix, problem, jets, beta, w, h, own, rest, pieces)
+        d = np.arange(lo, hi)
+        matrix[d, d] += 1.0                 # the identity
     return matrix
 
 

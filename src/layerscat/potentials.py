@@ -27,34 +27,33 @@ from .errors import DomainError, SingularityError, SolverError
 from .green import (MediumPair, _check_downward, _plane_waves, _points, green,
                     green_surface_batch, transmitted_direction)
 from .nystrom import DensitySolution
-from .surface import SurfaceProfile
 
 _MIN_DIST = 1e-6
 _WARN_DIST = 1e-2
 
 
-def _surface_distance(surface: SurfaceProfile, x1, x2, t_nodes):
+def _surface_distance(surface, x1, x2, t_nodes):
     """Distance from each point (x1_i, x2_i) of 1-D arrays to the surface: the
     nearest node, then five rounds of 41-point refinement around it."""
     t = np.asarray(t_nodes, dtype=float)
-    f = np.asarray(surface.f(t), dtype=float)
+    f = np.asarray(surface(t), dtype=float)
     x1, x2 = x1[:, None], x2[:, None]
     rows = np.arange(x1.shape[0])
     j = np.hypot(x1 - t, x2 - f).argmin(axis=1)
     lo, hi = t[np.maximum(j - 1, 0)], t[np.minimum(j + 1, t.size - 1)]
     for _ in range(5):
         tt = np.linspace(lo, hi, 41, axis=1)
-        dd = np.hypot(x1 - tt, x2 - np.asarray(surface.f(tt), dtype=float))
+        dd = np.hypot(x1 - tt, x2 - np.asarray(surface(tt), dtype=float))
         j = dd.argmin(axis=1)
         lo, hi = tt[rows, np.maximum(j - 1, 0)], tt[rows, np.minimum(j + 1, 40)]
     return dd.min(axis=1)
 
 
-def _check_points(surface: SurfaceProfile, x1, x2, t_nodes):
+def _check_points(surface, x1, x2, t_nodes):
     """Distance from each point (x1_i, x2_i) of 1-D arrays to the surface;
     DomainError names the first point below it (no field is defined there),
     SingularityError the first within _MIN_DIST (the quadrature is invalid)."""
-    below = x2 < np.asarray(surface.f(x1), dtype=float)
+    below = x2 < np.asarray(surface(x1), dtype=float)
     dist = _surface_distance(surface, x1, x2, t_nodes)
     bad = np.flatnonzero(below | (dist < _MIN_DIST))
     if bad.size:
@@ -176,12 +175,12 @@ def four_wave_exact(medium: MediumPair, theta_d: float, kind: str,
 
 
 def point_source_exact(medium: MediumPair, y0, x,
-                       surface: SurfaceProfile | None = None) -> complex:
+                       surface=None) -> complex:
     """Exact scattered field G(x, y0) of the manufactured point-source problem
     with boundary data g = G(., y0) restricted to the surface.
 
     y0 must lie strictly below the surface (checked when one is supplied)."""
-    if surface is not None and not float(y0[1]) < float(surface.f(y0[0])):
+    if surface is not None and not float(y0[1]) < float(surface(y0[0])):
         raise DomainError(
             f"point source {tuple(y0)} does not lie below the surface")
     return green(medium, x, y0)

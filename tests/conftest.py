@@ -34,6 +34,20 @@ def solved():
     return get
 
 
+def speed(surface, t):
+    """Arc-length factor sqrt(1 + f'(t)^2) of a surface."""
+    d = surface.jet(t)[1]
+    return np.sqrt(1.0 + d * d)
+
+
+def unit_normal(surface, t):
+    """Unit normal (f'(t), -1) / speed out of the domain above, on the last
+    axis: shape (2,) at one t, (..., 2) on an array."""
+    d = np.asarray(surface.jet(t)[1], dtype=float)
+    sp = np.sqrt(1.0 + d * d)
+    return np.stack([d / sp, -np.ones_like(d) / sp], axis=-1)
+
+
 def boundary_data(problem, s):
     """The boundary data g~(s) inside rhs_vector's -2 g~ (Dirichlet) or
     +2 g~ (impedance); the halving is exact."""

@@ -44,6 +44,7 @@ import scipy.linalg as sla
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import hankel1 as _h1
 
+from conftest import speed, unit_normal
 from layerscat import sommerfeld
 from layerscat.bie import (_checked_beta, _kernel_block, _pair_pieces,
                            _surface_arrays)
@@ -202,7 +203,7 @@ def split_ibvp(problem) -> KernelSplit:
 def _split(problem, sign):
     """Scalar closures A(s, t), B(s, t): pointwise R, then the same
     regrouping as the matrices."""
-    f = problem.surface.f
+    f = problem.surface
     modes = ("val", "dy1", "dy2")
 
     def pointwise(p, q):
@@ -237,7 +238,7 @@ def _raw_points(problem, s, t):
     if s == t:
         raise SingularityError("raw kernel is singular on the diagonal")
     surf = problem.surface
-    return (s, float(surf.f(s))), (t, float(surf.f(t))), float(surf.speed(t))
+    return (s, float(surf(s))), (t, float(surf(t))), float(speed(surf, t))
 
 
 def kernel_dbvp_raw(problem, s: float, t: float) -> complex:
@@ -247,7 +248,7 @@ def kernel_dbvp_raw(problem, s: float, t: float) -> complex:
     x_pt, y_pt, jt = _raw_points(problem, s, t)
     gy = grad_green_y(problem.medium, x_pt, y_pt)
     gval = green(problem.medium, x_pt, y_pt)
-    nt = problem.surface.normal(t)
+    nt = unit_normal(problem.surface, t)
     return 2.0 * (nt[0] * gy[0] + nt[1] * gy[1] + 1j * problem.eta * gval) * jt
 
 
@@ -259,7 +260,7 @@ def kernel_ibvp_raw(problem, s: float, t: float) -> complex:
     med = problem.medium
     gx = grad_green_x(med, x_pt, y_pt)
     gval = green(med, x_pt, y_pt)
-    ns = problem.surface.normal(s)
+    ns = unit_normal(problem.surface, s)
     beta_s = complex(np.asarray(problem.beta(s), dtype=complex))
     return 2.0 * (ns[0] * gx[0] + ns[1] * gx[1]
                   - 1j * med.k_minus * beta_s * gval) * jt
@@ -298,7 +299,7 @@ def layer_normal(surface, t, a, rows):
     """normal = (a, b, f', rows) of sommerfeld.remainder_matrices at the
     nodes t: b = 2 sigma / J, sigma = -1 with the normal at the rows
     (impedance) and +1 at the columns (Dirichlet)."""
-    df = np.asarray(surface.df(t), dtype=float)
+    df = np.asarray(surface.jet(t)[1], dtype=float)
     b = (-2.0 if rows else 2.0) / np.sqrt(1.0 + df * df)
     return np.broadcast_to(a, np.shape(t)), b, df, rows
 
@@ -332,7 +333,7 @@ def kernel_rows(problem, s, t):
     """Rectangular (A, B) between collocation points s and the grid t
     (Nystrom natural interpolation; t = s gives the dense kernel at the
     nodes), with the layer sum from remainder_triple."""
-    f, med = problem.surface.f, problem.medium
+    f, med = problem.surface, problem.medium
     return _kernel_split(problem, np.asarray(s, float), np.asarray(t, float),
                          lambda p, q: remainder_triple(med, q, f(q), p, f(p)))
 

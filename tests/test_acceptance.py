@@ -224,14 +224,15 @@ def test_criterion_6_quadrature_kernel_suite(solved):
     notes.append(f"B-continuity (decreasing to the fp floor): {cont_ok}")
 
     # jump relations under Richardson extrapolation (shared with test_bie)
+    from conftest import unit_normal
     from test_bie import _bump, _layer_potentials
     from layerscat.surface import builtin
     surf = builtin("gamma1")
     hs = (1e-2, 1e-3, 1e-4)
     worst_jump = 0.0
     for t0 in (0.0, 0.7, -1.6):
-        y0 = (t0, float(surf.f(t0)))
-        nu = surf.normal(t0)
+        y0 = (t0, float(surf(t0)))
+        nu = unit_normal(surf, t0)
         psi0 = float(_bump(t0))
 
         def at(h, sign, want):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import boundary_data
+from conftest import boundary_data, speed, unit_normal
 from oracle import (full_remainder, grad_green_x, grad_green_y, green_oracle,
                     green_remainder_modes, kernel_dbvp_raw, kernel_ibvp_raw,
                     kernel_rows, layer_normal, layer_sum,
@@ -103,8 +103,7 @@ def test_flat_diagonals_ibvp(flat_ibvp):
 def test_curved_diagonal_formulas(dbvp_problem, ibvp_problem):
     surf = dbvp_problem.surface
     s = np.array([0.4])
-    d2f = float(surf.d2f(0.4))
-    df = float(surf.df(0.4))
+    df, d2f = (float(v) for v in surf.jet(0.4)[1:])
     sp2 = 1.0 + df * df
     aD, bD = _diagonal_ab(dbvp_problem, s)
     aI, bI = _diagonal_ab(ibvp_problem, s)
@@ -193,16 +192,16 @@ def test_kernel_composition_against_oracle(dbvp_problem):
     # independent composition: oracle G plus centered differences of oracle G
     s, t = 0.3, -0.7
     surf = dbvp_problem.surface
-    x = (s, float(surf.f(s)))
-    y = (t, float(surf.f(t)))
+    x = (s, float(surf(s)))
+    y = (t, float(surf(t)))
     h = 1e-5
     g = green_oracle(2.7, 3.5, x, y)
     dy1 = (green_oracle(2.7, 3.5, x, (y[0] + h, y[1]))
            - green_oracle(2.7, 3.5, x, (y[0] - h, y[1]))) / (2 * h)
     dy2 = (green_oracle(2.7, 3.5, x, (y[0], y[1] + h))
            - green_oracle(2.7, 3.5, x, (y[0], y[1] - h))) / (2 * h)
-    nt = surf.normal(t)
-    jt = float(surf.speed(t))
+    nt = unit_normal(surf, t)
+    jt = float(speed(surf, t))
     ref = 2.0 * (nt[0] * dy1 + nt[1] * dy2 + 1j * ETA * g) * jt
     assert kernel_dbvp_raw(dbvp_problem, s, t) == pytest.approx(ref, abs=2e-5)
 
@@ -224,13 +223,13 @@ def test_dirichlet_kernel_eta_decomposition(dbvp_problem):
     # removing the i eta G part leaves exactly the double-layer kernel
     s, t = 0.5, -0.4
     surf = dbvp_problem.surface
-    x = (s, float(surf.f(s)))
-    y = (t, float(surf.f(t)))
-    jt = float(surf.speed(t))
+    x = (s, float(surf(s)))
+    y = (t, float(surf(t)))
+    jt = float(speed(surf, t))
     kappa = kernel_dbvp_raw(dbvp_problem, s, t)
     no_eta = kappa - 2j * dbvp_problem.eta * green(MED, x, y) * jt
     gy = grad_green_y(MED, x, y)
-    nt = surf.normal(t)
+    nt = unit_normal(surf, t)
     assert no_eta == pytest.approx(2.0 * (nt[0] * gy[0] + nt[1] * gy[1]) * jt,
                                    abs=1e-10)
 
@@ -240,7 +239,7 @@ def test_rhs_point_source(dbvp_problem, ibvp_problem):
     y0 = (1.0, -1.3)
     surf = dbvp_problem.surface
     for s in (0.0, 1.2):
-        x = (s, float(surf.f(s)))
+        x = (s, float(surf(s)))
         ref = green(MED, x, y0)
         assert rhs_vector(dbvp_problem, s) == pytest.approx(-2.0 * ref, abs=1e-9)
         assert abs(rhs_vector(dbvp_problem, s)) == pytest.approx(2 * abs(ref), abs=1e-9)
@@ -290,8 +289,8 @@ def _scalar_data(cfg, problem, s):
     out = []
     for si in np.atleast_1d(s):
         si = float(si)
-        x = (si, float(surf.f(si)))
-        df = float(surf.df(si))
+        x = (si, float(surf(si)))
+        df = float(surf.jet(si)[1])
         sp = math.sqrt(1 + df * df)
         ikb = 1j * med.k_minus * complex(problem.beta(si)) if impedance else 0.0
         if inc["type"] == "plane":
@@ -467,14 +466,11 @@ def _layer_potentials(surface, x, want):
     bump density: free-space part by adaptive quadrature, layer part by
     composite Gauss-Legendre on the smooth remainder."""
     km = 3.5
-    fs = surface.f
-    dfs = surface.df
 
     def geometry(t):
-        y = (t, float(fs(t)))
-        j = math.hypot(1.0, float(dfs(t)))
-        nu = (float(dfs(t)) / j, -1.0 / j)
-        return y, j, nu
+        f, df = (float(v) for v in surface.jet(t)[:2])
+        j = math.hypot(1.0, df)
+        return (t, f), j, (df / j, -1.0 / j)
 
     def phi_part(t):
         y, j, nu = geometry(t)
@@ -519,8 +515,8 @@ def test_jump_relations():
     surf = builtin("gamma1")
     hs = (1e-2, 1e-3, 1e-4)
     for t0 in (0.0, -0.7, 0.7, 1.3, -1.6):
-        y0 = (t0, float(surf.f(t0)))
-        nu = surf.normal(t0)
+        y0 = (t0, float(surf(t0)))
+        nu = unit_normal(surf, t0)
         psi0 = float(_bump(t0))
 
         def at(h, sign, want):
@@ -553,7 +549,7 @@ def test_surface_remainder_at_assembly_scale():
     a_half = 10 * math.pi
     n = 16
     t = -a_half + (math.pi / n) * np.arange(int(2 * a_half * n / math.pi) + 1)
-    f = np.asarray(surf.f(t), float)
+    f = np.asarray(surf(t), float)
     R, R1, R2 = full_remainder(med, t, f)
     rng = np.random.default_rng(0)
     for _ in range(8):
@@ -576,7 +572,7 @@ def test_remainder_fold_symmetric_matches_rectangular(kp, km, refine):
     # each of R, dR/dy1 and dR/dy2, carried through the coefficients
     surf = builtin("gamma3")
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
-    f = np.asarray(surf.f(t), float)
+    f = np.asarray(surf(t), float)
     med = MediumPair(kp, km)
     for rows, a in ((False, 2j * math.sqrt(kp * km)),
                     (True, 2j * km * (1.0 + 0.5j + 0.2 * np.sin(t)))):
@@ -595,9 +591,9 @@ def test_surface_remainder_against_pointwise_k_plus_above():
     med = MediumPair(3.5, 2.7)
     surf = builtin("gamma3")
     t = np.linspace(-10 * math.pi, 10 * math.pi, 161)
-    f = np.asarray(surf.f(t), float)
+    f = np.asarray(surf(t), float)
     s = t[::9] + 0.05
-    fs = np.asarray(surf.f(s), float)
+    fs = np.asarray(surf(s), float)
     sym = full_remainder(med, t, f)
     rect = remainder_triple(med, t, f, s, fs)
     rng = np.random.default_rng(1)
@@ -643,7 +639,7 @@ def test_remainder_fold_against_extended_precision_sum():
     # dR/dy1 - dR/dy2 ((0, 1, 1)) against the same combinations
     kp, km = 3.0, 4.0
     t = np.linspace(-3 * math.pi, 3 * math.pi, 97)
-    f = np.asarray(builtin("gamma3").f(t), float)
+    f = np.asarray(builtin("gamma3")(t), float)
     i4, m2, d12 = (sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=t,
                                                  fs_vals=f, normal=normal)
                    for normal in (None, (0.0, 1.0, 0.0), (0.0, 1.0, 1.0)))

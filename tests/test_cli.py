@@ -18,7 +18,7 @@ from layerscat.cli import (_PRESETS, config_from_dict, convergence_sweep,
 from layerscat.errors import ConfigError
 from layerscat.exprs import parse_expression
 from layerscat.green import MediumPair, green
-from layerscat.surface import builtin, surface_from_expression
+from layerscat.surface import builtin
 
 BASE = {
     "problem": "dirichlet", "k_plus": 2.7, "k_minus": 3.5,
@@ -225,6 +225,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg_path.write_text(json.dumps(dict(BASE, out_dir=5)), encoding="utf-8")
     assert main(["solve", "--config", str(cfg_path)]) == 2
     assert "out_dir" in capsys.readouterr().err
+    # an unknown built-in surface names the built-ins; a file that is not
+    # JSON, a --N list with a non-integer and presets run without a name
+    cfg_path.write_text(json.dumps(dict(BASE, surface="gamma9")), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert ("unknown surface 'gamma9'; expected one of "
+            "['gamma1', 'gamma2', 'gamma3']") in capsys.readouterr().err
+    cfg_path.write_text("{not json", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path), "--N", "4,x"]) == 2
+    assert "bad --N list '4,x'" in capsys.readouterr().err
+    assert main(["presets", "run"]) == 2
+    assert "presets run requires a preset name" in capsys.readouterr().err
 
 
 def test_cli_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -397,6 +411,39 @@ def test_cli_greens_non_finite_grid_exit_code(tmp_path, capsys):
         assert f"bad --grid spec {grid!r}" in err and "finite bounds" in err
 
 
+@pytest.mark.parametrize("grid", ["0:1:0,0:1:2", "0:1:2,0:1:0", "0:1:-1,0:1:2"])
+def test_cli_greens_zero_count_exit_code(tmp_path, capsys, grid):
+    # a zero count used to print a header-only table and exit 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
+    assert main(["greens", "--config", str(cfg_path), "--grid", grid]) == 2
+    out = capsys.readouterr()
+    assert f"bad --grid spec {grid!r}" in out.err and "counts >= 1" in out.err
+    assert out.out == ""
+
+
+def test_cli_sweep_out_writes_table(tmp_path, capsys):
+    # the hash line, the header and one row per N, named by the config hash
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--N", "4,8",
+                 "--out", str(out)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    digest = config_from_dict(BASE).digest()
+    (path,) = out.iterdir()
+    assert path.name == f"sweep_dirichlet_{digest}.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == [f"# config_sha256={digest}",
+                         "N,node_count,re_value,im_value,abs_error,rel_error,diff_prev"]
+    assert len(lines) == 2 + len(rows)
+    for line, row in zip(lines[2:], rows):
+        cols = line.split(",")
+        assert (int(cols[0]), int(cols[1])) == (row["N"], row["node_count"])
+        assert complex(float(cols[2]), float(cols[3])) == \
+            complex(row["value"]["re"], row["value"]["im"])
+
+
 @pytest.mark.parametrize("cmd", [["solve"], ["greens", "--grid", "0:1:2,0:1:2"]])
 def test_cli_out_names_a_file_exit_code(tmp_path, capsys, cmd):
     # an --out that names an existing file used to end in a traceback (exit 1)
@@ -448,10 +495,11 @@ def test_expression_parser_matches_builtin():
     f = -1.0 + 0.16 * np.sin(w * s)
     df = 0.16 * w * np.cos(w * s)
     d2f = -0.16 * w * w * np.sin(w * s)
-    for surf in (surface_from_expression(expr), builtin("gamma3")):
-        assert np.allclose(surf.f(s), f, atol=1e-14)
-        assert np.allclose(surf.df(s), df, atol=1e-14)
-        assert np.allclose(surf.d2f(s), d2f, atol=1e-13)
+    for surf in (parse_expression(expr), builtin("gamma3")):
+        f0, f1, f2 = surf.jet(s)
+        assert np.allclose(f0, f, atol=1e-14)
+        assert np.allclose(f1, df, atol=1e-14)
+        assert np.allclose(f2, d2f, atol=1e-13)
 
 
 def test_expression_gamma1():
@@ -463,18 +511,17 @@ def test_expression_gamma1():
     e, sn, c = np.exp(-0.4 * s * s), np.sin(w * s), np.cos(w * s)
     f = -1.0 + 0.3 * sn * e
     d2f = 0.3 * e * (-w * w * sn - 1.6 * w * s * c + (0.64 * s * s - 0.8) * sn)
-    for surf in (surface_from_expression(expr), builtin("gamma1")):
-        assert np.allclose(surf.f(s), f, atol=1e-14)
-        assert np.allclose(surf.d2f(s), d2f, atol=1e-12)
+    for surf in (parse_expression(expr), builtin("gamma1")):
+        assert np.allclose(surf(s), f, atol=1e-14)
+        assert np.allclose(surf.jet(s)[2], d2f, atol=1e-12)
 
 
 def test_expression_symbolic_derivatives():
     node = parse_expression("(t^2+1)*cos(2*t)")
-    d = node.diff()
     s = np.linspace(-2, 2, 101)
     h = 1e-6
     fd = (node(s + h) - node(s - h)) / (2 * h)
-    assert np.abs(d(s) - fd).max() < 1e-8
+    assert np.abs(node.jet(s)[1] - fd).max() < 1e-8
 
 
 @pytest.mark.parametrize("text", [
@@ -486,27 +533,25 @@ def test_expression_symbolic_derivatives():
 def test_expression_jet_matches_finite_differences(text):
     # 4th-order central differences: f' from f, f'' from the jet's f'
     f = parse_expression(text)
-    df, d2f = f.diff(), f.diff().diff()
     s = np.linspace(-2, 2, 81)
     h = 1e-3
 
     def central(g):
         return (g(s - 2 * h) - 8 * g(s - h) + 8 * g(s + h) - g(s + 2 * h)) / (12 * h)
 
-    for exact, fd in ((df(s), central(f)), (d2f(s), central(df))):
+    _, df, d2f = f.jet(s)
+    for exact, fd in ((df, central(f)), (d2f, central(lambda x: f.jet(x)[1]))):
         assert np.abs(exact - fd).max() <= 1e-9 * (1 + np.abs(exact).max())
-    with pytest.raises(ConfigError):
-        d2f.diff()
 
 
 @pytest.mark.parametrize("tail", [" ", "\t", "\n"])
 def test_expression_trailing_whitespace(tail):
     s = np.linspace(-3, 3, 61)
     surface_text = "-1+0.1*cos(0.5*t)"
-    padded = surface_from_expression(surface_text + tail)
-    plain = surface_from_expression(surface_text)
-    for name in ("f", "df", "d2f"):
-        assert np.array_equal(getattr(padded, name)(s), getattr(plain, name)(s))
+    padded = parse_expression(surface_text + tail).jet(s)
+    plain = parse_expression(surface_text).jet(s)
+    for a, b in zip(padded, plain):
+        assert np.array_equal(a, b)
     beta_text = "1+0.2*cos(0.3*t)"
     assert np.array_equal(parse_expression(beta_text + tail)(s),
                           parse_expression(beta_text)(s))

@@ -487,7 +487,7 @@ def test_surface_batch_memory_below_matches_above():
     import tracemalloc
     med = MediumPair(2.7, 3.5)
     t = -10 * math.pi + (math.pi / 32) * np.arange(641)
-    f = np.asarray(builtin("gamma3").f(t), float)
+    f = np.asarray(builtin("gamma3")(t), float)
     x1 = np.linspace(-9.0, 9.0, 780)
     peak = {}
     for x2 in (-0.5, 0.5):

@@ -70,8 +70,8 @@ def test_point_set_matches_scalar_oracle(solved, preset):
     ref = np.zeros(x1.size, dtype=complex)
     for i, x in enumerate(zip(x1, x2)):
         for tj, psi in zip(t, sol.values):
-            y = (tj, float(surf.f(tj)))
-            df = float(surf.df(tj))
+            y = (tj, float(surf(tj)))
+            df = float(surf.jet(tj)[1])
             speed = math.hypot(1.0, df)
             kern = green(problem.medium, x, y)
             if problem.kind == "dirichlet":
@@ -86,7 +86,7 @@ def test_point_set_matches_scalar_oracle(solved, preset):
 def test_near_surface_guards(solved):
     cfg, problem, sol = solved("example1-dbvp", 8)
     surf = problem.surface
-    on_surface = (0.3, float(surf.f(0.3)) + 1e-8)
+    on_surface = (0.3, float(surf(0.3)) + 1e-8)
     with pytest.raises(SingularityError):
         eval_scattered(sol, problem, on_surface)
 
@@ -102,7 +102,7 @@ def test_eval_point_below_or_on_surface_refused(solved):
     assert not isinstance(info.value, SingularityError)
     with pytest.raises(DomainError, match=r"\(0\.6, -1\.5\) lies below"):
         eval_scattered(sol, problem, (np.array([0.6, 0.6]), np.array([0.56, -1.5])))
-    on = (0.3, float(problem.surface.f(0.3)))
+    on = (0.3, float(problem.surface(0.3)))
     with pytest.raises(SingularityError, match=re.escape(f"{on} lies within 1e-06")):
         eval_scattered(sol, problem, on)
 
@@ -200,7 +200,7 @@ def _dirichlet_boundary_values(problem, sol, s_points, theta):
     us_plus = 0.5 * k_rows - 0.5 * psi_at
     surf = problem.surface
     u0 = np.array([reference_field_plane(problem.medium, theta,
-                                         (s, float(surf.f(s))))
+                                         (s, float(surf(s))))
                    for s in np.asarray(s_points, float)])
     return us_plus + u0
 
@@ -290,7 +290,7 @@ def test_point_source_exact_fixture():
     surf = builtin("gamma1")
     y0 = (1.0, -1.3)
     # fixture validity: f(1) ~ -0.8373 lies above the source depth -1.3
-    assert float(surf.f(1.0)) > -1.3
+    assert float(surf(1.0)) > -1.3
     x = (0.6, 0.56)
     assert point_source_exact(MED, y0, x, surface=surf) == pytest.approx(
         green(MED, x, y0), abs=1e-14)

@@ -21,7 +21,7 @@ MODES = ("val", "dy1", "dy2")
 def _grid(surface, a_half=10 * math.pi, n=16):
     """The nodes of a full-width grid on [-10 pi, 10 pi]: 321 at N = 16."""
     t = -a_half + (math.pi / n) * np.arange(int(2 * a_half * n / math.pi) + 1)
-    return t, np.asarray(builtin(surface).f(t), float)
+    return t, np.asarray(builtin(surface)(t), float)
 
 
 @pytest.mark.parametrize("surface", ["gamma1", "gamma2", "gamma3"])

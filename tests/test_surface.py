@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import speed, unit_normal
+
 from layerscat.cli import config_from_dict
 from layerscat.errors import ConfigError, DomainError
 from layerscat.surface import builtin
@@ -13,26 +15,24 @@ from layerscat.surface import builtin
 
 def test_flat_surface_geometry():
     flat = builtin("gamma2")
-    assert flat.f(3.7) == -1.0
-    assert flat.speed(0.2) == 1.0
-    assert np.allclose(flat.normal(1.5), [0.0, -1.0])
-    assert flat.df(0.0) == 0.0 and flat.d2f(0.0) == 0.0
+    assert flat(3.7) == -1.0
+    assert speed(flat, 0.2) == 1.0
+    assert np.allclose(unit_normal(flat, 1.5), [0.0, -1.0])
+    assert flat.jet(0.0)[1] == 0.0 and flat.jet(0.0)[2] == 0.0
 
 
 def test_gamma1_point_value():
     surf = builtin("gamma1")
     # direct high-precision evaluation of the profile at s = 1
     expected = -1.0 + 0.3 * math.sin(0.7 * math.pi) * math.exp(-0.4)
-    assert surf.f(1.0) == pytest.approx(expected, abs=1e-15)
+    assert surf(1.0) == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(-0.8373099073260912, abs=1e-15)
-    p = surf.point(1.0)
-    assert p[0] == 1.0 and p[1] == pytest.approx(expected, abs=1e-15)
 
 
 def test_gamma1_bounds():
     surf = builtin("gamma1")
     grid = np.linspace(-30, 30, 20001)
-    vmax = np.asarray(surf.f(grid)).max()
+    vmax = np.asarray(surf(grid)).max()
     assert vmax < 0
     assert vmax == pytest.approx(-0.74824, abs=1e-4)
 
@@ -41,7 +41,7 @@ def test_gamma3_periodicity():
     surf = builtin("gamma3")
     period = 2.0 / 0.3
     s = np.linspace(-7, 7, 101)
-    assert np.allclose(surf.f(s + period), surf.f(s), atol=1e-12)
+    assert np.allclose(surf(s + period), surf(s), atol=1e-12)
 
 
 def test_normals_unit_length():
@@ -49,7 +49,7 @@ def test_normals_unit_length():
     for name in ("gamma1", "gamma2", "gamma3"):
         surf = builtin(name)
         s = rng.uniform(-20, 20, size=1000)
-        n = surf.normal(s)
+        n = unit_normal(surf, s)
         assert np.abs(np.hypot(n[..., 0], n[..., 1]) - 1.0).max() < 1e-14
         # outward normal of the domain above the curve points downward
         assert np.all(n[..., 1] < 0)
@@ -61,16 +61,17 @@ def test_derivatives_match_finite_differences(name):
     rng = np.random.default_rng(3)
     s = rng.uniform(-15, 15, size=1000)
     h = 1e-5
-    fd1 = (surf.f(s + h) - surf.f(s - h)) / (2 * h)
-    assert np.abs(fd1 - surf.df(s)).max() < 1e-6
-    fd2 = (surf.df(s + h) - surf.df(s - h)) / (2 * h)
-    assert np.abs(fd2 - surf.d2f(s)).max() < 1e-6
+    _, df, d2f = surf.jet(s)
+    fd1 = (surf(s + h) - surf(s - h)) / (2 * h)
+    assert np.abs(fd1 - df).max() < 1e-6
+    fd2 = (surf.jet(s + h)[1] - surf.jet(s - h)[1]) / (2 * h)
+    assert np.abs(fd2 - d2f).max() < 1e-6
 
 
 def test_all_builtins_below_interface():
     grid = np.linspace(-40, 40, 8001)
     for name in ("gamma1", "gamma2", "gamma3"):
-        assert np.asarray(builtin(name).f(grid)).max() < 0
+        assert np.asarray(builtin(name)(grid)).max() < 0
 
 
 def test_unknown_builtin():
