@@ -42,7 +42,8 @@ import numpy as np
 from . import exprs, sommerfeld, surface as surface_mod
 from .bie import BoundaryProblem
 from .errors import ConfigError, DomainError, LayerScatError
-from .green import MediumPair, green_surface_batch, reference_field_plane
+from .green import (_SING_DIST, MediumPair, green_surface_batch,
+                    reference_field_plane)
 from .nystrom import Grid, solve
 from .potentials import (_check_points, _eval_scattered, four_wave_exact,
                          point_source_exact)
@@ -195,6 +196,10 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
         _require(isinstance(p, (list, tuple)) and len(p) == 2,
                  f"eval_points: bad entry {p!r}")
         points.append(tuple(_number(v, "eval_points") for v in p))
+    try:    # the distance to the surface seeded by the [-A, A] grid
+        _check_points(prof, *np.array(points).reshape(-1, 2).T, grid)
+    except DomainError as exc:
+        raise ConfigError(f"eval_points: {exc}")
     out_dir = data.get("out_dir")
     _require(out_dir is None or isinstance(out_dir, str),
              f"out_dir: directory path string required, got {out_dir!r}")
@@ -311,17 +316,11 @@ def _write_csv(path: Path, digest: str, header: str, lines):
 
 def run(config: RunConfig) -> RunReport:
     """Solve one configuration, evaluate requested points, write CSV outputs.
-
-    An evaluation point that potentials._check_points refuses (below the
-    surface, or within potentials._MIN_DIST of it) is a ConfigError raised
-    before the solve."""
+    config_from_dict has refused evaluation points below the surface or
+    within potentials._MIN_DIST of it."""
     problem = build_problem(config)
     grid = Grid(half_width_A=config.A, N=config.N)
     pts = np.array(config.eval_points, dtype=float).reshape(-1, 2).T
-    try:
-        _check_points(problem.surface, *pts, grid.nodes)
-    except DomainError as exc:
-        raise ConfigError(f"eval_points: {exc}")
     t0 = time.perf_counter()
     sol = solve(problem, grid)
     t_solve = time.perf_counter() - t0
@@ -426,6 +425,10 @@ def greens_table(config: RunConfig, grid_spec: str):
                           "and counts >= 1")
     _require(y0[1] < 0, f"greens: y_ref {y0} must lie below the interface")
     x1, x2 = np.meshgrid(xs, ys)
+    dist = np.hypot(x1 - y0[0], x2 - y0[1]).ravel()
+    i = dist.argmin()
+    _require(dist[i] >= _SING_DIST, f"greens: grid point ({x1.flat[i]:.6g}, "
+             f"{x2.flat[i]:.6g}) is y_ref {y0}, where G is singular")
     g = green_surface_batch(med, (x1, x2), [y0[0]], [y0[1]], check=True)
     rows = [(float(a), float(b), complex(v))
             for a, b, v in zip(x1.ravel(), x2.ravel(), g.ravel())]

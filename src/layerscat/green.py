@@ -2,21 +2,19 @@
 
 The Green function of the two-media Helmholtz problem (wavenumber k+ above
 the interface x2 = 0, k- below, transmission conditions across it) is
-evaluated from its spectral representation.  Extracting the free-space parts
-in closed form leaves a single bounded spectral integrand per case:
+evaluated from its spectral representation.  With
 
-    x2, y2 >= 0:  G = Phi_{k+}(x, y) - Phi_{k+}(x, y') + I1,
-    x2 >= 0 >= y2:  G = I2,
-    x2 <= 0 <= y2:  G = I3,
-    x2, y2 <= 0:  G = Phi_{k-}(x, y) - Phi_{k-}(x, y') + I4,
+    I = (1/2pi) int E(xi)/(S+ + S-) e^{i xi (x1-y1)} d xi,  E = e^{sx x2 + sy y2},
 
-where y' = (y1, -y2) is the mirror point, Phi_k(x,y) = (i/4) H1_0(k|x-y|),
-and I_case = (1/2pi) int E_case(xi)/(S+ + S-) e^{i xi (x1-y1)} d xi with the
-exponents of sommerfeld._CASES.  The smooth remainder R = G - Phi_{k-} below
-the interface is then  -Phi_{k-}(x, y') + I4.
+each end's slope s being -S+ at or above the interface (z >= 0) and S-
+below it, G = I for ends on opposite sides, and for ends on one side, of
+wavenumber k, G = Phi_k(x, y) - Phi_k(x, y') + I, where y' = (y1, -y2) is
+the mirror point and Phi_k(x,y) = (i/4) H1_0(k|x-y|).  The smooth
+remainder R = G - Phi_{k-} below the interface is then -Phi_{k-}(x, y') + I.
 
 The scalar path (green, and _green_pair, the fallback of the batch) evaluates
-I_case by sommerfeld.spectral_point and adds the Hankel terms of _free_terms.
+I by sommerfeld.spectral_point and, for ends on one side, adds the Hankel
+terms of _free_terms.
 On point sets sommerfeld.remainder_matrices integrates R whole, with the
 mirror term subtracted inside the integral, and G above the interface;
 green_surface_batch adds only the direct term Phi_{k-}(x, y) below it
@@ -136,16 +134,6 @@ def _add_direct(out, k, s, fs, t, f, normal):
         out[sl] += phi
 
 
-def _case_of(x2, y2):
-    if x2 >= 0 and y2 >= 0:
-        return 1
-    if x2 >= 0:
-        return 2
-    if y2 >= 0:
-        return 3
-    return 4
-
-
 def _green_modes(medium, x, y, modes, tol, direct=True):
     """G (direct set) or R = G - Phi(x, y) at one pair, as dict mode ->
     value (modes among val, dx1, dx2, dy1, dy2), two-pass checked to tol."""
@@ -153,11 +141,10 @@ def _green_modes(medium, x, y, modes, tol, direct=True):
     y1, y2 = _pt(y)
     if direct and math.hypot(x1 - y1, x2 - y2) < _SING_DIST:
         raise SingularityError("two-layered Green function at coincident points")
-    case = _case_of(x2, y2)
-    vals = sommerfeld.spectral_point(medium.k_plus, medium.k_minus, case,
-                                     x2, y2, x1 - y1, modes=modes, tol=tol)
-    if case in (1, 4):
-        k = medium.k_plus if case == 1 else medium.k_minus
+    vals = sommerfeld.spectral_point(medium.k_plus, medium.k_minus, x2, y2,
+                                     x1 - y1, modes=modes, tol=tol)
+    if (x2 >= 0) == (y2 >= 0):      # one side: its free-space parts
+        k = medium.k_plus if x2 >= 0 else medium.k_minus
         val, dy1, dy2, dx2 = _free_terms(k, x1 - y1, x2, y2, direct)
         free = {"val": val, "dy1": dy1, "dy2": dy2, "dx1": -dy1, "dx2": dx2}
         vals = {m: vals[m] + free[m] for m in modes}

@@ -183,18 +183,23 @@ def _panel_sweep(problem, jets, beta, w, h):
     return matrix
 
 
-def solve_system(matrix: np.ndarray, rhs: np.ndarray):
+def solve_system(matrix: np.ndarray, rhs: np.ndarray, row_label=None):
     """Direct dense solve with a factor-based condition estimate and one step
-    of iterative refinement.  Returns (values, residual_norm, cond_estimate)."""
+    of iterative refinement.  Returns (values, residual_norm, cond_estimate).
+    A row not finite in matrix or rhs is a SolverError, with row_label(i)."""
     matrix = np.asarray(matrix, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise SolverError("system matrix must be square")
     if matrix.shape[0] != rhs.shape[0]:
         raise SolverError("matrix/right-hand side size mismatch")
+    bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=1) & np.isfinite(rhs)))
+    if bad.size:    # one finiteness pass: the LU and solves skip theirs
+        raise SolverError(f"collocation system not finite in row {bad[0]}"
+                          + (f" ({row_label(bad[0])})" if row_label else ""))
     anorm = np.linalg.norm(matrix, 1)
     try:
-        lu, piv = sla.lu_factor(matrix)
+        lu, piv = sla.lu_factor(matrix, check_finite=False)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
     rcond, info = _lapack.zgecon(lu, anorm, norm="1")
@@ -203,17 +208,22 @@ def solve_system(matrix: np.ndarray, rhs: np.ndarray):
     cond = 1.0 / rcond
     if cond > _COND_LIMIT:
         raise SolverError(f"collocation matrix too ill-conditioned (est {cond:.3e})")
-    x = sla.lu_solve((lu, piv), rhs)
-    x = x + sla.lu_solve((lu, piv), rhs - matrix @ x)
+    x = sla.lu_solve((lu, piv), rhs, check_finite=False)
+    x = x + sla.lu_solve((lu, piv), rhs - matrix @ x, check_finite=False)
     residual = float(np.abs(matrix @ x - rhs).max())
-    if residual > _RESIDUAL_LIMIT * max(1.0, float(np.abs(rhs).max())):
+    if not residual <= _RESIDUAL_LIMIT * max(1.0, float(np.abs(rhs).max())):
         raise SolverError(f"solve residual {residual:.3e} above tolerance")
     return x, residual, cond
 
 
 def solve(problem: BoundaryProblem, grid: Grid) -> DensitySolution:
-    """Assemble and solve; returns the nodal density with solve diagnostics."""
+    """Assemble and solve; returns the nodal density with solve diagnostics.
+    A row not finite is named by its node t and eta, or beta there."""
     matrix, rhs = assemble(problem, grid)
-    values, residual, cond = solve_system(matrix, rhs)
+    t = grid.nodes
+    values, residual, cond = solve_system(matrix, rhs, lambda i: (
+        f"node t = {t[i]:.6g}, " + (f"eta = {problem.eta:.6g}"
+                                    if problem.kind == "dirichlet" else
+                                    f"beta = {complex(problem.beta(t[i])):.6g}")))
     return DensitySolution(grid=grid, values=values, problem_kind=problem.kind,
                            residual_norm=residual, condition_estimate=cond)

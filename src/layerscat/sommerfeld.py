@@ -5,11 +5,12 @@ Every integral handled here has the form
     I(u) = (1/2pi) integral_R  g(xi) f(xi) e^{i xi u} d xi,
     g(xi) = E(xi; x2, y2) / (S(xi,k+) + S(xi,k-)),
 
-where E is one of four exponential factors (one per sign pattern of x2, y2),
-f is 1 or a derivative factor (+-i xi, or an S factor), and g is even in xi
-on the real axis.  The integrand has square-root branch points at +-k1, +-k2
-(kinks; the denominator never vanishes on the real axis) and decays like
-e^{-Re S * v} with a case-dependent vertical separation v >= 0.
+where E = e^{sx x2 + sy y2}, each end's slope s being -S+ at or above the
+interface (z >= 0) and S- below it, f is 1 or a derivative factor (+-i xi
+for dx1, dy1, and dE/dx2 = sx, dE/dy2 = sy), and g is even in xi on the real
+axis.  The integrand has square-root branch points at +-k1, +-k2 (kinks;
+the denominator never vanishes on the real axis) and decays like
+e^{-Re S * v} with the vertical decay v = |x2| + |y2|.
 
 Evaluation strategy: composite Gauss-Legendre panels on [0, inf) folded via
 e^{i xi u} + sigma e^{-i xi u}, with substitutions that erase the kinks,
@@ -78,15 +79,6 @@ from .errors import AccuracyError, DomainError
 from .specfun import vertical_wavenumber
 
 
-#: exponent coefficients per case: E = exp(cx2 * S? * x2 + cy2 * S? * y2)
-#: case -> (x2 uses S_plus?, x2 sign, y2 uses S_plus?, y2 sign)
-_CASES = {
-    1: (True, -1.0, True, -1.0),    # x2>=0, y2>=0: exp(-S+ (x2+y2))
-    2: (True, -1.0, False, +1.0),   # x2>=0, y2<=0: exp(S- y2 - S+ x2)
-    3: (False, +1.0, True, -1.0),   # x2<=0, y2>=0: exp(-S+ y2 + S- x2)
-    4: (False, +1.0, False, +1.0),  # x2<=0, y2<=0: exp(S- (x2+y2))
-}
-
 #: elements per (node, rule point) temporary in remainder_matrices; a
 #: complex block then stays under 8 MB
 _BLOCK = 500_000
@@ -129,43 +121,24 @@ _SHARED_PANELS = _Panels(32, 7, 0.5, 2)
 _MODE_SIGMA = {"val": 1.0, "dx1": -1.0, "dy1": -1.0, "dx2": 1.0, "dy2": 1.0}
 
 
-def _mode_factor(mode, xi, sp, sm, case):
-    if mode == "val":
-        return 1.0
-    if mode == "dx1":
-        return 1j * xi
-    if mode == "dy1":
-        return -1j * xi
-    xp_plus, xsgn, yp_plus, ysgn = _CASES[case]
-    if mode == "dx2":
-        return xsgn * (sp if xp_plus else sm)
-    if mode == "dy2":
-        return ysgn * (sp if yp_plus else sm)
-    raise DomainError(f"unknown mode {mode!r}")
-
-
 class _Kernel:
-    """g(xi) for one (medium, case, x2, y2); xi real or complex arrays."""
+    """g(xi) = E / (S+ + S-) of the module doc for one (medium, x2, y2), xi
+    real or complex arrays; E decays like e^{-xi v_decay}."""
 
-    def __init__(self, k_plus, k_minus, case, x2, y2):
-        self.kp, self.km, self.case = k_plus, k_minus, case
-        self.x2, self.y2 = x2, y2
+    def __init__(self, k_plus, k_minus, x2, y2):
+        self.kp, self.km, self.x2, self.y2 = k_plus, k_minus, x2, y2
+        self.v_decay = abs(x2) + abs(y2)
 
-    def splus_sminus(self, xi):
-        return (vertical_wavenumber(xi, self.kp),
-                vertical_wavenumber(xi, self.km))
-
-    def g(self, xi, sp, sm):
-        xp_plus, xsgn, yp_plus, ysgn = _CASES[self.case]
-        ex = xsgn * (sp if xp_plus else sm) * self.x2 \
-            + ysgn * (sp if yp_plus else sm) * self.y2
-        return np.exp(ex) / (sp + sm)
-
-    @property
-    def v_decay(self):
-        """Asymptotic vertical decay coefficient (E ~ e^{-xi v})."""
-        return abs(self.x2) + abs(self.y2) if self.case in (2, 3) \
-            else abs(self.x2 + self.y2)
+    def g(self, xi, modes):
+        """g at xi, and there the factor f of each of modes: 1 for val,
+        +-i xi for dx1, dy1, and an end's slope sx or sy for dx2, dy2."""
+        sp = vertical_wavenumber(xi, self.kp)
+        sm = vertical_wavenumber(xi, self.km)
+        sx, sy = (-sp if z >= 0 else sm for z in (self.x2, self.y2))
+        slope = {"val": 1.0, "dx2": sx, "dy2": sy}
+        return (np.exp(sx * self.x2 + sy * self.y2) / (sp + sm),
+                [slope[m] if m in slope else (1j if m == "dx1" else -1j) * xi
+                 for m in modes])
 
 
 def _panel_nodes(edges, panels):
@@ -257,11 +230,11 @@ def _ray_tail(kern, modes, t0, u, v, refine, tol):
     for _ in range(int(400 * refine)):
         p, wp = _panel_nodes(np.linspace(pos, pos + length, 2), _SCALAR_PANELS)
         xi = t0 + rot * p
-        sp, sm = kern.splus_sminus(xi)
-        base = kern.g(xi, sp, sm) * np.exp(1j * xi * u) * (rot * wp)
+        g, factors = kern.g(xi, modes)
+        base = g * np.exp(1j * xi * u) * (rot * wp)
         mag = 0.0
-        for m in modes:
-            contrib = np.sum(base * _mode_factor(m, xi, sp, sm, kern.case))
+        for m, fm in zip(modes, factors):
+            contrib = np.sum(base * fm)
             acc[m] += contrib
             mag = max(mag, abs(contrib))
         pos += length
@@ -280,15 +253,11 @@ def _spectral_once(kern, u, modes, tol, refine):
     w0 = max(1.0, min(k2 + 1.0, 60.0 / max(v, 1e-2)))
     counts = _segment_panels(k1, k2, abs(u), v, w0, _SCALAR_PANELS, refine)
     xi, w, _, _, t0 = _head_segments(k1, k2, w0, counts, _SCALAR_PANELS)
-    sp, sm = kern.splus_sminus(xi)
-    g = kern.g(xi, sp, sm)
+    g, factors = kern.g(xi, modes)
     eplus = np.exp(1j * xi * u)
     eminus = np.exp(-1j * xi * u)
-    out = {}
-    for m in modes:
-        sigma = _MODE_SIGMA[m]
-        fm = _mode_factor(m, xi, sp, sm, kern.case)
-        out[m] = np.sum(w * g * fm * (eplus + sigma * eminus))
+    out = {m: np.sum(w * g * fm * (eplus + _MODE_SIGMA[m] * eminus))
+           for m, fm in zip(modes, factors)}
     tail_p = _ray_tail(kern, modes, t0, u, v, refine, tol)
     tail_m = _ray_tail(kern, modes, t0, -u, v, refine, tol)
     for m in modes:
@@ -296,13 +265,13 @@ def _spectral_once(kern, u, modes, tol, refine):
     return out
 
 
-def spectral_point(k_plus, k_minus, case, x2, y2, u, modes=("val",),
-                   tol=1e-10):
-    """Spectral integral(s) for one source/target pair, as dict mode ->
-    complex, from the doubled panel density.  Raises AccuracyError when
-    they differ from the single density by more than tol.
-    """
-    kern = _Kernel(k_plus, k_minus, case, x2, y2)
+def spectral_point(k_plus, k_minus, x2, y2, u, modes=("val",), tol=1e-10):
+    """Spectral integral(s) for one pair, as dict mode -> complex (DomainError
+    for a mode not in _MODE_SIGMA), from the doubled panel density, or
+    AccuracyError when they differ from the single density by more than tol."""
+    if not set(modes) <= set(_MODE_SIGMA):
+        raise DomainError(f"unknown mode in {modes!r}")
+    kern = _Kernel(k_plus, k_minus, x2, y2)
     fine = _spectral_once(kern, u, modes, tol, refine=2)
     coarse = _spectral_once(kern, u, modes, tol, refine=1)
     est = max(abs(fine[m] - coarse[m]) for m in modes)
@@ -535,7 +504,8 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
 
     the remainder R = G - Phi_{k-}(x, y) below the interface (E_i =
     e^{S- fs_i}, g mirror-subtracted as in the module doc) and all of G at
-    or above it (E_i = e^{-S+ fs_i}, g = 1/(S+ + S-): case 2), it returns
+    or above it (E_i = e^{-S+ fs_i}, g = 1/(S+ + S-)): each end's slope is
+    -S+ at or above the interface, S- below it.  It returns
     with normal = (a, b, f') at the sources the layer sum
     L = I diag(a) + N diag(b), N = f' dI/dy1 - dI/dy2 (_normal_sum); on the
     node set normal = (a, b, f', rows), and with rows set (the normal at

@@ -266,6 +266,27 @@ def test_cli_impedance_beta_checked_on_every_node(tmp_path, capsys):
     assert "Re beta > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset,key,shown", [
+    ("example2-dbvp", "eta", "eta = 1e+308"),
+    ("example2-ibvp", "beta", "beta = 1e+308+0j"),
+], ids=["eta", "beta"])
+def test_cli_overflowing_coefficient_names_its_row(tmp_path, capsys, preset,
+                                                   key, shown):
+    # a finite eta or beta of 1e308 passes validation but overflows in the
+    # kernel; the solve used to exit 3 with scipy's "array must not contain
+    # infs or NaNs".  It still exits 3, naming the row, its node and the
+    # coefficient there, before the LU
+    raw = dict(_PRESETS[preset], N=4, **{key: 1e308})
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["solve", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert (f"collocation system not finite in row 0 (node t = -31.4159, "
+            f"{shown})") in err
+
+
 @pytest.mark.parametrize("beta,message", [
     ({"expr": "exp(t^2)"}, "beta: not finite at t = -31.4159"),
     ({"expr": "1+0*exp(t^2)"}, "beta: not finite at t = -31.4159"),
@@ -409,6 +430,18 @@ def test_cli_greens_non_finite_grid_exit_code(tmp_path, capsys):
         assert main(["greens", "--config", str(cfg_path), "--grid", grid]) == 2
         err = capsys.readouterr().err
         assert f"bad --grid spec {grid!r}" in err and "finite bounds" in err
+
+
+def test_cli_greens_grid_through_source_exit_code(tmp_path, capsys):
+    # a grid point at y_ref = (0, -1.3) of a plane run used to exit 3 with
+    # "free-space kernel evaluated at coincident points"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
+    for grid in ("0:0:1,-1.3:-1.3:1", "-1:1:3,-1.3:0:3"):
+        assert main(["greens", "--config", str(cfg_path), f"--grid={grid}"]) == 2
+        out = capsys.readouterr()
+        assert "greens: grid point (0, -1.3) is y_ref (0.0, -1.3)" in out.err
+        assert out.out == ""
 
 
 @pytest.mark.parametrize("grid", ["0:1:0,0:1:2", "0:1:2,0:1:0", "0:1:-1,0:1:2"])

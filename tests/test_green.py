@@ -12,7 +12,7 @@ from oracle import (batch_triple, grad_green_x, grad_green_y,
                     green_remainder, read_golden)
 
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import (MediumPair, _phi_terms, _plane_waves,
+from layerscat.green import (MediumPair, _green_modes, _phi_terms, _plane_waves,
                              _reference_field, fresnel_R, fresnel_T, green,
                              green_surface_batch, reference_field_plane,
                              reference_field_plane_grad, transmitted_direction)
@@ -273,6 +273,31 @@ def test_decay_slope():
                          for r in rs])
         slope = np.polyfit(np.log(rs), np.log(vals), 1)[0]
         assert -1.8 <= slope <= -1.2
+
+
+@pytest.mark.parametrize("med", [MED, MediumPair(3.5, 2.7)],
+                         ids=lambda m: f"{m.k_plus}-{m.k_minus}")
+@pytest.mark.parametrize("other", [0.4, -0.6])
+@pytest.mark.parametrize("end", ["x", "y"])
+def test_green_end_on_interface_matches_one_sided_limits(med, other, end):
+    # an end at height exactly 0 lies at or above the interface: slope -S+
+    # in the spectral integral and, with the other end above, the k+ Hankel
+    # terms.  G and its first derivatives are continuous across the
+    # interface, so their values there match the limits from above and
+    # below, the other end on either side.  At height 0 the value alone is
+    # the same from either side's formula; the x2 and y2 derivatives are
+    # not, and catch a side rule that the spectral and Hankel parts apply
+    # differently
+    modes = ("val", "dx1", "dx2", "dy1", "dy2")
+
+    def g(z):
+        a, b = (0.6, z), (-0.3, other)
+        x, y = (a, b) if end == "x" else (b, a)
+        v = _green_modes(med, x, y, modes, 1e-10)
+        return np.array([green(med, x, y)] + [v[m] for m in modes])
+
+    for z in (1e-10, -1e-10):
+        assert np.abs(g(0.0) - g(z)).max() <= 1e-8
 
 
 def _one_sided_limit(fn, eps, sign):

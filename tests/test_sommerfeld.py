@@ -294,3 +294,10 @@ def test_progression_check_accepts_grid_nodes(a_over_pi, n_per_pi):
     assert offsets.size == m > 1 and d is not None
     assert np.array_equal(anchors, t[::m])
     assert np.abs(d).max() <= 4 * np.spacing(np.abs(t).max())
+
+
+def test_spectral_point_unknown_mode_is_domain_error():
+    # the mode names the factor of the integrand; an unknown one is refused
+    # by name, not by a KeyError from a table lookup
+    with pytest.raises(DomainError, match="unknown mode"):
+        sommerfeld.spectral_point(2.7, 3.5, 0.5, -0.7, 0.3, modes=("val", "dz"))
