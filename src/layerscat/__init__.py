@@ -8,9 +8,8 @@ from .green import (MediumPair, fresnel_R, fresnel_T, green,
                     reference_field_plane, reference_field_plane_grad,
                     transmitted_direction)
 from .nystrom import DensitySolution, Grid, assemble, log_weight, solve
-from .potentials import (FourWaveSolution, eval_scattered, four_wave_exact,
-                         point_source_exact)
-from .specfun import critical_angle, hankel1, vertical_wavenumber
+from .potentials import FourWaveSolution, eval_scattered, four_wave_exact
+from .specfun import hankel1, vertical_wavenumber
 from .surface import builtin
 
 __version__ = "0.1.0"
@@ -19,9 +18,9 @@ __all__ = [
     "AccuracyError", "BoundaryProblem", "ConfigError", "DensitySolution",
     "DomainError", "FourWaveSolution", "Grid", "LayerScatError", "MediumPair",
     "SingularityError", "SolverError", "assemble",
-    "builtin", "critical_angle", "cutoff_chi", "eval_scattered",
+    "builtin", "cutoff_chi", "eval_scattered",
     "four_wave_exact", "fresnel_R", "fresnel_T", "green",
-    "hankel1", "log_weight", "point_source_exact", "reference_field_plane",
+    "hankel1", "log_weight", "reference_field_plane",
     "reference_field_plane_grad", "solve", "transmitted_direction",
     "vertical_wavenumber",
 ]

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, SolverError
 from .exprs import constant
 from .green import MediumPair, incident_field
 from .specfun import EULER_GAMMA, hankel1
@@ -105,15 +105,32 @@ def _surface_arrays(surface, s):
     return s, f, df, d2f, np.sqrt(1.0 + df * df)
 
 
-def _checked_beta(problem: BoundaryProblem, s):
-    """beta at the rows s of an impedance problem, or DomainError naming the
-    first row where Re beta > 0 fails."""
-    beta = np.asarray(problem.beta(s), dtype=complex)
-    bad = np.flatnonzero(~(beta.real > 0))
+def _row_label(problem: BoundaryProblem, s, i):
+    """Row i of the system on the nodes s: its node, and eta or beta there."""
+    return f"node t = {s[i]:.6g}, " + (
+        f"eta = {problem.eta:.6g}" if problem.kind == "dirichlet" else
+        f"beta = {complex(problem.beta(s[i])):.6g}")
+
+
+def _checked_rows(problem: BoundaryProblem, s):
+    """beta at the rows s (None for Dirichlet), or an error naming the first
+    row where Re beta > 0 fails (DomainError) or the kernel coefficient
+    2c = 2i eta or 2i k- beta is not finite (SolverError: nor is the row)."""
+    if problem.kind == "dirichlet":
+        beta, c2 = None, np.full(s.size, 2j * problem.eta)
+    else:
+        beta = np.asarray(problem.beta(s), dtype=complex)
+        bad = np.flatnonzero(~(beta.real > 0))
+        if bad.size:
+            raise DomainError(
+                "impedance requires Re beta > 0 on the surface; beta = "
+                f"{complex(beta[bad[0]]):.3g} at node s = {s[bad[0]]:.6g}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            c2 = 2j * problem.medium.k_minus * beta
+    bad = np.flatnonzero(~np.isfinite(c2))
     if bad.size:
-        raise DomainError(
-            "impedance requires Re beta > 0 on the surface; beta = "
-            f"{complex(beta[bad[0]]):.3g} at node s = {s[bad[0]]:.6g}")
+        raise SolverError(f"collocation system not finite in row {bad[0]} "
+                          f"({_row_label(problem, s, bad[0])})")
     return beta
 
 

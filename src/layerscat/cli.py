@@ -42,11 +42,10 @@ import numpy as np
 from . import exprs, sommerfeld, surface as surface_mod
 from .bie import BoundaryProblem
 from .errors import ConfigError, DomainError, LayerScatError
-from .green import (_SING_DIST, MediumPair, green_surface_batch,
+from .green import (_SING_DIST, MediumPair, green, green_surface_batch,
                     reference_field_plane)
 from .nystrom import Grid, solve
-from .potentials import (_check_points, _eval_scattered, four_wave_exact,
-                         point_source_exact)
+from .potentials import _check_points, _eval_scattered, four_wave_exact
 
 _DEF_A_OVER_PI = 10
 
@@ -266,7 +265,7 @@ def _exact_reference(config: RunConfig, problem: BoundaryProblem, pts):
     if inc["type"] == "point":
         y0 = tuple(inc["y0"])
         return "scattered", np.array(
-            [point_source_exact(problem.medium, y0, x) for x in zip(*pts)])
+            [green(problem.medium, x, y0) for x in zip(*pts)])
     half = max(30.0, config.A)
     sample = np.linspace(-half, half, 20 * math.ceil(half) + 1)
     with np.errstate(all="ignore"):     # beyond the validated window

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import sommerfeld
 from .errors import AccuracyError, DomainError, SingularityError
-from .specfun import critical_angle, hankel1, vertical_wavenumber
+from .specfun import hankel1, vertical_wavenumber
 
 _SING_DIST = 1e-12
 
@@ -55,10 +55,6 @@ class MediumPair:
     @property
     def n(self) -> float:
         return self.k_minus / self.k_plus
-
-    @property
-    def theta_c(self) -> float:
-        return critical_angle(self.k_plus, self.k_minus)
 
 
 def _points(x):

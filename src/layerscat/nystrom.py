@@ -40,8 +40,9 @@ import scipy.linalg as sla
 from scipy.linalg import lapack as _lapack
 
 from . import sommerfeld
-from .bie import (BoundaryProblem, _checked_beta, _kernel_block, _layer_normal,
-                  _pair_pieces, _surface_arrays, _swapped, rhs_vector)
+from .bie import (BoundaryProblem, _checked_rows, _kernel_block, _layer_normal,
+                  _pair_pieces, _row_label, _surface_arrays, _swapped,
+                  rhs_vector)
 from .errors import DomainError, SolverError
 
 _COND_LIMIT = 1e12
@@ -118,9 +119,7 @@ def assemble(problem: BoundaryProblem, grid: Grid):
     every node, compared exactly; a NaN node is none) the symmetric
     Toeplitz matrix of its row 0 (module doc), else _panel_sweep's."""
     t = grid.nodes
-    beta = None
-    if problem.kind == "impedance":     # fail before the layer integrals
-        beta = _checked_beta(problem, t)
+    beta = _checked_rows(problem, t)    # fail before the layer integrals
     jets = _surface_arrays(problem.surface, t)
     w = log_weight(grid.N, np.arange(t.size) * grid.h, 0.0)
     if (np.all(jets[1] == jets[1][0]) and not np.any(jets[2:4])
@@ -220,10 +219,7 @@ def solve(problem: BoundaryProblem, grid: Grid) -> DensitySolution:
     """Assemble and solve; returns the nodal density with solve diagnostics.
     A row not finite is named by its node t and eta, or beta there."""
     matrix, rhs = assemble(problem, grid)
-    t = grid.nodes
-    values, residual, cond = solve_system(matrix, rhs, lambda i: (
-        f"node t = {t[i]:.6g}, " + (f"eta = {problem.eta:.6g}"
-                                    if problem.kind == "dirichlet" else
-                                    f"beta = {complex(problem.beta(t[i])):.6g}")))
+    values, residual, cond = solve_system(
+        matrix, rhs, lambda i: _row_label(problem, grid.nodes, i))
     return DensitySolution(grid=grid, values=values, problem_kind=problem.kind,
                            residual_norm=residual, condition_estimate=cond)

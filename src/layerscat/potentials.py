@@ -8,10 +8,10 @@ boundary:
     impedance:  u_s(x) = h sum_j G(x, y_j) J_j psi_j,
 the bracket being green_surface_batch's layer sum for normal (i eta, 1/J, f').
 
-Exact references: the two-layered Green function itself for a point source
-below the surface, and the four-wave piecewise-plane solution for a flat
+Exact reference: the four-wave piecewise-plane solution for a flat
 boundary under the layered interface (coefficients fixed by interface
-continuity, the boundary condition, and unit incident amplitude).
+continuity, the boundary condition, and unit incident amplitude).  A point
+source's exact scattered field is the Green function itself, green.green.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import sommerfeld
 from .bie import BoundaryProblem, _surface_arrays
 from .errors import DomainError, SingularityError, SolverError
-from .green import (MediumPair, _check_downward, _plane_waves, _points, green,
+from .green import (MediumPair, _check_downward, _plane_waves, _points,
                     green_surface_batch, transmitted_direction)
 from .nystrom import DensitySolution
 
@@ -172,15 +172,3 @@ def four_wave_exact(medium: MediumPair, theta_d: float, kind: str,
                             beta0=complex(beta0), plane_height=plane_height,
                             A_c=1.0 + 0j, B_c=complex(b), C_c=complex(c),
                             D_c=complex(dd))
-
-
-def point_source_exact(medium: MediumPair, y0, x,
-                       surface=None) -> complex:
-    """Exact scattered field G(x, y0) of the manufactured point-source problem
-    with boundary data g = G(., y0) restricted to the surface.
-
-    y0 must lie strictly below the surface (checked when one is supplied)."""
-    if surface is not None and not float(y0[1]) < float(surface(y0[0])):
-        raise DomainError(
-            f"point source {tuple(y0)} does not lie below the surface")
-    return green(medium, x, y0)

@@ -19,9 +19,11 @@ e^{i xi u} + sigma e^{-i xi u}, with substitutions that erase the kinks,
     [k1, k2]  xi = mid - halfwidth cos(phi),
     [k2, T0]  xi = sqrt(k2^2 + w^2),
 
-plus, beyond T0, ray tails rotated by +-pi/4 into the quadrant where both the
-oscillatory factor and the vertical decay are exponentially damped (the cuts
-hang upward from +k1, +k2, so both rotated quadrants are cut-free).
+plus, beyond T0, ray tails xi = T0 + p e^{+-i pi/4}, p >= 0, rotated into
+the quadrant where both the oscillatory factor and the vertical decay are
+exponentially damped.  On them Re(xi^2 - k^2) = w0^2 + k2^2 - k^2
++ sqrt(2) T0 p >= w0^2 >= 1 for k = k+, k-, so the principal root
+sqrt(xi^2 - k^2) is the decaying sheet of S (specfun.vertical_wavenumber).
 
 In spectral_point panel counts follow the accumulated phase xi*u and decay
 xi*v so that each 16-point panel sees about one oscillation.  A second pass

@@ -46,7 +46,7 @@ from scipy.special import hankel1 as _h1
 
 from conftest import speed, unit_normal
 from layerscat import sommerfeld
-from layerscat.bie import (_checked_beta, _kernel_block, _pair_pieces,
+from layerscat.bie import (_checked_rows, _kernel_block, _pair_pieces,
                            _surface_arrays)
 from layerscat.errors import DomainError, SingularityError
 from layerscat.green import _green_modes, green, green_surface_batch
@@ -225,8 +225,7 @@ def split_matrices(problem, s, t, layer):
     bie._kernel_block."""
     rows = _surface_arrays(problem.surface, s)
     cols = _surface_arrays(problem.surface, t)
-    beta = (_checked_beta(problem, rows[0]) if problem.kind == "impedance"
-            else None)
+    beta = _checked_rows(problem, rows[0])
     pieces = _pair_pieces(problem.medium.k_minus, rows, cols)
     a, band, b = _kernel_block(problem, rows, cols, beta, pieces, layer)
     A = np.zeros_like(b)

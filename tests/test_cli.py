@@ -269,22 +269,27 @@ def test_cli_impedance_beta_checked_on_every_node(tmp_path, capsys):
 @pytest.mark.parametrize("preset,key,shown", [
     ("example2-dbvp", "eta", "eta = 1e+308"),
     ("example2-ibvp", "beta", "beta = 1e+308+0j"),
-], ids=["eta", "beta"])
+    ("example1-dbvp", "eta", "eta = 1e+308"),
+    ("example1-ibvp", "beta", "beta = 1e+308+0j"),
+], ids=["eta", "beta", "eta-point", "beta-point"])
 def test_cli_overflowing_coefficient_names_its_row(tmp_path, capsys, preset,
                                                    key, shown):
-    # a finite eta or beta of 1e308 passes validation but overflows in the
-    # kernel; the solve used to exit 3 with scipy's "array must not contain
-    # infs or NaNs".  It still exits 3, naming the row, its node and the
-    # coefficient there, before the LU
+    # a finite eta or beta of 1e308 passes validation but overflows the
+    # kernel coefficient 2i eta or 2i k- beta, under plane (example2) and
+    # point (example1) incidence.  The solve exits 3 before the layer
+    # integrals and the point-source data's two-pass check, with one line
+    # naming the row, its node and the coefficient there, and no warning
     raw = dict(_PRESETS[preset], N=4, **{key: 1e308})
     cfg_path = tmp_path / "big.json"
     cfg_path.write_text(json.dumps(raw), encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["solve", "--config", str(cfg_path)]) == 3
+    assert not caught
     err = capsys.readouterr().err
-    assert (f"collocation system not finite in row 0 (node t = -31.4159, "
-            f"{shown})") in err
+    assert err.splitlines() == [
+        f"numerical failure: collocation system not finite in row 0 "
+        f"(node t = -31.4159, {shown})"]
 
 
 @pytest.mark.parametrize("beta,message", [

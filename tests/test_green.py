@@ -29,7 +29,6 @@ def phi_free(k, x, y):
 
 def test_medium_pair_invariants():
     assert MED.n == 3.5 / 2.7
-    assert MED.theta_c == pytest.approx(math.acos(2.7 / 3.5), abs=1e-15)
     with pytest.raises(DomainError):
         MediumPair(2.0, 2.0)
     with pytest.raises(DomainError):

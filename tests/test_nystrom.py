@@ -149,8 +149,7 @@ def _sweep(problem, grid):
     """The matrix of nystrom._panel_sweep, which assemble takes off a plane,
     on any surface, a plane included."""
     t = grid.nodes
-    beta = (bie._checked_beta(problem, t) if problem.kind == "impedance"
-            else None)
+    beta = bie._checked_rows(problem, t)
     w = log_weight(grid.N, np.arange(t.size) * grid.h, 0.0)
     return nystrom._panel_sweep(problem, bie._surface_arrays(problem.surface, t),
                                 beta, w, grid.h)

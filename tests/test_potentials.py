@@ -17,9 +17,7 @@ from layerscat.errors import DomainError, SingularityError
 from layerscat.green import (MediumPair, green, reference_field_plane,
                              transmitted_direction)
 from layerscat.nystrom import DensitySolution, Grid, log_weight
-from layerscat.potentials import (_eval_scattered, eval_scattered,
-                                  four_wave_exact, point_source_exact)
-from layerscat.surface import builtin
+from layerscat.potentials import _eval_scattered, eval_scattered, four_wave_exact
 
 MED = MediumPair(2.7, 3.5)
 
@@ -284,18 +282,6 @@ def test_four_wave_validation():
         four_wave_exact(MED, 4.0, "dirichlet", plane_height=0.5)
     with pytest.raises(DomainError):
         four_wave_exact(MED, 4.0, "mixed")
-
-
-def test_point_source_exact_fixture():
-    surf = builtin("gamma1")
-    y0 = (1.0, -1.3)
-    # fixture validity: f(1) ~ -0.8373 lies above the source depth -1.3
-    assert float(surf(1.0)) > -1.3
-    x = (0.6, 0.56)
-    assert point_source_exact(MED, y0, x, surface=surf) == pytest.approx(
-        green(MED, x, y0), abs=1e-14)
-    with pytest.raises(DomainError):
-        point_source_exact(MED, (1.0, -0.5), x, surface=surf)
 
 
 def test_solved_field_transmission_continuity(solved):

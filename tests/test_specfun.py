@@ -1,4 +1,4 @@
-"""Hankel functions, their Bessel parts, and branch square roots."""
+"""Hankel functions, their Bessel parts, and the vertical wavenumber."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 import scipy.special as sp
 
 from layerscat.errors import DomainError
-from layerscat.specfun import (_branch_sqrt, critical_angle, hankel1,
-                               vertical_wavenumber)
+from layerscat.specfun import hankel1, vertical_wavenumber
 
 
 def bessel_j(order, z):
@@ -149,29 +148,78 @@ def test_hankel_parts_are_bessel_bit_for_bit(order):
         assert hankel1(order, zi) == complex(j(zi), y(zi))
 
 
+def branch_sqrt(z, upper_cut):
+    """Square root with the cut along the positive (upper) or negative
+    imaginary axis: argument ranges (-3pi/2, pi/2) resp. (-pi/2, 3pi/2)."""
+    z = np.asarray(z, dtype=complex)
+    th = np.angle(z)
+    if upper_cut:
+        th = np.where(th > np.pi / 2, th - 2 * np.pi, th)
+    else:
+        th = np.where(th <= -np.pi / 2, th + 2 * np.pi, th)
+    return np.sqrt(np.abs(z)) * np.exp(0.5j * th)
+
+
+def two_cut_root(z, a):
+    """Reference S(z, a) = S1(z - a) S2(z + a), S1 cut upward from a, S2
+    downward from -a: the decaying sheet on the whole cut plane."""
+    return branch_sqrt(z - a, True) * branch_sqrt(z + a, False)
+
+
+def ray_points(k_plus, k_minus, w0):
+    """Both ray tails xi = T0 + p e^{+-i pi/4} of sommerfeld, T0 =
+    hypot(max k, w0), at p = 0 and p in geomspace(1e-12, 1e5)."""
+    p = np.concatenate(([0.0], np.geomspace(1e-12, 1e5, 400)))
+    t0 = np.hypot(max(k_plus, k_minus), w0)
+    return np.concatenate([t0 + np.exp(s * 0.25j * np.pi) * p for s in (1, -1)])
+
+
 def test_sqrt_branches_fixed_points():
-    # S1 cuts along the upper imaginary axis (upper_cut), S2 the lower one
+    # the reference's branches: S1 cuts along the upper imaginary axis
+    # (upper_cut), S2 the lower one
     for upper in (True, False):
-        assert _branch_sqrt(0, upper) == 0
-        assert abs(_branch_sqrt(4.0, upper) - 2.0) <= 1e-15
+        assert branch_sqrt(0, upper) == 0
+        assert abs(branch_sqrt(4.0, upper) - 2.0) <= 1e-15
     # -1 approached as e^{-i pi} on branch 1, e^{+i pi} on branch 2
-    assert abs(_branch_sqrt(-1.0 + 0j, True) + 1j) <= 1e-15
-    assert abs(_branch_sqrt(-1.0 + 0j, False) - 1j) <= 1e-15
+    assert abs(branch_sqrt(-1.0 + 0j, True) + 1j) <= 1e-15
+    assert abs(branch_sqrt(-1.0 + 0j, False) - 1j) <= 1e-15
 
 
 def test_sqrt_branches_square_to_argument():
     rng = np.random.default_rng(7)
     z = rng.normal(size=1000) + 1j * rng.normal(size=1000)
     for upper in (True, False):
-        s = _branch_sqrt(z, upper)
+        s = branch_sqrt(z, upper)
         assert np.abs(s * s - z).max() < 1e-13 * (1 + np.abs(z)).max()
 
 
-def test_sqrt_branch_near_cut_perturbation():
-    # points on/near the cut evaluate finitely and consistently with one side
-    v = _branch_sqrt(1j, True)
-    assert np.isfinite(v.real) and np.isfinite(v.imag)
-    assert abs(v - _branch_sqrt(1e-12 + 1j, True)) <= 1e-6
+def test_two_cut_root_is_the_real_formula_on_the_real_axis():
+    x = np.linspace(-12.0, 12.0, 481)
+    assert np.all(np.abs(two_cut_root(x + 0j, 3.5) - vertical_wavenumber(x, 3.5))
+                  <= 1e-14 * 12)
+
+
+@pytest.mark.parametrize("k_plus,k_minus", [(2.7, 3.5), (3.5, 2.7), (3.0, 4.0)])
+@pytest.mark.parametrize("w0", [1.0, 50.0, 6000.0])
+def test_principal_root_is_the_two_cut_root_on_the_rays(k_plus, k_minus, w0):
+    # beyond both branch points Re(xi^2 - k^2) >= w0^2, where the principal
+    # root is the decaying sheet that the two-cut product defines everywhere
+    xi = ray_points(k_plus, k_minus, w0)
+    for k in (k_plus, k_minus):
+        ref = two_cut_root(xi, k)
+        s = vertical_wavenumber(xi, k)
+        assert np.all(np.abs(s - ref) <= 1e-14 * np.abs(ref))
+
+
+@pytest.mark.parametrize("z", [0.5 + 1e-9j, 3.5 + 0j, 1j, -1 + 1j, 0.5 + 3j,
+                               -4.0 - 2.0j])
+def test_complex_root_off_the_principal_sheet_refused(z):
+    # Re(z^2 - a^2) <= 0 (a = 3.5): the principal root need not be the
+    # decaying sheet there, so no caller may get it silently
+    with pytest.raises(DomainError):
+        vertical_wavenumber(z, 3.5)
+    with pytest.raises(DomainError):
+        vertical_wavenumber(np.array([8.0 + 1j, z]), 3.5)
 
 
 def test_vertical_wavenumber_real_cases():
@@ -204,18 +252,12 @@ def test_wronskian():
     assert np.all(np.abs(w - ref) <= 1e-10 * np.abs(ref) + 1e-13)
 
 
-def test_critical_angle():
-    assert critical_angle(2.0, 1.0) == pytest.approx(math.pi / 3, abs=1e-15)
-    assert critical_angle(1.0, 2.0) == pytest.approx(math.pi / 3, abs=1e-15)
-    assert critical_angle(3.5, 2.7) == pytest.approx(math.acos(2.7 / 3.5), abs=1e-15)
-    assert 0 < critical_angle(3.5, 2.7) < math.pi / 2
-    with pytest.raises(DomainError):
-        critical_angle(2.0, 2.0)
-
-
 def test_no_nan_escapes():
     z = np.linspace(0.0, 120.0, 1201)[1:]
     assert np.all(np.isfinite(hankel1(0, z)))
     assert np.all(np.isfinite(hankel1(1, z)))
-    xi = np.linspace(-50, 50, 501) + 1j * np.linspace(-3, 3, 501)
+    x = np.linspace(-50, 50, 501)
+    assert np.all(np.isfinite(vertical_wavenumber(x, 2.7)))
+    xi = ray_points(2.7, 3.5, 1.0)
     assert np.all(np.isfinite(vertical_wavenumber(xi, 2.7)))
+    assert np.all(np.isfinite(vertical_wavenumber(xi, 3.5)))
