@@ -19,7 +19,8 @@ On point sets sommerfeld.remainder_matrices integrates R whole, with the
 mirror term subtracted inside the integral, and G above the interface;
 green_surface_batch adds only the direct term Phi_{k-}(x, y) below it
 (_add_direct).  It gives G or the layer sum a G + b (f' dG/dy1 - dG/dy2) of
-a normal at the sources, never (dy1, dy2).  That one path serves
+a normal at the sources, never (dy1, dy2); given weights at the sources,
+either one applied to them, through one rule for both sides.  It serves
 point-source data (incident_field), field evaluation and Green tables;
 nystrom.assemble calls remainder_matrices directly.
 """
@@ -114,20 +115,20 @@ def _free_terms(k, d1, x2, y2, direct=False):
 _DIRECT_BLOCK = 1 << 16
 
 
-def _add_direct(out, k, s, fs, t, f, normal):
-    """Add Phi_k(x_i, y_j), or with normal = (a, b, f') its layer sum, to out
-    in place, for targets x_i = (s_i, fs_i) and sources y_j = (t_j, f_j), in
-    row blocks of at most _DIRECT_BLOCK elements; the order-1 Hankel pass
-    runs only with a normal."""
-    rows = max(1, _DIRECT_BLOCK // t.size)
-    for lo in range(0, s.size, rows):
-        sl = slice(lo, lo + rows)
-        d1 = s[sl, None] - t
-        d2 = fs[sl, None] - f
+def _add_direct(out, rows, k, s, fs, t, f, normal, weights=None):
+    """Add Phi_k(x_i, y_j), or with normal = (a, b, f') its layer sum, to
+    out[i], i in rows, for targets x_i = (s_i, fs_i) and sources y_j = (t_j,
+    f_j), in blocks of at most _DIRECT_BLOCK elements applied to weights when
+    given; the order-1 Hankel pass runs only with a normal."""
+    step = max(1, _DIRECT_BLOCK // t.size)
+    for lo in range(0, rows.size, step):
+        idx = rows[lo:lo + step]
+        d1 = s[idx, None] - t
+        d2 = fs[idx, None] - f
         phi, fac = _phi_terms(k, d1, d2, normal is not None)
         if normal is not None:
             phi = sommerfeld._normal_sum(phi, fac * d1, fac * d2, *normal)
-        out[sl] += phi
+        out[idx] += phi if weights is None else phi @ weights
 
 
 def _green_modes(medium, x, y, modes, tol, direct=True):
@@ -160,21 +161,23 @@ def green(medium: MediumPair, x, y, tol: float = 1e-10) -> complex:
 
 
 def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
-                        normal=None, check: bool = False):
+                        normal=None, check: bool = False, weights=None):
     """G(x, y_j), or with normal = (a, b, f') at the sources the layer sum
     a G + b (f' dG/dy1 - dG/dy2) = a G + b J dG/dnu(y), for sources
     y_j = (t_j, f_j) below the interface and a target x = (x1, x2), one
-    point or coordinate arrays: a complex array of shape x1.shape + (n,).
+    point or coordinate arrays: a complex array of shape x1.shape + (n,),
+    or of x1.shape, applied to the weights w_j at the sources if given.
 
     Each side of the interface (x2 >= 0, x2 < 0) takes one
-    sommerfeld.remainder_matrices call (G above, R below, plus _add_direct).
-    With check set, values come from the doubled rule (refine=2), and
+    sommerfeld.remainder_matrices call (G above, R below), or with weights
+    all targets take one rule; _add_direct adds Phi_{k-}(x, y) below.  With
+    check set, values come from the doubled rule (refine=2), and
     AccuracyError is raised when they differ from the single rule by more
-    than 1e-10, the two-pass test of green().  When the shared rule refuses
-    a side (a side hugging the interface, or a rule that would need too
-    many panels), its pairs take the pointwise fallback, _green_pair.  As G
-    is symmetric, G(y_j, x) and nabla_x G(y, x) at y = y_j are the same
-    arrays: boundary data of a point source at x.
+    than 1e-10 max(1, max|value|), green()'s two-pass test scaled to the
+    sum.  When the shared rule refuses a call (targets hugging the
+    interface, or a rule that would need too many panels), its pairs take
+    the pointwise fallback, _green_pair.  As G is symmetric, G(y_j, x) and
+    nabla_x G(y, x) at y = y_j are the same arrays: point-source data at x.
     """
     x1, x2 = _points(x)
     t = np.asarray(t_nodes, dtype=float)
@@ -183,21 +186,22 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
         raise DomainError("sources must lie strictly below the interface")
     s, fs = x1.ravel(), x2.ravel()
     below = fs < 0
-    out = np.empty((s.size, t.size), dtype=complex)
+    out = np.empty(s.shape + (t.shape if weights is None else ()), complex)
 
     def shared(idx, refine):
         return sommerfeld.remainder_matrices(
             medium.k_plus, medium.k_minus, t, f, s_nodes=s[idx],
-            fs_vals=fs[idx], refine=refine, normal=normal)
+            fs_vals=fs[idx], refine=refine, normal=normal, weights=weights)
 
-    for idx in (np.flatnonzero(~below), np.flatnonzero(below)):
+    sides = (np.flatnonzero(~below), np.flatnonzero(below))
+    for idx in sides if weights is None else (np.arange(s.size),):
         if idx.size == 0:
             continue
         try:
             part = shared(idx, 2 if check else 1)
             if check:
                 est = float(np.abs(part - shared(idx, 1)).max(initial=0.0))
-                if not est <= 1e-10:
+                if not est <= 1e-10 * max(1.0, np.abs(part).max()):
                     raise AccuracyError("shared spectral rule did not reach "
                                         "tolerance", estimate=est)
         except DomainError:
@@ -205,11 +209,10 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
                 medium, (s[i], fs[i]), (t[j], f[j]), normal is not None)
                 for j in range(t.size)] for i in idx], dtype=complex), -1, 0)
             part = part[0] if normal is None else sommerfeld._normal_sum(*part, *normal)
-        if below[idx[0]]:
-            _add_direct(part, medium.k_minus, s[idx], fs[idx], t, f, normal)
+            part = part if weights is None else part @ weights
         out[idx] = part
-        del part
-    return out.reshape(x1.shape + t.shape)
+    _add_direct(out, sides[1], medium.k_minus, s, fs, t, f, normal, weights)
+    return out.reshape(x1.shape + out.shape[1:])
 
 
 def fresnel_R(medium: MediumPair, theta: float) -> complex:

@@ -6,7 +6,8 @@ boundary:
 
     Dirichlet:  u_s(x) = h sum_j [dG/dnu(y_j) + i eta G(x, y_j)] J_j psi_j,
     impedance:  u_s(x) = h sum_j G(x, y_j) J_j psi_j,
-the bracket being green_surface_batch's layer sum for normal (i eta, 1/J, f').
+the bracket being green_surface_batch's layer sum for normal (i eta, 1/J, f'),
+applied to the weights h J_j psi_j without forming the m x n matrix.
 
 Exact reference: the four-wave piecewise-plane solution for a flat
 boundary under the layered interface (coefficients fixed by interface
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sommerfeld
 from .bie import BoundaryProblem, _surface_arrays
 from .errors import DomainError, SingularityError, SolverError
 from .green import (MediumPair, _check_downward, _plane_waves, _points,
@@ -69,10 +69,9 @@ def _check_points(surface, x1, x2, t_nodes):
 def _eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
     """Scattered field and near-surface flags (distance < _WARN_DIST) at one
     point or a point set x = (x1, x2) of coordinate arrays, each shaped like
-    the points; _check_points refuses a point below or on the surface.  The
-    points go in blocks of sommerfeld._BLOCK // n rows (n nodes), each one
-    green_surface_batch call and one product with h J_j psi_j, so memory
-    stays bounded for any number of points."""
+    the points; _check_points refuses a point below or on the surface.  One
+    green_surface_batch call with the weights h J_j psi_j takes all points,
+    on both sides of the interface, in memory bounded for any number."""
     x1, x2 = _points(x)
     p1, p2 = x1.ravel(), x2.ravel()
     t = sol.grid.nodes
@@ -80,14 +79,8 @@ def _eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
     _, f, df, _, speed = _surface_arrays(problem.surface, t)
     weights = sol.grid.h * speed * sol.values
     normal = (1j * problem.eta, 1.0 / speed, df) if problem.kind == "dirichlet" else None
-    values = np.empty(p1.size, dtype=complex)
-    rows = max(1, sommerfeld._BLOCK // t.size)
-    for lo in range(0, p1.size, rows):
-        blk = slice(lo, lo + rows)
-        kern = green_surface_batch(problem.medium, (p1[blk], p2[blk]), t, f,
-                                   normal=normal)
-        values[blk] = kern @ weights
-        del kern        # free this block before the next one is built
+    values = green_surface_batch(problem.medium, (p1, p2), t, f, normal=normal,
+                                 weights=weights)
     return values.reshape(x1.shape)[()], (dist < _WARN_DIST).reshape(x1.shape)[()]
 
 

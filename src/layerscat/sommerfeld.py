@@ -32,7 +32,9 @@ with doubled panel density provides the error estimate.
 spectral_point evaluates one pair this way.  On point sets one evaluator,
 remainder_matrices, serves assembly, boundary data and field evaluation: a
 real-axis rule (no ray tails, so it needs v_min > _MIN_DECAY) shared by all
-pairs, returning the sum I or one layer sum a I + b (f' dI/dy1 - dI/dy2).
+pairs, returning the sum I or one layer sum a I + b (f' dI/dy1 - dI/dy2), or
+for field evaluation either one applied to weights at the sources, which
+fold once per rule point for targets on both sides of the interface.
 Below the interface it integrates the remainder R = G - Phi_{k-}(x, y) whole:
 the mirror term's integrand e^{S-(x2+y2)}/(2 S-) is subtracted inside the
 integral, leaving g = (k+^2 - k-^2) / (2 S- (S+ + S-)^2), which decays like
@@ -312,24 +314,26 @@ def real_axis_rule(k_plus, k_minus, u_max, v_min, above, refine=1):
     with oscillation up to u_max and vertical decay at least v_min > _MIN_DECAY.
 
     The rule is sized for the integrand of remainder_matrices: for targets
-    above the interface (above set) E / (S+ + S-), bounded by e^{-S v} / (2 S)
-    beyond both branch points; below it the mirror-subtracted
+    above the interface (above True) E / (S+ + S-), bounded by e^{-S v} / (2 S)
+    beyond both branch points; below it (False) the mirror-subtracted
     E (k+^2 - k-^2) / (2 S- (S+ + S-)^2), bounded by
     e^{-S v} |k+^2 - k-^2| / (8 S^3), S = min(S+, S-).  The cutoff T0 leaves
-    a tail of at most _RULE_TOL (see _tail_cutoff).  Each 32-point panel
-    covers about seven oscillations of e^{i xi u_max} (Gauss-Legendre error
-    at most 5.3e-23 times its length, see the module docstring) and half the
-    decay share of a 16-point one; each segment has at least 2 panels.
-    S+ = S(xi, k+) and S- = S(xi, k-) come from the exact squares of
-    _head_segments.  A segment that would need more than _MAX_POINTS points
-    (2000 panels) raises DomainError.  The caller folds with
-    e^{i xi u} + sigma e^{-i xi u} and applies 1/(2pi).
+    a tail of at most _RULE_TOL (see _tail_cutoff); above = (False, True),
+    targets on both sides, takes the larger of the two cutoffs.  Each
+    32-point panel covers about seven oscillations of e^{i xi u_max}
+    (Gauss-Legendre error at most 5.3e-23 times its length, see the module
+    docstring) and half the decay share of a 16-point one; each segment has
+    at least 2 panels.  S+ = S(xi, k+) and S- = S(xi, k-) come from the
+    exact squares of _head_segments.  A segment that would need more than
+    _MAX_POINTS points (2000 panels) raises DomainError.  The caller folds
+    with e^{i xi u} + sigma e^{-i xi u} and applies 1/(2pi).
     """
     if v_min <= _MIN_DECAY:
         raise DomainError(f"real_axis_rule requires vertical decay v_min > {_MIN_DECAY}")
     k1, k2 = sorted((k_plus, k_minus))
-    c, p = (0.5, 0) if above else (abs(k_plus ** 2 - k_minus ** 2) / 8, 2)
-    w0 = _tail_cutoff(c, p, v_min)
+    w0 = max(_tail_cutoff(*((0.5, 0) if up else
+                            (abs(k_plus ** 2 - k_minus ** 2) / 8, 2)), v_min)
+             for up in np.atleast_1d(above))
     counts = _segment_panels(k1, k2, u_max, v_min, w0, _SHARED_PANELS, refine)
     xi, w, s1, s2, _ = _head_segments(k1, k2, w0, counts, _SHARED_PANELS)
     sp, sm = (s1, s2) if k_plus < k_minus else (s2, s1)
@@ -457,6 +461,27 @@ def _fold_sums(sums, xi, sm, st, base, s, fs, t, f):
                 _gemm(sums[1], xs[1 - k] * xi[sl], xt[k], alpha=1 - 2 * k)
 
 
+def _fold_contract(out, xi, sm, t, f, coef, sides):
+    """Add one part of the folded rule, applied to source weights w, to out;
+    coef is (w,) for I w, or (a w, b f' w, b w) for L w, sides one
+    (rows, s, fs, st, base) per side of the interface.  Per rule block the
+    sources' [C, S] (_fold_factors) fold once into P = (a w)C - S-(b w)C
+    - xi (b f' w)S and Q = (a w)S - S-(b w)S + xi (b f' w)C, vectors over
+    the rule, and each target adds C_s P + S_s Q: (m + n) q products."""
+    blk = max(1, _BLOCK // (2 * max(t.size, *(x[0].size for x in sides))))
+    for lo in range(0, xi.size, blk):
+        sl = slice(lo, lo + blk)
+        x = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
+        cw, sw = coef.real @ x + 1j * (coef.imag @ x)  # no complex copy of x
+        p, q = cw[0], sw[0]
+        if len(coef) > 1:
+            p = p - sm[sl] * cw[2] - xi[sl] * sw[1]
+            q = q - sm[sl] * sw[2] + xi[sl] * cw[1]
+        for rows, s, fs, st, base in sides:
+            cs, ss = _fold_factors(xi[sl], st[sl], s, fs, base[sl])
+            out[rows] += cs @ p + ss @ q
+
+
 def _normal_sum(val, dy1, dy2, a, b, df):
     """a val + b (f' dy1 - dy2), written over val and dy1, with a, b, f' per
     column (source)."""
@@ -494,12 +519,12 @@ def _fold_layer(out, xi, sm, base, t, f, normal, sign, r=None):
 
 
 def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
-                       fs_vals=None, refine=1, normal=None):
+                       fs_vals=None, refine=1, normal=None, weights=None):
     """Spectral part of G between point sets, through one shared rule.
 
     Sources y_j = (t_j, f_j) lie strictly below the interface, targets
     x_i = (s_i, fs_i) (the sources when s_nodes is omitted) all on one side
-    of it (DomainError otherwise).  Of the sum
+    of it unless weights are given (DomainError otherwise).  Of the sum
 
         I[i, j] = (1/2pi) int_R  E_i e^{S-(xi) f_j} g(xi)
                   e^{i xi (s_i - t_j)} d xi,
@@ -512,7 +537,8 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     L = I diag(a) + N diag(b), N = f' dI/dy1 - dI/dy2 (_normal_sum); on the
     node set normal = (a, b, f', rows), and with rows set (the normal at
     the targets) L's transpose; with normal None (targets given) I alone:
-    one dense complex matrix.
+    one dense complex matrix.  With weights w at the sources (targets given,
+    on either side) it returns L w or I w, by _fold_contract.
 
     The rule on xi > 0 (real_axis_rule) spans u_max = max|s_i - t_j| and
     decays at least as e^{-xi v_min}, v_min = min|fs| + min|f|.  The fold
@@ -533,22 +559,30 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
     if not np.all(f < 0):       # NaN too
         raise DomainError("surface nodes must lie strictly below the interface")
     up = fs >= 0
-    if up.any() and not up.all():
+    sides = np.unique(up)       # False below the interface, True at or above
+    if sides.size > 1 and weights is None:
         raise DomainError("targets must lie on one side of the interface")
-    above = bool(up.any())
     u_max = float(max(s.max() - t.min(), t.max() - s.min()))
     v_min = float(np.abs(fs).min() + np.abs(f).min())
-    xi, w, sp, sm = real_axis_rule(k_plus, k_minus, u_max, v_min, above,
+    xi, w, sp, sm = real_axis_rule(k_plus, k_minus, u_max, v_min, sides,
                                    refine=refine)
-    # 2 / (2 pi): the fold's factor 2
-    if above:
-        st = -sp
-        base = w / (sp + sm) / np.pi
-    else:
-        st = sm
-        base = w * (k_plus ** 2 - k_minus ** 2) / (2 * sm * (sp + sm) ** 2)
-        base /= np.pi
+    # per side (True at or above the interface) the targets' exponent st
+    # and the rule's weights base, with the fold's factor 2 / (2 pi)
+    side = {True: (-sp, w / (sp + sm) / np.pi), False: (sm, w * (
+        k_plus ** 2 - k_minus ** 2) / (2 * sm * (sp + sm) ** 2) / np.pi)}
     real = (sp.imag == 0) & (sm.imag == 0)
+    if weights is not None:
+        out = np.zeros(s.size, dtype=complex)
+        coef = np.array([weights] if normal is None else
+                        [normal[0] * weights, normal[1] * normal[2] * weights,
+                         normal[1] * weights])
+        groups = [(np.flatnonzero(up == above), *side[above]) for above in sides]
+        for part, cast in ((real, np.real), (~real, np.asarray)):
+            _fold_contract(out, xi[part], cast(sm[part]), t, f, coef,
+                           [(rows, s[rows], fs[rows], cast(st[part]),
+                             cast(base[part])) for rows, st, base in groups])
+        return out
+    st, base = side[sides[0]]
     xr, smr, br = xi[real], sm[real].real, base[real].real
     if not symmetric:
         sums = [np.zeros((s.size, t.size), order="F")

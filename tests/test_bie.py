@@ -389,6 +389,26 @@ def test_batched_data_accuracy_check(monkeypatch, gap, raises):
     assert np.abs(out - ref).max() <= 1e-12
 
 
+def test_batched_data_nan_estimate_raises(monkeypatch):
+    # the two-pass test is relative to max(1, max|value|), and a NaN in the
+    # single-rule pass (a NaN estimate) must still fail it
+    remainder_matrices = sommerfeld.remainder_matrices
+
+    def broken(*args, refine=1, **kwargs):
+        out = remainder_matrices(*args, refine=refine, **kwargs)
+        if refine == 1:
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(sommerfeld, "remainder_matrices", broken)
+    t = np.linspace(-4, 4, 9)
+    f = -1 + 0.3 * np.sin(0.7 * np.pi * t)
+    with pytest.raises(AccuracyError) as exc:
+        green_surface_batch(MED, (1.0, -1.3), t, f, normal=(0.0, 1.0, 1.0),
+                            check=True)
+    assert math.isnan(exc.value.estimate)
+
+
 def test_problem_validation():
     surf = builtin("gamma1")
     with pytest.raises(DomainError):

@@ -292,6 +292,26 @@ def test_cli_overflowing_coefficient_names_its_row(tmp_path, capsys, preset,
         f"(node t = -31.4159, {shown})"]
 
 
+@pytest.mark.parametrize("beta", [1e6, 1e8, 1e12])
+def test_cli_large_impedance_beta_point_source_solves(tmp_path, capsys, beta):
+    # the two-pass check of the point-source data is relative to the sum it
+    # checks, whose size (and estimate) grows like the coefficient -i k- beta:
+    # a large but finite beta used to exit 3 ("shared spectral rule did not
+    # reach tolerance", estimate 2.9e-10 at 1e6).  It solves, and its error
+    # against the exact scattered field G(x, y0) stays near that of beta = 1
+    raw = {"problem": "impedance", "k_plus": 2.7, "k_minus": 3.5,
+           "surface": "gamma1",
+           "incident": {"type": "point", "y0": [0.3, -2.5]},
+           "A_over_pi": 2, "N": 4, "eval_points": [[0.6, 0.56]]}
+    cfg_path = tmp_path / "beta.json"
+    cfg_path.write_text(json.dumps(dict(raw, beta=beta)), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    one, big = (run(config_from_dict(dict(raw, beta=b))).rows[0]["abs_error"]
+                for b in (1.0, beta))
+    assert big <= 10 * one
+
+
 @pytest.mark.parametrize("beta,message", [
     ({"expr": "exp(t^2)"}, "beta: not finite at t = -31.4159"),
     ({"expr": "1+0*exp(t^2)"}, "beta: not finite at t = -31.4159"),

@@ -14,8 +14,9 @@ from oracle import grad_green_y, kernel_rows
 from layerscat import sommerfeld
 from layerscat.cli import build_problem, preset_config
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import (MediumPair, green, reference_field_plane,
-                             transmitted_direction)
+from layerscat.bie import _surface_arrays
+from layerscat.green import (MediumPair, green, green_surface_batch,
+                             reference_field_plane, transmitted_direction)
 from layerscat.nystrom import DensitySolution, Grid, log_weight
 from layerscat.potentials import _eval_scattered, eval_scattered, four_wave_exact
 
@@ -54,15 +55,9 @@ def test_example1_field_errors(solved):
     assert err_i <= 5e-2
 
 
-@pytest.mark.parametrize("preset", ["example1-dbvp", "example1-ibvp",
-                                    "example2-dbvp"])
-def test_point_set_matches_scalar_oracle(solved, preset):
-    # the array evaluator on a point set above, on and below the interface,
-    # against h sum_j kernel_j J_j psi_j with the kernel from scalar green()
-    # and grad_green_y()
-    _, problem, sol = solved(preset, 4, A_over_pi=2)
-    x1 = np.array([0.6, -0.4, 0.3])
-    x2 = np.array([0.56, 0.0, -0.4])
+def _scalar_field(problem, sol, x1, x2):
+    """h sum_j kernel_j J_j psi_j at each point, with the kernel from scalar
+    green() and grad_green_y()."""
     t = sol.grid.nodes
     surf = problem.surface
     ref = np.zeros(x1.size, dtype=complex)
@@ -76,6 +71,19 @@ def test_point_set_matches_scalar_oracle(solved, preset):
                 gy1, gy2 = grad_green_y(problem.medium, x, y)
                 kern = (df * gy1 - gy2) / speed + 1j * problem.eta * kern
             ref[i] += sol.grid.h * kern * speed * psi
+    return ref
+
+
+@pytest.mark.parametrize("preset", ["example1-dbvp", "example1-ibvp",
+                                    "example2-dbvp"])
+def test_point_set_matches_scalar_oracle(solved, preset):
+    # the array evaluator on a point set above, on and below the interface,
+    # against h sum_j kernel_j J_j psi_j with the kernel from scalar green()
+    # and grad_green_y()
+    _, problem, sol = solved(preset, 4, A_over_pi=2)
+    x1 = np.array([0.6, -0.4, 0.3])
+    x2 = np.array([0.56, 0.0, -0.4])
+    ref = _scalar_field(problem, sol, x1, x2)
     vals = eval_scattered(sol, problem, (x1, x2))
     assert vals.shape == x1.shape
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -124,19 +132,56 @@ def test_near_surface_flags(solved):
                                     rel=1e-12)
 
 
-def test_point_set_blocks_match_halves(solved, monkeypatch):
-    # values do not depend on how the points are grouped: the whole set, its
-    # two halves, and the whole set in blocks of 7 rows agree
-    _, problem, sol = solved("example1-dbvp", 16)
+@pytest.mark.parametrize("preset", ["example1-dbvp", "example1-ibvp"])
+def test_point_set_contraction_matches_dense_layer_sum(solved, preset):
+    # the field applies the layer sum to h J psi without forming it, through
+    # one rule for the points on both sides of the interface.  Point by point
+    # it is the dense m x n layer sum (per side, as boundary data and greens
+    # take it) times h J psi, and it does not depend on how the points are
+    # grouped: the whole set and its two halves agree
+    _, problem, sol = solved(preset, 16)
     x1 = np.linspace(-3.0, 3.0, 40)
     x2 = np.tile([0.7, 0.05, -0.3, -0.5], 10)
     whole = eval_scattered(sol, problem, (x1, x2))
     halves = np.concatenate([eval_scattered(sol, problem, (x1[:20], x2[:20])),
                              eval_scattered(sol, problem, (x1[20:], x2[20:]))])
-    monkeypatch.setattr(sommerfeld, "_BLOCK", 7 * sol.grid.node_count)
-    blocked = eval_scattered(sol, problem, (x1, x2))
-    for other in (halves, blocked):
-        assert np.all(np.abs(other - whole) <= 1e-12 * np.abs(whole))
+    assert np.all(np.abs(halves - whole) <= 1e-12 * np.abs(whole))
+    t = sol.grid.nodes
+    _, f, df, _, speed = _surface_arrays(problem.surface, t)
+    normal = ((1j * problem.eta, 1.0 / speed, df)
+              if problem.kind == "dirichlet" else None)
+    dense = green_surface_batch(problem.medium, (x1, x2), t, f, normal=normal)
+    ref = dense @ (sol.grid.h * speed * sol.values)
+    assert np.abs(whole - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_refused_rule_falls_back_to_pointwise_values(solved, monkeypatch):
+    # when the one rule of the contracted call refuses (DomainError), its
+    # points, on both sides of the interface, take the pointwise fallback:
+    # the values are still h sum_j kernel_j J_j psi_j with the kernel from
+    # scalar green()
+    _, problem, sol = solved("example1-dbvp", 4, A_over_pi=2)
+    x1, x2 = np.array([0.6, -0.4, 0.3]), np.array([0.56, 0.0, -0.4])
+    ref = _scalar_field(problem, sol, x1, x2)
+    panels = sommerfeld._segment_panels
+
+    def refuse(k1, k2, u_abs, v, w0, kind, refine):
+        if kind is sommerfeld._SHARED_PANELS:
+            raise DomainError("refused")
+        return panels(k1, k2, u_abs, v, w0, kind, refine)
+
+    calls = []
+    layer = sommerfeld.remainder_matrices
+
+    def spy(*args, s_nodes=None, **kwargs):
+        calls.append(np.asarray(s_nodes).size)
+        return layer(*args, s_nodes=s_nodes, **kwargs)
+
+    monkeypatch.setattr(sommerfeld, "_segment_panels", refuse)
+    monkeypatch.setattr(sommerfeld, "remainder_matrices", spy)
+    vals = eval_scattered(sol, problem, (x1, x2))
+    assert calls == [3]
+    assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_field_evaluation_memory_is_bounded():
