@@ -172,7 +172,9 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     with np.errstate(all="ignore"):
         jet = np.asarray(prof.jet(grid), dtype=float)
         _on_window(grid, np.isfinite(jet).all(0), "surface: f, f' or f'' not finite")
-        top, high = surface_mod._refined_max(prof, grid, jet[0])
+        (top,), (low,) = surface_mod.refine_min(lambda t: -prof(t), -a, a,
+                                                (grid.size, 201, 201))
+    high = -low     # the grid's highest node, then two rounds of 201
     _require(high < 0, f"surface: reaches the interface at t = {top:.6g}")
     gap = sommerfeld._MIN_DECAY / 2
     _require(high < -gap, f"surface: highest point on [-A, A] is x2 = "
@@ -195,8 +197,8 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
         _require(isinstance(p, (list, tuple)) and len(p) == 2,
                  f"eval_points: bad entry {p!r}")
         points.append(tuple(_number(v, "eval_points") for v in p))
-    try:    # the distance to the surface seeded by the [-A, A] grid
-        _check_points(prof, *np.array(points).reshape(-1, 2).T, grid)
+    try:
+        _check_points(prof, *np.array(points).reshape(-1, 2).T)
     except DomainError as exc:
         raise ConfigError(f"eval_points: {exc}")
     out_dir = data.get("out_dir")

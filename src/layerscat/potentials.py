@@ -27,39 +27,30 @@ from .errors import DomainError, SingularityError, SolverError
 from .green import (MediumPair, _check_downward, _plane_waves, _points,
                     green_surface_batch, transmitted_direction)
 from .nystrom import DensitySolution
+from .surface import refine_min
 
 _MIN_DIST = 1e-6
 _WARN_DIST = 1e-2
 
 
-def _surface_distance(surface, x1, x2, t_nodes):
-    """Distance from each point (x1_i, x2_i) of 1-D arrays to the surface: the
-    nearest node, then five rounds of 41-point refinement around it."""
-    t = np.asarray(t_nodes, dtype=float)
-    f = np.asarray(surface(t), dtype=float)
-    x1, x2 = x1[:, None], x2[:, None]
-    rows = np.arange(x1.shape[0])
-    j = np.hypot(x1 - t, x2 - f).argmin(axis=1)
-    lo, hi = t[np.maximum(j - 1, 0)], t[np.minimum(j + 1, t.size - 1)]
-    for _ in range(5):
-        tt = np.linspace(lo, hi, 41, axis=1)
-        dd = np.hypot(x1 - tt, x2 - np.asarray(surface(tt), dtype=float))
-        j = dd.argmin(axis=1)
-        lo, hi = tt[rows, np.maximum(j - 1, 0)], tt[rows, np.minimum(j + 1, 40)]
-    return dd.min(axis=1)
-
-
-def _check_points(surface, x1, x2, t_nodes):
-    """Distance from each point (x1_i, x2_i) of 1-D arrays to the surface;
-    DomainError names the first point below it (no field is defined there),
-    SingularityError the first within _MIN_DIST (the quadrature is invalid)."""
-    below = x2 < np.asarray(surface(x1), dtype=float)
-    dist = _surface_distance(surface, x1, x2, t_nodes)
-    bad = np.flatnonzero(below | (dist < _MIN_DIST))
+def _check_points(surface, x1, x2):
+    """Distance from each point (x1_i, x2_i) of 1-D arrays to the surface: at
+    most the vertical gap g = |x2 - f(x1)|, so refine_min takes five rounds of
+    41 samples on [x1 - g, x1 + g].  DomainError names the first point with f
+    not finite there or lying below the surface (no field there),
+    SingularityError the first within _MIN_DIST of the surface."""
+    with np.errstate(all="ignore"):
+        f = np.asarray(surface(x1), dtype=float)
+        g = np.abs(x2 - f)
+        _, dist = refine_min(lambda t: np.hypot(x1[:, None] - t, x2[:, None] - surface(t)),
+                             x1 - g, x1 + g, (41,) * 5)
+    bad = np.flatnonzero(~np.isfinite(dist) | (x2 < f) | (dist < _MIN_DIST))
     if bad.size:
         i = bad[0]
         x = (float(x1[i]), float(x2[i]))
-        if below[i]:
+        if not np.isfinite(dist[i]):
+            raise DomainError(f"{x}: surface not finite within |x2 - f(x1)| of x1")
+        if x2[i] < f[i]:
             raise DomainError(f"{x} lies below the surface, where no field is defined")
         raise SingularityError(f"{x} lies within {_MIN_DIST:g} of the surface, "
                                "where the field quadrature is invalid")
@@ -75,7 +66,7 @@ def _eval_scattered(sol: DensitySolution, problem: BoundaryProblem, x):
     x1, x2 = _points(x)
     p1, p2 = x1.ravel(), x2.ravel()
     t = sol.grid.nodes
-    dist = _check_points(problem.surface, p1, p2, t)
+    dist = _check_points(problem.surface, p1, p2)
     _, f, df, _, speed = _surface_arrays(problem.surface, t)
     weights = sol.grid.h * speed * sol.values
     normal = (1j * problem.eta, 1.0 / speed, df) if problem.kind == "dirichlet" else None

@@ -593,6 +593,8 @@ def remainder_matrices(k_plus, k_minus, t_nodes, f_vals, s_nodes=None,
         _fold_sums(sums, xi[~real], sm[~real], st[~real], base[~real],
                    s, fs, t, f)
         return sums[0] if normal is None else _normal_sum(*sums, *normal)
+    if normal is None or len(normal) != 4:
+        raise DomainError("the node set takes a normal (a, b, f', rows)")
     a, b, df, rows = normal
     sign = 1.0 if k_plus > k_minus else -1.0    # sign base > 0 where real
     r, out = (np.zeros((t.size, t.size), order="F") for _ in range(2))

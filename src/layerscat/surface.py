@@ -19,17 +19,21 @@ from .errors import DomainError
 from .exprs import Expression, parse_expression
 
 
-def _refined_max(fn, grid, vals):
-    """(t, fn(t)) at the maximum of vals = fn(grid), polished by two rounds
-    of local refinement."""
-    j = int(np.argmax(vals))
-    lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
-    for _ in range(2):
-        g = np.linspace(lo, hi, 201)
-        v = np.asarray(fn(g), dtype=float)
-        j = int(np.argmax(v))
-        lo, hi = g[max(j - 1, 0)], g[min(j + 1, g.size - 1)]
-    return float(g[j]), float(v[j])
+def refine_min(fn, lo, hi, rounds):
+    """(t*, fn(t*)) at the least of fn on each bracket [lo_i, hi_i] (arrays,
+    or floats for one bracket).  Round k takes rounds[k] evenly spaced
+    samples, and the next brackets the least by its two neighbours; fn maps
+    an (m, samples) array of t to values.  fn(t*) is NaN on a bracket where
+    fn was not finite at some sample."""
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+    rows, finite = np.arange(lo.size), np.ones(lo.size, dtype=bool)
+    for n in rounds:
+        t = np.linspace(lo, hi, n, axis=1)
+        v = np.asarray(fn(t), dtype=float)
+        finite &= np.isfinite(v).all(axis=1)
+        j = v.argmin(axis=1)
+        lo, hi = t[rows, np.maximum(j - 1, 0)], t[rows, np.minimum(j + 1, n - 1)]
+    return t[rows, j], np.where(finite, v[rows, j], np.nan)
 
 
 #: the example surfaces, as expressions

@@ -648,6 +648,8 @@ def test_remainder_targets_above_interface(kp, km):
     with pytest.raises(DomainError):
         sommerfeld.remainder_matrices(kp, km, t, f, s_nodes=[0.0, 1.0],
                                       fs_vals=[0.5, -0.5])
+    with pytest.raises(DomainError, match=r"node set takes a normal"):
+        sommerfeld.remainder_matrices(kp, km, t, f)
 
 
 def test_remainder_fold_against_extended_precision_sum():

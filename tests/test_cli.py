@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -373,6 +374,42 @@ def test_cli_surface_clearance_checked(tmp_path, capsys):
     assert "x2 = -0.005" in err and "clearance above 0.01" in err
     row = run(config_from_dict(dict(raw, surface={"expr": "-0.03"}))).rows[0]
     assert np.isfinite(row["scattered"])
+
+
+def test_cli_eval_point_over_nonfinite_surface_refused(tmp_path, capsys):
+    # f = -1 - 0.001 exp(t^2) is finite on [-pi, pi] but overflows at the
+    # point's x1 = 40: the run used to exit 0 with numpy warnings (and the
+    # distance would be NaN).  It is a config error naming the point, one
+    # line and no warning
+    raw = {"problem": "impedance", "k_plus": 2.7, "k_minus": 3.5,
+           "surface": {"expr": "-1-0.001*exp(t^2)"},
+           "incident": {"type": "plane", "theta_d": 4.18879020478639},
+           "N": 4, "A_over_pi": 1, "eval_points": [[40.0, 0.5]]}
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+    assert not caught
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "eval_points: (40.0, 0.5)" in err[0]
+    assert "not finite" in err[0]
+
+
+def test_config_point_check_memory_does_not_grow_with_nodes():
+    # the point check brackets each point's nearest surface point by its
+    # vertical gap and refines there; it used to seed every point from
+    # every point of the [-A, A] grid, 4800 x 3143 arrays at 363 MB
+    x1 = np.linspace(-8, 8, 1200)
+    pts = [[float(a), b] for b in (0.9, 0.3, -0.3, -0.7) for a in x1]
+    raw = dict(_PRESETS["example2-dbvp"], N=16, eval_points=pts)
+    tracemalloc.start()
+    try:
+        assert len(config_from_dict(raw).eval_points) == 4800
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_cli_rule_panel_limit_exit_code(tmp_path, capsys):

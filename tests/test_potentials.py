@@ -7,18 +7,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from conftest import boundary_data, nystrom_interpolate
 from oracle import grad_green_y, kernel_rows
 
 from layerscat import sommerfeld
-from layerscat.cli import build_problem, preset_config
+from layerscat.cli import build_problem, config_from_dict, preset_config
 from layerscat.errors import DomainError, SingularityError
 from layerscat.bie import _surface_arrays
 from layerscat.green import (MediumPair, green, green_surface_batch,
                              reference_field_plane, transmitted_direction)
-from layerscat.nystrom import DensitySolution, Grid, log_weight
-from layerscat.potentials import _eval_scattered, eval_scattered, four_wave_exact
+from layerscat.exprs import parse_expression
+from layerscat.nystrom import DensitySolution, Grid, log_weight, solve
+from layerscat.potentials import (_check_points, _eval_scattered, eval_scattered,
+                                  four_wave_exact)
+from layerscat.surface import builtin
 
 MED = MediumPair(2.7, 3.5)
 
@@ -111,6 +115,50 @@ def test_eval_point_below_or_on_surface_refused(solved):
     on = (0.3, float(problem.surface(0.3)))
     with pytest.raises(SingularityError, match=re.escape(f"{on} lies within 1e-06")):
         eval_scattered(sol, problem, on)
+
+
+def _reference_distance(surface, x1, x2):
+    """Distance from (x1, x2) to the surface: a scan at spacing 1e-4 over
+    [x1 - 3.5, x1 + 3.5], polished around the best sample (in the offset
+    from it, so that the bounded search's tolerance is absolute)."""
+    t = x1 + 1e-4 * np.arange(-35000, 35001)
+    d = np.hypot(x1 - t, x2 - surface(t))
+    tj = t[d.argmin()]
+    res = minimize_scalar(lambda s: float(np.hypot(x1 - tj - s, x2 - surface(tj + s))),
+                          bounds=(-1e-4, 1e-4), method="bounded",
+                          options={"xatol": 1e-13})
+    return min(res.fun, d.min())
+
+
+@pytest.mark.parametrize("expr", ["gamma1", "gamma2", "gamma3", "-1+0.3*sin(5*t)"])
+def test_point_distance_matches_dense_reference(expr):
+    # the check refines each point's distance in [x1 - g, x1 + g], g its
+    # vertical gap, with no sweep of the nodes.  Points on a grid of x1 and
+    # beside the steepest flank (largest |f'|), from 1e-5 to 3 above
+    surface = builtin(expr) if expr.startswith("gamma") else parse_expression(expr)
+    s = np.linspace(-3, 3, 6001)
+    x1 = np.append(np.linspace(-3, 3, 13), s[np.abs(surface.jet(s)[1]).argmax()])
+    for offset in (1e-5, 1e-3, 0.01, 0.3, 3.0):
+        x2 = surface(x1) + offset
+        dist = _check_points(surface, x1, x2)
+        ref = [_reference_distance(surface, a, b) for a, b in zip(x1, x2)]
+        assert np.abs(dist - ref).max() <= 1e-9
+
+
+def test_eval_point_over_nonfinite_surface_refused():
+    # f overflows at x1 = 40, outside the window [-pi, pi] that validation
+    # checks: the point's distance would be NaN and pass every check
+    raw = {"problem": "impedance", "k_plus": 2.7, "k_minus": 3.5,
+           "surface": {"expr": "-1-0.001*exp(t^2)"},
+           "incident": {"type": "plane", "theta_d": 4.18879020478639},
+           "N": 4, "A_over_pi": 1}
+    cfg = config_from_dict(raw)
+    problem = build_problem(cfg)
+    sol = solve(problem, Grid(half_width_A=cfg.A, N=cfg.N))
+    with pytest.raises(DomainError, match=r"\(40\.0, 0\.5\).*not finite"):
+        eval_scattered(sol, problem, (40.0, 0.5))
+    with pytest.raises(DomainError, match=r"\(40\.0, 0\.5\).*not finite"):
+        eval_scattered(sol, problem, (np.array([0.0, 40.0]), np.array([0.5, 0.5])))
 
 
 def test_uprc_decay_slope(solved):
