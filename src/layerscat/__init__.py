@@ -4,8 +4,7 @@ below a two-layered medium interface."""
 from .bie import BoundaryProblem, cutoff_chi
 from .errors import (AccuracyError, ConfigError, DomainError, LayerScatError,
                      SingularityError, SolverError)
-from .green import (MediumPair, fresnel_R, fresnel_T, green,
-                    reference_field_plane, reference_field_plane_grad,
+from .green import (MediumPair, fresnel_R, green, reference_field_plane,
                     transmitted_direction)
 from .nystrom import DensitySolution, Grid, assemble, log_weight, solve
 from .potentials import FourWaveSolution, eval_scattered, four_wave_exact
@@ -19,8 +18,7 @@ __all__ = [
     "DomainError", "FourWaveSolution", "Grid", "LayerScatError", "MediumPair",
     "SingularityError", "SolverError", "assemble",
     "builtin", "cutoff_chi", "eval_scattered",
-    "four_wave_exact", "fresnel_R", "fresnel_T", "green",
-    "hankel1", "log_weight", "reference_field_plane",
-    "reference_field_plane_grad", "solve", "transmitted_direction",
+    "four_wave_exact", "fresnel_R", "green", "hankel1", "log_weight",
+    "reference_field_plane", "solve", "transmitted_direction",
     "vertical_wavenumber",
 ]

@@ -475,10 +475,12 @@ def _print_report(report: RunReport):
 
 
 def _jsonable(obj):
+    """obj with floats to 15 digits and non-finite ones None: JSON null,
+    as RFC 8259 has no NaN or Infinity."""
     if isinstance(obj, complex):
-        return {"re": float(f"{obj.real:.15g}"), "im": float(f"{obj.imag:.15g}")}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, float):
-        return float(f"{obj:.15g}")
+        return float(f"{obj:.15g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -12,9 +12,9 @@ wavenumber k, G = Phi_k(x, y) - Phi_k(x, y') + I, where y' = (y1, -y2) is
 the mirror point and Phi_k(x,y) = (i/4) H1_0(k|x-y|).  The smooth
 remainder R = G - Phi_{k-} below the interface is then -Phi_{k-}(x, y') + I.
 
-The scalar path (green, and _green_pair, the fallback of the batch) evaluates
-I by sommerfeld.spectral_point and, for ends on one side, adds the Hankel
-terms of _free_terms.
+The pointwise path, _green_terms (green, and the fallback of the batch),
+evaluates I by sommerfeld.spectral_point and, for ends on one side, adds the
+Hankel terms of _free_terms: G, or with grad [G, dG/dy1, dG/dy2].
 On point sets sommerfeld.remainder_matrices integrates R whole, with the
 mirror term subtracted inside the integral, and G above the interface;
 green_surface_batch adds only the direct term Phi_{k-}(x, y) below it
@@ -90,25 +90,24 @@ def _phi_terms(k, d1, d2, grad):
     return val, fac
 
 
-def _free_terms(k, d1, x2, y2, direct=False):
+def _free_terms(k, d1, x2, y2, grad, direct):
     """Closed-form Hankel terms of G within one layer of wavenumber k.
 
-    Returns (val, dy1, dy2, dx2) of the mirror term -Phi_k(x, y'),
-    y' = (y1, -y2), plus, with direct set, the direct term Phi_k(x, y).
-    d1 = x1 - y1, x2 and y2 are scalars.  Both terms depend on x1 - y1 only,
-    so d/dx1 = -d/dy1.
+    Returns [val], or with grad [val, dy1, dy2], of the mirror term
+    -Phi_k(x, y'), y' = (y1, -y2), plus, with direct set, the direct term
+    Phi_k(x, y).  d1 = x1 - y1, x2 and y2 are scalars.
     """
     w = x2 + y2
-    val, fac = _phi_terms(k, d1, w, True)
-    val, dy1, dy2, dx2 = -val, -fac * d1, fac * w, fac * w
+    val, fac = _phi_terms(k, d1, w, grad)
+    terms = [-val, -fac * d1, fac * w] if grad else [-val]
     if direct:
         dz = x2 - y2
-        phi, fac = _phi_terms(k, d1, dz, True)
-        val += phi
-        dy1 += fac * d1
-        dy2 += fac * dz
-        dx2 -= fac * dz
-    return val, dy1, dy2, dx2
+        phi, fac = _phi_terms(k, d1, dz, grad)
+        terms[0] += phi
+        if grad:
+            terms[1] += fac * d1
+            terms[2] += fac * dz
+    return terms
 
 
 #: elements per temporary of the direct term in green_surface_batch
@@ -131,33 +130,24 @@ def _add_direct(out, rows, k, s, fs, t, f, normal, weights=None):
         out[idx] += phi if weights is None else phi @ weights
 
 
-def _green_modes(medium, x, y, modes, tol, direct=True):
-    """G (direct set) or R = G - Phi(x, y) at one pair, as dict mode ->
-    value (modes among val, dx1, dx2, dy1, dy2), two-pass checked to tol."""
+def _green_terms(medium, x, y, grad, tol, direct=True):
+    """G (direct set) or R = G - Phi(x, y) at one pair, as the array [G] or
+    with grad [G, dG/dy1, dG/dy2], two-pass checked to tol."""
     x1, x2 = _pt(x)
     y1, y2 = _pt(y)
     if direct and math.hypot(x1 - y1, x2 - y2) < _SING_DIST:
         raise SingularityError("two-layered Green function at coincident points")
-    vals = sommerfeld.spectral_point(medium.k_plus, medium.k_minus, x2, y2,
-                                     x1 - y1, modes=modes, tol=tol)
+    terms = sommerfeld.spectral_point(medium.k_plus, medium.k_minus, x2, y2,
+                                      x1 - y1, grad, tol)
     if (x2 >= 0) == (y2 >= 0):      # one side: its free-space parts
         k = medium.k_plus if x2 >= 0 else medium.k_minus
-        val, dy1, dy2, dx2 = _free_terms(k, x1 - y1, x2, y2, direct)
-        free = {"val": val, "dy1": dy1, "dy2": dy2, "dx1": -dy1, "dx2": dx2}
-        vals = {m: vals[m] + free[m] for m in modes}
-    return vals
-
-
-def _green_pair(medium, x, y, grad):
-    """[G] or [G, dG/dy1, dG/dy2] (R below the interface) at one pair, by the
-    pointwise path checked as green() is: green_surface_batch's fallback."""
-    modes = ("val", "dy1", "dy2") if grad else ("val",)
-    return list(_green_modes(medium, x, y, modes, 1e-10, direct=False).values())
+        terms = terms + np.array(_free_terms(k, x1 - y1, x2, y2, grad, direct))
+    return terms
 
 
 def green(medium: MediumPair, x, y, tol: float = 1e-10) -> complex:
     """Two-layered Green function G(x, y)."""
-    return _green_modes(medium, x, y, ("val",), tol)["val"]
+    return _green_terms(medium, x, y, False, tol)[0]
 
 
 def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
@@ -176,7 +166,7 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
     than 1e-10 max(1, max|value|), green()'s two-pass test scaled to the
     sum.  When the shared rule refuses a call (targets hugging the
     interface, or a rule that would need too many panels), its pairs take
-    the pointwise fallback, _green_pair.  As G is symmetric, G(y_j, x) and
+    the pointwise fallback, _green_terms.  As G is symmetric, G(y_j, x) and
     nabla_x G(y, x) at y = y_j are the same arrays: point-source data at x.
     """
     x1, x2 = _points(x)
@@ -205,9 +195,10 @@ def green_surface_batch(medium: MediumPair, x, t_nodes, f_vals,
                     raise AccuracyError("shared spectral rule did not reach "
                                         "tolerance", estimate=est)
         except DomainError:
-            part = np.moveaxis(np.array([[_green_pair(
-                medium, (s[i], fs[i]), (t[j], f[j]), normal is not None)
-                for j in range(t.size)] for i in idx], dtype=complex), -1, 0)
+            part = np.moveaxis(np.array([[_green_terms(
+                medium, (s[i], fs[i]), (t[j], f[j]), normal is not None,
+                1e-10, direct=False) for j in range(t.size)] for i in idx]),
+                -1, 0)
             part = part[0] if normal is None else sommerfeld._normal_sum(*part, *normal)
             part = part if weights is None else part @ weights
         out[idx] = part
@@ -223,11 +214,6 @@ def fresnel_R(medium: MediumPair, theta: float) -> complex:
     if abs(den) < 1e-14:
         raise DomainError("degenerate incidence: reflection denominator vanishes")
     return num / den
-
-
-def fresnel_T(medium: MediumPair, theta: float) -> complex:
-    """Transmission coefficient T = R + 1."""
-    return fresnel_R(medium, theta) + 1.0
 
 
 def transmitted_direction(medium: MediumPair, theta_d: float) -> np.ndarray:
@@ -302,8 +288,3 @@ def reference_field_plane(medium: MediumPair, theta_d: float, x):
     (complex result) or a pair of coordinate arrays (array result)."""
     return _reference_field(medium, theta_d, x)[0]
 
-
-def reference_field_plane_grad(medium: MediumPair, theta_d: float, x):
-    """Gradient of the reference field (du0/dx1, du0/dx2), on points as in
-    reference_field_plane."""
-    return _reference_field(medium, theta_d, x)[1:]

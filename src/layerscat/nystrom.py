@@ -94,7 +94,6 @@ class DensitySolution:
 
     grid: Grid
     values: np.ndarray
-    problem_kind: str
     residual_norm: float
     condition_estimate: float
 
@@ -221,5 +220,5 @@ def solve(problem: BoundaryProblem, grid: Grid) -> DensitySolution:
     matrix, rhs = assemble(problem, grid)
     values, residual, cond = solve_system(
         matrix, rhs, lambda i: _row_label(problem, grid.nodes, i))
-    return DensitySolution(grid=grid, values=values, problem_kind=problem.kind,
-                           residual_norm=residual, condition_estimate=cond)
+    return DensitySolution(grid=grid, values=values, residual_norm=residual,
+                           condition_estimate=cond)

@@ -108,19 +108,6 @@ class FourWaveSolution:
         of coordinate arrays (array of the points' shape)."""
         return self._waves(x)[0]
 
-    def boundary_residual(self, x1_samples) -> float:
-        """Max violation of the interface transmission conditions and the
-        boundary condition at x2 = plane_height over the sample abscissas."""
-        x1 = np.atleast_1d(np.asarray(x1_samples, dtype=float))
-        heights = np.array([[1e-30], [-1e-30], [self.plane_height]])
-        u, _, g2 = self._waves((x1, heights))
-        if self.kind == "dirichlet":
-            bc = u[2]
-        else:
-            bc = -g2[2] - 1j * self.medium.k_minus * self.beta0 * u[2]
-        misfit = np.concatenate((u[0] - u[1], g2[0] - g2[1], bc))
-        return float(np.abs(misfit).max(initial=0.0))
-
 
 def four_wave_exact(medium: MediumPair, theta_d: float, kind: str,
                     beta0: complex = 1.0, plane_height: float = -1.0) -> FourWaveSolution:

@@ -6,8 +6,8 @@ Every integral handled here has the form
     g(xi) = E(xi; x2, y2) / (S(xi,k+) + S(xi,k-)),
 
 where E = e^{sx x2 + sy y2}, each end's slope s being -S+ at or above the
-interface (z >= 0) and S- below it, f is 1 or a derivative factor (+-i xi
-for dx1, dy1, and dE/dx2 = sx, dE/dy2 = sy), and g is even in xi on the real
+interface (z >= 0) and S- below it, f is 1, or a source derivative's factor
+(-i xi for d/dy1, dE/dy2 = sy for d/dy2), and g is even in xi on the real
 axis.  The integrand has square-root branch points at +-k1, +-k2 (kinks;
 the denominator never vanishes on the real axis) and decays like
 e^{-Re S * v} with the vertical decay v = |x2| + |y2|.
@@ -121,28 +121,17 @@ _SCALAR_PANELS = _Panels(16, 1, 1.0, 3)
 #: twice the decay of a 16-point one
 _SHARED_PANELS = _Panels(32, 7, 0.5, 2)
 
-#: derivative factors; sigma = +1 keeps the even fold 2cos, -1 the odd 2i sin
-_MODE_SIGMA = {"val": 1.0, "dx1": -1.0, "dy1": -1.0, "dx2": 1.0, "dy2": 1.0}
-
-
-class _Kernel:
-    """g(xi) = E / (S+ + S-) of the module doc for one (medium, x2, y2), xi
-    real or complex arrays; E decays like e^{-xi v_decay}."""
-
-    def __init__(self, k_plus, k_minus, x2, y2):
-        self.kp, self.km, self.x2, self.y2 = k_plus, k_minus, x2, y2
-        self.v_decay = abs(x2) + abs(y2)
-
-    def g(self, xi, modes):
-        """g at xi, and there the factor f of each of modes: 1 for val,
-        +-i xi for dx1, dy1, and an end's slope sx or sy for dx2, dy2."""
-        sp = vertical_wavenumber(xi, self.kp)
-        sm = vertical_wavenumber(xi, self.km)
-        sx, sy = (-sp if z >= 0 else sm for z in (self.x2, self.y2))
-        slope = {"val": 1.0, "dx2": sx, "dy2": sy}
-        return (np.exp(sx * self.x2 + sy * self.y2) / (sp + sm),
-                [slope[m] if m in slope else (1j if m == "dx1" else -1j) * xi
-                 for m in modes])
+def _integrand(k_plus, k_minus, x2, y2, xi, grad):
+    """g(xi) = E / (S+ + S-) of the module doc for one pair, xi a real or
+    complex array, and the factors f of its parts, rows of shape (parts,
+    xi.size) or (1, 1): [1], or with grad [1, -i xi, sy] for I, dI/dy1,
+    dI/dy2."""
+    sp = vertical_wavenumber(xi, k_plus)
+    sm = vertical_wavenumber(xi, k_minus)
+    sx, sy = (-sp if z >= 0 else sm for z in (x2, y2))
+    g = np.exp(sx * x2 + sy * y2) / (sp + sm)
+    return g, (np.stack((np.ones_like(sy), -1j * xi, sy)) if grad
+               else np.ones((1, 1)))
 
 
 def _panel_nodes(edges, panels):
@@ -215,9 +204,9 @@ def _head_segments(k1, k2, w0, counts, panels):
             np.concatenate(s1), np.concatenate(s2), np.hypot(k2, w0))
 
 
-def _ray_tail(kern, modes, t0, u, v, refine, tol):
+def _ray_tail(kern, t0, u, v, refine, tol):
     """integral_{T0}^{inf} g f e^{i xi u} d xi, rotated by sign(u) * pi/4,
-    as dict mode -> value."""
+    for each part f of kern (_integrand with the pair bound)."""
     theta = 0.25 * np.pi if u >= 0 else -0.25 * np.pi
     rot = np.exp(1j * theta)
     rate = (abs(u) + v) / np.sqrt(2.0)
@@ -227,20 +216,17 @@ def _ray_tail(kern, modes, t0, u, v, refine, tol):
     def cap(pos):
         return min(2 * np.pi / max(rate, 1e-30), 0.6 * (t0 + pos)) / refine
 
-    acc = {m: 0.0 + 0.0j for m in modes}
+    acc = 0.0
     pos = 0.0
     length = cap(0.0)
     quiet = 0
     for _ in range(int(400 * refine)):
         p, wp = _panel_nodes(np.linspace(pos, pos + length, 2), _SCALAR_PANELS)
         xi = t0 + rot * p
-        g, factors = kern.g(xi, modes)
-        base = g * np.exp(1j * xi * u) * (rot * wp)
-        mag = 0.0
-        for m, fm in zip(modes, factors):
-            contrib = np.sum(base * fm)
-            acc[m] += contrib
-            mag = max(mag, abs(contrib))
+        g, f = kern(xi)
+        contrib = np.sum(g * np.exp(1j * xi * u) * (rot * wp) * f, axis=1)
+        acc = acc + contrib
+        mag = np.abs(contrib).max()
         pos += length
         length = min(1.35 * length, cap(pos))
         # two consecutive negligible panels, so an oscillation zero cannot
@@ -251,34 +237,34 @@ def _ray_tail(kern, modes, t0, u, v, refine, tol):
     raise AccuracyError("ray tail did not converge", estimate=mag)
 
 
-def _spectral_once(kern, u, modes, tol, refine):
-    k1, k2 = sorted((kern.kp, kern.km))
-    v = kern.v_decay
+def _spectral_once(kern, k1, k2, u, v, sigma, tol, refine):
     w0 = max(1.0, min(k2 + 1.0, 60.0 / max(v, 1e-2)))
     counts = _segment_panels(k1, k2, abs(u), v, w0, _SCALAR_PANELS, refine)
     xi, w, _, _, t0 = _head_segments(k1, k2, w0, counts, _SCALAR_PANELS)
-    g, factors = kern.g(xi, modes)
+    g, f = kern(xi)
     eplus = np.exp(1j * xi * u)
     eminus = np.exp(-1j * xi * u)
-    out = {m: np.sum(w * g * fm * (eplus + _MODE_SIGMA[m] * eminus))
-           for m, fm in zip(modes, factors)}
-    tail_p = _ray_tail(kern, modes, t0, u, v, refine, tol)
-    tail_m = _ray_tail(kern, modes, t0, -u, v, refine, tol)
-    for m in modes:
-        out[m] = (out[m] + tail_p[m] + _MODE_SIGMA[m] * tail_m[m]) / (2 * np.pi)
-    return out
+    out = np.sum(w * g * f * (eplus + sigma[:, None] * eminus), axis=1)
+    tail_p = _ray_tail(kern, t0, u, v, refine, tol)
+    tail_m = _ray_tail(kern, t0, -u, v, refine, tol)
+    return (out + tail_p + sigma * tail_m) / (2 * np.pi)
 
 
-def spectral_point(k_plus, k_minus, x2, y2, u, modes=("val",), tol=1e-10):
-    """Spectral integral(s) for one pair, as dict mode -> complex (DomainError
-    for a mode not in _MODE_SIGMA), from the doubled panel density, or
-    AccuracyError when they differ from the single density by more than tol."""
-    if not set(modes) <= set(_MODE_SIGMA):
-        raise DomainError(f"unknown mode in {modes!r}")
-    kern = _Kernel(k_plus, k_minus, x2, y2)
-    fine = _spectral_once(kern, u, modes, tol, refine=2)
-    coarse = _spectral_once(kern, u, modes, tol, refine=1)
-    est = max(abs(fine[m] - coarse[m]) for m in modes)
+def spectral_point(k_plus, k_minus, x2, y2, u, grad=False, tol=1e-10):
+    """Spectral integral for one pair, the array [I] or with grad
+    [I, dI/dy1, dI/dy2], from the doubled panel density, or AccuracyError
+    when a part differs from the single density by more than tol."""
+    # sigma = +1 keeps the even fold 2 cos, -1 (the odd dI/dy1) 2i sin
+    sigma = np.array([1.0, -1.0, 1.0] if grad else [1.0])
+    k1, k2 = sorted((k_plus, k_minus))
+
+    def once(refine):
+        return _spectral_once(
+            lambda xi: _integrand(k_plus, k_minus, x2, y2, xi, grad), k1, k2,
+            u, abs(x2) + abs(y2), sigma, tol, refine)
+
+    fine = once(2)
+    est = np.abs(fine - once(1)).max()
     if est > tol:
         raise AccuracyError("spectral integral did not reach tolerance", estimate=est)
     return fine

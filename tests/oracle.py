@@ -9,8 +9,12 @@ Cephes j0/y0/j1/y1 the library uses.  Intended accuracy ~1e-12;
 requires a vertical separation v >= 0.05 so the tail truncates.
 
 The pointwise gradients and remainder (grad_green_x, grad_green_y,
-green_remainder, green_remainder_modes) read their modes off the library's
-adaptive scalar path, green._green_modes, which green() runs too.  The
+green_remainder, green_remainder_terms) read the library's adaptive scalar
+path, green._green_terms, which green() runs too; they ask it for the
+gradient only when they return one, since its two-pass check covers every
+part it returns.  It gives source gradients, and grad_green_x the field
+point's by reciprocity, G(x, y) = G(y, x): the source gradient of the
+ends-swapped call.  The
 scalar kernel paths (kernel_dbvp_raw, kernel_ibvp_raw, split_dbvp,
 split_ibvp) check the assembled matrices of layerscat.bie pointwise: the raw
 kernels from green/grad_green_x/grad_green_y, the split from a pointwise
@@ -49,7 +53,7 @@ from layerscat import sommerfeld
 from layerscat.bie import (_checked_rows, _kernel_block, _pair_pieces,
                            _surface_arrays)
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import _green_modes, green, green_surface_batch
+from layerscat.green import _green_terms, green, green_surface_batch
 from layerscat.nystrom import log_weight
 
 ORACLE_TOL = 1e-12
@@ -148,29 +152,28 @@ def grad_green_y(medium, x, y, tol=1e-10):
     """(dG/dy1, dG/dy2); y must lie off the interface (gradient within one layer)."""
     if float(y[1]) == 0.0:
         raise DomainError("grad_green_y requires y2 != 0")
-    v = _green_modes(medium, x, y, ("dy1", "dy2"), tol)
-    return v["dy1"], v["dy2"]
+    return tuple(_green_terms(medium, x, y, True, tol)[1:])
 
 
 def grad_green_x(medium, x, y, tol=1e-10):
-    """(dG/dx1, dG/dx2); x must lie off the interface."""
+    """(dG/dx1, dG/dx2), the source gradient of G(y, x); x must lie off the
+    interface."""
     if float(x[1]) == 0.0:
         raise DomainError("grad_green_x requires x2 != 0")
-    v = _green_modes(medium, x, y, ("dx1", "dx2"), tol)
-    return v["dx1"], v["dx2"]
+    return tuple(_green_terms(medium, y, x, True, tol)[1:])
 
 
-def green_remainder_modes(medium, x, y, modes=("val",), tol=1e-10):
-    """R(x, y) = G(x, y) - Phi_{k-}(x, y) and/or its derivatives (modes of
-    green._green_modes) for x2, y2 < 0."""
+def green_remainder_terms(medium, x, y, grad=False, tol=1e-10):
+    """R(x, y) = G(x, y) - Phi_{k-}(x, y) for x2, y2 < 0, as the array [R]
+    or with grad [R, dR/dy1, dR/dy2]."""
     if float(x[1]) >= 0 or float(y[1]) >= 0:
         raise DomainError("green_remainder requires both points below the interface")
-    return _green_modes(medium, x, y, modes, tol, direct=False)
+    return _green_terms(medium, x, y, grad, tol, direct=False)
 
 
 def green_remainder(medium, x, y, tol=1e-10):
     """Smooth remainder R(x, y) for x2, y2 < 0."""
-    return green_remainder_modes(medium, x, y, ("val",), tol)["val"]
+    return green_remainder_terms(medium, x, y, tol=tol)[0]
 
 
 @dataclass(frozen=True)
@@ -204,12 +207,11 @@ def _split(problem, sign):
     """Scalar closures A(s, t), B(s, t): pointwise R, then the same
     regrouping as the matrices."""
     f = problem.surface
-    modes = ("val", "dy1", "dy2")
 
     def pointwise(p, q):
-        r = green_remainder_modes(problem.medium, (p[0], float(f(p[0]))),
-                                  (q[0], float(f(q[0]))), modes=modes)
-        return tuple(np.array([[r[m]]]) for m in modes)
+        r = green_remainder_terms(problem.medium, (p[0], float(f(p[0]))),
+                                  (q[0], float(f(q[0]))), grad=True)
+        return tuple(np.array([[v]]) for v in r)
 
     def AB(s, t):
         A, B = _kernel_split(problem, np.array([float(s)]),
@@ -362,6 +364,21 @@ def plane_matrix(problem, grid):
     row[0] += 1.0
     col[0] += 1.0
     return sla.toeplitz(col, row)
+
+
+def boundary_residual(fw, x1_samples):
+    """Max violation by the four-wave solution fw (potentials.FourWaveSolution)
+    of the interface transmission conditions and of the boundary condition
+    at x2 = fw.plane_height, over the sample abscissas."""
+    x1 = np.atleast_1d(np.asarray(x1_samples, dtype=float))
+    heights = np.array([[1e-30], [-1e-30], [fw.plane_height]])
+    u, _, g2 = fw._waves((x1, heights))
+    if fw.kind == "dirichlet":
+        bc = u[2]
+    else:
+        bc = -g2[2] - 1j * fw.medium.k_minus * fw.beta0 * u[2]
+    misfit = np.concatenate((u[0] - u[1], g2[0] - g2[1], bc))
+    return float(np.abs(misfit).max(initial=0.0))
 
 
 def write_golden(path, k_plus=2.7, k_minus=3.5):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from conftest import boundary_data, speed, unit_normal
 from oracle import (full_remainder, grad_green_x, grad_green_y, green_oracle,
-                    green_remainder_modes, kernel_dbvp_raw, kernel_ibvp_raw,
+                    green_remainder_terms, kernel_dbvp_raw, kernel_ibvp_raw,
                     kernel_rows, layer_normal, layer_sum,
                     remainder_triple, split_dbvp, split_ibvp, split_matrices)
 
@@ -19,8 +19,8 @@ from layerscat.bie import BoundaryProblem, cutoff_chi, rhs_vector
 from layerscat.cli import (_PRESETS, build_problem, config_from_dict,
                            preset_config)
 from layerscat.errors import AccuracyError, DomainError, SingularityError
-from layerscat.green import (MediumPair, fresnel_T, green, green_surface_batch,
-                             reference_field_plane, reference_field_plane_grad,
+from layerscat.green import (MediumPair, _reference_field, fresnel_R, green,
+                             green_surface_batch, reference_field_plane,
                              transmitted_direction)
 from layerscat.nystrom import Grid, assemble
 from layerscat.specfun import EULER_GAMMA, hankel1
@@ -265,7 +265,7 @@ def test_rhs_impedance_plane_fd(flat_ibvp):
            - reference_field_plane(MED, theta, (s, -1.0 - h))) / (2 * h)
     g_ref = -dn + 1j * 3.5 * u0
     assert rhs_vector(flat_ibvp, s) == pytest.approx(2.0 * g_ref, abs=1e-6)
-    g1, g2 = reference_field_plane_grad(MED, theta, (s, -1.0))
+    g1, g2 = _reference_field(MED, theta, (s, -1.0))[1:]
     assert dn == pytest.approx(-g2, abs=1e-6)
 
 
@@ -275,7 +275,7 @@ def _plane_u0(med, theta_d, x):
     x1, x2 = x
     assert x2 < 0
     dt = transmitted_direction(med, theta_d)
-    ut = (fresnel_T(med, math.pi + theta_d)
+    ut = ((fresnel_R(med, math.pi + theta_d) + 1.0)
           * np.exp(1j * med.k_minus * (x1 * dt[0] + x2 * dt[1])))
     return ut, 1j * med.k_minus * dt[0] * ut, 1j * med.k_minus * dt[1] * ut
 
@@ -334,10 +334,10 @@ def test_point_data_at_thinnest_clearance_takes_shared_rule(monkeypatch,
     # there)
     green_mod = importlib.import_module("layerscat.green")
 
-    def no_fallback(*args):
+    def no_fallback(*args, **kwargs):
         raise AssertionError("boundary data took the pointwise fallback")
 
-    monkeypatch.setattr(green_mod, "_green_pair", no_fallback)
+    monkeypatch.setattr(green_mod, "_green_terms", no_fallback)
     cfg = config_from_dict(
         {"problem": kind, "k_plus": 2.7, "k_minus": 3.5,
          "surface": {"expr": "-0.0101"}, "A_over_pi": 10, "N": 2,
@@ -510,13 +510,13 @@ def _layer_potentials(surface, x, want):
         total = 0.0
         for t in t_arr:
             y, j, nu = geometry(t)
-            modes = green_remainder_modes(MED, x, y, modes=("val", "dy1", "dy2"))
+            r, r1, r2 = green_remainder_terms(MED, x, y, grad=True)
             if want == "W":
-                val = nu[0] * modes["dy1"] + nu[1] * modes["dy2"]
+                val = nu[0] * r1 + nu[1] * r2
             elif want == "V":
-                val = modes["val"]
+                val = r
             else:
-                val = -want[0] * modes["dy1"] + want[1] * modes["dy2"]
+                val = -want[0] * r1 + want[1] * r2
             total += val * _bump(t) * j
         return total
 
@@ -574,11 +574,11 @@ def test_surface_remainder_at_assembly_scale():
     rng = np.random.default_rng(0)
     for _ in range(8):
         i, j = rng.integers(0, t.size, 2)
-        m = green_remainder_modes(med, (t[i], f[i]), (t[j], f[j]),
-                                  modes=("val", "dy1", "dy2"))
-        assert abs(R[i, j] - m["val"]) <= 1e-11
-        assert abs(R1[i, j] - m["dy1"]) <= 1e-11
-        assert abs(R2[i, j] - m["dy2"]) <= 1e-11
+        r, r1, r2 = green_remainder_terms(med, (t[i], f[i]), (t[j], f[j]),
+                                          grad=True)
+        assert abs(R[i, j] - r) <= 1e-11
+        assert abs(R1[i, j] - r1) <= 1e-11
+        assert abs(R2[i, j] - r2) <= 1e-11
 
 
 @pytest.mark.parametrize("kp,km", [(3.0, 4.0), (3.5, 2.7)])
@@ -621,11 +621,10 @@ def test_surface_remainder_against_pointwise_k_plus_above():
         i, j = rng.integers(0, s.size), rng.integers(0, t.size)
         for x, (R, R1, R2) in (((s[i], fs[i]), [m[i] for m in rect]),
                                ((t[9 * i], f[9 * i]), [m[9 * i] for m in sym])):
-            m = green_remainder_modes(med, x, (t[j], f[j]),
-                                      modes=("val", "dy1", "dy2"))
-            assert abs(R[j] - m["val"]) <= 1e-11
-            assert abs(R1[j] - m["dy1"]) <= 1e-11
-            assert abs(R2[j] - m["dy2"]) <= 1e-11
+            r, r1, r2 = green_remainder_terms(med, x, (t[j], f[j]), grad=True)
+            assert abs(R[j] - r) <= 1e-11
+            assert abs(R1[j] - r1) <= 1e-11
+            assert abs(R2[j] - r2) <= 1e-11
 
 
 @pytest.mark.parametrize("kp,km", [(2.7, 3.5), (3.5, 2.7)])

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import layerscat
-from layerscat.cli import (_PRESETS, config_from_dict, convergence_sweep,
-                           main, preset_config, run)
+from layerscat.cli import (_PRESETS, _jsonable, config_from_dict,
+                           convergence_sweep, main, preset_config, run)
 from layerscat.errors import ConfigError
 from layerscat.exprs import parse_expression
 from layerscat.green import MediumPair, green
@@ -571,13 +571,27 @@ def test_run_evaluates_points_in_one_call(monkeypatch):
                                                       (-1.0, 0.0)]
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_jsonable_writes_null_for_non_finite():
+    # RFC 8259 has no NaN or Infinity: a strict parser reads the report
+    obj = {"a": math.nan, "b": complex(math.inf, 0.1234567890123456789),
+           "c": [-math.inf, 2.0], "d": 3}
+    text = json.dumps(_jsonable(obj))
+    assert json.loads(text, parse_constant=_no_constant) == {
+        "a": None, "b": {"re": None, "im": 0.123456789012346},
+        "c": [None, 2.0], "d": 3}
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
     assert main(["sweep", "--config", str(cfg_path), "--N", "4,8"]) == 0
-    rows = json.loads(capsys.readouterr().out)
+    rows = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
     assert [r["N"] for r in rows] == [4, 8]
-    assert math.isnan(rows[0]["diff_prev"])
+    assert rows[0]["diff_prev"] is None
     assert rows[1]["diff_prev"] > 0
 
 

@@ -9,13 +9,14 @@ import pytest
 
 from conftest import GOLDEN_CSV
 from oracle import (batch_triple, grad_green_x, grad_green_y,
-                    green_remainder, read_golden)
+                    green_remainder, read_golden, write_golden)
 
 from layerscat.errors import DomainError, SingularityError
-from layerscat.green import (MediumPair, _green_modes, _phi_terms, _plane_waves,
-                             _reference_field, fresnel_R, fresnel_T, green,
+from layerscat.green import (MediumPair, _green_terms, _phi_terms, _plane_waves,
+                             _reference_field, fresnel_R, green,
                              green_surface_batch, reference_field_plane,
-                             reference_field_plane_grad, transmitted_direction)
+                             transmitted_direction)
+from layerscat.specfun import vertical_wavenumber
 from layerscat.specfun import hankel1
 from layerscat.surface import builtin
 
@@ -91,6 +92,14 @@ def test_green_golden_values():
         assert abs(green(med, x, y) - ref) <= 1e-9 + 10 * tol
 
 
+def test_golden_csv_is_oracle_output(tmp_path):
+    # the golden values are green_oracle's own output: regenerating them
+    # reproduces the committed file byte for byte
+    path = tmp_path / "green_golden.csv"
+    write_golden(path)
+    assert path.read_bytes() == GOLDEN_CSV.read_bytes()
+
+
 def test_green_singularity():
     with pytest.raises(SingularityError):
         green(MED, (0.1, -0.4), (0.1, -0.4))
@@ -107,21 +116,19 @@ def test_grad_green_y_finite_difference():
 
 
 def test_grad_green_x_finite_difference():
-    x, y = (0.4, 0.6), (-0.2, -0.9)
+    # the oracle's field-point gradient is the source gradient of the
+    # ends-swapped call (reciprocity); central differences of green() in x
+    # check it for each sign pattern of (x2, y2)
     h = 1e-4
-    g1, g2 = grad_green_x(MED, x, y)
-    fd1 = (green(MED, (x[0] + h, x[1]), y) - green(MED, (x[0] - h, x[1]), y)) / (2 * h)
-    fd2 = (green(MED, (x[0], x[1] + h), y) - green(MED, (x[0], x[1] - h), y)) / (2 * h)
-    assert abs(g1 - fd1) <= 1e-5
-    assert abs(g2 - fd2) <= 1e-5
-
-
-def test_grad_symmetry_links():
-    x, y = (0.4, 0.6), (-0.2, -0.9)
-    gx = grad_green_x(MED, x, y)
-    gy_swap = grad_green_y(MED, y, x)   # differentiates the second argument = x
-    assert abs(gx[0] - gy_swap[0]) <= 1e-9
-    assert abs(gx[1] - gy_swap[1]) <= 1e-9
+    for x2, y2 in ((0.6, 0.9), (0.6, -0.9), (-0.6, 0.9), (-0.6, -0.9)):
+        x, y = (0.4, x2), (-0.2, y2)
+        g1, g2 = grad_green_x(MED, x, y)
+        fd1 = (green(MED, (x[0] + h, x[1]), y)
+               - green(MED, (x[0] - h, x[1]), y)) / (2 * h)
+        fd2 = (green(MED, (x[0], x[1] + h), y)
+               - green(MED, (x[0], x[1] - h), y)) / (2 * h)
+        assert abs(g1 - fd1) <= 1e-5
+        assert abs(g2 - fd2) <= 1e-5
 
 
 def test_grad_free_space_limit():
@@ -171,22 +178,28 @@ def test_remainder_domain():
 
 
 def test_fresnel_identity():
+    # flux balance with T = R + 1: 1 - |R|^2 = Re(i S) |T|^2 / sin(theta),
+    # S = S(cos theta, n); beyond the critical angle i S is imaginary and
+    # |R| = 1
     rng = np.random.default_rng(2)
     for theta in rng.uniform(0, 2 * math.pi, size=100):
-        assert fresnel_T(MED, theta) - fresnel_R(MED, theta) == pytest.approx(1.0, abs=1e-15)
+        r = fresnel_R(MED, theta)
+        flux = (1j * vertical_wavenumber(math.cos(theta), MED.n)).real
+        assert 1 - abs(r) ** 2 == pytest.approx(
+            flux * abs(r + 1.0) ** 2 / math.sin(theta), abs=1e-12)
 
 
 def test_fresnel_normal_incidence():
     med = MediumPair(1.0, 3.0)  # n = 3
     assert fresnel_R(med, math.pi / 2) == pytest.approx(-0.5, abs=1e-14)
-    assert fresnel_T(med, math.pi / 2) == pytest.approx(0.5, abs=1e-14)
+    assert fresnel_R(med, math.pi / 2) + 1.0 == pytest.approx(0.5, abs=1e-14)
 
 
 def test_fresnel_matched_media_limit():
     med = MediumPair(1.0, 1.0 + 1e-10)
     theta = 1.1
     assert abs(fresnel_R(med, theta)) <= 1e-4
-    assert fresnel_T(med, theta) == pytest.approx(1.0, abs=1e-4)
+    assert fresnel_R(med, theta) + 1.0 == pytest.approx(1.0, abs=1e-4)
 
 
 def test_reference_field_continuity():
@@ -195,8 +208,8 @@ def test_reference_field_continuity():
         up = reference_field_plane(MED, theta_d, (x1, 1e-9))
         dn = reference_field_plane(MED, theta_d, (x1, -1e-9))
         assert abs(up - dn) <= 1e-7
-        gu = reference_field_plane_grad(MED, theta_d, (x1, 1e-9))
-        gd = reference_field_plane_grad(MED, theta_d, (x1, -1e-9))
+        gu = _reference_field(MED, theta_d, (x1, 1e-9))[1:]
+        gd = _reference_field(MED, theta_d, (x1, -1e-9))[1:]
         assert abs(gu[1] - gd[1]) <= 1e-7
         assert abs(gu[0] - gd[0]) <= 1e-7
 
@@ -212,7 +225,7 @@ def test_reference_field_gradient_consistency():
     theta_d = 4.6
     h = 1e-6
     for x in ((0.4, 0.7), (-0.2, -0.9)):
-        g = reference_field_plane_grad(MED, theta_d, x)
+        g = _reference_field(MED, theta_d, x)[1:]
         f1 = (reference_field_plane(MED, theta_d, (x[0] + h, x[1]))
               - reference_field_plane(MED, theta_d, (x[0] - h, x[1]))) / (2 * h)
         f2 = (reference_field_plane(MED, theta_d, (x[0], x[1] + h))
@@ -231,8 +244,8 @@ def test_reference_field_is_plane_waves_with_fresnel_coefficients():
     x = (rng.uniform(-4, 4, 50), rng.uniform(-2, 2, 50))
     for med, theta_d in ((MED, 4 * math.pi / 3),
                          (MediumPair(3.5, 2.7), math.pi + 0.25)):
-        coeffs = (1.0, fresnel_R(med, math.pi + theta_d),
-                  fresnel_T(med, math.pi + theta_d), 0.0)
+        r = fresnel_R(med, math.pi + theta_d)
+        coeffs = (1.0, r, r + 1.0, 0.0)
         for got, want in zip(_reference_field(med, theta_d, x),
                              _plane_waves(med, theta_d, coeffs, x)):
             assert np.array_equal(got, want)
@@ -246,12 +259,12 @@ def test_reference_field_on_point_set_matches_pointwise():
     for med, theta_d in ((MED, 4 * math.pi / 3),
                          (MediumPair(3.5, 2.7), math.pi + 0.25)):
         u = reference_field_plane(med, theta_d, (x1, x2))
-        g1, g2 = reference_field_plane_grad(med, theta_d, (x1, x2))
+        g1, g2 = _reference_field(med, theta_d, (x1, x2))[1:]
         assert u.shape == g1.shape == g2.shape == x1.shape
         for i in range(x1.size):
             x = (x1[i], x2[i])
             assert abs(u[i] - reference_field_plane(med, theta_d, x)) <= 1e-15
-            p1, p2 = reference_field_plane_grad(med, theta_d, x)
+            p1, p2 = _reference_field(med, theta_d, x)[1:]
             scale = med.k_minus + med.k_plus
             assert abs(g1[i] - p1) <= 1e-15 * scale
             assert abs(g2[i] - p2) <= 1e-15 * scale
@@ -284,16 +297,16 @@ def test_green_end_on_interface_matches_one_sided_limits(med, other, end):
     # terms.  G and its first derivatives are continuous across the
     # interface, so their values there match the limits from above and
     # below, the other end on either side.  At height 0 the value alone is
-    # the same from either side's formula; the x2 and y2 derivatives are
-    # not, and catch a side rule that the spectral and Hankel parts apply
-    # differently
-    modes = ("val", "dx1", "dx2", "dy1", "dy2")
-
+    # the same from either side's formula; the height derivatives are not,
+    # and catch a side rule that the spectral and Hankel parts apply
+    # differently.  The pointwise path differentiates its second end, so
+    # the ends-swapped call gives the other end's gradient
     def g(z):
         a, b = (0.6, z), (-0.3, other)
         x, y = (a, b) if end == "x" else (b, a)
-        v = _green_modes(med, x, y, modes, 1e-10)
-        return np.array([green(med, x, y)] + [v[m] for m in modes])
+        return np.concatenate(([green(med, x, y)],
+                               _green_terms(med, x, y, True, 1e-10),
+                               _green_terms(med, y, x, True, 1e-10)[1:]))
 
     for z in (1e-10, -1e-10):
         assert np.abs(g(0.0) - g(z)).max() <= 1e-8

@@ -314,7 +314,6 @@ def test_truncation_monotonicity(solved):
 
 def test_solution_metadata(solved):
     _, _, sol = solved("example1-dbvp", 8)
-    assert sol.problem_kind == "dirichlet"
     assert sol.values.shape == (sol.grid.node_count,)
     assert sol.residual_norm <= 1e-10
     assert 1.0 <= sol.condition_estimate <= 1e12

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import (full_remainder, grad_green_y, green_remainder_modes,
+from oracle import (full_remainder, grad_green_y, green_remainder_terms,
                     layer_normal, remainder_triple)
 
 from layerscat import sommerfeld
@@ -15,7 +15,6 @@ from layerscat.nystrom import Grid
 from layerscat.surface import builtin
 
 MEDIA = [(3.0, 4.0), (2.7, 3.5), (3.5, 2.7)]
-MODES = ("val", "dy1", "dy2")
 
 
 def _grid(surface, a_half=10 * math.pi, n=16):
@@ -36,10 +35,10 @@ def test_shared_rule_against_pointwise(kp, km, surface):
     rem = full_remainder(med, t, f)
     for i, j in [(0, n - 1), (n - 1, 0), (0, 0), (n // 2, n // 2),
                  (n - 1, n - 1), (37, 250)]:
-        ref = green_remainder_modes(med, (t[i], f[i]), (t[j], f[j]),
-                                    modes=MODES, tol=1e-13)
-        for mat, m in zip(rem, MODES):
-            assert abs(mat[i, j] - ref[m]) <= 1e-13
+        ref = green_remainder_terms(med, (t[i], f[i]), (t[j], f[j]),
+                                    grad=True, tol=1e-13)
+        for mat, r in zip(rem, ref):
+            assert abs(mat[i, j] - r) <= 1e-13
     s = np.array([t[0], 0.3, t[-1]])
     fs = np.array([0.2, 0.0, 1.1])
     up = remainder_triple(med, t, f, s, fs)
@@ -73,9 +72,9 @@ def test_layer_sum_against_pointwise(kp, km, kind):
     for i, j in [(0, n - 1), (n - 1, 0), (n // 2, n // 2), (37, 250),
                  (161, 149)]:
         p, q = (j, i) if rows else (i, j)
-        m = green_remainder_modes(med, (t[p], f[p]), (t[q], f[q]),
-                                  modes=MODES)
-        ref = coef_a[q] * m["val"] + coef_b[q] * (df[q] * m["dy1"] - m["dy2"])
+        r, r1, r2 = green_remainder_terms(med, (t[p], f[p]), (t[q], f[q]),
+                                          grad=True)
+        ref = coef_a[q] * r + coef_b[q] * (df[q] * r1 - r2)
         assert abs(got[i, j] - ref) <= 1e-10
 
 
@@ -154,10 +153,10 @@ def test_shared_rule_fits_thin_clearance_at_wide_window():
     rem = full_remainder(med, t, f)
     n = t.size
     for i, j in [(0, n - 1), (n - 1, 0), (0, 0), (n // 2, n // 2), (40, 121)]:
-        ref = green_remainder_modes(med, (t[i], f[i]), (t[j], f[j]),
-                                    modes=MODES, tol=1e-13)
-        for mat, m in zip(rem, MODES):
-            assert abs(mat[i, j] - ref[m]) <= 1e-13
+        ref = green_remainder_terms(med, (t[i], f[i]), (t[j], f[j]),
+                                    grad=True, tol=1e-13)
+        for mat, r in zip(rem, ref):
+            assert abs(mat[i, j] - r) <= 1e-13
 
 
 def test_shared_rule_refinement_stable_off_surface():
@@ -295,9 +294,3 @@ def test_progression_check_accepts_grid_nodes(a_over_pi, n_per_pi):
     assert np.array_equal(anchors, t[::m])
     assert np.abs(d).max() <= 4 * np.spacing(np.abs(t).max())
 
-
-def test_spectral_point_unknown_mode_is_domain_error():
-    # the mode names the factor of the integrand; an unknown one is refused
-    # by name, not by a KeyError from a table lookup
-    with pytest.raises(DomainError, match="unknown mode"):
-        sommerfeld.spectral_point(2.7, 3.5, 0.5, -0.7, 0.3, modes=("val", "dz"))
