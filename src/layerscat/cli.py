@@ -172,7 +172,7 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
     with np.errstate(all="ignore"):
         jet = np.asarray(prof.jet(grid), dtype=float)
         _on_window(grid, np.isfinite(jet).all(0), "surface: f, f' or f'' not finite")
-        (top,), (low,) = surface_mod.refine_min(lambda t: -prof(t), -a, a,
+        (top,), (low,) = surface_mod.refine_min(lambda t, i: -prof(t), -a, a,
                                                 (grid.size, 201, 201))
     high = -low     # the grid's highest node, then two rounds of 201
     _require(high < 0, f"surface: reaches the interface at t = {top:.6g}")

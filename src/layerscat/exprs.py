@@ -14,9 +14,9 @@ Anything else, text that does not parse, and nesting deeper than _MAX_DEPTH
 levels are a ConfigError naming the construct.  A parsed Expression is
 evaluated as a second-order jet (f, f', f''), carried through each operation
 by the sum, product, power and chain rules, so second derivatives are exact:
-expr.jet(t) gives all three from one pass, expr(t) gives f.  A surface is
-such an expression (surface.builtin), and so is beta, a constant one too
-(constant).
+expr.jet(t) gives all three from one pass; expr(t) gives f alone, by the
+same operations on f (equal bit for bit).  A surface is such an expression
+(surface.builtin), and so is beta, a constant one too (constant).
 """
 
 from __future__ import annotations
@@ -58,6 +58,16 @@ def _jet(node, t):
     return a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2.0 * a1 * b1 + a0 * b2
 
 
+def _value(node, t):
+    """f alone of a parsed node at t, by the operations _jet applies to f."""
+    op, a = node[0], [_value(x, t) for x in node[1:] if isinstance(x, tuple)]
+    if op in ("const", "var"):
+        return node[1] * np.ones_like(t) if op == "const" else t
+    if op in ("fn", "pow"):
+        return getattr(np, node[1])(a[0]) if op == "fn" else a[0] ** node[2]
+    return a[0] + a[1] if op == "add" else a[0] * a[1]
+
+
 class Expression:
     """A parsed expression in t: expr(t) is its value f, expr.jet(t) the
     jet (f, f', f'') from one pass; t a float or an array."""
@@ -66,7 +76,7 @@ class Expression:
         self.node = node
 
     def __call__(self, t):
-        return self.jet(t)[0]
+        return _value(self.node, np.asarray(t, dtype=float))
 
     def jet(self, t):
         return _jet(self.node, np.asarray(t, dtype=float))

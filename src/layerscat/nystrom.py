@@ -17,8 +17,8 @@ collocated at s = t_i, giving the dense system (I - K_N) psi = rhs.
 On a plane every entry depends on |i - j| alone: with f' = 0 the layer sum
 is a I - b dI/dy2 whichever end carries the normal, and below the interface
 dI/dy2 = dI/dx2, so one row serves both kinds.  assemble forms row 0 from
-node 0 against all nodes (n Hankel points per order, a one-target layer sum)
-and fills the symmetric Toeplitz matrix from it, in O(n q), not O(n^2 q).
+node 0 against all nodes (n Hankel points, a one-target sum through the
+plane's tables) and fills the symmetric Toeplitz matrix, in O(n q) flops.
 
 On any other surface the pair geometry, the Hankel values and the band terms
 of (A, B) are the same for a node pair and its mirror, up to the sign of

@@ -42,7 +42,7 @@ def _check_points(surface, x1, x2):
     with np.errstate(all="ignore"):
         f = np.asarray(surface(x1), dtype=float)
         g = np.abs(x2 - f)
-        _, dist = refine_min(lambda t: np.hypot(x1[:, None] - t, x2[:, None] - surface(t)),
+        _, dist = refine_min(lambda t, i: np.hypot(x1[i, None] - t, x2[i, None] - surface(t)),
                              x1 - g, x1 + g, (41,) * 5)
     bad = np.flatnonzero(~np.isfinite(dist) | (x2 < f) | (dist < _MIN_DIST))
     if bad.size:

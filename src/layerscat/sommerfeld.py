@@ -55,21 +55,20 @@ refuse (DomainError) a segment that would need more than _MAX_POINTS points:
 
 The shared rule's sums are products of per-node fold factors
 e^{S f_j} cos(xi t_j) and e^{S f_j} sin(xi t_j).  On the Nystrom grid, the
-arithmetic progression t_j = t_0 + j h, cos and sin are evaluated only at
+progression t_j = t_0 + j h, cos and sin are evaluated only at
 m = ceil(sqrt(n)) anchors t_{am} and at the m offsets b h, each for the
-exact product xi t (the rounding error of the product, from Dekker's
-two-product, enters to first order).  Angle addition,
-
-    cos(A + B) = cos A cos B - sin A sin B,
-    sin(A + B) = sin A cos B + cos A sin B,
-
-gives them at node j = a m + b.  That node is t_{am} + b h + d_j, with d_j
-the rounding the grid's own nodes carry, and the first-order correction
-C -= xi d_j S, S += xi d_j C puts it back: the factors are those of the
-exact phase xi t_j to a few rounding errors of 1, where cos of the rounded
-phase fl(xi t_j) is off by up to half an ulp of the phase.  Other point sets
-(field and source points off the grid) take cos and sin of each rounded
-phase.  On the grid's nodes they make the one layer sum assembly needs.
+exact product xi t (Dekker's two-product gives its rounding error to first
+order).  Node j = a m + b is t_{am} + b h + d_j, d_j the grid's rounding,
+and e^{i xi t_j} = E_a F_b (1 + i xi d_j), E and F the anchors' and
+offsets' e^{i xi t}, gives the factors of the exact phase to a few
+rounding errors of 1, where cos of the rounded phase is off by up to half
+an ulp of it, as other point sets take it.  Sources on a plane (the grid
+at one height: e^{S f_0} is one number per rule point) make no factors:
+their sums are products of the tables, O(p n q) BLAS flops for p rows plus
+O(q sqrt(n)) table work.  The field's weight rows, as (anchors, offsets),
+take one GEMM with F; a one-target sum (a plane's Toeplitz row, point-
+source data) folds e^{S f_0} and the target's factors into per-rule
+coefficients, one GEMM the other way.  The node-set sum keeps the factors.
 """
 
 from __future__ import annotations
@@ -376,9 +375,9 @@ def _fold_factors(xi, expo, pos, height, scale):
 
     On a progression cos and sin come from the anchors and offsets of
     _anchors, for the exact products (_cos_sin), by angle addition and the
-    first-order correction C -= xi d S, S += xi d C of the module docstring;
-    any other point set takes cos and sin of each rounded phase, and real
-    exponents (after the imaginary ones, as xi ascends) the real exp.  The
+    correction (1 + i xi d) of the module docstring; any other point set
+    takes cos and sin of each rounded phase, and real exponents (after the
+    imaginary ones, as xi ascends) the real exp.  The
     nodes go in blocks of whole anchors of about _FOLD_CHUNK elements, each
     finished (rotation, correction, amplitude) in cache before the next."""
     nq, n = xi.size, pos.size
@@ -430,6 +429,40 @@ def _syrk(c, a, alpha):
     syrk(alpha, a.T, beta=1.0, c=c, trans=1, overwrite_c=1)
 
 
+def _tables(xi, pos, height):
+    """Sources on a plane (a progression at one height) as (e^{i xi anchor},
+    the offsets' cos, sin interleaved, d) of _anchors and _cos_sin, else None."""
+    anchors, offsets, d = _anchors(pos)
+    if d is not None and np.all(height == height[0]):
+        (ca, sa), (cb, sb) = _cos_sin(anchors, xi), _cos_sin(offsets, xi)
+        return ca + 1j * sa, (cb + 1j * sb).view(float), d
+
+
+def _table_rows(xi, tables, w):
+    """[sum_j w_rj C_j, sum_j w_rj S_j], C + i S = e^{i xi t_j} on a plane:
+    [Re w, Im w, Re w d, Im w d] as (anchors, offsets), one GEMM with the
+    offsets' table, times the anchors' and summed over the anchors."""
+    e, tab, d = tables
+    r = np.zeros((4, len(w), e.shape[0] * tab.shape[0]))
+    r[..., :d.size] = [w.real, w.imag, w.real * d, w.imag * d]
+    z = (r.reshape(-1, tab.shape[0]) @ tab).view(complex).reshape(4, len(w), *e.shape)
+    z *= e
+    y = z[:2].sum(axis=2) + 1j * xi * z[2:].sum(axis=2)    # (1 + i xi d_j)
+    return np.array([y[0].real + 1j * y[1].real, y[0].imag + 1j * y[1].imag])
+
+
+def _table_cols(xi, tables, ab):
+    """sum_q a_rq C_jq + b_rq S_jq (rows, n), ab = [(a_r, b_r)], C, S as in
+    _table_rows: Re[(a + i b)(1 - i xi d_j) e^{-i xi t_j}], the rows times
+    the anchors' conjugate table, then one real GEMM with the offsets'."""
+    if np.iscomplexobj(ab):
+        return _table_cols(xi, tables, ab.real) + 1j * _table_cols(xi, tables, ab.imag)
+    (e, tab, d), g = tables, ab[:, 0] + 1j * ab[:, 1]
+    g = np.concatenate((g, -1j * xi * g))[:, None] * e.conj()     # (1 - i xi d_j)
+    p = (g.reshape(-1, xi.size).view(float) @ tab.T).reshape(len(g), -1)[:, :d.size]
+    return p[:len(ab)] + d * p[len(ab):]
+
+
 def _fold_sums(sums, xi, sm, st, base, s, fs, t, f):
     """Add one part of the folded rule to sums, (I,) or (I, dI/dy1, dI/dy2),
     in two or six products per rule block; st is the targets' exponent, S-
@@ -439,6 +472,12 @@ def _fold_sums(sums, xi, sm, st, base, s, fs, t, f):
     for lo in range(0, xi.size, blk):
         sl = slice(lo, lo + blk)
         xs = _fold_factors(xi[sl], st[sl], s, fs, base[sl])
+        if s.size == 1 and (tables := _tables(xi[sl], t, f)):   # over a plane
+            x, e, (cs, ss) = xi[sl], sm[sl], xs[:, 0] * np.exp(sm[sl] * f[0])
+            ab = np.array([(cs, ss), (x * ss, -x * cs), (e * cs, e * ss)][:len(sums)])
+            for acc, row in zip(sums, _table_cols(x, tables, ab)):
+                acc[0] += row
+            continue
         xt = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
         for k, (a, b) in enumerate(zip(xs, xt)):
             _gemm(sums[0], a, b)
@@ -457,8 +496,11 @@ def _fold_contract(out, xi, sm, t, f, coef, sides):
     blk = max(1, _BLOCK // (2 * max(t.size, *(x[0].size for x in sides))))
     for lo in range(0, xi.size, blk):
         sl = slice(lo, lo + blk)
-        x = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
-        cw, sw = coef.real @ x + 1j * (coef.imag @ x)  # no complex copy of x
+        if tables := _tables(xi[sl], t, f):     # sources on a plane
+            cw, sw = _table_rows(xi[sl], tables, coef) * np.exp(sm[sl] * f[0])
+        else:
+            x = _fold_factors(xi[sl], sm[sl], t, f, 1.0)
+            cw, sw = coef.real @ x + 1j * (coef.imag @ x)  # no complex copy of x
         p, q = cw[0], sw[0]
         if len(coef) > 1:
             p = p - sm[sl] * cw[2] - xi[sl] * sw[1]

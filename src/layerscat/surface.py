@@ -20,20 +20,28 @@ from .exprs import Expression, parse_expression
 
 
 def refine_min(fn, lo, hi, rounds):
-    """(t*, fn(t*)) at the least of fn on each bracket [lo_i, hi_i] (arrays,
-    or floats for one bracket).  Round k takes rounds[k] evenly spaced
-    samples, and the next brackets the least by its two neighbours; fn maps
-    an (m, samples) array of t to values.  fn(t*) is NaN on a bracket where
-    fn was not finite at some sample."""
+    """(t*, fn(t*)) at the least of fn on each bracket [lo_i, hi_i] (arrays
+    or floats); fn maps samples t (m, n) and each row's bracket i to values.
+    Round k takes rounds[k] samples per candidate: the first keeps each local
+    minimum its larger rise could carry below the least sample (all, if one
+    is NaN), the next brackets each candidate's least by its neighbours.
+    fn(t*) is NaN on a bracket where fn was not finite at some sample."""
     lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
-    rows, finite = np.arange(lo.size), np.ones(lo.size, dtype=bool)
-    for n in rounds:
-        t = np.linspace(lo, hi, n, axis=1)
-        v = np.asarray(fn(t), dtype=float)
-        finite &= np.isfinite(v).all(axis=1)
-        j = v.argmin(axis=1)
-        lo, hi = t[rows, np.maximum(j - 1, 0)], t[rows, np.minimum(j + 1, n - 1)]
-    return t[rows, j], np.where(finite, v[rows, j], np.nan)
+    own, finite = np.arange(lo.size), np.ones(lo.size, dtype=bool)
+    for k, n in enumerate(rounds):
+        t = lo[:, None] + np.multiply.outer(hi - lo, np.arange(n) / (n - 1))
+        v = np.asarray(fn(t, own), dtype=float)
+        finite[own[~np.isfinite(v).all(axis=1)]] = False
+        r, j = np.arange(own.size), v.argmin(axis=1)
+        if k == 0:
+            d = np.full((2,) + v.shape, np.nan)     # rises to the neighbours
+            d[0, :, 1:], d[1, :, :-1] = v[:, :-1] - v[:, 1:], v[:, 1:] - v[:, :-1]
+            near = ~(d[0] <= 0) & ~(d[1] < 0) & ~(v - np.fmax(*d) > v[r, j][:, None])
+            r, j = np.nonzero(near)
+            own = own[r]
+        lo, hi = t[r, np.maximum(j - 1, 0)], t[r, np.minimum(j + 1, n - 1)]
+    best = np.lexsort((v[r, j], own))[np.diff(own, prepend=-1) != 0]  # own ascends
+    return t[r, j][best], np.where(finite, v[r, j][best], np.nan)
 
 
 #: the example surfaces, as expressions

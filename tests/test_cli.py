@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import layerscat
+from layerscat import sommerfeld
 from layerscat.cli import (_PRESETS, _jsonable, config_from_dict,
                            convergence_sweep, main, preset_config, run)
 from layerscat.errors import ConfigError
@@ -651,6 +652,43 @@ def test_expression_jet_matches_finite_differences(text):
     _, df, d2f = f.jet(s)
     for exact, fd in ((df, central(f)), (d2f, central(lambda x: f.jet(x)[1]))):
         assert np.abs(exact - fd).max() <= 1e-9 * (1 + np.abs(exact).max())
+
+
+@pytest.mark.parametrize("text", [
+    "gamma1", "gamma2", "gamma3", "2.5", "pi", "t", "t^0", "(1+t)^0", "t^3",
+    "sin(t)", "cos(2*t)", "exp(-t)", "-t", "t+1", "t-1", "2*t",
+    "-(t^2+1)*cos(2*t) + exp(sin(pi*t))^2 - 3",
+])
+def test_expression_value_is_jet_value(text):
+    # expr(t) walks the tree for f alone, with the operations the jet
+    # applies to f: equal bit for bit, NaN and infinities included
+    expr = builtin(text) if text.startswith("gamma") else parse_expression(text)
+    s = np.append(np.linspace(-4, 4, 97), [np.nan, np.inf, -np.inf, 1e300])
+    with np.errstate(all="ignore"):
+        assert np.array_equal(expr(s), expr.jet(s)[0], equal_nan=True)
+        assert np.array_equal(expr(0.3), expr.jet(0.3)[0])
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "impedance"])
+def test_point_source_over_plane(kind, monkeypatch):
+    # no preset puts a point source over a flat surface: its boundary data
+    # is one target (y0) over the plane's nodes, summed through the tables
+    # (no fold factors on the nodes), and the scattered field is checked
+    # against the scalar green()
+    raw = {"problem": kind, "k_plus": 3.5, "k_minus": 2.7, "surface": "gamma2",
+           "incident": {"type": "point", "y0": [0.5, -1.5]}, "N": 16,
+           "eval_points": [[1.0, 0.3], [0.4, -0.5]]}
+    sizes, factors = [], sommerfeld._fold_factors
+
+    def spy(xi, expo, pos, *args):
+        sizes.append(pos.size)
+        return factors(xi, expo, pos, *args)
+
+    monkeypatch.setattr(sommerfeld, "_fold_factors", spy)
+    report = run(config_from_dict(raw))
+    assert sizes and report.node_count not in sizes
+    assert len(report.rows) == 2
+    assert all(row["rel_error"] <= 1e-5 for row in report.rows)
 
 
 @pytest.mark.parametrize("tail", [" ", "\t", "\n"])

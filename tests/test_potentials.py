@@ -138,7 +138,11 @@ def test_point_distance_matches_dense_reference(expr):
     surface = builtin(expr) if expr.startswith("gamma") else parse_expression(expr)
     s = np.linspace(-3, 3, 6001)
     x1 = np.append(np.linspace(-3, 3, 13), s[np.abs(surface.jet(s)[1]).argmax()])
-    for offset in (1e-5, 1e-3, 0.01, 0.3, 3.0):
+    points = [(x1, offset) for offset in (1e-5, 1e-3, 0.01, 0.3, 3.0)]
+    # 2.554 above x1 = -30.4651 two stretches of -1+0.3 sin(5 t) are nearly
+    # as near (4.8e-3 apart), closer than the first round's spacing tells
+    points.append((np.array([-30.4651]), 2.554))
+    for x1, offset in points:
         x2 = surface(x1) + offset
         dist = _check_points(surface, x1, x2)
         ref = [_reference_distance(surface, a, b) for a, b in zip(x1, x2)]

@@ -9,6 +9,7 @@ from oracle import (full_remainder, grad_green_y, green_remainder_terms,
                     layer_normal, remainder_triple)
 
 from layerscat import sommerfeld
+from layerscat.cli import preset_config, run
 from layerscat.errors import DomainError
 from layerscat.green import MediumPair, green
 from layerscat.nystrom import Grid
@@ -294,3 +295,90 @@ def test_progression_check_accepts_grid_nodes(a_over_pi, n_per_pi):
     assert np.array_equal(anchors, t[::m])
     assert np.abs(d).max() <= 4 * np.spacing(np.abs(t).max())
 
+
+def _nudged(f):
+    """f with node 3 one ulp further below the interface: the nodes are no
+    longer at one height, so their sums take the factor route (the least
+    |f|, and with it the rule, is unchanged)."""
+    g = f.copy()
+    g[3] = np.nextafter(g[3], -np.inf)
+    return g
+
+
+@pytest.mark.parametrize("n_per_pi", [4, 16, 64])
+@pytest.mark.parametrize("a_over_pi", [1, 10])
+@pytest.mark.parametrize("kp,km", [(3.5, 2.7), (2.7, 3.5)])
+def test_plane_tables_match_factor_route(kp, km, a_over_pi, n_per_pi):
+    # sums over a plane's nodes through the anchor and offset tables (the
+    # contraction with weights, targets on both sides, and the one-target
+    # sum above and below the interface, each with and without a normal)
+    # against the same call on the nudged plane, which takes the factors
+    t = Grid(a_over_pi * math.pi, n_per_pi).nodes
+    f = np.full_like(t, -1.0)
+    rng = np.random.default_rng(n_per_pi + a_over_pi)
+    w = rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size)
+    normal = (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size),
+              rng.uniform(0.5, 2.0, t.size), rng.standard_normal(t.size))
+    calls = [dict(s_nodes=[0.3, -2.0, 1.7, 0.9], fs_vals=[0.4, -0.3, 0.0, -0.8],
+                  weights=w, normal=nrm) for nrm in (None, normal)]
+    calls += [dict(s_nodes=[x1], fs_vals=[x2], normal=nrm)
+              for x1, x2 in ((0.7, 0.5), (-1.3, -0.4)) for nrm in (None, normal)]
+    for kwargs in calls:
+        table = sommerfeld.remainder_matrices(kp, km, t, f, **kwargs)
+        factor = sommerfeld.remainder_matrices(kp, km, t, _nudged(f), **kwargs)
+        assert np.abs(table - factor).max() <= 1e-14 * np.abs(factor).max()
+
+
+@pytest.mark.parametrize("preset,plane", [("example1-dbvp", False),
+                                          ("example1-ibvp", False),
+                                          ("example3-ibvp", False),
+                                          ("example2-dbvp", True),
+                                          ("example2-ibvp", True)])
+def test_only_a_plane_takes_the_tables(monkeypatch, preset, plane):
+    # the route follows the sources alone: on gamma1 and gamma3 _tables
+    # builds none and the nodes make fold factors; on a plane (assembly's
+    # one row, the field's contraction) every sum over the nodes takes the
+    # tables, and no n x q factor array is made on them
+    tables, sizes = [], []
+    table_fn, factors = sommerfeld._tables, sommerfeld._fold_factors
+
+    def spy_tables(*args):
+        out = table_fn(*args)
+        tables.append(out is not None)
+        return out
+
+    def spy_factors(xi, expo, pos, *args):
+        sizes.append(pos.size)
+        return factors(xi, expo, pos, *args)
+
+    monkeypatch.setattr(sommerfeld, "_tables", spy_tables)
+    monkeypatch.setattr(sommerfeld, "_fold_factors", spy_factors)
+    cfg = preset_config(preset, N=8, eval_points=[[1.0, 0.3], [0.4, -0.5]])
+    run(cfg)
+    assert set(tables) == {plane}
+    assert (Grid(cfg.A, cfg.N).node_count in sizes) != plane
+
+
+@pytest.mark.parametrize("a_over_pi", [10, 40])
+def test_plane_tables_as_accurate_as_direct(a_over_pi):
+    # with unit weights (one node per row) and unit coefficients (one rule
+    # point per row) the tables' sums are the factors cos(xi t), sin(xi t)
+    # themselves: like _fold_factors', off by a few rounding errors of 1,
+    # well inside the half ulp of a phase that cos/sin of it carry
+    t = Grid(a_over_pi * math.pi, 64).nodes
+    xi = sommerfeld.real_axis_rule(3.0, 4.0, t[-1] - t[0], 0.6, False)[0]
+    x = xi[::max(1, xi.size // 64)]
+    tables = sommerfeld._tables(x, t, np.full_like(t, -1.0))
+    nodes = np.linspace(0, t.size - 1, 64).astype(int)
+    rows = sommerfeld._table_rows(x, tables, np.eye(t.size)[nodes] + 0j)
+    one, zero = np.eye(x.size), np.zeros((x.size, x.size))
+    cols = np.stack([sommerfeld._table_cols(x, tables, np.stack(ab, axis=1))
+                     for ab in ((one, zero), (zero, one))])
+    phase = np.multiply.outer(t.astype(np.longdouble), x.astype(np.longdouble))
+    ref = np.stack((np.cos(phase), np.sin(phase)))
+    direct = np.stack((np.cos(np.multiply.outer(t, x)),
+                       np.sin(np.multiply.outer(t, x))))
+    assert np.all(rows.imag == 0)
+    bound = 0.25 * float(np.abs(direct - ref).max())
+    assert float(np.abs(rows.real - ref[:, nodes]).max()) <= bound
+    assert float(np.abs(np.swapaxes(cols, 1, 2) - ref).max()) <= bound
