@@ -72,9 +72,9 @@ class RunConfig:
 
     def digest(self) -> str:
         """Hash of every field but out_dir, as JSON with sorted keys."""
-        fields = asdict(self)
-        del fields["out_dir"]
-        blob = json.dumps(fields, sort_keys=True).encode()
+        values = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "out_dir"}  # asdict's JSON, without its deep copy
+        blob = json.dumps(values, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -16,9 +16,9 @@ collocated at s = t_i, giving the dense system (I - K_N) psi = rhs.
 
 On a plane every entry depends on |i - j| alone: with f' = 0 the layer sum
 is a I - b dI/dy2 whichever end carries the normal, and below the interface
-dI/dy2 = dI/dx2, so one row serves both kinds.  assemble forms row 0 from
-node 0 against all nodes (n Hankel points, a one-target sum through the
-plane's tables) and fills the symmetric Toeplitz matrix, in O(n q) flops.
+dI/dy2 = dI/dx2, so one row serves both kinds.  assemble returns row 0, node
+0 against all nodes (n Hankel points, a one-target sum through the plane's
+tables, O(n q) flops), and solve_system solves from it with no matrix.
 
 On any other surface the pair geometry, the Hankel values and the band terms
 of (A, B) are the same for a node pair and its mirror, up to the sign of
@@ -112,11 +112,11 @@ def log_weight(N: int, s, t_j):
 
 
 def assemble(problem: BoundaryProblem, grid: Grid):
-    """Dense collocation system (matrix, rhs) for the given problem.  The
-    matrix is I - (W o A + h B), W_ij = R^N(t_i - t_j) = w_|i-j|: on a
-    plane (f = f[0], f' = f'' = 0 and, for impedance, beta = beta[0] at
-    every node, compared exactly; a NaN node is none) the symmetric
-    Toeplitz matrix of its row 0 (module doc), else _panel_sweep's."""
+    """Collocation system (matrix, rhs) for the given problem.  The matrix is
+    I - (W o A + h B), W_ij = R^N(t_i - t_j) = w_|i-j|: on a plane (f = f[0],
+    f' = f'' = 0 and, for impedance, beta = beta[0] at every node, compared
+    exactly; a NaN node is none) the symmetric Toeplitz matrix of row 0,
+    returned as that 1-D row (module doc), else _panel_sweep's n x n array."""
     t = grid.nodes
     beta = _checked_rows(problem, t)    # fail before the layer integrals
     jets = _surface_arrays(problem.surface, t)
@@ -131,7 +131,7 @@ def assemble(problem: BoundaryProblem, grid: Grid):
                      slice(0, t.size), _pair_pieces(
                          problem.medium.k_minus, tuple(x[:1] for x in jets), jets))
         row[0, 0] += 1.0                # the identity
-        matrix = sla.toeplitz(row[0], row[0])   # toeplitz(row) is Hermitian
+        matrix = row[0]
     else:
         matrix = _panel_sweep(problem, jets, beta, w, grid.h)
     rhs = np.asarray(rhs_vector(problem, t), dtype=complex)
@@ -182,36 +182,75 @@ def _panel_sweep(problem, jets, beta, w, h):
 
 
 def solve_system(matrix: np.ndarray, rhs: np.ndarray, row_label=None):
-    """Direct dense solve with a factor-based condition estimate and one step
-    of iterative refinement.  Returns (values, residual_norm, cond_estimate).
+    """Direct solve with a condition estimate and one step of iterative
+    refinement; returns (values, residual_norm, cond_estimate).  A 2-D matrix
+    goes by _lu_solver, a 1-D one (toeplitz(row, row)) by _toeplitz_solver.
     A row not finite in matrix or rhs is a SolverError, with row_label(i)."""
     matrix = np.asarray(matrix, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim not in (1, 2) or matrix.shape[0] != matrix.shape[-1]:
         raise SolverError("system matrix must be square")
     if matrix.shape[0] != rhs.shape[0]:
         raise SolverError("matrix/right-hand side size mismatch")
-    bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=1) & np.isfinite(rhs)))
-    if bad.size:    # one finiteness pass: the LU and solves skip theirs
+    bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=-1) & np.isfinite(rhs)))
+    if bad.size:    # one pass, the solvers skip theirs; a 1-D entry is in row 0
         raise SolverError(f"collocation system not finite in row {bad[0]}"
                           + (f" ({row_label(bad[0])})" if row_label else ""))
-    anorm = np.linalg.norm(matrix, 1)
     try:
-        lu, piv = sla.lu_factor(matrix, check_finite=False)
+        apply, inverse, cond = (_lu_solver if matrix.ndim == 2
+                                else _toeplitz_solver)(matrix)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
-    rcond, info = _lapack.zgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond <= 0:
-        raise SolverError("singular collocation matrix")
-    cond = 1.0 / rcond
-    if cond > _COND_LIMIT:
+    if not cond <= _COND_LIMIT:     # inf: a singular LU; NaN: no Toeplitz inverse
         raise SolverError(f"collocation matrix too ill-conditioned (est {cond:.3e})")
-    x = sla.lu_solve((lu, piv), rhs, check_finite=False)
-    x = x + sla.lu_solve((lu, piv), rhs - matrix @ x, check_finite=False)
-    residual = float(np.abs(matrix @ x - rhs).max())
+    x = inverse(rhs)
+    x = x + inverse(rhs - apply(x))
+    residual = float(np.abs(apply(x) - rhs).max())
     if not residual <= _RESIDUAL_LIMIT * max(1.0, float(np.abs(rhs).max())):
         raise SolverError(f"solve residual {residual:.3e} above tolerance")
     return x, residual, cond
+
+
+def _lu_solver(matrix):
+    """(A v, A^-1 v, zgecon's 1-norm condition estimate) from the LU of A."""
+    anorm = np.linalg.norm(matrix, 1)   # its |A| is freed before the LU copy
+    lu = sla.lu_factor(matrix, check_finite=False)
+    rcond, info = _lapack.zgecon(lu[0], anorm, norm="1")
+    cond = 1.0 / rcond if info == 0 and rcond > 0 else math.inf
+    return matrix.__matmul__, lambda v: sla.lu_solve(lu, v, check_finite=False), cond
+
+
+def _toeplitz_solver(row):
+    """(T v, T^-1 v, 1-norm condition estimate) for T = toeplitz(row, row):
+    x = T^-1 e0 by one Levinson pass, then, T being symmetric, Gohberg-Semencul
+    T^-1 = (L(x) L(x)^T - L(b) L(b)^T) / x0, b = ZJx (x reversed, shifted down
+    one), L(v) lower-triangular Toeplitz of first column v; these and T's
+    circulant embedding act by FFT at a power-of-two length m >= 2n.  ||T||_1
+    times zlacn2's Hager-Higham estimate (ACM TOMS 14(4), 1988) of ||T^-1||_1."""
+    n = row.size
+    x = sla.solve_toeplitz((row, row), np.eye(1, n)[0], check_finite=False)
+    m = 1 << (2 * n - 1).bit_length()
+    xb = np.fft.fft([x, np.r_[0.0, x[:0:-1]]], m)
+    circulant = np.fft.fft(np.r_[row, np.zeros(m - 2 * n + 1), row[:0:-1]])
+
+    def inverse(v):     # [L(x)^T v, L(b)^T v] = J [L(x), L(b)] J v
+        y = np.fft.fft(np.fft.ifft(xb * np.fft.fft(v[::-1], m))[:, n - 1::-1], m)
+        return np.fft.ifft(xb[0] * y[0] - xb[1] * y[1])[:n] / x[0]
+
+    v, j = inverse(np.full(n, 1.0 / n)), None
+    est = np.abs(v).sum()
+    for _ in range(4):
+        z = np.abs(inverse(np.exp(-1j * np.angle(v))))  # = |T^-H sign(v)|
+        j, jlast = z.argmax(), j
+        v = v if j == jlast else inverse(np.eye(1, n, j)[0])
+        if not np.abs(v).sum() > est:       # no gain, or the same column again
+            break
+        est = np.abs(v).sum()
+    alt = (1.0 + np.arange(n) / max(n - 1, 1)) * (-1.0) ** np.arange(n)
+    est = max(est, 2.0 * np.abs(inverse(alt)).sum() / (3 * n))
+    s = np.cumsum(np.abs(row))      # column j of |T| sums to s_j + s_{n-1-j} - |r_0|
+    return (lambda v: np.fft.ifft(circulant * np.fft.fft(v, m))[:n], inverse,
+            float((s + s[::-1]).max() - s[0]) * est)
 
 
 def solve(problem: BoundaryProblem, grid: Grid) -> DensitySolution:

@@ -384,7 +384,7 @@ def _fold_factors(xi, expo, pos, height, scale):
     anchors, offsets, d = _anchors(pos)
     m = offsets.size
     ca, sa = _cos_sin(anchors, xi, exact=d is not None)
-    cb, sb = _cos_sin(offsets, xi)
+    cb, sb = _cos_sin(offsets, xi) if d is not None else (None, None)
     out = np.empty((2, n, nq), dtype=np.result_type(expo, scale))
     ni = np.count_nonzero(np.imag(expo))
     step = max(1, _FOLD_CHUNK // (nq * m))

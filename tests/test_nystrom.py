@@ -1,10 +1,12 @@
-"""Grid, periodic-log quadrature weights, assembly, and the dense solve."""
+"""Grid, periodic-log quadrature weights, assembly, and the dense and
+Toeplitz-row solves."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from oracle import kernel_rows, plane_matrix, system_matrix, weight_matrix
 
@@ -202,18 +204,74 @@ def test_hankel_points_cover_each_pair_once(preset, monkeypatch):
     ("example2-dbvp", {"k_plus": 3.5, "k_minus": 2.7}),  # fieldmap-dbvp's
 ])
 def test_plane_matrix_matches_toeplitz(preset, media, N):
-    # on a plane assemble builds the matrix from one row; the oracle builds
-    # the Toeplitz matrix from its row 0 and column 0, each from kernel_rows,
-    # and the density matches the panel sweep's
+    # on a plane assemble returns the matrix's row 0; the oracle builds the
+    # Toeplitz matrix from its row 0 and column 0, each from kernel_rows,
+    # and the density solved from the row matches the panel sweep's
     cfg = preset_config(preset, N=N, **media)
     problem = build_problem(cfg)
     grid = Grid(half_width_A=cfg.A, N=cfg.N)
-    matrix, rhs = assemble(problem, grid)
+    row, rhs = assemble(problem, grid)
+    assert row.shape == (grid.node_count,)
+    matrix = sla.toeplitz(row, row)
     ref = plane_matrix(problem, grid)
     assert np.abs(matrix - ref).max() <= 1e-15 * np.abs(ref).max()
-    psi = solve_system(matrix, rhs)[0]
+    psi = solve_system(row, rhs)[0]
     swept = solve_system(_sweep(problem, grid), rhs)[0]
     assert np.abs(psi - swept).max() <= 1e-13 * np.abs(swept).max()
+
+
+@pytest.mark.parametrize("N, a_pi", [(16, 10), (16, 40), (64, 10)])
+@pytest.mark.parametrize("preset, media", [
+    ("example2-dbvp", {}), ("example2-ibvp", {}),
+    ("example2-dbvp", {"k_plus": 3.5, "k_minus": 2.7}),  # fieldmap-dbvp's
+])
+def test_plane_route_matches_dense_lu(preset, media, N, a_pi):
+    # the row's Levinson / Gohberg-Semencul solve against the LU of the
+    # oracle's dense Toeplitz matrix: the density to 1e-12 of max|psi|
+    # (1.3e-15 to 4.5e-15 measured), the Hager-Higham condition estimate
+    # within 2x of zgecon's (equal to 4 digits measured)
+    cfg = preset_config(preset, N=N, A_over_pi=a_pi, **media)
+    problem = build_problem(cfg)
+    grid = Grid(half_width_A=cfg.A, N=cfg.N)
+    row, rhs = assemble(problem, grid)
+    psi, residual, cond = solve_system(row, rhs)
+    ref, _, ref_cond = solve_system(plane_matrix(problem, grid), rhs)
+    assert np.abs(psi - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert residual <= 1e-12
+    assert ref_cond / 2 <= cond <= 2 * ref_cond
+
+
+def test_plane_solve_memory_is_linear():
+    # 5121 unknowns: one n x n complex array would be 400 MB; the row's
+    # solve holds O(n) (2.6 MB measured)
+    cfg = preset_config("example2-dbvp", N=16, A_over_pi=160)
+    problem = build_problem(cfg)
+    grid = Grid(half_width_A=cfg.A, N=cfg.N)
+    n = grid.node_count
+    assert n == 5121
+    row, rhs = assemble(problem, grid)
+    tracemalloc.start()
+    try:
+        cond = solve_system(row, rhs)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 16 * n * n
+    assert math.isfinite(cond)
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0.0, 1.0, 0.5], "factorization failed: Singular principal minor"),
+    # Levinson divides by the 1e-300 leading minor and returns garbage for a
+    # well-conditioned matrix: only the true residual (1.0) shows it
+    ([1e-300, 1.0, 0.5], "solve residual .* above tolerance"),
+    ([1.0, 1.0 - 1e-13], "too ill-conditioned"),      # eigenvalue 1e-13
+    ([1.0, 0.5, np.nan], r"not finite in row 0 \(node 0\)"),
+], ids=["zero-minor", "tiny-minor", "near-singular", "nan"])
+def test_toeplitz_breakdown_fails_loudly(row, message):
+    row = np.array(row, dtype=complex)
+    with pytest.raises(SolverError, match=message):
+        solve_system(row, np.ones(row.size, complex), lambda i: f"node {i}")
 
 
 @pytest.mark.parametrize("preset, overrides, plane", [
