@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, SolverError
+from .errors import DomainError, SolverError
 from .exprs import constant
 from .green import MediumPair, incident_field
 from .specfun import EULER_GAMMA, hankel1
@@ -152,9 +152,7 @@ def _pair_pieces(k_minus, rows, cols):
     tau = s[:, None] - t[None, :]       # = x1 - y1
     dx2 = fs[:, None] - ft[None, :]
     rho = np.hypot(tau, dx2)
-    diag = (np.abs(tau) <= 1e-14) & (rho <= 1e-14)
-    if np.any((rho <= 1e-14) & ~diag):
-        raise SingularityError("distinct parameters mapped to coincident points")
+    diag = rho <= 1e-14                 # |tau| <= rho: s_i == t_j
     rho[diag] = 1.0
     krho = k_minus * rho
     h0, h1 = hankel1(0, krho), hankel1(1, krho)

@@ -254,7 +254,7 @@ def build_problem(config: RunConfig) -> BoundaryProblem:
                            incident=config.incident, **kwargs)
 
 
-def _exact_reference(config: RunConfig, problem: BoundaryProblem, pts):
+def exact_reference(config: RunConfig, problem: BoundaryProblem, pts):
     """Closed-form reference at the points pts = (x1, x2), when one exists.
 
     Returns (label, values), a complex array, or (None, None):
@@ -331,7 +331,7 @@ def run(config: RunConfig) -> RunReport:
     plane = config.incident["type"] == "plane"
     if plane:
         u0 = reference_field_plane(problem.medium, config.incident["theta_d"], pts)
-    label, exact = _exact_reference(config, problem, pts)
+    label, exact = exact_reference(config, problem, pts)
     for i, x in enumerate(config.eval_points):
         us = complex(scattered[i])
         row = {"x1": x[0], "x2": x[1], "scattered": us, "near_surface": bool(near[i])}

@@ -14,20 +14,20 @@ discrete operator is
 
 collocated at s = t_i, giving the dense system (I - K_N) psi = rhs.
 
+Every surface goes through one writer, _panel_sweep, over one shared-rule
+layer sum, sommerfeld.remainder_matrices: R and its normal derivative,
+combined with the kind's coefficients, in the one matrix the system is then
+written over.  The pair geometry, the Hankel values and the band terms of
+(A, B) are the same for a node pair and its mirror, up to the sign of x - y,
+so the sweep evaluates them once for each unordered pair: row panels sweep
+the upper triangle and also fill the block below the panel from the
+transposed pieces.
+
 On a plane every entry depends on |i - j| alone: with f' = 0 the layer sum
 is a I - b dI/dy2 whichever end carries the normal, and below the interface
-dI/dy2 = dI/dx2, so one row serves both kinds.  assemble returns row 0, node
-0 against all nodes (n Hankel points, a one-target sum through the plane's
-tables, O(n q) flops), and solve_system solves from it with no matrix.
-
-On any other surface the pair geometry, the Hankel values and the band terms
-of (A, B) are the same for a node pair and its mirror, up to the sign of
-x - y, so _panel_sweep evaluates them once for each unordered pair: row
-panels sweep the upper triangle and also fill the block below the panel
-from the transposed pieces.  The layer part of the kernel comes whole from
-one shared-rule sum, sommerfeld.remainder_matrices on the node set: R and
-its normal derivative, combined with the kind's coefficients, in the one
-matrix the system is then written over.
+dI/dy2 = dI/dx2, so one row serves both kinds.  There the layer sum is node
+0's one-target row (through the plane's tables, O(n q) flops), the sweep
+writes that row (n Hankel points), and solve_system solves from it.
 """
 
 from __future__ import annotations
@@ -65,10 +65,12 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if self.N < 1 or self.N != int(self.N):
-            raise DomainError("N must be a positive integer")
+        if not (self.N >= 1 and float(self.N).is_integer()):
+            raise DomainError(f"N must be a positive integer, got {self.N!r}")
+        object.__setattr__(self, "N", int(self.N))
         if not (self.half_width_A > 0 and math.isfinite(self.half_width_A)):
-            raise DomainError("truncation half-width must be positive")
+            raise DomainError("truncation half-width must be positive and finite, "
+                              f"got {self.half_width_A!r}")
         ratio = self.half_width_A / self.h
         if abs(ratio - round(ratio)) > 1e-9:
             raise DomainError(
@@ -100,8 +102,9 @@ class DensitySolution:
 
 def log_weight(N: int, s, t_j):
     """Quadrature weight R_j^N(s) of the periodic-log rule."""
-    if N < 1 or N != int(N):
-        raise DomainError("N must be a positive integer")
+    if not (N >= 1 and float(N).is_integer()):
+        raise DomainError(f"N must be a positive integer, got {N!r}")
+    N = int(N)
     d = np.asarray(s, dtype=float) - np.asarray(t_j, dtype=float)
     acc = np.zeros_like(d)
     for m in range(1, N):
@@ -113,69 +116,57 @@ def log_weight(N: int, s, t_j):
 
 def assemble(problem: BoundaryProblem, grid: Grid):
     """Collocation system (matrix, rhs) for the given problem.  The matrix is
-    I - (W o A + h B), W_ij = R^N(t_i - t_j) = w_|i-j|: on a plane (f = f[0],
-    f' = f'' = 0 and, for impedance, beta = beta[0] at every node, compared
-    exactly; a NaN node is none) the symmetric Toeplitz matrix of row 0,
-    returned as that 1-D row (module doc), else _panel_sweep's n x n array."""
+    I - (W o A + h B), W_ij = R^N(t_i - t_j) = w_|i-j|, _panel_sweep's over
+    the node-set layer sum, or on a plane (f = f[0], f' = f'' = 0 and, for
+    impedance, beta = beta[0] at every node, compared exactly; a NaN node is
+    none) over node 0's: the symmetric Toeplitz matrix's row 0, returned 1-D."""
     t = grid.nodes
     beta = _checked_rows(problem, t)    # fail before the layer integrals
     jets = _surface_arrays(problem.surface, t)
     w = log_weight(grid.N, np.arange(t.size) * grid.h, 0.0)
-    if (np.all(jets[1] == jets[1][0]) and not np.any(jets[2:4])
-            and (beta is None or np.all(beta == beta[0]))):
-        row = sommerfeld.remainder_matrices(
-            problem.medium.k_plus, problem.medium.k_minus, t, jets[1],
-            s_nodes=t[:1], fs_vals=jets[1][:1],
-            normal=_layer_normal(problem, jets, beta)[:3])
-        _write_block(row, problem, jets, beta, w, grid.h, slice(0, 1),
-                     slice(0, t.size), _pair_pieces(
-                         problem.medium.k_minus, tuple(x[:1] for x in jets), jets))
-        row[0, 0] += 1.0                # the identity
-        matrix = row[0]
-    else:
-        matrix = _panel_sweep(problem, jets, beta, w, grid.h)
+    plane = (np.all(jets[1] == jets[1][0]) and not np.any(jets[2:4])
+             and (beta is None or np.all(beta == beta[0])))
+    normal = _layer_normal(problem, jets, beta)
+    layer = sommerfeld.remainder_matrices(
+        problem.medium.k_plus, problem.medium.k_minus, t, jets[1],
+        s_nodes=t[:1] if plane else None, fs_vals=jets[1][:1],
+        normal=normal[:3] if plane else normal)
+    matrix = _panel_sweep(layer, problem, jets, beta, w, grid.h)
     rhs = np.asarray(rhs_vector(problem, t), dtype=complex)
-    return matrix, rhs
+    return (matrix[0] if plane else matrix), rhs
 
 
-def _write_block(matrix, problem, jets, beta, w, h, rows, cols, pieces):
-    """Write -(W o A + h B) on the nodes rows x cols (slices with starts) of
-    the node set into matrix, over the layer sum there, from the pair pieces
-    of those nodes; W_ij = w_|i-j|."""
-    a, (bi, bj), b = _kernel_block(
-        problem, tuple(x[rows] for x in jets), tuple(x[cols] for x in jets),
-        None if beta is None else beta[rows], pieces, matrix[rows, cols])
-    a *= w[np.abs(bi - bj + (rows.start - cols.start))]
-    b *= h
-    b[bi, bj] += a
-    np.negative(b, out=matrix[rows, cols])
-
-
-def _panel_sweep(problem, jets, beta, w, h):
-    """The matrix on any surface, one row panel [lo, hi) of
-    min(_PANEL_ROWS, _PANEL // n) rows at a time, over the node-set layer
-    sum of sommerfeld.remainder_matrices: bie._pair_pieces on rows
-    [lo, hi) x columns [lo, n), then _write_block on them for the rows
-    [hi, n) x columns [lo, hi) below the panel (transposed) and for the
+def _panel_sweep(matrix, problem, jets, beta, w, h):
+    """Write I - (W o A + h B), W_ij = w_|i-j|, over the layer sum matrix of
+    rows [0, m) (m = n, or 1 on a plane), one row panel [lo, hi) of
+    min(_PANEL_ROWS, _PANEL // n) rows at a time: bie._pair_pieces on rows
+    [lo, hi) x columns [lo, n), then bie._kernel_block on them for the rows
+    [hi, m) x columns [lo, hi) below the panel (transposed) and for the
     panel's rows [lo, hi) x columns [lo, n).  Each block is written over
     the layer sum it has just read; later panels read only rows and columns
     from hi on.  Beyond that one sum only panel-sized temporaries exist.
     """
-    n = jets[0].size
+    m, n = matrix.shape
     km = problem.medium.k_minus
-    matrix = sommerfeld.remainder_matrices(
-        problem.medium.k_plus, km, jets[0], jets[1],
-        normal=_layer_normal(problem, jets, beta))
     step = max(1, min(_PANEL_ROWS, _PANEL // n))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        own, rest, below = slice(lo, hi), slice(lo, n), slice(hi, n)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        own = slice(lo, hi)
         pieces = _pair_pieces(km, tuple(x[own] for x in jets),
-                              tuple(x[rest] for x in jets))
-        if hi < n:
-            _write_block(matrix, problem, jets, beta, w, h, below, own,
-                         _swapped(pieces, hi - lo))
-        _write_block(matrix, problem, jets, beta, w, h, own, rest, pieces)
+                              tuple(x[lo:] for x in jets))
+        below = [(slice(hi, n), own)] if hi < m else []
+        # below first: _swapped copies the pieces before _kernel_block writes over them
+        for rows, cols in below + [(own, slice(lo, n))]:
+            a, (bi, bj), b = _kernel_block(
+                problem, tuple(x[rows] for x in jets),
+                tuple(x[cols] for x in jets), None if beta is None else beta[rows],
+                pieces if rows is own else _swapped(pieces, hi - lo),
+                matrix[rows, cols])
+            a *= w[np.abs(bi - bj + (rows.start - cols.start))]
+            b *= h
+            b[bi, bj] += a
+            np.negative(b, out=matrix[rows, cols])
+            del a, bi, bj, b    # b is _swapped's h0 copy below: free it per block
         d = np.arange(lo, hi)
         matrix[d, d] += 1.0                 # the identity
     return matrix

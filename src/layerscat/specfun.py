@@ -55,7 +55,7 @@ def vertical_wavenumber(z, a: float):
     ray tails of sommerfeld); elsewhere DomainError.
     """
     if not (a > 0 and math.isfinite(a)):
-        raise DomainError(f"vertical_wavenumber requires a > 0, got {a}")
+        raise DomainError(f"vertical_wavenumber requires a finite a > 0, got {a}")
     z = np.asarray(z)
     if not np.all(np.isfinite(z)):
         raise DomainError("vertical_wavenumber requires finite input")

@@ -177,6 +177,15 @@ def test_remainder_domain():
         green_remainder(MED, (0.0, 0.5), (0.3, -0.7))
 
 
+@pytest.mark.parametrize("x, y", [
+    ((math.nan, 0.5), (0.0, -1.0)), ((0.0, 0.5), (math.inf, -1.0)),
+    ((0.0, 0.5), (0.0, -math.inf)),
+])
+def test_green_refuses_non_finite_point(x, y):
+    with pytest.raises(DomainError, match="point has non-finite components"):
+        green(MED, x, y)
+
+
 def test_fresnel_identity():
     # flux balance with T = R + 1: 1 - |R|^2 = Re(i S) |T|^2 / sin(theta),
     # S = S(cos theta, n); beyond the critical angle i S is imaginary and

@@ -32,6 +32,31 @@ def test_grid_invariants():
         Grid(half_width_A=math.pi, N=0)
 
 
+@pytest.mark.parametrize("A", [0.0, -math.pi, math.inf, math.nan])
+def test_grid_refuses_bad_half_width(A):
+    with pytest.raises(DomainError,
+                       match="truncation half-width must be positive and finite"):
+        Grid(half_width_A=A, N=4)
+
+
+def test_float_n_is_the_integer_n():
+    # N = 4.0 passes as 4: Grid stores int(N), and the density is N = 4's
+    problem = build_problem(preset_config("example1-dbvp", N=4))
+    grid = Grid(half_width_A=math.pi, N=4.0)
+    assert type(grid.N) is int and grid == Grid(half_width_A=math.pi, N=4)
+    assert np.array_equal(solve(problem, grid).values,
+                          solve(problem, Grid(half_width_A=math.pi, N=4)).values)
+    assert np.array_equal(log_weight(4.0, 0.3, 0.0), log_weight(4, 0.3, 0.0))
+
+
+@pytest.mark.parametrize("N", [math.nan, math.inf, 2.5, 0, np.float64(math.inf)])
+def test_n_must_be_a_finite_positive_integer(N):
+    with pytest.raises(DomainError, match="N must be a positive integer, got"):
+        Grid(half_width_A=math.pi, N=N)
+    with pytest.raises(DomainError, match="N must be a positive integer, got"):
+        log_weight(N, 0.3, 0.0)
+
+
 def test_log_weight_n1_diagonal():
     # N = 1, s = t_j: empty sum plus cos(0)/2, scaled by -1
     assert log_weight(1, 0.3, 0.3) == pytest.approx(-0.5, abs=1e-15)
@@ -148,13 +173,16 @@ def test_assemble_refuses_nan_surface_node():
 
 
 def _sweep(problem, grid):
-    """The matrix of nystrom._panel_sweep, which assemble takes off a plane,
-    on any surface, a plane included."""
+    """The n x n matrix of nystrom._panel_sweep over the node-set layer sum,
+    which assemble takes off a plane, on any surface, a plane included."""
     t = grid.nodes
     beta = bie._checked_rows(problem, t)
+    jets = bie._surface_arrays(problem.surface, t)
     w = log_weight(grid.N, np.arange(t.size) * grid.h, 0.0)
-    return nystrom._panel_sweep(problem, bie._surface_arrays(problem.surface, t),
-                                beta, w, grid.h)
+    layer = sommerfeld.remainder_matrices(
+        problem.medium.k_plus, problem.medium.k_minus, t, jets[1],
+        normal=bie._layer_normal(problem, jets, beta))
+    return nystrom._panel_sweep(layer, problem, jets, beta, w, grid.h)
 
 
 @pytest.mark.parametrize("rows", [None, 50, 107, 1])
@@ -163,8 +191,9 @@ def test_panelled_matrix_matches_one_shot(preset, rows, monkeypatch):
     # 321 rows in panels of the default height (32), of 50, 107 or 1: each
     # panel boundary cuts the band |s - t| < pi, with 50 the last panel has
     # 21 rows, 107 divides 321, and single rows leave each panel's diagonal
-    # block one entry; the sweep itself, on the plane presets too, where
-    # assemble takes the Toeplitz route (test_plane_matrix_matches_toeplitz)
+    # block one entry; the sweep over the node-set layer sum, on the plane
+    # presets too, where assemble sweeps node 0's one-row layer sum instead
+    # (test_plane_matrix_matches_toeplitz)
     cfg = preset_config(preset, N=16)
     problem = build_problem(cfg)
     grid = Grid(half_width_A=cfg.A, N=cfg.N)
@@ -272,6 +301,17 @@ def test_toeplitz_breakdown_fails_loudly(row, message):
     row = np.array(row, dtype=complex)
     with pytest.raises(SolverError, match=message):
         solve_system(row, np.ones(row.size, complex), lambda i: f"node {i}")
+
+
+@pytest.mark.parametrize("matrix, rhs, message", [
+    (np.ones((2, 3)), np.ones(2), "system matrix must be square"),
+    (np.ones((2, 2, 2)), np.ones(2), "system matrix must be square"),
+    (np.eye(2), np.ones(3), "matrix/right-hand side size mismatch"),
+    (np.ones(3), np.ones(2), "matrix/right-hand side size mismatch"),
+], ids=["2x3", "3-d", "dense-rhs", "row-rhs"])
+def test_solve_system_refuses_bad_shapes(matrix, rhs, message):
+    with pytest.raises(SolverError, match=message):
+        solve_system(matrix, rhs)
 
 
 @pytest.mark.parametrize("preset, overrides, plane", [

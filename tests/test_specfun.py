@@ -222,6 +222,19 @@ def test_complex_root_off_the_principal_sheet_refused(z):
         vertical_wavenumber(np.array([8.0 + 1j, z]), 3.5)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_vertical_wavenumber_refuses_bad_a(a):
+    with pytest.raises(DomainError, match="requires a finite a > 0, got"):
+        vertical_wavenumber(1.0, a)
+
+
+@pytest.mark.parametrize("z", [math.nan, np.array([0.0, math.inf]),
+                               complex(math.nan, 1.0)])
+def test_vertical_wavenumber_refuses_non_finite_z(z):
+    with pytest.raises(DomainError, match="vertical_wavenumber requires finite input"):
+        vertical_wavenumber(z, 1.0)
+
+
 def test_vertical_wavenumber_real_cases():
     assert vertical_wavenumber(0.0, 1.0) == pytest.approx(-1j, abs=1e-15)
     assert vertical_wavenumber(2.0, 1.0) == pytest.approx(math.sqrt(3.0), abs=1e-15)
