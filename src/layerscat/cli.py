@@ -44,7 +44,7 @@ from .bie import BoundaryProblem
 from .errors import ConfigError, DomainError, LayerScatError
 from .green import (_SING_DIST, MediumPair, green, green_surface_batch,
                     reference_field_plane)
-from .nystrom import Grid, solve
+from .nystrom import MAX_NODES, Grid, solve
 from .potentials import _check_points, _eval_scattered, four_wave_exact
 
 _DEF_A_OVER_PI = 10
@@ -113,6 +113,13 @@ def _integer(value, name) -> int:
     return int(x)
 
 
+def _require_grid(n, a_pi):
+    """ConfigError unless N >= 1 and 2 A_over_pi N + 1 <= nystrom.MAX_NODES."""
+    _require(n >= 1, f"N: must be >= 1, got {n}")
+    _require(2 * a_pi * n + 1 <= MAX_NODES, f"N = {n:.6g} at A_over_pi = "
+             f"{a_pi:.6g} makes more than {MAX_NODES} grid nodes (2 A_over_pi N + 1)")
+
+
 def config_from_dict(raw: dict, **overrides) -> RunConfig:
     """Validate a raw config mapping (file contents) into a RunConfig."""
     data = dict(raw)
@@ -161,9 +168,9 @@ def config_from_dict(raw: dict, **overrides) -> RunConfig:
         eta = _number(eta, "eta")
         _require(eta > 0, f"eta: must be positive, got {eta}")
     n = _integer(data.get("N", 16), "N")
-    _require(n >= 1, f"N: must be >= 1, got {n}")
     a_pi = _integer(data.get("A_over_pi", _DEF_A_OVER_PI), "A_over_pi")
     _require(a_pi >= 1, f"A_over_pi: positive integer required, got {a_pi}")
+    _require_grid(n, a_pi)      # before the window's samples are allocated
     # one check of surface and beta on [-A, A]: f, f', f'' and beta finite,
     # f < -_MIN_DECAY / 2 (the shared rule's v_min = 2 min|f|), Re beta > 0
     a = a_pi * math.pi
@@ -370,13 +377,14 @@ def run(config: RunConfig) -> RunReport:
 def convergence_sweep(config: RunConfig, n_list) -> list:
     """One run per N (ascending); rows carry values, errors and successive
     differences at the first eval point."""
-    n_list = [int(n) for n in n_list]
+    n_list = [_integer(n, "N") for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("sweep N list must be strictly ascending")
+    for n in n_list:    # every N before the first run
+        _require_grid(n, config.A_over_pi)
     rows = []
     prev = None
     for n in n_list:
-        _require(n >= 1, f"N: must be >= 1, got {n}")
         rep = run(replace(config, N=n, out_dir=None))
         row = {"N": n, "node_count": rep.node_count,
                "condition_estimate": rep.condition_estimate}
@@ -418,12 +426,14 @@ def greens_table(config: RunConfig, grid_spec: str):
         counts = int(n1), int(n2)
         if not all(map(math.isfinite, lims)) or min(counts) < 1:
             raise ValueError
-        xs = np.linspace(*lims[:2], counts[0])
-        ys = np.linspace(*lims[2:], counts[1])
     except ValueError:
         raise ConfigError(f"bad --grid spec {grid_spec!r}; expected "
                           "'x1min:x1max:n1,x2min:x2max:n2' with finite bounds "
                           "and counts >= 1")
+    _require(counts[0] * counts[1] <= MAX_NODES, f"greens: {counts[0]} x "
+             f"{counts[1]} grid points, more than the limit of {MAX_NODES}")
+    xs = np.linspace(*lims[:2], counts[0])
+    ys = np.linspace(*lims[2:], counts[1])
     _require(y0[1] < 0, f"greens: y_ref {y0} must lie below the interface")
     x1, x2 = np.meshgrid(xs, ys)
     dist = np.hypot(x1 - y0[0], x2 - y0[1]).ravel()

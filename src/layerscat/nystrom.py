@@ -55,6 +55,9 @@ _PANEL = sommerfeld._BLOCK // 8
 #: r (n - lo) pairs, so the sweep covers about n^2 / 2 + r n / 2 pairs, and
 #: a short panel keeps that near n^2 / 2 where _PANEL // n alone is tall
 _PANEL_ROWS = 32
+#: most nodes a Grid may have: CI's 5121-node planes pass, and the widest
+#: window admitted (A/pi = 8192 at N = 1) validates in under 300 MB
+MAX_NODES = 2 ** 14 + 1
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,20 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not (self.N >= 1 and float(self.N).is_integer()):
-            raise DomainError(f"N must be a positive integer, got {self.N!r}")
-        object.__setattr__(self, "N", int(self.N))
+        n = self.N      # an int past the float range is an integer too
+        if not (n >= 1 and (isinstance(n, int) or float(n).is_integer())):
+            raise DomainError(f"N must be a positive integer, got {n!r}")
+        object.__setattr__(self, "N", int(n))
         if not (self.half_width_A > 0 and math.isfinite(self.half_width_A)):
             raise DomainError("truncation half-width must be positive and finite, "
                               f"got {self.half_width_A!r}")
-        ratio = self.half_width_A / self.h
+        try:
+            ratio = self.half_width_A / self.h
+        except OverflowError:   # pi / N of an int N past the float range
+            ratio = math.inf
+        if not ratio < (MAX_NODES + 1) / 2:
+            raise DomainError(f"grid of 2 A/h + 1 = {2 * ratio + 1:.6g} nodes "
+                              f"(A = {self.half_width_A:.6g}): the limit is {MAX_NODES}")
         if abs(ratio - round(ratio)) > 1e-9:
             raise DomainError(
                 f"A/h must be an integer (A = {self.half_width_A}, h = {self.h})")

@@ -53,22 +53,22 @@ of length L holding m oscillations is at most
 refuse (DomainError) a segment that would need more than _MAX_POINTS points:
 4000 panels of 16 for spectral_point, 2000 of 32 for the shared rule.
 
-The shared rule's sums are products of per-node fold factors
-e^{S f_j} cos(xi t_j) and e^{S f_j} sin(xi t_j).  On the Nystrom grid, the
-progression t_j = t_0 + j h, cos and sin are evaluated only at
-m = ceil(sqrt(n)) anchors t_{am} and at the m offsets b h, each for the
-exact product xi t (Dekker's two-product gives its rounding error to first
-order).  Node j = a m + b is t_{am} + b h + d_j, d_j the grid's rounding,
-and e^{i xi t_j} = E_a F_b (1 + i xi d_j), E and F the anchors' and
-offsets' e^{i xi t}, gives the factors of the exact phase to a few
-rounding errors of 1, where cos of the rounded phase is off by up to half
-an ulp of it, as other point sets take it.  Sources on a plane (the grid
-at one height: e^{S f_0} is one number per rule point) make no factors:
+The shared rule's sums are products of per-node fold factors e^{S f_j}
+cos(xi t_j) and e^{S f_j} sin(xi t_j), the parts of e^{i xi t_j} times the
+amplitude.  Node j = a m + b of n, m = ceil(sqrt(n)), is t_{am} + b h + d_j,
+h from the end nodes; if the residual d is within 4 ulps of max|t| (as on
+the Nystrom grid), e^{i xi t} is evaluated only at the m anchors t_{am} and
+the m offsets b h, each for the exact product xi t (Dekker's two-product
+gives its rounding error r, the factor 1 + i r), and e^{i xi t_j} = E_a F_b
+(1 + i xi d_j), E and F the anchors' and offsets' tables, is the exact phase
+to a few rounding errors of 1, where that of the rounded phase is off by up
+to half an ulp of it, as other point sets take it.  Sources on a plane (the
+grid at one height: e^{S f_0} is one number per rule point) make no factors:
 their sums are products of the tables, O(p n q) BLAS flops for p rows plus
 O(q sqrt(n)) table work.  The field's weight rows, as (anchors, offsets),
-take one GEMM with F; a one-target sum (a plane's Toeplitz row, point-
-source data) folds e^{S f_0} and the target's factors into per-rule
-coefficients, one GEMM the other way.  The node-set sum keeps the factors.
+take one GEMM with F; a one-target sum (a plane's Toeplitz row, point-source
+data) folds e^{S f_0} and the target's factors into per-rule coefficients,
+one GEMM the other way.  The node-set sum keeps the factors.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ from .specfun import vertical_wavenumber
 _BLOCK = 500_000
 
 #: elements per block of nodes x rule points that _fold_factors finishes
-#: at a time; its five temporaries (under 1 MB together) then stay in a
-#: core's L2 cache
+#: at a time; the three complex blocks it holds at once (under 1 MB
+#: together) then stay in a core's L2 cache
 _FOLD_CHUNK = 16_384
 
 #: absolute bound on the part of each shared-rule integral beyond its cutoff
@@ -329,18 +329,17 @@ def _anchors(pos):
     """pos as anchors plus offsets: (anchors, offsets, d) with
     pos_j = anchors_a + offsets_b + d_j for j = a m + b, m = offsets.size.
 
-    On an arithmetic progression pos_j = pos_0 + j h (exactly, as Grid.nodes
-    is) the anchors are every m-th point, m = ceil(sqrt(n)), the offsets
-    b h, and d_j = (pos_j - anchors_a) - b h the rounding left over.  Any
-    other point set is its own anchors, with one zero offset and d = None."""
+    The anchors are every m-th point, m = ceil(sqrt(n)), the offsets b h,
+    h = (pos_{n-1} - pos_0) / (n - 1), and d the residual.  A set with max|d|
+    within 4 ulps of max|pos| is a progression (Grid.nodes is, however its h
+    rounds); any other is its own anchors, one zero offset and d = None."""
     n = pos.size
     if n > 2:
-        h = (pos[-1] - pos[0]) / (n - 1)
-        j = np.arange(n)
-        if np.array_equal(pos, pos[0] + h * j):
-            m = math.isqrt(n - 1) + 1
-            anchors, offsets = pos[::m], h * np.arange(m)
-            return anchors, offsets, (pos - anchors[j // m]) - offsets[j % m]
+        m, j = math.isqrt(n - 1) + 1, np.arange(n)
+        anchors, offsets = pos[::m], (pos[-1] - pos[0]) / (n - 1) * np.arange(m)
+        d = (pos - anchors[j // m]) - offsets[j % m]
+        if np.abs(d).max() <= 4 * np.spacing(np.abs(pos).max()):
+            return anchors, offsets, d
     return pos, np.zeros(1), None
 
 
@@ -352,67 +351,49 @@ def _split(x):
     return hi, x - hi
 
 
-def _cos_sin(a, b, exact=True):
-    """cos and sin of the outer product a b.  With exact they are those of
-    the exact product to first order: the rounding error r of p = fl(a b)
-    (Dekker's two-product, itself exact) enters as cos(p + r) =
-    cos p - r sin p, sin(p + r) = sin p + r cos p."""
+def _phase(a, b, exact=True):
+    """e^{i a b} of the outer product a b.  With exact it is that of the
+    exact product to first order: the rounding error r of p = fl(a b)
+    (Dekker's two-product, itself exact) enters as the factor 1 + i r."""
     p = np.multiply.outer(a, b)
-    c, s = np.cos(p), np.sin(p)
-    if not exact:
-        return c, s
-    (ah, al), (bh, bl) = _split(a), _split(b)
-    r = np.multiply.outer(ah, bh) - p
-    r += np.multiply.outer(ah, bl)
-    r += np.multiply.outer(al, bh)
-    r += np.multiply.outer(al, bl)
-    return c - r * s, s + r * c
+    e = np.empty(p.shape, dtype=complex)
+    np.cos(p, out=e.real)
+    np.sin(p, out=e.imag)
+    if exact:
+        (ah, al), (bh, bl) = _split(a), _split(b)
+        r = np.multiply.outer(ah, bh) - p
+        r += np.multiply.outer(ah, bl)
+        r += np.multiply.outer(al, bh)
+        r += np.multiply.outer(al, bl)
+        e *= 1 + 1j * r
+    return e
 
 
 def _fold_factors(xi, expo, pos, height, scale):
-    """[C, S] per node and rule point: C = scale e^{expo height} cos(xi pos),
-    S = scale e^{expo height} sin(xi pos), shape (2, nodes, rule points).
+    """[C, S] per node and rule point, C + i S = e^{i xi pos} and each times
+    scale e^{expo height}, shape (2, nodes, rule points).
 
-    On a progression cos and sin come from the anchors and offsets of
-    _anchors, for the exact products (_cos_sin), by angle addition and the
-    correction (1 + i xi d) of the module docstring; any other point set
-    takes cos and sin of each rounded phase, and real exponents (after the
-    imaginary ones, as xi ascends) the real exp.  The
-    nodes go in blocks of whole anchors of about _FOLD_CHUNK elements, each
-    finished (rotation, correction, amplitude) in cache before the next."""
-    nq, n = xi.size, pos.size
+    On a progression the phase is E_a F_b (1 + i xi d_j) of the module
+    docstring, E and F the anchors' and offsets' tables of _phase, two
+    complex products; any other point set takes e^{i xi pos} of each rounded
+    phase.  The nodes go in blocks of whole anchors of about _FOLD_CHUNK
+    elements, each finished (phase, one exp of the exponents, amplitude) in
+    cache before the next."""
     anchors, offsets, d = _anchors(pos)
-    m = offsets.size
-    ca, sa = _cos_sin(anchors, xi, exact=d is not None)
-    cb, sb = _cos_sin(offsets, xi) if d is not None else (None, None)
+    nq, n, m = xi.size, pos.size, offsets.size
+    ea = _phase(anchors, xi, exact=d is not None)
+    eb = _phase(offsets, xi) if d is not None else None
     out = np.empty((2, n, nq), dtype=np.result_type(expo, scale))
-    ni = np.count_nonzero(np.imag(expo))
     step = max(1, _FOLD_CHUNK // (nq * m))
     for a0 in range(0, anchors.size, step):
-        sl = slice(a0, a0 + step)
-        lo = a0 * m
-        hi = min(lo + step * m, n)
-        if d is None:
-            c, s = ca[sl], sa[sl]
-        else:
-            c = ca[sl, None] * cb
-            t = sa[sl, None] * sb
-            c -= t
-            s = sa[sl, None] * cb
-            np.multiply(ca[sl, None], sb, out=t)
-            s += t
-            c, s, t = (x.reshape(-1, nq)[:hi - lo] for x in (c, s, t))
-            e = np.multiply.outer(d[lo:hi], xi)
-            np.multiply(e, s, out=t)
-            e *= c
-            c -= t
-            s += e
-        h, amp = height[lo:hi], np.empty((hi - lo, nq), dtype=out.dtype)
-        np.exp(np.multiply.outer(h, expo[:ni]), out=amp[:, :ni])
-        np.exp(np.multiply.outer(h, np.real(expo[ni:])), out=amp[:, ni:])
-        amp *= scale
-        np.multiply(c, amp, out=out[0, lo:hi])
-        np.multiply(s, amp, out=out[1, lo:hi])
+        lo, hi = a0 * m, min((a0 + step) * m, n)
+        z = ea[a0:a0 + step]
+        if d is not None:
+            z = (z[:, None] * eb).reshape(-1, nq)[:hi - lo]
+            z *= 1 + 1j * np.multiply.outer(d[lo:hi], xi)
+        amp = np.exp(np.multiply.outer(height[lo:hi], expo)) * scale
+        np.multiply(z.real, amp, out=out[0, lo:hi])
+        np.multiply(z.imag, amp, out=out[1, lo:hi])
     return out
 
 
@@ -431,11 +412,10 @@ def _syrk(c, a, alpha):
 
 def _tables(xi, pos, height):
     """Sources on a plane (a progression at one height) as (e^{i xi anchor},
-    the offsets' cos, sin interleaved, d) of _anchors and _cos_sin, else None."""
+    e^{i xi offset} as interleaved reals, d) of _anchors and _phase, else None."""
     anchors, offsets, d = _anchors(pos)
     if d is not None and np.all(height == height[0]):
-        (ca, sa), (cb, sb) = _cos_sin(anchors, xi), _cos_sin(offsets, xi)
-        return ca + 1j * sa, (cb + 1j * sb).view(float), d
+        return _phase(anchors, xi), _phase(offsets, xi).view(float), d
 
 
 def _table_rows(xi, tables, w):

@@ -507,6 +507,18 @@ def test_cli_greens_grid_through_source_exit_code(tmp_path, capsys):
         assert out.out == ""
 
 
+@pytest.mark.parametrize("grid", ["0:1:100000,-0.5:0.5:100000", "0:1:2,0:1:8193"])
+def test_cli_greens_point_limit_exit_code(tmp_path, capsys, grid):
+    # more points than nystrom.MAX_NODES are refused before the table is
+    # allocated: 10^10 points used to end in a 74.5 GiB ArrayMemoryError
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
+    assert main(["greens", "--config", str(cfg_path), "--grid", grid]) == 2
+    out = capsys.readouterr()
+    assert out.err.count("\n") == 1 and "grid points, more than the limit of 16385" in out.err
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("grid", ["0:1:0,0:1:2", "0:1:2,0:1:0", "0:1:-1,0:1:2"])
 def test_cli_greens_zero_count_exit_code(tmp_path, capsys, grid):
     # a zero count used to print a header-only table and exit 0
@@ -779,3 +791,42 @@ def test_cli_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("key,value", [("N", 1e300), ("A_over_pi", 100000),
+                                       ("A_over_pi", 1000000), ("N", 17)])
+def test_config_refuses_more_than_max_nodes(key, value):
+    # 2 A_over_pi N + 1 above nystrom.MAX_NODES is refused before the window
+    # is sampled: "N": 1e300 ended in np.arange's ValueError, "A_over_pi":
+    # 100000 took 3.5 s and 2.5 GB to validate and 10^6 was killed;
+    # A_over_pi = 512 at N = 16 is the limit itself
+    raw = dict(BASE, **{"A_over_pi": 512, key: value})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="makes more than 16385 grid nodes"):
+            config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert config_from_dict(dict(BASE, A_over_pi=512, N=16)).N == 16
+
+
+def test_cli_node_limit_exit_code(tmp_path, capsys, monkeypatch):
+    # solve exits 2 with one line; sweep checks every N of its list before
+    # its first run (it solved N = 4, then died in a 14.9 GiB
+    # ArrayMemoryError at N = 10^8)
+    import layerscat.cli as cli_mod
+
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli_mod, "run", no_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE, N=1e300)), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "N = 1e+300 at A_over_pi = 10" in err
+    cfg_path.write_text(json.dumps(BASE), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path), "--N", "4,100000000"]) == 2
+    assert "N = 1e+08 at A_over_pi = 10 makes more than" in capsys.readouterr().err

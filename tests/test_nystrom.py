@@ -32,6 +32,21 @@ def test_grid_invariants():
         Grid(half_width_A=math.pi, N=0)
 
 
+@pytest.mark.parametrize("A,N", [(math.pi, 10 ** 400), (math.pi, 1e300),
+                                 (8193 * math.pi, 1), (10 * math.pi, 820)])
+def test_grid_refuses_more_than_max_nodes(A, N):
+    # 2 A/h + 1 nodes above nystrom.MAX_NODES are a DomainError, an int N
+    # past the float range too (it raised OverflowError)
+    with pytest.raises(DomainError, match=f"nodes .* the limit is {nystrom.MAX_NODES}"):
+        Grid(half_width_A=A, N=N)
+
+
+def test_grid_admits_max_nodes():
+    # CI's 5121-node planes and the widest window, A/pi = 8192 at N = 1
+    assert Grid(half_width_A=160 * math.pi, N=16).node_count == 5121
+    assert Grid(half_width_A=8192 * math.pi, N=1).node_count == nystrom.MAX_NODES
+
+
 @pytest.mark.parametrize("A", [0.0, -math.pi, math.inf, math.nan])
 def test_grid_refuses_bad_half_width(A):
     with pytest.raises(DomainError,

@@ -233,7 +233,7 @@ def _factor_errors(t, f, refine=1):
 
 @pytest.mark.parametrize("a_over_pi", [10, 40])
 def test_grid_fold_factors_as_accurate_as_direct(a_over_pi):
-    # angle addition from anchors and offsets of exact phase, with the
+    # the product of the anchors' and offsets' exact phases, with the
     # first-order term of the nodes' rounding, against cos/sin of each
     # rounded phase: the first is off by a few rounding errors of 1 (1e-16
     # to 1e-15 here), the second by up to half an ulp of a phase near 100
@@ -264,8 +264,8 @@ def test_jittered_nodes_fold_factors_fall_back():
 @pytest.mark.parametrize("kp,km", [(3.0, 4.0), (3.5, 2.7)])
 def test_fold_amplitude_matches_complex_exp(kp, km, above):
     # on the real axis each exponent (S- below, -S+ above the interface) is
-    # real or imaginary; the real ones take the real exp, and the factors
-    # stay within 4 ulp of those from the complex exp of every exponent
+    # real or imaginary; the amplitude is one exp of the exponents, and the
+    # factors stay within 4 ulp of cos and sin times the complex exp of each
     t = Grid(10 * math.pi, 16).nodes
     height = np.full_like(t, 0.4) if above else -0.3 - 0.2 * np.cos(t) ** 2
     xi, w, sp, sm = sommerfeld.real_axis_rule(kp, km, t[-1] - t[0], 0.6,
@@ -284,9 +284,11 @@ def test_fold_amplitude_matches_complex_exp(kp, km, above):
 
 
 @pytest.mark.parametrize("n_per_pi", [4, 16, 64])
-@pytest.mark.parametrize("a_over_pi", [1, 10, 40, 80])
+@pytest.mark.parametrize("a_over_pi", [1, 10, 11, 13, 40, 80])
 def test_progression_check_accepts_grid_nodes(a_over_pi, n_per_pi):
-    # Grid.nodes is t_0 + h j to the last bit, so every production call
+    # Grid.nodes is t_0 + h j to within 4 ulps of its largest |t|, h from
+    # its end nodes (at A/pi = 11 and 13 that h rounds away from pi/N, so
+    # a bitwise rebuild misses the grid), so every production call
     # (assembly, boundary data, field evaluation) takes the anchored path
     t = Grid(a_over_pi * math.pi, n_per_pi).nodes
     anchors, offsets, d = sommerfeld._anchors(t)
@@ -329,16 +331,17 @@ def test_plane_tables_match_factor_route(kp, km, a_over_pi, n_per_pi):
         assert np.abs(table - factor).max() <= 1e-14 * np.abs(factor).max()
 
 
-@pytest.mark.parametrize("preset,plane", [("example1-dbvp", False),
-                                          ("example1-ibvp", False),
-                                          ("example3-ibvp", False),
-                                          ("example2-dbvp", True),
-                                          ("example2-ibvp", True)])
-def test_only_a_plane_takes_the_tables(monkeypatch, preset, plane):
+@pytest.mark.parametrize("preset,plane,a_over_pi", [
+    pytest.param(name, plane, a, id=f"{name}-{plane}" + (f"-{a}" if a != 10 else ""))
+    for name, plane, a in [("example1-dbvp", False, 10), ("example1-ibvp", False, 10),
+                           ("example3-ibvp", False, 10), ("example2-dbvp", True, 10),
+                           ("example2-ibvp", True, 10), ("example2-dbvp", True, 11)]])
+def test_only_a_plane_takes_the_tables(monkeypatch, preset, plane, a_over_pi):
     # the route follows the sources alone: on gamma1 and gamma3 _tables
     # builds none and the nodes make fold factors; on a plane (assembly's
     # one row, the field's contraction) every sum over the nodes takes the
-    # tables, and no n x q factor array is made on them
+    # tables, and no n x q factor array is made on them, on a grid whose
+    # h rounds away from pi/N (A/pi = 11) too
     tables, sizes = [], []
     table_fn, factors = sommerfeld._tables, sommerfeld._fold_factors
 
@@ -353,7 +356,8 @@ def test_only_a_plane_takes_the_tables(monkeypatch, preset, plane):
 
     monkeypatch.setattr(sommerfeld, "_tables", spy_tables)
     monkeypatch.setattr(sommerfeld, "_fold_factors", spy_factors)
-    cfg = preset_config(preset, N=8, eval_points=[[1.0, 0.3], [0.4, -0.5]])
+    cfg = preset_config(preset, N=8, A_over_pi=a_over_pi,
+                        eval_points=[[1.0, 0.3], [0.4, -0.5]])
     run(cfg)
     assert set(tables) == {plane}
     assert (Grid(cfg.A, cfg.N).node_count in sizes) != plane
